@@ -15,13 +15,13 @@
 // Before timing, equivalence is gated: every pipeline decode must be
 // bit-identical to ecc.DecodeScalar (the pre-pipeline implementation,
 // retained verbatim), the arena tail must reproduce the scalar tail's
-// plaintext exactly, and an arena-backed adaptive decode must produce a
-// deeply equal DecodeReport to the plain path. Warm arena decodes are
-// additionally gated on zero allocations per op. Either gate failing
-// aborts the run, so a BENCH_7.json with "decode_bit_identical": true
-// is itself the equivalence certificate. The scalar ns/op recorded in
-// every row is the pre-PR baseline timed on the same host in the same
-// process.
+// plaintext exactly, and an adaptive decode on a pooled arena must
+// produce a deeply equal DecodeReport to one on a caller-owned arena.
+// Warm arena decodes are additionally gated on zero allocations per op.
+// Either gate failing aborts the run, so a BENCH_7.json with
+// "decode_bit_identical": true is itself the equivalence certificate.
+// The scalar ns/op recorded in every row is the pre-pipeline baseline
+// timed on the same host in the same process.
 package main
 
 import (
@@ -246,9 +246,10 @@ func checkDecodeEquivalence() error {
 		}
 	}
 
-	// Adaptive ladder: arena-backed and plain decodes of twin hostile
-	// rigs must agree on plaintext AND the full DecodeReport.
-	run := func(withArena bool) ([]byte, *core.DecodeReport, error) {
+	// Adaptive ladder: decodes of twin hostile rigs on a pooled arena
+	// (nil Options.Arena) and on a caller-owned arena must agree on
+	// plaintext AND the full DecodeReport.
+	run := func(callerArena bool) ([]byte, *core.DecodeReport, error) {
 		m, err := device.ByName("MSP432P401")
 		if err != nil {
 			return nil, nil, err
@@ -268,7 +269,7 @@ func checkDecodeEquivalence() error {
 		if err := r.ShelveFor(2 * 365 * 24); err != nil {
 			return nil, nil, err
 		}
-		if withArena {
+		if callerArena {
 			opts.Arena = core.NewDecodeArena()
 		}
 		got, rep, err := core.DecodeAdaptive(context.Background(), r, rec, core.AdaptiveOptions{Options: opts})
@@ -279,16 +280,16 @@ func checkDecodeEquivalence() error {
 		copy(out, got)
 		return out, rep, nil
 	}
-	plainMsg, plainRep, err := run(false)
+	pooledMsg, pooledRep, err := run(false)
 	if err != nil {
-		return fmt.Errorf("adaptive plain: %w", err)
+		return fmt.Errorf("adaptive pooled arena: %w", err)
 	}
-	arenaMsg, arenaRep, err := run(true)
+	ownMsg, ownRep, err := run(true)
 	if err != nil {
-		return fmt.Errorf("adaptive arena: %w", err)
+		return fmt.Errorf("adaptive caller-owned arena: %w", err)
 	}
-	if !bytes.Equal(plainMsg, arenaMsg) || !reflect.DeepEqual(plainRep, arenaRep) {
-		return fmt.Errorf("arena-backed adaptive decode diverges (report or plaintext)")
+	if !bytes.Equal(pooledMsg, ownMsg) || !reflect.DeepEqual(pooledRep, ownRep) {
+		return fmt.Errorf("adaptive decode diverges between pooled and caller-owned arena (report or plaintext)")
 	}
 
 	// Sweep stats: packed Moran agrees with the expanded oracle to

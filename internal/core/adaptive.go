@@ -8,7 +8,6 @@ import (
 
 	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/rig"
-	"invisiblebits/internal/stegocrypt"
 )
 
 // Adaptive-decode defaults.
@@ -142,6 +141,15 @@ func (rep *DecodeReport) Escalated() bool {
 // so callers can see how hard the ladder tried. Records without a
 // digest fail fast with ErrNoDigest.
 func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts AdaptiveOptions) ([]byte, *DecodeReport, error) {
+	l := leaseArena(aopts.Arena)
+	msg, report, err := decodeAdaptiveOn(ctx, l.DecodeArena, r, rec, aopts)
+	return l.release(msg), report, err
+}
+
+// decodeAdaptiveOn is DecodeAdaptive on arena a: the vote accumulator,
+// burst scratch and every tail stage live in the arena, and a
+// hard-rung message is arena-owned.
+func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, aopts AdaptiveOptions) ([]byte, *DecodeReport, error) {
 	if rec == nil {
 		return nil, nil, errors.New("core: nil record")
 	}
@@ -164,12 +172,11 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 		return nil, nil, err
 	}
 
-	arena := opts.Arena
 	report := &DecodeReport{ResidualChannelError: -1}
 	// Accumulated vote counts and total captures so far. sampleTo tops
 	// the accumulator up to a target count; earlier bursts are never
-	// discarded. With an arena, the accumulator and per-burst scratch
-	// are arena-owned and the burst is sampled in place.
+	// discarded. The first burst lands in the accumulator itself, later
+	// ones in burst scratch that is then added in.
 	var votes []uint16
 	total := 0
 	sampleTo := func(target int) error {
@@ -177,18 +184,13 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 		if delta <= 0 {
 			return nil
 		}
-		var burst []uint16
-		if arena != nil {
-			burst = arena.burstBuf(r.Device().SRAM.Cells())
-			if err := opts.retry(ctx, r, func() error {
-				return r.SampleVotesIntoContext(ctx, delta, burst)
-			}); err != nil {
-				return err
-			}
-		} else if err := opts.retry(ctx, r, func() error {
-			var serr error
-			burst, serr = r.SampleVotesContext(ctx, delta)
-			return serr
+		cells := r.Device().SRAM.Cells()
+		burst := a.votesBuf(cells)
+		if votes != nil {
+			burst = a.burstBuf(cells)
+		}
+		if err := opts.retry(ctx, r, func() error {
+			return r.SampleVotesIntoContext(ctx, delta, burst)
 		}); err != nil {
 			return err
 		}
@@ -197,12 +199,7 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 				return fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
 					rec.PayloadBytes*8, len(burst))
 			}
-			if arena != nil {
-				votes = arena.votesBuf(len(burst))
-				copy(votes, burst)
-			} else {
-				votes = burst
-			}
+			votes = burst
 		} else {
 			for i := range votes {
 				votes[i] += burst[i]
@@ -213,18 +210,11 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 		return nil
 	}
 
-	// hardPayload hard-decides the accumulated votes and decrypts,
-	// through arena scratch when one is supplied.
+	// hardPayload hard-decides the accumulated votes and decrypts.
 	hardPayload := func() ([]byte, error) {
-		if arena != nil {
-			p := arena.payloadBuf(rec.PayloadBytes)
-			payloadFromVotesInto(p, votes, total)
-			if err := arena.decryptInPlace(p, rec, opts); err != nil {
-				return nil, err
-			}
-			return p, nil
-		}
-		return decryptPayload(payloadFromVotes(votes, total, rec.PayloadBytes), rec, opts)
+		p := a.payloadBuf(rec.PayloadBytes)
+		payloadFromVotesInto(p, votes, total)
+		return p, a.decryptInPlace(p, rec, opts)
 	}
 
 	// Capture schedule: I, then 3I, then the full budget. Odd totals
@@ -246,13 +236,8 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 		// compare against the accumulated hard majority in the channel
 		// (encrypted-payload) domain.
 		if expected, err := BuildPayload(msg, rec.DeviceID, opts); err == nil && len(expected) == rec.PayloadBytes {
-			var observed []byte
-			if arena != nil {
-				observed = arena.payloadBuf(rec.PayloadBytes)
-				payloadFromVotesInto(observed, votes, total)
-			} else {
-				observed = payloadFromVotes(votes, total, rec.PayloadBytes)
-			}
+			observed := a.payloadBuf(rec.PayloadBytes)
+			payloadFromVotesInto(observed, votes, total)
 			report.ResidualChannelError = bitDiffFraction(observed, expected)
 		}
 		return msg, report, nil
@@ -284,13 +269,7 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 			if err := sampleTo(step.captures); err != nil {
 				return nil, report, err
 			}
-			var conf []float64
-			var err error
-			if arena != nil {
-				conf, err = arena.confidences(votes, total, rec, opts)
-			} else {
-				conf, err = payloadConfidences(votes, total, rec, opts)
-			}
+			conf, err := a.confidences(votes, total, rec, opts)
 			if err != nil {
 				return nil, report, err
 			}
@@ -310,12 +289,7 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 			if err != nil {
 				return nil, report, err
 			}
-			var erased []bool
-			if arena != nil {
-				erased = arena.erasureMaskInto(votes, total, rec.PayloadBytes*8, aopts.deadZone())
-			} else {
-				erased = erasureMask(votes, total, rec.PayloadBytes*8, aopts.deadZone())
-			}
+			erased := a.erasureMaskInto(votes, total, rec.PayloadBytes*8, aopts.deadZone())
 			var unresolved []bool
 			msg, unresolved, decErr = ed.DecodeErasure(plain[:codedLen], erased[:codedLen*8], rec.MessageBytes)
 			if decErr == nil {
@@ -329,14 +303,9 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 			if err != nil {
 				return nil, report, err
 			}
-			if arena != nil {
-				m := arena.msgBuf(rec.MessageBytes)
-				decErr = arena.pipelineFor(codec).DecodeInto(m, plain[:codedLen], rec.MessageBytes)
-				if decErr == nil {
-					msg = m
-				}
-			} else {
-				msg, decErr = codec.Decode(plain[:codedLen], rec.MessageBytes)
+			m := a.msgBuf(rec.MessageBytes)
+			if decErr = a.pipelineFor(codec).DecodeInto(m, plain[:codedLen], rec.MessageBytes); decErr == nil {
+				msg = m
 			}
 		}
 		if decErr != nil {
@@ -344,11 +313,7 @@ func DecodeAdaptive(ctx context.Context, r *rig.Rig, rec *Record, aopts Adaptive
 			report.Rungs = append(report.Rungs, res)
 			continue
 		}
-		verify := rec.VerifyMessage
-		if arena != nil {
-			verify = func(m []byte, k *stegocrypt.Key) error { return arena.verifyMessage(rec, m, k) }
-		}
-		if verr := verify(msg, opts.Key); verr != nil {
+		if verr := a.verifyMessage(rec, msg, opts.Key); verr != nil {
 			if errors.Is(verr, ErrDigestNeedsKey) {
 				return nil, report, verr
 			}
@@ -373,34 +338,6 @@ func oddCap(n, max int) int {
 		n--
 	}
 	return n
-}
-
-// payloadFromVotes hard-decides the accumulated vote counts into
-// payload bytes: payload bit = ¬(power-on majority).
-func payloadFromVotes(votes []uint16, total, payloadBytes int) []byte {
-	out := make([]byte, payloadBytes)
-	for i := 0; i < payloadBytes*8; i++ {
-		if 2*int(votes[i]) < total {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-// erasureMask marks payload bits whose vote fraction sits within
-// deadZone of 0.5 — cells the channel gave no real information about.
-func erasureMask(votes []uint16, total, payloadBits int, deadZone float64) []bool {
-	mask := make([]bool, payloadBits)
-	half := float64(total) / 2
-	band := deadZone * float64(total)
-	for i := range mask {
-		d := float64(votes[i]) - half
-		if d < 0 {
-			d = -d
-		}
-		mask[i] = d <= band
-	}
-	return mask
 }
 
 // bitDiffFraction is the fraction of differing bits between equal-length

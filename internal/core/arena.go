@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -9,22 +10,25 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"sync"
 
 	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/stegocrypt"
 )
 
 // DecodeArena owns every piece of scratch the post-capture decode tail
-// needs — payload and message buffers, confidence/erasure planes, the
-// CTR keystream, the compiled ECC pipeline, and the digest verifier —
-// so a receiver decoding a stream of devices against one record shape
-// allocates nothing in steady state. Set Options.Arena to opt a decode
-// path in; DecodeVotes is the arena's native entry point.
+// needs — vote planes, payload and message buffers, confidence/erasure
+// planes, the CTR keystream, the compiled ECC pipeline, and the digest
+// verifier — so a receiver decoding a stream of devices against one
+// record shape allocates nothing in steady state. It is the only decode
+// tail: DecodeContext and DecodeAdaptive run on Options.Arena when set
+// and on an arena borrowed from a package pool otherwise. DecodeVotes
+// is the arena's native entry point.
 //
 // An arena is NOT safe for concurrent use: batch decoders keep one per
-// worker. Message slices returned from arena-backed decodes are
-// arena-owned and valid only until the arena's next use — copy them if
-// they must outlive the next decode.
+// worker. Message slices returned from decodes on a caller-supplied
+// arena are arena-owned and valid only until the arena's next use —
+// copy them if they must outlive the next decode.
 type DecodeArena struct {
 	payload []byte
 	msg     []byte
@@ -34,8 +38,9 @@ type DecodeArena struct {
 	erased  []bool
 
 	// Per-vote-value confidence table: confTab[v] = 1 − v/total, the
-	// exact expression payloadConfidences computes per cell, so table
-	// lookups are bit-identical to the scalar float path.
+	// exact expression the payloadConfidences oracle (oracle_test.go)
+	// computes per cell, so table lookups are bit-identical to the
+	// scalar float path.
 	confTab      []float64
 	confTabTotal int
 
@@ -73,6 +78,38 @@ type DecodeArena struct {
 // NewDecodeArena returns an empty arena; buffers grow on first use and
 // are reused thereafter.
 func NewDecodeArena() *DecodeArena { return &DecodeArena{} }
+
+// arenaPool holds warm arenas for decodes whose caller supplied none.
+// Its caches are keyed by (key, device ID) and by codec, so an arena
+// carries nothing from one caller's decode into another's result.
+var arenaPool = sync.Pool{New: func() any { return NewDecodeArena() }}
+
+// lease is one decode's hold on an arena: the caller's own, or one
+// borrowed from arenaPool.
+type lease struct {
+	*DecodeArena
+	pooled bool
+}
+
+// leaseArena returns a lease on own, or on a pooled arena when own is
+// nil.
+func leaseArena(own *DecodeArena) lease {
+	if own != nil {
+		return lease{own, false}
+	}
+	return lease{arenaPool.Get().(*DecodeArena), true}
+}
+
+// release ends the lease and returns msg for the caller. A borrowed
+// arena goes back to the pool, so msg is copied out of it first; on a
+// caller-owned arena msg stays arena-owned.
+func (l lease) release(msg []byte) []byte {
+	if l.pooled {
+		msg = bytes.Clone(msg)
+		arenaPool.Put(l.DecodeArena)
+	}
+	return msg
+}
 
 func growBytes(buf []byte, n int) []byte {
 	if cap(buf) < n {
@@ -143,7 +180,7 @@ func (a *DecodeArena) keystream(key stegocrypt.Key, deviceID string, n int) ([]b
 }
 
 // decryptInPlace reverses the encryption layer of an inverted payload
-// in place — the arena twin of decryptPayload, XORing the cached
+// in place — the twin of the decryptPayload oracle, XORing the cached
 // keystream instead of re-deriving it per call.
 func (a *DecodeArena) decryptInPlace(payload []byte, rec *Record, opts Options) error {
 	if !rec.Encrypted {
@@ -163,7 +200,8 @@ func (a *DecodeArena) decryptInPlace(payload []byte, rec *Record, opts Options) 
 // payloadFromVotesInto hard-decides vote counts into dst, 8 cells per
 // output byte, branchless: payload bit = ¬(power-on majority), i.e. set
 // iff 2·votes < total iff votes < ⌈total/2⌉ (the subtract-and-shift
-// extracts exactly that compare). Bit-identical to payloadFromVotes.
+// extracts exactly that compare). Bit-identical to the payloadFromVotes
+// oracle.
 func payloadFromVotesInto(dst []byte, votes []uint16, total int) {
 	t := uint32(total+1) / 2
 	for i := range dst {
@@ -204,8 +242,9 @@ func erasureBounds(total int, deadZone float64) (lo, hi int) {
 	return lo, hi
 }
 
-// erasureMaskInto is the arena twin of erasureMask: the float dead-zone
-// compare collapses to one cached integer range check per cell.
+// erasureMaskInto is the twin of the erasureMask oracle: the float
+// dead-zone compare collapses to one cached integer range check per
+// cell.
 func (a *DecodeArena) erasureMaskInto(votes []uint16, total, payloadBits int, deadZone float64) []bool {
 	if !a.bandValid || a.bandTotal != total || a.bandDead != deadZone {
 		a.bandLo, a.bandHi = erasureBounds(total, deadZone)
@@ -229,7 +268,7 @@ func (a *DecodeArena) erasureMaskInto(votes []uint16, total, payloadBits int, de
 	return mask
 }
 
-// confidences is the arena twin of payloadConfidences: the per-cell
+// confidences is the twin of the payloadConfidences oracle: the per-cell
 // 1 − votes/total expression becomes a per-vote-value table lookup
 // (bit-identical floats — the table entries are computed with the very
 // same expression), and the keystream flip reuses the cached stream.
@@ -387,19 +426,13 @@ func (a *DecodeArena) DecodeVotes(rec *Record, votes []uint16, total int, opts O
 }
 
 // DecodeVotes is the package-level convenience: it decodes accumulated
-// vote counts through Options.Arena when set, or a throwaway arena
+// vote counts through Options.Arena when set, or a pooled arena
 // otherwise, and returns a message the caller owns either way (the
 // arena-owned scratch is copied out).
 func DecodeVotes(rec *Record, votes []uint16, total int, opts Options) ([]byte, error) {
-	a := opts.Arena
-	if a == nil {
-		a = NewDecodeArena()
-	}
-	msg, err := a.DecodeVotes(rec, votes, total, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(msg))
-	copy(out, msg)
-	return out, nil
+	l := leaseArena(opts.Arena)
+	msg, err := l.DecodeVotes(rec, votes, total, opts)
+	out := bytes.Clone(msg)
+	l.release(nil)
+	return out, err
 }

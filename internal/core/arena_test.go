@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 
 	"invisiblebits/internal/ecc"
+	"invisiblebits/internal/rig"
 	"invisiblebits/internal/rng"
 	"invisiblebits/internal/stegocrypt"
 )
@@ -331,43 +335,153 @@ func TestDecodeContextWithArena(t *testing.T) {
 	}
 }
 
-// TestDecodeAdaptiveArenaReportIdentical: two identical hostile rigs —
-// one decoded plain, one through an arena — must produce byte-identical
-// plaintext and deeply equal DecodeReports: the arena may change
-// allocation behavior only, never the ladder's decisions.
+// erasureOnlyCodec exposes the paper codec's hard and erasure decoders
+// but no soft decoder, so a ladder that fails its hard rungs skips soft
+// and verifies (or not) on the erasure rung.
+type erasureOnlyCodec struct{ inner ecc.Composite }
+
+func (c erasureOnlyCodec) Name() string                { return c.inner.Name() }
+func (c erasureOnlyCodec) EncodedLen(msgBytes int) int { return c.inner.EncodedLen(msgBytes) }
+func (c erasureOnlyCodec) Encode(msg []byte) ([]byte, error) {
+	return c.inner.Encode(msg)
+}
+func (c erasureOnlyCodec) Decode(payload []byte, msgBytes int) ([]byte, error) {
+	return c.inner.Decode(payload, msgBytes)
+}
+func (c erasureOnlyCodec) Rate() float64 { return c.inner.Rate() }
+func (c erasureOnlyCodec) DecodeErasure(payload []byte, erased []bool, msgBytes int) ([]byte, []bool, error) {
+	return c.inner.DecodeErasure(payload, erased, msgBytes)
+}
+
+// noteMismatch is the rung note ErrDigestMismatch leaves behind.
+const noteMismatch = "core: decoded message fails the record's integrity digest"
+
+// pinnedLadders are adaptive-decode outcomes on decayCampaign rigs,
+// recorded from the allocate-per-stage decode path before it was
+// removed: the SHA-256 of the plaintext ("" when the ladder exhausts)
+// and the full DecodeReport. One verifies on each of the hard, soft and
+// erasure rungs; one exhausts the ladder.
+var pinnedLadders = []struct {
+	name    string
+	serial  string
+	shelf   func(r *rig.Rig) error
+	erasure bool // decode with erasureOnlyCodec instead of the paper codec
+	sha256  string
+	report  DecodeReport
+}{
+	{
+		name:   "hard",
+		serial: "arena-ladder",
+		shelf:  func(r *rig.Rig) error { return r.ShelveFor(2 * 365 * 24) },
+		sha256: "623454244fd5748d666ade1f822b53d0a4c202f52ab6ae7a0035730ce58732e3",
+		report: DecodeReport{
+			Rungs:                []RungResult{{Name: RungHard, Captures: 3, Verified: true}},
+			CapturesSpent:        3,
+			Verified:             true,
+			VerifiedRung:         RungHard,
+			ResidualChannelError: 0.14540816326530612,
+		},
+	},
+	{
+		name:   "soft",
+		serial: "rel-2",
+		shelf:  func(r *rig.Rig) error { return r.ShelveAtFor(2*365*24, 45) },
+		sha256: "623454244fd5748d666ade1f822b53d0a4c202f52ab6ae7a0035730ce58732e3",
+		report: DecodeReport{
+			Rungs: []RungResult{
+				{Name: RungHard, Captures: 3, Note: noteMismatch},
+				{Name: RungHardMore, Captures: 9, Note: noteMismatch},
+				{Name: RungSoft, Captures: 25, Verified: true},
+			},
+			CapturesSpent:        25,
+			Verified:             true,
+			VerifiedRung:         RungSoft,
+			ResidualChannelError: 0.15407100340136054,
+		},
+	},
+	{
+		name:    "erasure",
+		serial:  "rel-2",
+		shelf:   func(r *rig.Rig) error { return r.ShelveAtFor(2*365*24, 45) },
+		erasure: true,
+		sha256:  "623454244fd5748d666ade1f822b53d0a4c202f52ab6ae7a0035730ce58732e3",
+		report: DecodeReport{
+			Rungs: []RungResult{
+				{Name: RungHard, Captures: 3, Note: noteMismatch},
+				{Name: RungHardMore, Captures: 9, Note: noteMismatch},
+				{Name: RungSoft, Captures: 25, Skipped: true, Note: "codec hamming(7,4)+repetition(7) has no soft decoder"},
+				{Name: RungErasure, Captures: 25, Verified: true},
+			},
+			CapturesSpent:        25,
+			Verified:             true,
+			VerifiedRung:         RungErasure,
+			ResidualChannelError: 0.15407100340136054,
+			UnresolvedBits:       4,
+		},
+	},
+	{
+		name:   "exhausted",
+		serial: "rel-4",
+		shelf:  func(r *rig.Rig) error { return r.ShelveAtFor(2*365*24, 45) },
+		report: DecodeReport{
+			Rungs: []RungResult{
+				{Name: RungHard, Captures: 3, Note: noteMismatch},
+				{Name: RungHardMore, Captures: 9, Note: noteMismatch},
+				{Name: RungSoft, Captures: 25, Note: noteMismatch},
+				{Name: RungErasure, Captures: 25, Note: noteMismatch},
+			},
+			CapturesSpent:        25,
+			ResidualChannelError: -1,
+			UnresolvedBits:       8,
+		},
+	},
+}
+
+// TestDecodeAdaptiveArenaReportIdentical: on hostile rigs, the pooled
+// arena (nil Options.Arena) and a caller-owned arena both reproduce the
+// pinned plaintext and DecodeReport exactly — which rungs ran, captures
+// spent, the verifying rung, ResidualChannelError and UnresolvedBits.
+// Arena ownership may change allocation behavior only, never the
+// ladder's decisions.
 func TestDecodeAdaptiveArenaReportIdentical(t *testing.T) {
-	run := func(withArena bool) ([]byte, *DecodeReport) {
-		t.Helper()
-		// Same serial ⇒ same device noise, same injector stream: the
-		// two runs observe identical captures.
-		r, opts, aopts, msg := decayCampaign(t, "arena-ladder")
-		rec, err := Encode(r, msg, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range pinnedLadders {
+		for _, mode := range []string{"pooled", "caller-arena"} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				// Same serial ⇒ same device noise, same injector stream:
+				// every run observes identical captures.
+				r, opts, aopts, msg := decayCampaign(t, tc.serial)
+				if tc.erasure {
+					opts.Codec = erasureOnlyCodec{paperCodec(t).(ecc.Composite)}
+					aopts.Options = opts
+				}
+				rec, err := Encode(r, msg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.shelf(r); err != nil {
+					t.Fatal(err)
+				}
+				if mode == "caller-arena" {
+					aopts.Arena = NewDecodeArena()
+				}
+				got, rep, err := DecodeAdaptive(context.Background(), r, rec, aopts)
+				if tc.sha256 == "" {
+					if !errors.Is(err, ErrDigestMismatch) {
+						t.Fatalf("err = %v, want ErrDigestMismatch", err)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(got)
+					if hex.EncodeToString(sum[:]) != tc.sha256 || !bytes.Equal(got, msg) {
+						t.Fatal("plaintext diverges from the pinned message")
+					}
+				}
+				if !reflect.DeepEqual(*rep, tc.report) {
+					t.Fatalf("report diverges from the pinned ladder:\ngot:  %+v\nwant: %+v", *rep, tc.report)
+				}
+			})
 		}
-		if err := r.ShelveFor(2 * 365 * 24); err != nil {
-			t.Fatal(err)
-		}
-		if withArena {
-			aopts.Options.Arena = NewDecodeArena()
-		}
-		got, rep, err := DecodeAdaptive(context.Background(), r, rec, aopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatal("adaptive decode corrupted the message")
-		}
-		out := make([]byte, len(got))
-		copy(out, got)
-		return out, rep
-	}
-	plainMsg, plainRep := run(false)
-	arenaMsg, arenaRep := run(true)
-	if !bytes.Equal(plainMsg, arenaMsg) {
-		t.Fatal("arena-backed adaptive decode returned different plaintext")
-	}
-	if !reflect.DeepEqual(plainRep, arenaRep) {
-		t.Fatalf("reports diverge:\nplain: %+v\narena: %+v", plainRep, arenaRep)
 	}
 }

@@ -75,11 +75,14 @@ type Options struct {
 	// experiments measure read-out robustness at the wrong temperature
 	// (power-on state is temperature-susceptible, see ISSUE refs).
 	DecodeTempC float64
-	// Arena, when non-nil, routes the decode tail through reusable
-	// scratch (see DecodeArena): batch decodes against one record shape
-	// stop allocating, and messages returned by arena-backed decode
-	// paths are arena-owned — valid only until the arena's next use.
-	// Arenas are not safe for concurrent use; keep one per worker.
+	// Arena supplies caller-owned scratch for the decode tail (see
+	// DecodeArena). Every decode runs the same arena tail either way;
+	// the field only decides who owns the scratch. When nil, the decode
+	// borrows an arena from a package pool and copies the message out
+	// before returning it, so the caller owns the result. When set,
+	// the returned message is arena-owned — valid only until the
+	// arena's next use. Arenas are not safe for concurrent use; keep
+	// one per worker.
 	Arena *DecodeArena
 }
 
@@ -301,6 +304,14 @@ func Decode(r *rig.Rig, rec *Record, opts Options) ([]byte, error) {
 // are retried per Options.MaxRetries, with backoff charged to the rig's
 // simulated clock.
 func DecodeContext(ctx context.Context, r *rig.Rig, rec *Record, opts Options) ([]byte, error) {
+	l := leaseArena(opts.Arena)
+	msg, err := decodeOn(ctx, l.DecodeArena, r, rec, opts)
+	return l.release(msg), err
+}
+
+// decodeOn is DecodeContext on arena a; the message it returns is
+// arena-owned.
+func decodeOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, opts Options) ([]byte, error) {
 	if rec == nil {
 		return nil, errors.New("core: nil record")
 	}
@@ -321,7 +332,7 @@ func DecodeContext(ctx context.Context, r *rig.Rig, rec *Record, opts Options) (
 		captures = opts.Captures
 	}
 	if opts.Soft {
-		return decodeSoft(ctx, r, rec, opts, codec, captures, codedLen)
+		return decodeSoft(ctx, a, r, rec, opts, codec, captures, codedLen)
 	}
 
 	var maj []byte
@@ -338,33 +349,17 @@ func DecodeContext(ctx context.Context, r *rig.Rig, rec *Record, opts Options) (
 	}
 
 	// Post-processing (Algorithm 2, lines 6–7): invert ("like a negative
-	// in photography", §4.3), decrypt, ECC-decode. With an arena the
-	// whole tail runs in reusable scratch (cached keystream, compiled
-	// pipeline) and the returned message is arena-owned.
-	if a := opts.Arena; a != nil {
-		payload := a.payloadBuf(rec.PayloadBytes)
-		for i := range payload {
-			payload[i] = ^maj[i]
-		}
-		if err := a.decryptInPlace(payload, rec, opts); err != nil {
-			return nil, err
-		}
-		msg := a.msgBuf(rec.MessageBytes)
-		if err := a.pipelineFor(codec).DecodeInto(msg, payload[:codedLen], rec.MessageBytes); err != nil {
-			return nil, fmt.Errorf("core: ecc decode: %w", err)
-		}
-		return msg, nil
-	}
-	payload := make([]byte, rec.PayloadBytes)
+	// in photography", §4.3), decrypt, ECC-decode — all in arena scratch
+	// (cached keystream, compiled pipeline).
+	payload := a.payloadBuf(rec.PayloadBytes)
 	for i := range payload {
 		payload[i] = ^maj[i]
 	}
-	payload, err = decryptPayload(payload, rec, opts)
-	if err != nil {
+	if err := a.decryptInPlace(payload, rec, opts); err != nil {
 		return nil, err
 	}
-	msg, err := codec.Decode(payload[:codedLen], rec.MessageBytes)
-	if err != nil {
+	msg := a.msgBuf(rec.MessageBytes)
+	if err := a.pipelineFor(codec).DecodeInto(msg, payload[:codedLen], rec.MessageBytes); err != nil {
 		return nil, fmt.Errorf("core: ecc decode: %w", err)
 	}
 	return msg, nil
@@ -392,46 +387,22 @@ func prepareDecode(ctx context.Context, r *rig.Rig, opts Options) error {
 	return r.SetVoltage(dev.Model.VNomV)
 }
 
-// decryptPayload reverses the encryption layer of an inverted payload
-// when the record says one was applied.
-func decryptPayload(payload []byte, rec *Record, opts Options) ([]byte, error) {
-	if !rec.Encrypted {
-		return payload, nil
-	}
-	if opts.Key == nil {
-		return nil, errors.New("core: record is encrypted but no key supplied")
-	}
-	out, err := stegocrypt.StreamXOR(*opts.Key, rec.DeviceID, payload)
-	if err != nil {
-		return nil, fmt.Errorf("core: decrypt: %w", err)
-	}
-	return out, nil
-}
-
 // decodeSoft is the soft-decision path: per-cell vote counts become
 // per-payload-bit confidences, decryption flips confidences where the
 // keystream is 1 (XOR in probability space), and the codec's SoftDecoder
 // combines them.
-func decodeSoft(ctx context.Context, r *rig.Rig, rec *Record, opts Options, codec ecc.Codec, captures, codedLen int) ([]byte, error) {
+func decodeSoft(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, opts Options, codec ecc.Codec, captures, codedLen int) ([]byte, error) {
 	soft, ok := codec.(ecc.SoftDecoder)
 	if !ok {
 		return nil, fmt.Errorf("core: codec %s does not support soft decoding", codec.Name())
 	}
-	var votes []uint16
-	err := opts.retry(ctx, r, func() error {
-		var serr error
-		votes, serr = r.SampleVotesContext(ctx, captures)
-		return serr
-	})
-	if err != nil {
+	votes := a.votesBuf(r.Device().SRAM.Cells())
+	if err := opts.retry(ctx, r, func() error {
+		return r.SampleVotesIntoContext(ctx, captures, votes)
+	}); err != nil {
 		return nil, err
 	}
-	var conf []float64
-	if a := opts.Arena; a != nil {
-		conf, err = a.confidences(votes, captures, rec, opts)
-	} else {
-		conf, err = payloadConfidences(votes, captures, rec, opts)
-	}
+	conf, err := a.confidences(votes, captures, rec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -440,38 +411,6 @@ func decodeSoft(ctx context.Context, r *rig.Rig, rec *Record, opts Options, code
 		return nil, fmt.Errorf("core: soft decode: %w", err)
 	}
 	return msg, nil
-}
-
-// payloadConfidences converts per-cell power-on vote counts into
-// per-payload-bit P(bit=1) confidences: payload bit = ¬(power-on bit),
-// so P(payload=1) = 1 − votes/total, and decryption flips confidences
-// where the keystream is 1 (XOR in probability space).
-func payloadConfidences(votes []uint16, total int, rec *Record, opts Options) ([]float64, error) {
-	payloadBits := rec.PayloadBytes * 8
-	if payloadBits > len(votes) {
-		return nil, fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
-			payloadBits, len(votes))
-	}
-	conf := make([]float64, payloadBits)
-	invN := 1 / float64(total)
-	for i := range conf {
-		conf[i] = 1 - float64(votes[i])*invN
-	}
-	if rec.Encrypted {
-		if opts.Key == nil {
-			return nil, errors.New("core: record is encrypted but no key supplied")
-		}
-		ks, err := stegocrypt.StreamXOR(*opts.Key, rec.DeviceID, make([]byte, rec.PayloadBytes))
-		if err != nil {
-			return nil, fmt.Errorf("core: keystream: %w", err)
-		}
-		for i := range conf {
-			if ks[i/8]&(1<<(i%8)) != 0 {
-				conf[i] = 1 - conf[i]
-			}
-		}
-	}
-	return conf, nil
 }
 
 // RawChannelError measures the single-copy channel error of an encoded
