@@ -237,8 +237,9 @@ func newCaptureArray(b *testing.B, bytes, workers int) *sram.Array {
 
 // BenchmarkCapturePath measures the raw capture engine: a full
 // power-cycle burst with per-cell counter-derived noise, across array
-// size × burst length × worker count. cmd/ibbench runs the same grid
-// and records it as BENCH_3.json.
+// size × burst length × worker count. BENCH_3.json records the same
+// grid, taken by the since-retired cmd/ibbench; bash bench/run.sh times
+// captures end to end.
 func BenchmarkCapturePath(b *testing.B) {
 	workerGrid := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -269,9 +270,9 @@ func BenchmarkCapturePath(b *testing.B) {
 
 // BenchmarkStressPath measures the encoding soak hot loop — the per-cell
 // defect-pool growth that dominates Hide() — across array size. BENCH_3
-// only timed captures; the aging engine was invisible to it. cmd/ibbench
-// runs the same loop against the legacy per-cell-Pow engine and records
-// the ratio in BENCH_4.json.
+// only timed captures; the aging engine was invisible to it. BENCH_4.json
+// records the same loop against the legacy per-cell-Pow engine, now the
+// test-only StressReference oracle.
 func BenchmarkStressPath(b *testing.B) {
 	for _, size := range []struct {
 		name  string

@@ -22,8 +22,8 @@ import (
 // deliberate, versioned decision (regenerate with IB_REGEN_GOLDEN=1).
 
 const (
-	goldenMessage = "invisible bits golden fixture: meet at dawn"
-	goldenPass    = "golden pre-shared secret"
+	goldenMessage  = "invisible bits golden fixture: meet at dawn"
+	goldenPass     = "golden pre-shared secret"
 	goldenModel    = "MSP432P401"
 	goldenSerial   = "golden-0001"
 	goldenSerialV3 = "golden-0003"

@@ -95,8 +95,11 @@ func arenaRecord(t *testing.T, serial string, key *stegocrypt.Key) (*Record, []u
 	return rec, votes, opts, msg
 }
 
-// scalarTail decodes accumulated votes with the original scalar chain:
-// allocate-per-stage hard decision, decrypt, scalar ECC, VerifyMessage.
+// scalarTail decodes accumulated votes with the original unfused chain:
+// allocate-per-stage hard decision, decrypt, codec.Decode,
+// VerifyMessage. The ecc suite (FuzzDecodePipeline, pipeline_test.go)
+// proves codec.Decode equals the scalar DecodeScalar oracle, so the
+// arena is checked against the scalar chain one step removed.
 func scalarTail(rec *Record, votes []uint16, total int, opts Options) ([]byte, error) {
 	codec := opts.codec()
 	codedLen, err := recordCodedLen(rec, codec)
@@ -108,7 +111,7 @@ func scalarTail(rec *Record, votes []uint16, total int, opts Options) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	msg, err := ecc.DecodeScalar(codec, payload[:codedLen], rec.MessageBytes)
+	msg, err := codec.Decode(payload[:codedLen], rec.MessageBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +124,9 @@ func scalarTail(rec *Record, votes []uint16, total int, opts Options) ([]byte, e
 }
 
 // TestArenaDecodeVotesMatchesScalarTail: the arena's fused decode tail
-// produces the exact plaintext of the scalar chain, and a warm arena
-// decode performs zero heap allocations — the property BENCH_7 gates.
+// produces the exact plaintext of the unfused chain, and a warm arena
+// decode performs zero heap allocations (warm_decode_zero_alloc in
+// BENCH_7.json).
 func TestArenaDecodeVotesMatchesScalarTail(t *testing.T) {
 	key := stegocrypt.KeyFromPassphrase("arena-tail")
 	for _, tc := range []struct {

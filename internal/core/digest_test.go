@@ -96,11 +96,11 @@ func TestDecodeRejectsMalformedRecordShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Record){
-		"zero message bytes":  func(rc *Record) { rc.MessageBytes = 0 },
-		"zero payload bytes":  func(rc *Record) { rc.PayloadBytes = 0 },
-		"payload too small":   func(rc *Record) { rc.PayloadBytes = 1 },
-		"oversized message":   func(rc *Record) { rc.MessageBytes = 1 << 20 },
-		"negative payload":    func(rc *Record) { rc.PayloadBytes = -4 },
+		"zero message bytes": func(rc *Record) { rc.MessageBytes = 0 },
+		"zero payload bytes": func(rc *Record) { rc.PayloadBytes = 0 },
+		"payload too small":  func(rc *Record) { rc.PayloadBytes = 1 },
+		"oversized message":  func(rc *Record) { rc.MessageBytes = 1 << 20 },
+		"negative payload":   func(rc *Record) { rc.PayloadBytes = -4 },
 	} {
 		bad := *rec
 		mutate(&bad)

@@ -83,7 +83,8 @@ func (il Interleaver) Encode(msg []byte) ([]byte, error) {
 
 // Decode implements Codec: the cached forward permutation gathers the
 // linear stream straight out of the payload (lin bit i = payload bit
-// fwd[i]). The per-bit path lives on as DecodeScalar.
+// fwd[i]). The per-bit path lives on as the test-only DecodeScalar
+// oracle.
 func (il Interleaver) Decode(payload []byte, msgBytes int) ([]byte, error) {
 	if il.Depth < 1 {
 		return nil, fmt.Errorf("ecc: interleaver depth %d < 1", il.Depth)

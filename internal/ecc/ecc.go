@@ -109,10 +109,10 @@ func (r Repetition) Encode(msg []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec. The per-bit vote loop lives on as
-// DecodeScalar; the default path majority-votes 64 message bits per
-// step by ripple-adding the byte-aligned copies into bit-sliced
-// counters (see repMajorityInto).
+// Decode implements Codec. The per-bit vote loop lives on as the
+// test-only DecodeScalar oracle; the default path majority-votes 64
+// message bits per step by ripple-adding the byte-aligned copies into
+// bit-sliced counters (see repMajorityInto).
 func (r Repetition) Decode(payload []byte, msgBytes int) ([]byte, error) {
 	if len(payload) != msgBytes*r.N {
 		return nil, ErrPayloadSize

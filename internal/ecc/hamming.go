@@ -65,10 +65,10 @@ func (h Hamming74) Encode(msg []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec. The per-bit syndrome path lives on as
-// DecodeScalar; the default path looks each 14-bit payload chunk up in
-// a table built from decodeNibble, so one hit corrects and extracts a
-// whole message byte.
+// Decode implements Codec. The per-bit syndrome path lives on as the
+// test-only DecodeScalar oracle; the default path looks each 14-bit
+// payload chunk up in a table built from decodeNibble, so one hit
+// corrects and extracts a whole message byte.
 func (h Hamming74) Decode(payload []byte, msgBytes int) ([]byte, error) {
 	if len(payload) != h.EncodedLen(msgBytes) {
 		return nil, ErrPayloadSize

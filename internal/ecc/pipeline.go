@@ -14,8 +14,8 @@ import (
 // setBit per coded bit, a fresh permutation slice per interleaver call,
 // and a 16-way codeword search per Hamming nibble. This file replaces
 // the inner loops with table- and word-parallel equivalents while the
-// Codec interface (and the retained DecodeScalar paths in scalar.go)
-// stay untouched:
+// Codec interface stays untouched (the original paths live on as the
+// DecodeScalar oracles in scalar_test.go):
 //
 //   - Hamming(7,4) decodes through a 2^14-entry LUT: one lookup per
 //     *pair* of codewords performs syndrome computation, correction and
@@ -299,7 +299,7 @@ func (p *Pipeline) Decode(payload []byte, msgBytes int) ([]byte, error) {
 // DecodeInto decodes payload into dst[:msgBytes] through the compiled
 // stack. Warm calls are alloc-free; the result is bit-identical to
 // codec.Decode (and therefore to DecodeScalar — the property suite and
-// the BENCH_7 gate enforce both).
+// FuzzDecodePipeline enforce both).
 func (p *Pipeline) DecodeInto(dst, payload []byte, msgBytes int) error {
 	if len(dst) < msgBytes {
 		return fmt.Errorf("ecc: pipeline dst holds %d bytes, message needs %d", len(dst), msgBytes)

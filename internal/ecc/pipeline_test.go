@@ -252,8 +252,9 @@ func TestPermForCached(t *testing.T) {
 }
 
 // TestPipelineZeroAlloc: a warm Pipeline.DecodeInto never touches the
-// heap, for every codec family — the property the BENCH_7 alloc gate
-// enforces on the full decode tail.
+// heap, for every codec family — the pipeline half of the warm-decode
+// zero-alloc gate (TestArenaDecodeVotesMatchesScalarTail holds the
+// full decode tail to the same bound).
 func TestPipelineZeroAlloc(t *testing.T) {
 	src := rng.NewSource(0xe1e5)
 	for _, pc := range propertyCases(t) {

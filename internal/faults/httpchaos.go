@@ -178,7 +178,7 @@ func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return truncateBody(resp, c.roll("truncat|"+site), nil), nil
 	}
 	if p.ResetRate > 0 && c.roll("reset|"+site) < p.ResetRate {
-		at := c.roll("resetat|"+site)
+		at := c.roll("resetat|" + site)
 		return truncateBody(resp, at, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, ErrConnReset)), nil
 	}
 	return resp, nil

@@ -107,7 +107,7 @@ func New(p Profile, serial string) *SeededInjector {
 	return &SeededInjector{
 		profile: p,
 		serial:  serial,
-		base:    p.Seed ^ rng.HashString("faults/" + serial),
+		base:    p.Seed ^ rng.HashString("faults/"+serial),
 		seq:     make(map[string]uint64),
 		masks:   make(map[int]*cellMask),
 	}

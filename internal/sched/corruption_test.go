@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"invisiblebits/internal/faults"
+	"invisiblebits/internal/wal"
 )
 
 // copyTree clones a state directory so each mutation starts from the
@@ -49,6 +50,29 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
+// newQueued is New with subs admitted before the scheduling loop
+// starts, so every pass batches all of them and the journal holds the
+// same records on every run. With New, the loop can plan a pass between
+// two Submits and soak the first campaign alone, one pass record more.
+func newQueued(t *testing.T, dir string, cfg Config, subs []Submission) *Scheduler {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newScheduler(dir, cfg, j)
+	for _, sub := range subs {
+		if err := s.Submit(sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go s.loop()
+	return s
+}
+
 // collectDone gathers the bit-identity artifacts of every done
 // campaign.
 func collectDone(t *testing.T, s *Scheduler, dir string, subs []Submission) map[string]outcomeCmp {
@@ -80,12 +104,11 @@ func collectDone(t *testing.T, s *Scheduler, dir string, subs []Submission) map[
 }
 
 // TestCorruptionMatrix is the robustness gate: flip a byte in every
-// region (prefix, length, CRC, payload, terminator) of one record of
-// every journal record type, plus the campaign spec files, and resume.
-// The scheduler must come back every single time; campaigns either
-// finish bit-identically to the uncorrupted reference or are
-// quarantined (spec damage only) — corrupted state is never decoded as
-// if it were sound.
+// region (prefix, length, CRC, payload, terminator) of every journal
+// record, and resume. The scheduler must come back every single time;
+// campaigns either finish bit-identically to the uncorrupted reference
+// or are quarantined (spec damage only) — corrupted state is never
+// decoded as if it were sound.
 func TestCorruptionMatrix(t *testing.T) {
 	base := t.TempDir()
 	subs := []Submission{
@@ -95,15 +118,7 @@ func TestCorruptionMatrix(t *testing.T) {
 	cfg := Config{KeyFor: testKeyFor}
 
 	refDir := filepath.Join(base, "ref")
-	ref, err := New(refDir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range subs {
-		if err := ref.Submit(sub); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ref := newQueued(t, refDir, cfg, subs)
 	drainOK(t, ref)
 	want := collectDone(t, ref, refDir, subs)
 	if len(want) != len(subs) {
@@ -114,51 +129,60 @@ func TestCorruptionMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries, validLen, err := ParseJournal(journal)
+	if err != nil || validLen != int64(len(journal)) {
+		t.Fatalf("reference journal: %d of %d bytes valid: %v", validLen, len(journal), err)
+	}
 	lines := bytes.SplitAfter(journal, []byte("\n"))
 
-	// One representative line per record type, plus that line's byte
-	// regions: frame prefix, length field, CRC field, payload, and the
-	// final payload byte before the terminator.
+	// Every line, named by the record it frames: type, campaign, slot,
+	// and its ordinal within that stream (e.g. slice/cm-a/0#2). Byte
+	// offsets would not do — concurrent slot appends interleave
+	// differently from run to run. Each line's byte regions: frame
+	// prefix, length field, CRC field, payload, and the final payload
+	// byte before the terminator.
 	type mutation struct {
 		label string
 		off   int
 	}
-	seen := map[string]bool{}
+	types := map[string]bool{}
+	ordinals := map[string]int{}
 	var muts []mutation
 	off := 0
-	for _, ln := range lines {
-		if len(ln) == 0 {
-			continue
+	for i, e := range entries {
+		ln := lines[i]
+		types[e.Type] = true
+		stream := e.Type
+		if e.Campaign != "" {
+			stream += "/" + e.Campaign
 		}
-		var kind string
-		if _, err := fmt.Sscanf(string(ln), "w2 %*d %*8s {\"seq\":%*d,\"type\":%q", &kind); err != nil {
-			kind = fmt.Sprintf("line@%d", off)
+		if e.Slot >= 0 {
+			stream += fmt.Sprintf("/%d", e.Slot)
 		}
-		if !seen[kind] {
-			seen[kind] = true
-			for _, reg := range []struct {
-				name string
-				at   int
-			}{
-				{"prefix", 0},
-				{"length", 3},
-				{"crc", bytes.IndexByte(ln, '{') - 5},
-				{"payload", len(ln) / 2},
-				{"tail", len(ln) - 2},
-			} {
-				if reg.at < 0 || reg.at >= len(ln) {
-					continue
-				}
-				muts = append(muts, mutation{
-					label: fmt.Sprintf("%s/%s", kind, reg.name),
-					off:   off + reg.at,
-				})
+		record := fmt.Sprintf("%s#%d", stream, ordinals[stream])
+		ordinals[stream]++
+		for _, reg := range []struct {
+			name string
+			at   int
+		}{
+			{"prefix", 0},
+			{"length", 3},
+			{"crc", bytes.IndexByte(ln, '{') - 5},
+			{"payload", len(ln) / 2},
+			{"tail", len(ln) - 2},
+		} {
+			if reg.at < 0 || reg.at >= len(ln) {
+				continue
 			}
+			muts = append(muts, mutation{
+				label: record + "/" + reg.name,
+				off:   off + reg.at,
+			})
 		}
 		off += len(ln)
 	}
-	if len(seen) < 6 {
-		t.Fatalf("reference journal exercises only %d record types: %v", len(seen), seen)
+	if len(types) < 6 {
+		t.Fatalf("reference journal exercises only %d record types: %v", len(types), types)
 	}
 
 	for i, m := range muts {

@@ -442,8 +442,14 @@ func isRerouteable(err error) bool {
 // spare (or terminally fail the campaign); transient faults rewind the
 // slot to its last durable checkpoint for a retry next pass; completed
 // campaigns are sealed. Unaffected campaigns are untouched — that is
-// the graceful-degradation contract.
+// the graceful-degradation contract. Last, it publishes every member's
+// progress for Campaign to report.
 func (s *Scheduler) applyPassLocked(p *passPlan) {
+	defer func() {
+		for _, c := range p.members {
+			c.publishProgress()
+		}
+	}()
 	byCamp := map[*campState][]*slotRun{}
 	for _, r := range p.runs {
 		byCamp[r.c] = append(byCamp[r.c], r)

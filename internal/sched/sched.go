@@ -163,9 +163,6 @@ type Config struct {
 	// Hook is the crash-test kill-point hook consulted at every journal
 	// append and image/result write. Nil in production.
 	Hook faults.Hook
-	// NoSync skips per-append fsync (wal.Options.NoSync). Benchmarks
-	// only — it voids the crash-safety contract.
-	NoSync bool
 	// FS is the filesystem seam for every durable artifact (journal,
 	// specs, images, results). Nil means the real OS filesystem;
 	// fault-injection tests substitute a storage.FaultFS.
@@ -298,6 +295,12 @@ type campState struct {
 	deferrals int
 	barren    int
 
+	// applied is the soak hours the slots had absorbed when the loop
+	// last folded a pass in. Pass workers write slot state without
+	// taking s.mu, so Campaign reports this published figure and never
+	// reads the slots.
+	applied float64
+
 	done   bool
 	failed bool
 	// quarantined parks a campaign whose on-disk state was unrecoverable
@@ -309,6 +312,23 @@ type campState struct {
 }
 
 func (c *campState) terminal() bool { return c.done || c.failed || c.quarantined }
+
+// publishProgress sums the slots' soak positions into c.applied. Call
+// it with s.mu held while no pass is running: the loop owns the slots
+// then.
+func (c *campState) publishProgress() {
+	total := estChamberHours(c.spec, c.model)
+	c.applied = 0
+	for _, sl := range c.slots {
+		switch {
+		case !sl.live():
+		case sl.record != nil:
+			c.applied += total
+		default:
+			c.applied += sl.applied
+		}
+	}
+}
 
 func (c *campState) runnable() bool {
 	if c.terminal() {
@@ -379,7 +399,7 @@ func New(dir string, cfg Config) (*Scheduler, error) {
 	if err := storage.Default(cfg.FS).MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, NoSync: cfg.NoSync, FS: cfg.FS})
+	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
 	if err != nil {
 		if errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("sched: %s already holds a journal; use Resume: %w", dir, err)
@@ -506,7 +526,7 @@ func Resume(dir string, cfg Config) (*Scheduler, error) {
 	}
 	sum.JournalRecords = used
 
-	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, NoSync: cfg.NoSync, FS: cfg.FS}, st.NextSeq, validLen)
+	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, FS: cfg.FS}, st.NextSeq, validLen)
 	if err != nil {
 		return nil, err
 	}
@@ -716,6 +736,7 @@ func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, 
 			// its early records is legal.
 		}
 	}
+	c.publishProgress()
 	return c, nil
 }
 
@@ -1289,17 +1310,12 @@ func (s *Scheduler) Campaign(id string) (CampaignStatus, bool) {
 		cs.LatencyHours = c.doneAt - c.submitAt
 	}
 	total := estChamberHours(c.spec, c.model)
-	for _, sl := range c.slots {
-		if !sl.live() {
-			continue
-		}
-		cs.TotalHours += total
-		if sl.record != nil {
-			cs.AppliedHours += total
-		} else {
-			cs.AppliedHours += sl.applied
+	for _, n := range c.segs {
+		if n > 0 { // a live slot
+			cs.TotalHours += total
 		}
 	}
+	cs.AppliedHours = c.applied
 	return cs, true
 }
 

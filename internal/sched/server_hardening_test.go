@@ -25,9 +25,9 @@ func decodeErrorBody(t *testing.T, w *httptest.ResponseRecorder) errorBody {
 func TestServerRouteTable(t *testing.T) {
 	srv := NewServer(newIdleScheduler(t, Config{}))
 	routes := []struct {
-		path   string
-		allow  string // the one allowed method
-		probe  string // a method that must be rejected
+		path  string
+		allow string // the one allowed method
+		probe string // a method that must be rejected
 	}{
 		{"/api/submit", http.MethodPost, http.MethodGet},
 		{"/api/drain", http.MethodPost, http.MethodDelete},

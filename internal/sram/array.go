@@ -398,22 +398,3 @@ func (a *Array) pruneBound(sigma float64) float64 {
 	}
 	return math.Inf(1)
 }
-
-// DeterministicFrac reports the fraction of cells whose power-on state
-// at tempC is already decided by their bias alone — the cells the v2
-// capture engine prunes (credits without drawing noise). Zero for v1
-// arrays. After a message imprint this is close to 1, which is where
-// the capture speedup comes from.
-func (a *Array) DeterministicFrac(tempC float64) (float64, error) {
-	if err := a.ensureBiasPlane(context.Background()); err != nil {
-		return 0, err
-	}
-	bound := a.pruneBound(a.noiseSigmaAt(tempC))
-	pruned := 0
-	for _, b := range a.biasPlane {
-		if v := float64(b); v > bound || v < -bound {
-			pruned++
-		}
-	}
-	return float64(pruned) / float64(a.n), nil
-}

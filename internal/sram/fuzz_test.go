@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"testing"
 
 	"invisiblebits/internal/analog"
@@ -72,7 +73,7 @@ func FuzzCaptureEquivalence(f *testing.F) {
 		}
 		ak := mk(w)
 		ar := mk(1)
-		vk, err := ak.CaptureVotesContext(t.Context(), caps, temp)
+		vk, err := ak.CaptureVotesContext(context.Background(), caps, temp)
 		if err != nil {
 			t.Fatal(err)
 		}

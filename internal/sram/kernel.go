@@ -38,8 +38,9 @@ import (
 // The kernel consumes exactly the counter-derived noise tape
 // (norm(base+k, i) for race k, cell i) the serial engines consume, so
 // votes, the final data plane and PowerOnCount are bit-identical to
-// CaptureVotesReference / PowerOnReference for any worker count — the
-// sram differential and fuzz suites enforce this.
+// the test-only CaptureVotesReference / PowerOnReference oracles for
+// any worker count — the sram differential and fuzz suites enforce
+// this.
 
 // MaxCaptures is the largest capture count a single burst supports: the
 // per-cell vote counters are 16-bit, so a burst beyond 65535 captures
@@ -114,8 +115,8 @@ type capKernel struct {
 
 // bumpBiasEpoch invalidates every derived view of the bias plane (the
 // packed capture layout). Call sites are exactly the writers of
-// biasPlane: ensureBiasPlane rebuilds, Stress, decayPools and
-// StressReference.
+// biasPlane: ensureBiasPlane rebuilds, Stress, decayPools and the
+// test-only StressReference.
 func (a *Array) bumpBiasEpoch() { a.biasEpoch++ }
 
 // ensureKernel (re)builds the packed capture layout for sigma if the

@@ -3,6 +3,8 @@ package sram
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"invisiblebits/internal/analog"
@@ -156,73 +158,155 @@ func TestSlicedMajorityMatchesScalarThreshold(t *testing.T) {
 // TestKernelEquivalence: kernel, pre-kernel scalar engine and serial
 // reference must produce identical votes, data planes and counter
 // consumption — for both noise generations, with and without remanence,
-// from identically aged states.
+// from identically aged states, with the kernel at one worker and at
+// GOMAXPROCS. Two shapes: a small single-row array imprinted with a
+// checkerboard, and a 4 KiB array of 256 rows (several kernel chunks,
+// the vector path) on clean and 10 h-imprinted silicon.
 func TestKernelEquivalence(t *testing.T) {
+	workers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workers = append(workers, n)
+	}
 	for _, gen := range []int{NoiseGenZiggurat, NoiseGenBoxMuller} {
 		for _, remanent := range []bool{false, true} {
-			spec := kernelTestSpec(512, gen, 42)
-			mk := func() *Array {
-				a, err := New(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				imprintSome(t, a, 5)
-				if remanent {
-					if _, err := a.PowerOn(25); err != nil {
+			t.Run(fmt.Sprintf("512cells/gen%d/remanent=%v", gen, remanent), func(t *testing.T) {
+				mk := func(w int) *Array {
+					spec := kernelTestSpec(512, gen, 42)
+					spec.Workers = w
+					a, err := New(spec)
+					if err != nil {
 						t.Fatal(err)
 					}
-					a.PowerOff(false) // retain contents: first capture is free
+					imprintSome(t, a, 5)
+					if remanent {
+						if _, err := a.PowerOn(25); err != nil {
+							t.Fatal(err)
+						}
+						a.PowerOff(false) // retain contents: first capture is free
+					}
+					return a
 				}
-				return a
+				requireThreeWay(t, mk, workers, 9, 31)
+			})
+			for _, hours := range []float64{0, 10} {
+				t.Run(fmt.Sprintf("4KiB/gen%d/imprint%vh/remanent=%v", gen, hours, remanent), func(t *testing.T) {
+					mk := func(w int) *Array {
+						spec := DefaultSpec()
+						spec.Rows = 256
+						spec.Cols = 4 << 10 * 8 / spec.Rows
+						spec.Seed = 0xbe2c
+						spec.Workers = w
+						spec.NoiseGen = gen
+						a, err := New(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := a.PowerOn(25); err != nil {
+							t.Fatal(err)
+						}
+						if hours > 0 {
+							pat := make([]byte, a.Bytes())
+							for i := range pat {
+								pat[i] = byte(i*37 + 11)
+							}
+							if err := a.StressWithPattern(pat, a.Spec().Aging.Ref, hours); err != nil {
+								t.Fatal(err)
+							}
+						}
+						a.PowerOff(!remanent)
+						return a
+					}
+					requireThreeWay(t, mk, workers, 5, 25)
+				})
 			}
-			ak, as, ar := mk(), mk(), mk()
-			const captures = 9
-			vk, err := ak.CaptureVotes(captures, 31)
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// requireThreeWay runs one capture burst on identically built arrays
+// through the serial reference, the scalar engine (both at one worker)
+// and the kernel at every worker count in workers, and fails unless all
+// of them agree on votes, the final data plane and counter consumption.
+func requireThreeWay(t *testing.T, mk func(workers int) *Array, workers []int, captures int, tempC float64) {
+	t.Helper()
+	ar, as := mk(1), mk(1)
+	vr, err := ar.CaptureVotesReference(captures, tempC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := as.CaptureVotesScalar(captures, tempC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, _ := ar.Read()
+	ds, _ := as.Read()
+	for i := range vr {
+		if vs[i] != vr[i] {
+			t.Fatalf("cell %d: scalar %d reference %d", i, vs[i], vr[i])
+		}
+	}
+	for i := range dr {
+		if ds[i] != dr[i] {
+			t.Fatalf("data byte %d: scalar %02x reference %02x", i, ds[i], dr[i])
+		}
+	}
+	if as.PowerOnCount() != ar.PowerOnCount() {
+		t.Fatalf("counters diverged: scalar %d reference %d", as.PowerOnCount(), ar.PowerOnCount())
+	}
+	for _, w := range workers {
+		ak := mk(w)
+		vk, err := ak.CaptureVotes(captures, tempC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vr {
+			if vk[i] != vr[i] {
+				t.Fatalf("workers=%d cell %d: kernel %d reference %d", w, i, vk[i], vr[i])
 			}
-			vs, err := as.CaptureVotesScalar(captures, 31)
-			if err != nil {
-				t.Fatal(err)
+		}
+		dk, _ := ak.Read()
+		for i := range dr {
+			if dk[i] != dr[i] {
+				t.Fatalf("workers=%d data byte %d: kernel %02x reference %02x", w, i, dk[i], dr[i])
 			}
-			vr, err := ar.CaptureVotesReference(captures, 31)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range vk {
-				if vk[i] != vr[i] || vs[i] != vr[i] {
-					t.Fatalf("gen=%d rem=%v cell %d: kernel %d scalar %d reference %d",
-						gen, remanent, i, vk[i], vs[i], vr[i])
-				}
-			}
-			dk, _ := ak.Read()
-			ds, _ := as.Read()
-			dr, _ := ar.Read()
-			for i := range dk {
-				if dk[i] != dr[i] || ds[i] != dr[i] {
-					t.Fatalf("gen=%d rem=%v data byte %d: kernel %02x scalar %02x reference %02x",
-						gen, remanent, i, dk[i], ds[i], dr[i])
-				}
-			}
-			if ak.PowerOnCount() != ar.PowerOnCount() || as.PowerOnCount() != ar.PowerOnCount() {
-				t.Fatalf("gen=%d rem=%v counters diverged: %d %d %d",
-					gen, remanent, ak.PowerOnCount(), as.PowerOnCount(), ar.PowerOnCount())
-			}
+		}
+		if ak.PowerOnCount() != ar.PowerOnCount() {
+			t.Fatalf("workers=%d counters diverged: kernel %d reference %d", w, ak.PowerOnCount(), ar.PowerOnCount())
 		}
 	}
 }
 
 // TestCaptureIntoNoAllocSteadyState: after the first burst warms the
 // kernel's layout and scratch, CaptureVotesInto and CaptureMajorityInto
-// allocate nothing.
+// allocate nothing — on a 4 KiB array at one worker (the receiver's
+// decode loop), and on an array sharing the process-wide pool.
 func TestCaptureIntoNoAllocSteadyState(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates; zero-alloc gate runs in the non-race CI job and in ibbench -quick")
+		t.Skip("race instrumentation allocates; the zero-alloc gate runs in the non-race hot-path CI job")
 	}
+	t.Run("workers=1", func(t *testing.T) {
+		spec := DefaultSpec()
+		spec.Rows = 256
+		spec.Cols = 4 << 10 * 8 / spec.Rows
+		spec.Workers = 1
+		a, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireCaptureIntoNoAlloc(t, a)
+	})
 	a, err := New(kernelTestSpec(4096, NoiseGenZiggurat, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCaptureIntoNoAlloc(t, a)
+}
+
+// requireCaptureIntoNoAlloc warms a's kernel with one burst, then fails
+// if a steady-state CaptureVotesInto or CaptureMajorityInto burst
+// allocates.
+func requireCaptureIntoNoAlloc(t *testing.T, a *Array) {
+	t.Helper()
 	votes := make([]uint16, a.Cells())
 	maj := make([]byte, a.Bytes())
 	ctx := context.Background()

@@ -141,93 +141,6 @@ func (a *Array) BiasMapContext(ctx context.Context, captures int, tempC float64)
 	return out, nil
 }
 
-// CaptureVotesScalar runs a capture burst with the pre-kernel scalar
-// engine: deterministic-cell pruning and the per-cell bias hoisted, but
-// one noise draw resolved at a time through the versioned sampler.
-// Kept as the mid-generation baseline for cmd/ibbench's kernel grid and
-// as a second differential witness (kernel vs scalar vs reference) for
-// the equivalence suites. Semantics match CaptureVotes exactly.
-func (a *Array) CaptureVotesScalar(captures int, tempC float64) ([]uint16, error) {
-	return a.CaptureVotesScalarContext(context.Background(), captures, tempC)
-}
-
-// CaptureVotesScalarContext is CaptureVotesScalar with cancellation.
-func (a *Array) CaptureVotesScalarContext(ctx context.Context, captures int, tempC float64) ([]uint16, error) {
-	if err := validCaptures(captures); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	counts := make([]uint32, a.n)
-	races := captures
-	if !a.powered && a.remanent {
-		// First capture is the remembered state; no race, no counter.
-		a.remanent = false
-		for i := 0; i < a.n; i++ {
-			if a.data[i/8]&(1<<(i%8)) != 0 {
-				counts[i]++
-			}
-		}
-		races--
-	}
-	if races > 0 {
-		if err := a.ensureBiasPlane(ctx); err != nil {
-			a.powered = false
-			return nil, err
-		}
-		sigma := a.noiseSigmaAt(tempC)
-		bound := a.pruneBound(sigma)
-		norm := a.drawNorm
-		base := a.powerOns
-		a.powerOns += uint64(races)
-		err := a.pool.Run(ctx, len(a.data), 1, func(lo, hi int) {
-			for byteIdx := lo; byteIdx < hi; byteIdx++ {
-				var final byte
-				cell := byteIdx * 8
-				for b := 0; b < 8; b++ {
-					i := cell + b
-					bias := float64(a.biasPlane[i])
-					// Deterministic cells resolve the same way on every
-					// race (v2 noise is hard-bounded): credit the whole
-					// burst at once, no draws.
-					if bias > bound {
-						counts[i] += uint32(races)
-						final |= 1 << uint(b)
-						continue
-					}
-					if bias < -bound {
-						continue
-					}
-					idx := uint64(i)
-					for k := 0; k < races; k++ {
-						if bias+sigma*norm(base+uint64(k), idx) > 0 {
-							counts[i]++
-							if k == races-1 {
-								final |= 1 << uint(b)
-							}
-						}
-					}
-				}
-				a.data[byteIdx] = final
-			}
-		})
-		if err != nil {
-			// Cancelled mid-burst: the data plane is partially written,
-			// so leave the array unpowered — the next power-on runs a
-			// fresh race over everything.
-			a.powered = false
-			return nil, err
-		}
-	}
-	a.powered = true
-	votes := make([]uint16, a.n)
-	for i, c := range counts {
-		votes[i] = uint16(c)
-	}
-	return votes, nil
-}
-
 // OperateRandom simulates ordinary software running on the device: it
 // repeatedly fills the SRAM with pseudo-random words from the paper's
 // LFSR+LCG workload generator and lets the device sit at conditions c for

@@ -169,14 +169,12 @@ type Record interface {
 }
 
 // Journal is the append side. Appends are serialized and each record is
-// fsynced before Append returns (unless the journal was opened NoSync).
-// Every appended record is v2-framed.
+// fsynced before Append returns. Every appended record is v2-framed.
 type Journal struct {
 	mu       sync.Mutex
 	f        storage.File
 	hook     faults.Hook
 	nextSeq  int
-	noSync   bool
 	poisoned bool
 }
 
@@ -184,11 +182,6 @@ type Journal struct {
 type Options struct {
 	// Hook is the crash-test kill-point hook; nil in production.
 	Hook faults.Hook
-	// NoSync skips the per-append fsync. Benchmarks only: a NoSync
-	// journal still orders and formats records identically, but a crash
-	// may lose acknowledged appends — it must never back a supervisor
-	// whose resume guarantees matter.
-	NoSync bool
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	// Fault-injection tests substitute a storage.FaultFS.
 	FS storage.FS
@@ -201,7 +194,7 @@ func Create(path string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: create journal: %w", ErrJournalIO, err)
 	}
-	return &Journal{f: f, hook: opts.Hook, noSync: opts.NoSync}, nil
+	return &Journal{f: f, hook: opts.Hook}, nil
 }
 
 // Open reopens an existing journal for appending, first truncating it
@@ -216,7 +209,7 @@ func Open(path string, opts Options, nextSeq int, validLen int64) (*Journal, err
 	if err != nil {
 		return nil, fmt.Errorf("%w: open journal: %w", ErrJournalIO, err)
 	}
-	return &Journal{f: f, hook: opts.Hook, noSync: opts.NoSync, nextSeq: nextSeq}, nil
+	return &Journal{f: f, hook: opts.Hook, nextSeq: nextSeq}, nil
 }
 
 // Close releases the journal file (it does not seal the supervisor —
@@ -277,11 +270,9 @@ func (j *Journal) Append(rec Record) error {
 		j.poisoned = true
 		return fmt.Errorf("%w: append journal record: %w", ErrJournalIO, err)
 	}
-	if !j.noSync {
-		if err := j.f.Sync(); err != nil {
-			j.poisoned = true
-			return fmt.Errorf("%w: fsync journal: %w", ErrJournalIO, err)
-		}
+	if err := j.f.Sync(); err != nil {
+		j.poisoned = true
+		return fmt.Errorf("%w: fsync journal: %w", ErrJournalIO, err)
 	}
 	j.nextSeq++
 	return nil

@@ -194,26 +194,3 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("after trim+append: %+v", entries)
 	}
 }
-
-func TestNoSyncStillOrdersRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := Create(path, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := j.Append(&rec{Type: "step"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	entries, _, err := ReadFile(path, recOK)
-	if err != nil || len(entries) != 5 {
-		t.Fatalf("NoSync journal: entries=%d err=%v", len(entries), err)
-	}
-	for i, e := range entries {
-		if e.Seq != i {
-			t.Fatalf("NoSync entry %d carries seq %d", i, e.Seq)
-		}
-	}
-}
