@@ -18,7 +18,8 @@ import (
 // after encode — resumes each crashed copy, and verifies the resumed
 // outcome is bit-identical to the uninterrupted run, final device images
 // included. This is the operator-facing rehearsal of the crash matrix
-// test in internal/campaign.
+// test in internal/campaign. The kill points land on the submit record,
+// a slice, a checkpoint record and the result write.
 func runCampaignDrill() error {
 	ctx := context.Background()
 	key := stegocrypt.KeyFromPassphrase("campaign-drill")
@@ -54,7 +55,7 @@ func runCampaignDrill() error {
 	fmt.Printf("reference run: %d carriers encoded, %.1f equivalent bench hours\n",
 		len(ref.Records), ref.EquivalentHours)
 
-	for _, killAt := range []int{2, 7, 13, 19} {
+	for _, killAt := range []int{2, 6, 10, 17} {
 		dir := filepath.Join(base, fmt.Sprintf("kill-%d", killAt))
 		ks := faults.NewKillSwitch(killAt)
 		_, err := campaign.Run(ctx, dir, spec, campaign.Options{Key: &key, Hook: ks.Hook()})

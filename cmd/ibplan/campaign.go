@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/cliutil"
 	"invisiblebits/internal/core"
 	"invisiblebits/internal/device"
@@ -23,7 +22,7 @@ import (
 // marshaling representative records, scheduler per-tenant overhead
 // included, so an operator running many campaigns under ibserve can
 // provision the journal volume.
-func planCampaign(w io.Writer, spec campaign.Spec) error {
+func planCampaign(w io.Writer, spec sched.Spec) error {
 	m, err := device.ByName(spec.Model)
 	if err != nil {
 		return err
@@ -51,10 +50,9 @@ func planCampaign(w io.Writer, spec campaign.Spec) error {
 	if float64(slices)*spec.SliceHours < soak {
 		slices++
 	}
-	ckpts := slices / spec.CheckpointEvery
-	if slices%spec.CheckpointEvery != 0 {
-		ckpts++ // the final slice always checkpoints
-	}
+	// Mid-run checkpoints only: the final slice's image is the encoded
+	// record's, not a checkpoint.
+	ckpts := (slices - 1) / spec.CheckpointEvery
 
 	perSlot := core.MaxMessageBytes(m.SRAMBytes, codec)
 	rows := make([][]string, len(spec.Serials))
@@ -68,6 +66,10 @@ func planCampaign(w io.Writer, spec campaign.Spec) error {
 			fmt.Sprintf("%d", slices),
 			fmt.Sprintf("%d", ckpts),
 		}
+		if segments[i] == 0 {
+			// A zero-width slot carries nothing, so it never soaks.
+			rows[i][4], rows[i][5], rows[i][6] = "-", "0", "0"
+		}
 	}
 	budget := sched.EstimateJournalBudget(spec, m)
 
@@ -76,7 +78,7 @@ func planCampaign(w io.Writer, spec campaign.Spec) error {
 	fmt.Fprintln(w, textplot.Table(
 		[]string{"slot", "serial", "segment", "fill", "soak", "slices", "ckpts"}, rows))
 	fmt.Fprintf(w, "slice granularity:  %.2f h  (journal record per slice)\n", spec.SliceHours)
-	fmt.Fprintf(w, "checkpoint cadence: every %d slices + final (atomic image per checkpoint)\n",
+	fmt.Fprintf(w, "checkpoint cadence: every %d slices before the last (atomic image per checkpoint)\n",
 		spec.CheckpointEvery)
 	fmt.Fprintf(w, "journal budget:     ~%d fsynced records, ~%d B for an uninterrupted run\n",
 		budget.Records, budget.Bytes)

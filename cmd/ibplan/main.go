@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	ib "invisiblebits"
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/device"
+	"invisiblebits/internal/sched"
 	"invisiblebits/internal/stats"
 	"invisiblebits/internal/textplot"
 )
@@ -35,14 +35,14 @@ func main() {
 		serials    = flag.String("serials", "", "campaign mode: explicit comma-separated carrier serials (overrides -carriers)")
 		msgBytes   = flag.Int("msgbytes", 64, "campaign mode: message length to stripe")
 		codecName  = flag.String("codec", "paper", "campaign mode: ECC codec (paper, ham, rep5, none, ...)")
-		slice      = flag.Float64("slice", campaign.DefaultSliceHours, "campaign mode: journal slice granularity in hours")
-		ckptEvery  = flag.Int("ckpt-every", campaign.DefaultCheckpointEvery, "campaign mode: checkpoint every N slices")
+		slice      = flag.Float64("slice", sched.DefaultSliceHours, "campaign mode: journal slice granularity in hours")
+		ckptEvery  = flag.Int("ckpt-every", sched.DefaultCheckpointEvery, "campaign mode: checkpoint every N slices")
 		stress     = flag.Float64("stress", 0, "campaign mode: soak hours per carrier (0 = model default)")
 	)
 	flag.Parse()
 
 	if *campaignID != "" {
-		spec := campaign.Spec{
+		spec := sched.Spec{
 			ID:              *campaignID,
 			Model:           *model,
 			Message:         make([]byte, *msgBytes),

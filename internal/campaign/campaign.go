@@ -1,716 +1,54 @@
 // Package campaign is the crash-safe supervisor for long imprinting
 // runs. An Invisible Bits encode is a multi-day thermal soak (§5.2's
 // accelerated-aging schedule); a host crash, power cut, or operator
-// mistake 40 hours in must not restart the campaign from zero. The
-// supervisor dices every carrier's soak into slices, records each phase
-// transition in a write-ahead journal (journal.go), and checkpoints
-// device images atomically at slice boundaries, so Resume can rebuild
-// the fleet at the exact slice the crash interrupted and produce a
-// result bit-identical to an uninterrupted run.
+// mistake 40 hours in must not restart the campaign from zero.
+//
+// A campaign is a one-tenant run of the scheduler in internal/sched,
+// whose state directory is the campaign directory itself: the same
+// write-ahead journal, slice checkpoints and salvage-based resume that
+// keep every scheduled campaign bit-identical across crashes. This
+// package keeps the standalone vocabulary.
 package campaign
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"path/filepath"
-	"strings"
 
-	"invisiblebits/internal/cliutil"
-	"invisiblebits/internal/core"
-	"invisiblebits/internal/device"
-	"invisiblebits/internal/ecc"
-	"invisiblebits/internal/faults"
-	"invisiblebits/internal/fleet"
-	"invisiblebits/internal/ioatomic"
-	"invisiblebits/internal/rig"
+	"invisiblebits/internal/sched"
 	"invisiblebits/internal/stegocrypt"
-	"invisiblebits/internal/storage"
-	"invisiblebits/internal/wal"
 )
 
-const (
-	journalFile = "journal.jsonl"
-	specFile    = "spec.json"
-	resultFile  = "result.json"
+type (
+	// Spec is the durable description of a campaign (spec.json).
+	Spec = sched.Spec
+	// Result is the campaign's durable outcome (result.json).
+	Result = sched.Result
+	// Options configures a Run or Resume: key, breakers, kill-point
+	// hook, filesystem seam.
+	Options = sched.CampaignOptions
+	// SalvageSummary reports what a degraded resume had to give up on.
+	SalvageSummary = sched.ResumeSummary
 )
 
-// Spec is the durable description of a campaign — everything needed to
-// rebuild the fleet and the schedule after a crash. Keys deliberately
-// never appear here: spec.json sits next to the device images, and the
-// threat model (paper §6) assumes the adversary can read the bench.
-type Spec struct {
-	// ID names the campaign; it is stamped into every journal record.
-	ID string `json:"id"`
-	// Model is the device model every carrier instantiates.
-	Model string `json:"model"`
-	// Serials lists one carrier serial per stripe slot. Device identity
-	// is a pure function of (model, serial), which is what makes
-	// from-scratch slot rebuilds deterministic.
-	Serials []string `json:"serials"`
-	// Message is the plaintext to stripe across the fleet.
-	Message []byte `json:"message"`
-	// Codec is the ECC layer in cliutil vocabulary ("paper", "rep5",
-	// "none", ...); empty means none.
-	Codec string `json:"codec,omitempty"`
-	// StressHours overrides the model's Table 4 soak length when > 0.
-	StressHours float64 `json:"stress_hours,omitempty"`
-	// Captures is the decode majority-vote burst; 0 means the default.
-	Captures int `json:"captures,omitempty"`
-	// SliceHours is the journaling granularity: one journal record (and
-	// potentially one checkpoint) per slice. 0 means DefaultSliceHours.
-	SliceHours float64 `json:"slice_hours,omitempty"`
-	// CheckpointEvery saves a device image every N slices; 0 means
-	// DefaultCheckpointEvery.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-}
-
-// Campaign defaults: slice hourly, checkpoint every other slice.
-const (
-	DefaultSliceHours      = 1.0
-	DefaultCheckpointEvery = 2
-)
-
-func (s Spec) withDefaults() Spec {
-	if s.SliceHours <= 0 {
-		s.SliceHours = DefaultSliceHours
-	}
-	if s.CheckpointEvery <= 0 {
-		s.CheckpointEvery = DefaultCheckpointEvery
-	}
-	return s
-}
-
-// Validate rejects structurally unusable specs: bad IDs, duplicate or
-// empty serials, empty messages, unknown models or codecs. The
-// scheduler calls it at admission time so a doomed campaign is rejected
-// at Submit rather than burning chamber hours first.
-func (s Spec) Validate() error {
-	if s.ID == "" || strings.ContainsAny(s.ID, "/\\") {
-		return fmt.Errorf("campaign: invalid campaign ID %q", s.ID)
-	}
-	if len(s.Serials) == 0 {
-		return errors.New("campaign: no carrier serials")
-	}
-	seen := map[string]bool{}
-	for _, ser := range s.Serials {
-		if ser == "" || seen[ser] {
-			return fmt.Errorf("campaign: duplicate or empty serial %q", ser)
-		}
-		seen[ser] = true
-	}
-	if len(s.Message) == 0 {
-		return core.ErrEmptyMessage
-	}
-	if _, err := device.ByName(s.Model); err != nil {
-		return err
-	}
-	if _, err := s.codec(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (s Spec) codec() (ecc.Codec, error) {
-	if s.Codec == "" {
-		return nil, nil
-	}
-	return cliutil.ParseCodec(s.Codec)
-}
-
-// ScheduleDigest fingerprints everything the soak schedule depends on.
-// The journal's begin record carries it, and Resume refuses to continue
-// a journal whose digest does not match the spec on disk — a swapped
-// message, codec, or fleet would otherwise silently produce carriers
-// that decode to garbage.
-func (s Spec) ScheduleDigest() string {
-	s = s.withDefaults()
-	msgSum := sha256.Sum256(s.Message)
-	canonical := struct {
-		ID              string
-		Model           string
-		Serials         []string
-		MessageSHA256   string
-		MessageBytes    int
-		Codec           string
-		StressHours     float64
-		Captures        int
-		SliceHours      float64
-		CheckpointEvery int
-	}{
-		s.ID, s.Model, s.Serials, hex.EncodeToString(msgSum[:]), len(s.Message),
-		s.Codec, s.StressHours, s.Captures, s.SliceHours, s.CheckpointEvery,
-	}
-	b, err := json.Marshal(canonical)
-	if err != nil {
-		// Marshal of a struct of strings and numbers cannot fail.
-		panic(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// Options configures a Run or Resume.
-type Options struct {
-	// Key enables the encryption layer (held in memory only, never
-	// persisted to the campaign directory).
-	Key *stegocrypt.Key
-	// Breakers mounts per-device circuit breakers on the fleet pass.
-	Breakers *fleet.BreakerSet
-	// Hook is the crash-test kill-point hook; every journal append and
-	// image write consults it. Nil in production.
-	Hook faults.Hook
-	// FS is the filesystem seam for every durable artifact (journal,
-	// spec, images, result). Nil means the real OS filesystem;
-	// fault-injection tests substitute a storage.FaultFS.
-	FS storage.FS
-}
-
-// SalvageSummary reports what a degraded resume had to give up on —
-// the typed outcome operators see instead of a silent recovery. All
-// fields zero/empty means the resume was clean.
-type SalvageSummary struct {
-	// JournalRecords is how many journal records were replayed.
-	JournalRecords int `json:"journal_records"`
-	// DroppedRecords is how many structurally-parsed records were
-	// discarded because replay validation rejected them (corrupt
-	// suffix); DroppedBytes counts all journal bytes cut, including
-	// unparseable ones.
-	DroppedRecords int   `json:"dropped_records,omitempty"`
-	DroppedBytes   int64 `json:"dropped_bytes,omitempty"`
-	// TornTail reports the benign signature of dying mid-append, as
-	// opposed to mid-file corruption.
-	TornTail bool `json:"torn_tail,omitempty"`
-	// Reason says why the journal was cut ("" when it was not).
-	Reason string `json:"reason,omitempty"`
-	// BadCheckpoints lists checkpoint images that failed verification
-	// and were struck from the history (ckptbad records appended); the
-	// slot fell back to an older generation or a scratch rebuild.
-	BadCheckpoints []string `json:"bad_checkpoints,omitempty"`
-	// TempFilesSwept lists stale safe-save temp files removed on entry.
-	TempFilesSwept []string `json:"temp_files_swept,omitempty"`
-}
-
-// Degraded reports whether the resume had to salvage anything.
-func (s *SalvageSummary) Degraded() bool {
-	return s != nil && (s.DroppedBytes > 0 || len(s.BadCheckpoints) > 0)
-}
-
-// Result is the campaign's durable outcome (result.json).
-type Result struct {
-	Campaign     string `json:"campaign"`
-	MessageBytes int    `json:"message_bytes"`
-	SegmentSizes []int  `json:"segment_sizes"`
-	// Records[i] is slot i's encode record (nil for zero-width slots).
-	Records []*core.Record `json:"records"`
-	// Images[i] is slot i's final device image file, relative to the
-	// campaign directory.
-	Images []string `json:"images"`
-	// EquivalentHours is the summed simulated bench time across the
-	// fleet, retries and backoff included.
-	EquivalentHours float64 `json:"equivalent_hours"`
-	// Quarantined lists carriers the breaker set wrote off (empty
-	// without Options.Breakers).
-	Quarantined []string `json:"quarantined,omitempty"`
-}
-
-// Run starts a fresh campaign in dir: persists spec.json, opens the
-// journal, and drives the striped encode to completion. A directory
-// that already holds a journal is refused — that campaign's truth is on
-// disk, and Resume is the only safe way back in.
+// Run starts a fresh campaign in dir and drives it to completion. A
+// directory that already holds a journal is refused.
 func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, error) {
-	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	fsys := storage.Default(opts.FS)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if _, err := fsys.Stat(filepath.Join(dir, journalFile)); err == nil {
-		return nil, fmt.Errorf("campaign: %s already holds a journal; use Resume", dir)
-	}
-	specJSON, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if err := ioatomic.WriteFileFS(fsys, filepath.Join(dir, specFile), specJSON, 0o644); err != nil {
-		return nil, err
-	}
-	j, err := createJournal(filepath.Join(dir, journalFile), opts.Hook, fsys)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	return start(ctx, dir, spec, opts, j)
+	return sched.RunCampaign(ctx, dir, spec, opts)
 }
 
-// start begins (or re-begins, after a crash that predated the begin
-// record) a campaign on an open journal: append begin, build the fleet
-// from scratch, drive it.
-func start(ctx context.Context, dir string, spec Spec, opts Options, j *Journal) (*Result, error) {
-	if err := j.Append(Entry{
-		Type: entryBegin, Campaign: spec.ID, Digest: spec.ScheduleDigest(),
-		Slots: len(spec.Serials), Slot: -1,
-	}); err != nil {
-		return nil, err
-	}
-	model, err := device.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	rigs := make([]*rig.Rig, len(spec.Serials))
-	for i, ser := range spec.Serials {
-		d, err := device.New(model, ser)
-		if err != nil {
-			return nil, err
-		}
-		rigs[i] = rig.New(d)
-	}
-	n := len(rigs)
-	return run(ctx, dir, spec, opts, j, rigs, nil, make([]string, n), make([]float64, n))
-}
-
-// Resume re-enters a crashed campaign: it re-reads spec.json, replays
-// the journal (verifying the schedule digest), rebuilds every slot from
-// its latest checkpoint — finished slots keep their records, slots that
-// never reached a checkpoint restart from scratch, deterministically —
-// and drives the remaining slices. Resuming a finished campaign simply
-// returns its result. Resume salvages storage damage silently; use
-// ResumeSalvage to see what was recovered.
+// Resume re-enters a crashed campaign and drives it to completion;
+// resuming a finished campaign returns its result.
 func Resume(ctx context.Context, dir string, opts Options) (*Result, error) {
-	res, _, err := ResumeSalvage(ctx, dir, opts)
+	res, _, err := sched.ResumeCampaign(ctx, dir, opts)
 	return res, err
 }
 
-// ResumeSalvage is Resume with the degraded-resume report. Storage
-// damage that fail-closed replay would brick on is survived instead:
-// a corrupt journal suffix is cut at the last verifiable record (safe —
-// every slice of lost work is deterministically redone), a checkpoint
-// image that fails its sha256 seal is struck from history with a
-// durable ckptbad record and the slot falls back to the previous
-// generation (or a from-scratch rebuild), and stale safe-save temp
-// files are swept. The summary reports each of those decisions. Only
-// genuinely unrecoverable damage — a spec.json that is missing, broken,
-// or no longer matches the journal's schedule digest — still fails: the
-// spec holds the message itself, which no amount of determinism can
-// reconstruct.
+// ResumeSalvage is Resume with the degraded-resume report.
 func ResumeSalvage(ctx context.Context, dir string, opts Options) (*Result, *SalvageSummary, error) {
-	fsys := storage.Default(opts.FS)
-	sum := &SalvageSummary{}
-	swept, err := ioatomic.SweepTemps(fsys, dir)
-	if err != nil {
-		return nil, sum, fmt.Errorf("campaign: %w", err)
-	}
-	sum.TempFilesSwept = swept
-	spec, err := readSpec(fsys, dir)
-	if err != nil {
-		return nil, sum, err
-	}
-	jpath := filepath.Join(dir, journalFile)
-	entries, sal, err := ReadJournalSalvage(fsys, jpath)
-	if err != nil {
-		return nil, sum, err
-	}
-	sum.DroppedBytes = sal.DroppedBytes
-	sum.TornTail = sal.TornTail
-	sum.Reason = sal.Reason
-	if len(entries) == 0 {
-		// The crash predated the begin record (or corruption consumed the
-		// whole journal): nothing durable is recoverable, so the resume
-		// IS the first run — deterministic from the spec.
-		j, err := openJournal(jpath, opts.Hook, fsys, 0, 0)
-		if err != nil {
-			return nil, sum, err
-		}
-		defer j.Close()
-		res, err := start(ctx, dir, spec, opts, j)
-		return res, sum, err
-	}
-	st, used, replayErr := ReplaySalvage(entries)
-	validLen := sal.ValidLen
-	if used < len(entries) {
-		// Structural corruption past the CRC layer: cut at the last
-		// record replay accepted.
-		sum.DroppedRecords = len(entries) - used
-		sum.DroppedBytes += sal.ValidLen - offsetOf(sal, used)
-		sum.TornTail = false
-		if replayErr != nil {
-			sum.Reason = replayErr.Error()
-		}
-		validLen = offsetOf(sal, used)
-		if used == 0 || st == nil {
-			j, err := openJournal(jpath, opts.Hook, fsys, 0, 0)
-			if err != nil {
-				return nil, sum, err
-			}
-			defer j.Close()
-			res, err := start(ctx, dir, spec, opts, j)
-			return res, sum, err
-		}
-	}
-	sum.JournalRecords = used
-	if st.Campaign != spec.ID {
-		return nil, sum, fmt.Errorf("campaign: journal belongs to %q, spec is %q", st.Campaign, spec.ID)
-	}
-	if digest := spec.ScheduleDigest(); st.Digest != digest {
-		return nil, sum, fmt.Errorf("campaign: schedule digest mismatch: journal %s…, spec %s… — the spec changed under a live campaign",
-			st.Digest[:12], digest[:12])
-	}
-	if len(st.Slots) != len(spec.Serials) {
-		return nil, sum, fmt.Errorf("campaign: journal plans %d slots, spec has %d", len(st.Slots), len(spec.Serials))
-	}
-	if st.Done {
-		res, err := readResult(fsys, dir)
-		if err != nil {
-			// The done record guarantees result.json was written, but the
-			// disk may have eaten it since. Everything in it derives
-			// deterministically from the journal — rebuild it.
-			res, err = rebuildResult(fsys, dir, spec, st)
-			if err != nil {
-				return nil, sum, err
-			}
-			sum.Reason = "result.json rebuilt from journal"
-		}
-		return res, sum, nil
-	}
-
-	j, err := openJournal(jpath, opts.Hook, fsys, st.NextSeq, validLen)
-	if err != nil {
-		return nil, sum, err
-	}
-	defer j.Close()
-
-	model, err := device.ByName(spec.Model)
-	if err != nil {
-		return nil, sum, err
-	}
-	// Restore each unfinished slot from its newest verifiable checkpoint
-	// generation, striking bad images with durable ckptbad records
-	// BEFORE the resume record — replay's rewind must agree with the
-	// generation we actually restored.
-	type restored struct {
-		dev      *device.Device
-		ckpt     SlotCheckpoint
-		haveCkpt bool
-	}
-	restores := make([]restored, len(spec.Serials))
-	for i := range spec.Serials {
-		sr := &st.Slots[i]
-		if sr.Record != nil {
-			continue
-		}
-		for g := len(sr.Ckpts) - 1; g >= 0; g-- {
-			ck := sr.Ckpts[g]
-			d, lerr := device.LoadFileFS(fsys, filepath.Join(dir, ck.Image))
-			if lerr == nil {
-				restores[i] = restored{dev: d, ckpt: ck, haveCkpt: true}
-				break
-			}
-			sum.BadCheckpoints = append(sum.BadCheckpoints, ck.Image)
-			if err := j.Append(Entry{Type: entryCkptBad, Campaign: spec.ID, Slot: i, Image: ck.Image}); err != nil {
-				return nil, sum, err
-			}
-		}
-	}
-	if err := j.Append(Entry{
-		Type: entryResume, Campaign: spec.ID, Digest: st.Digest, Slot: -1,
-	}); err != nil {
-		return nil, sum, err
-	}
-
-	rigs := make([]*rig.Rig, len(spec.Serials))
-	progress := make(map[int]fleet.ShardProgress, len(spec.Serials))
-	images := make([]string, len(spec.Serials))
-	clocks := make([]float64, len(spec.Serials))
-	for i, ser := range spec.Serials {
-		sr := st.Slots[i]
-		switch {
-		case sr.Record != nil:
-			// Finished: the rig is only a capacity placeholder for stripe
-			// planning; the encode short-circuits on the record.
-			progress[i] = fleet.ShardProgress{Record: sr.Record}
-			images[i] = sr.FinalImage
-			clocks[i] = sr.FinalClock
-		case restores[i].haveCkpt:
-			r := rig.New(restores[i].dev)
-			if err := r.RestoreState(*restores[i].ckpt.Rig); err != nil {
-				return nil, sum, fmt.Errorf("campaign: slot %d rig state: %w", i, err)
-			}
-			rigs[i] = r
-			progress[i] = fleet.ShardProgress{Prepared: true, AppliedHours: restores[i].ckpt.Applied}
-			continue
-		}
-		// From scratch (or placeholder): device identity is (model,
-		// serial), so the rebuild replays the crashed run bit-for-bit.
-		d, err := device.New(model, ser)
-		if err != nil {
-			return nil, sum, err
-		}
-		rigs[i] = rig.New(d)
-	}
-	res, err := run(ctx, dir, spec, opts, j, rigs, progress, images, clocks)
-	return res, sum, err
-}
-
-// offsetOf returns the byte offset just past record used-1 (0 when
-// nothing was used).
-func offsetOf(sal wal.Salvage, used int) int64 {
-	if used == 0 {
-		return 0
-	}
-	if used-1 < len(sal.Offsets) {
-		return sal.Offsets[used-1]
-	}
-	return sal.ValidLen
-}
-
-// run drives the striped encode with journaling hooks, then seals the
-// campaign: result.json first, done record last, so a done record
-// guarantees a readable result.
-func run(ctx context.Context, dir string, spec Spec, opts Options, j *Journal,
-	rigs []*rig.Rig, progress map[int]fleet.ShardProgress, images []string, clocks []float64) (*Result, error) {
-	fsys := storage.Default(opts.FS)
-	codec, err := spec.codec()
-	if err != nil {
-		return nil, err
-	}
-	copts := core.Options{
-		Codec: codec, Key: opts.Key,
-		StressHours: spec.StressHours, Captures: spec.Captures,
-	}
-	// Per-slot slice counters for the checkpoint cadence. Each slot's
-	// hooks fire from that slot's shard goroutine only, so distinct
-	// indices need no lock.
-	sliceCount := make([]int, len(rigs))
-	sopts := fleet.StripeOptions{
-		Breakers:   opts.Breakers,
-		SliceHours: spec.SliceHours,
-		Progress: func(slot int) fleet.ShardProgress {
-			return progress[slot]
-		},
-		OnPrepared: func(slot int, r *rig.Rig) error {
-			return j.Append(Entry{Type: entryPrepared, Campaign: spec.ID, Slot: slot})
-		},
-		OnSlice: func(slot int, r *rig.Rig, applied, total float64) error {
-			if err := j.Append(Entry{
-				Type: entrySlice, Campaign: spec.ID, Slot: slot,
-				Applied: applied, Total: total,
-			}); err != nil {
-				return err
-			}
-			sliceCount[slot]++
-			if sliceCount[slot]%spec.CheckpointEvery != 0 && applied < total {
-				return nil
-			}
-			return checkpointSlot(j, fsys, dir, slot, r, applied)
-		},
-		OnEncoded: func(slot int, r *rig.Rig, rec *core.Record) error {
-			name := fmt.Sprintf("slot-%d-final.img", slot)
-			if err := j.Gate(fmt.Sprintf("image/final/%d", slot)); err != nil {
-				return err
-			}
-			if err := r.Device().SaveFileFS(fsys, filepath.Join(dir, name)); err != nil {
-				return fmt.Errorf("%w: final image for slot %d: %w", ErrJournalIO, slot, err)
-			}
-			state := r.State()
-			if err := j.Append(Entry{
-				Type: entryEncoded, Campaign: spec.ID, Slot: slot,
-				Applied: state.ClockHours, Image: name, Rig: &state, Record: rec,
-			}); err != nil {
-				return err
-			}
-			images[slot] = name
-			clocks[slot] = state.ClockHours
-			return nil
-		},
-	}
-	striped, err := fleet.StripeWithOptions(ctx, rigs, spec.Message, copts, sopts)
-	if err != nil {
-		// The journal already holds everything that durably happened;
-		// the campaign is resumable after the cause is fixed.
-		return nil, err
-	}
-
-	res := &Result{
-		Campaign:     spec.ID,
-		MessageBytes: striped.MessageBytes,
-		SegmentSizes: striped.SegmentSizes,
-		Records:      make([]*core.Record, len(rigs)),
-		Images:       images,
-		Quarantined:  opts.Breakers.Quarantined(),
-	}
-	for _, sh := range striped.Shards {
-		res.Records[sh.Index] = sh.Record
-	}
-	// Slots resumed as already-finished carry their journaled bench
-	// clock; everything else reads its (driven or untouched) rig.
-	for i, r := range rigs {
-		if clocks[i] > 0 {
-			res.EquivalentHours += clocks[i]
-		} else {
-			res.EquivalentHours += r.ClockHours()
-		}
-	}
-	resJSON, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if err := j.Gate("result"); err != nil {
-		return nil, err
-	}
-	if err := ioatomic.WriteFileSealed(fsys, filepath.Join(dir, resultFile), resJSON, 0o644); err != nil {
-		return nil, fmt.Errorf("%w: persist result: %w", ErrJournalIO, err)
-	}
-	if err := j.Append(Entry{Type: entryDone, Campaign: spec.ID, Slot: -1}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// checkpointSlot makes a slot's position durable: atomic device image
-// first, then the journal record that makes the checkpoint *count*. A
-// crash between the two leaves an orphan image the replay never
-// references — harmless, and overwritten identically on the rerun.
-func checkpointSlot(j *Journal, fsys storage.FS, dir string, slot int, r *rig.Rig, applied float64) error {
-	name := fmt.Sprintf("slot-%d-ckpt-%.4fh.img", slot, applied)
-	if err := j.Gate(fmt.Sprintf("image/ckpt/%d", slot)); err != nil {
-		return err
-	}
-	if err := r.Device().SaveFileFS(fsys, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("%w: checkpoint image for slot %d: %w", ErrJournalIO, slot, err)
-	}
-	state := r.State()
-	return j.Append(Entry{
-		Type: entryCheckpoint, Slot: slot,
-		Applied: applied, Image: name, Rig: &state,
-	})
-}
-
-// LoadSpec reads and validates dir's spec.json exactly the way Resume
-// does (defaults applied before validation), so offline tools like
-// ibfsck reproduce resume's accept/reject decision — including the
-// schedule digest a journal must match.
-func LoadSpec(fsys storage.FS, dir string) (Spec, error) {
-	return readSpec(fsys, dir)
-}
-
-func readSpec(fsys storage.FS, dir string) (Spec, error) {
-	var spec Spec
-	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, specFile))
-	if err != nil {
-		return spec, fmt.Errorf("campaign: %w", err)
-	}
-	if err := json.Unmarshal(b, &spec); err != nil {
-		return spec, fmt.Errorf("campaign: parse %s: %w", specFile, err)
-	}
-	spec = spec.withDefaults()
-	return spec, spec.Validate()
-}
-
-func readResult(fsys storage.FS, dir string) (*Result, error) {
-	b, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(dir, resultFile))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: finished campaign without a result: %w", err)
-	}
-	var res Result
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, fmt.Errorf("campaign: parse %s: %w", resultFile, err)
-	}
-	return &res, nil
-}
-
-// rebuildResult reconstructs result.json for a campaign whose done
-// record is journaled but whose result file the disk has since eaten.
-// Everything in the result is a deterministic function of the spec and
-// the journal's encoded records — except the breaker quarantine list,
-// which is operational telemetry and is lost. The rebuilt file is
-// re-persisted (sealed) so later readers get it directly.
-func rebuildResult(fsys storage.FS, dir string, spec Spec, st *ReplayState) (*Result, error) {
-	codec, err := spec.codec()
-	if err != nil {
-		return nil, err
-	}
-	model, err := device.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	sram := make([]int, len(spec.Serials))
-	for i := range sram {
-		sram[i] = model.SRAMBytes
-	}
-	sizes, err := fleet.PlanSegments(sram, len(spec.Message), codec)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: rebuild result: %w", err)
-	}
-	res := &Result{
-		Campaign:     spec.ID,
-		MessageBytes: len(spec.Message),
-		SegmentSizes: sizes,
-		Records:      make([]*core.Record, len(st.Slots)),
-		Images:       make([]string, len(st.Slots)),
-	}
-	for i := range st.Slots {
-		sr := st.Slots[i]
-		res.Records[i] = sr.Record
-		res.Images[i] = sr.FinalImage
-		res.EquivalentHours += sr.FinalClock
-	}
-	resJSON, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if err := ioatomic.WriteFileSealed(fsys, filepath.Join(dir, resultFile), resJSON, 0o644); err != nil {
-		return nil, fmt.Errorf("%w: rebuild result: %w", ErrJournalIO, err)
-	}
-	return res, nil
+	return sched.ResumeCampaign(ctx, dir, opts)
 }
 
 // DecodeResult reloads a finished campaign's final device images and
-// gathers the message back — the receiving party's side of the
-// campaign, driven purely from the campaign directory plus the key.
+// gathers the message back with key.
 func DecodeResult(ctx context.Context, dir string, key *stegocrypt.Key) ([]byte, error) {
-	spec, err := readSpec(nil, dir)
-	if err != nil {
-		return nil, err
-	}
-	res, err := readResult(nil, dir)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := spec.codec()
-	if err != nil {
-		return nil, err
-	}
-	striped := &fleet.StripeResult{
-		MessageBytes: res.MessageBytes,
-		SegmentSizes: res.SegmentSizes,
-	}
-	var rigs []*rig.Rig
-	for slot, rec := range res.Records {
-		if rec == nil {
-			continue
-		}
-		if slot >= len(res.Images) || res.Images[slot] == "" {
-			return nil, fmt.Errorf("campaign: slot %d has a record but no image", slot)
-		}
-		d, err := device.LoadFile(filepath.Join(dir, res.Images[slot]))
-		if err != nil {
-			return nil, err
-		}
-		rigs = append(rigs, rig.New(d))
-		striped.Shards = append(striped.Shards, fleet.Shard{Index: slot, Record: rec})
-	}
-	copts := core.Options{Codec: codec, Key: key, Captures: spec.Captures}
-	rep, err := fleet.GatherContext(ctx, rigs, striped, copts)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Complete {
-		return nil, rep.Err()
-	}
-	return rep.Message, nil
+	return sched.DecodeResult(ctx, dir, key)
 }

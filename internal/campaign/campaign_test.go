@@ -11,10 +11,19 @@ import (
 	"reflect"
 	"testing"
 
+	"invisiblebits/internal/cliutil"
 	"invisiblebits/internal/core"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/faults"
+	"invisiblebits/internal/sched"
 	"invisiblebits/internal/stegocrypt"
+	"invisiblebits/internal/wal"
+)
+
+// The flat layout of a campaign directory.
+const (
+	journalFile = "journal.jsonl"
+	specFile    = "spec.json"
 )
 
 // testSpec builds the canonical matrix campaign: two MSP430G2553
@@ -31,7 +40,7 @@ func testSpec(t *testing.T, id string) Spec {
 		SliceHours:      2.5,
 		CheckpointEvery: 2,
 	}
-	codec, err := spec.codec()
+	codec, err := cliutil.ParseCodec(spec.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestJournalIOFailureFailsClosedTyped(t *testing.T) {
 	if err == nil {
 		t.Fatal("campaign succeeded with an unwritable final image path")
 	}
-	if !errors.Is(err, ErrJournalIO) {
+	if !errors.Is(err, wal.ErrJournalIO) {
 		t.Fatalf("durability failure surfaced as %v, want ErrJournalIO in the chain", err)
 	}
 
@@ -300,11 +309,11 @@ func TestResumeFailsClosed(t *testing.T) {
 	if err := os.WriteFile(jpath, dup, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dupEntries, _, err := ReadJournal(jpath)
+	dupEntries, _, err := sched.ReadJournal(jpath)
 	if err != nil {
 		t.Fatalf("duplicated record should pass frame verification: %v", err)
 	}
-	if _, err := Replay(dupEntries); err == nil {
+	if _, err := sched.Replay(dupEntries); err == nil {
 		t.Fatal("strict replay accepted a journal with a duplicated record")
 	}
 	res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})

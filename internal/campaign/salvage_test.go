@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"invisiblebits/internal/faults"
+	"invisiblebits/internal/sched"
 )
 
 // killWithCheckpoints runs the campaign under a kill switch, escalating
@@ -26,12 +27,13 @@ func killWithCheckpoints(t *testing.T, base string, spec Spec) (dir string, ckpt
 		}
 		// The checkpoint must be journaled, not merely on disk — an
 		// image without its record is invisible to resume.
-		entries, _, rerr := ReadJournalSalvage(nil, filepath.Join(dir, journalFile))
+		entries, _, rerr := sched.ReadJournalSalvage(nil, filepath.Join(dir, journalFile))
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		if st, _, _ := ReplaySalvage(entries); st != nil {
-			for _, sl := range st.Slots {
+		st, _, _ := sched.ReplaySalvage(entries)
+		if c := st.Campaigns[spec.ID]; c != nil {
+			for _, sl := range c.Slots {
 				for _, ck := range sl.Ckpts {
 					ckpts = append(ckpts, filepath.Join(dir, ck.Image))
 				}

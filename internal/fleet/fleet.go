@@ -181,21 +181,6 @@ type StripeResult struct {
 	Parity *Shard
 }
 
-// ShardProgress tells a striped encode how far a shard already got in a
-// previous (crashed) run, so StripeWithOptions can re-enter the soak at
-// the exact slice boundary a campaign checkpoint captured.
-type ShardProgress struct {
-	// Record, when non-nil, marks the shard fully encoded: the slot is
-	// skipped entirely and Record is used as-is.
-	Record *core.Record
-	// Prepared means the payload is already in SRAM (the slot's rig was
-	// restored from a mid-soak checkpoint); the prepare phase is skipped.
-	Prepared bool
-	// AppliedHours is the stress the checkpointed device has already
-	// absorbed.
-	AppliedHours float64
-}
-
 // StripeOptions configures failure tolerance for a striped encode.
 type StripeOptions struct {
 	// Spares are standby devices. When a shard's primary dies
@@ -212,38 +197,6 @@ type StripeOptions struct {
 	// (triggering spare re-routing immediately instead of after another
 	// retry budget) and every outcome is recorded.
 	Breakers *BreakerSet
-
-	// SliceHours dices each shard's soak into slices of this length,
-	// with OnSlice consulted after every slice — the supervisor's
-	// journaling hook. Zero (with no Progress hook) keeps the legacy
-	// single-shot soak.
-	SliceHours float64
-	// Progress reports a slot's prior progress (crash resume). Nil means
-	// every shard starts from scratch.
-	Progress func(slot int) ShardProgress
-	// OnPrepared fires after a slot's payload is written and conditions
-	// are elevated, before its first slice. An error aborts the shard.
-	OnPrepared func(slot int, r *rig.Rig) error
-	// OnSlice fires after each completed stress slice with cumulative
-	// applied hours. An error aborts the shard.
-	OnSlice func(slot int, r *rig.Rig, appliedHours, totalHours float64) error
-	// OnEncoded fires after a shard's encode finished and its record was
-	// minted. An error aborts the shard.
-	OnEncoded func(slot int, r *rig.Rig, rec *core.Record) error
-}
-
-// staged reports whether the options request the sliced phase-hook path.
-func (o StripeOptions) staged() bool {
-	return o.SliceHours > 0 || o.Progress != nil || o.OnPrepared != nil ||
-		o.OnSlice != nil || o.OnEncoded != nil
-}
-
-// progressFor is the nil-safe Progress lookup.
-func (o StripeOptions) progressFor(slot int) ShardProgress {
-	if o.Progress == nil {
-		return ShardProgress{}
-	}
-	return o.Progress(slot)
 }
 
 // PlanSegments computes the per-slot message-byte layout of a stripe
@@ -339,86 +292,31 @@ func StripeWithOptions(ctx context.Context, rigs []*rig.Rig, message []byte, opt
 		return nil
 	}
 
-	// encodeStaged drives one carrier through the sliced session path,
-	// resuming from checkpointed progress and firing the supervisor's
-	// phase hooks at every boundary.
-	encodeStaged := func(slot int, r *rig.Rig, seg []byte, prog ShardProgress) (*core.Record, error) {
-		var s *core.EncodeSession
-		var err error
-		if prog.Prepared {
-			s, err = core.ResumeEncode(ctx, r, seg, opts, prog.AppliedHours)
-		} else {
-			s, err = core.BeginEncode(ctx, r, seg, opts)
-			if err == nil && sopts.OnPrepared != nil {
-				err = sopts.OnPrepared(slot, r)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		slice := sopts.SliceHours
-		if slice <= 0 {
-			slice = s.TotalHours()
-		}
-		for s.RemainingHours() > 0 {
-			if err := s.StressSlice(ctx, slice); err != nil {
-				return nil, err
-			}
-			if sopts.OnSlice != nil {
-				if err := sopts.OnSlice(slot, r, s.AppliedHours(), s.TotalHours()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		rec, err := s.Finish(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sopts.OnEncoded != nil {
-			if err := sopts.OnEncoded(slot, r, rec); err != nil {
-				return nil, err
-			}
-		}
-		return rec, nil
-	}
-
 	// encodeOn runs one attempt on one carrier, gated through its
 	// circuit breaker when a set is mounted.
-	encodeOn := func(slot int, r *rig.Rig, seg []byte, prog ShardProgress) (*core.Record, error) {
+	encodeOn := func(r *rig.Rig, seg []byte) (*core.Record, error) {
 		id := r.Device().DeviceID()
 		if err := sopts.Breakers.allow(id, r.ClockHours()); err != nil {
 			return nil, err
 		}
-		var rec *core.Record
-		var err error
-		if sopts.staged() {
-			rec, err = encodeStaged(slot, r, seg, prog)
-		} else {
-			rec, err = core.EncodeContext(ctx, r, seg, opts)
-		}
+		rec, err := core.EncodeContext(ctx, r, seg, opts)
 		sopts.Breakers.record(id, err, r.ClockHours())
 		return rec, err
 	}
 
 	encodeShard := func(jb job) (*core.Record, error) {
 		seg := message[jb.start : jb.start+jb.n]
-		prog := sopts.progressFor(jb.idx)
-		if prog.Record != nil {
-			// A previous run already finished this shard.
-			return prog.Record, nil
-		}
-		rec, err := encodeOn(jb.idx, rigs[jb.idx], seg, prog)
+		rec, err := encodeOn(rigs[jb.idx], seg)
 		// Permanent device death re-routes to a spare, as do breaker
 		// rejections — an open or quarantined primary should cost the
 		// stripe nothing beyond the Allow call. Transient faults were
-		// already retried inside the rig. Spares always start from
-		// scratch: checkpointed progress belongs to the primary's SRAM.
+		// already retried inside the rig.
 		for err != nil && isRerouteable(err) {
 			sp := nextSpare(jb.n)
 			if sp == nil {
 				break
 			}
-			rec, err = encodeOn(jb.idx, sp, seg, ShardProgress{})
+			rec, err = encodeOn(sp, seg)
 		}
 		return rec, err
 	}
@@ -454,13 +352,7 @@ func StripeWithOptions(ctx context.Context, rigs []*rig.Rig, message []byte, opt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr := sopts.ParityRig
-			id := pr.Device().DeviceID()
-			if parityErr = sopts.Breakers.allow(id, pr.ClockHours()); parityErr != nil {
-				return
-			}
-			parityRec, parityErr = core.EncodeContext(ctx, pr, parity, opts)
-			sopts.Breakers.record(id, parityErr, pr.ClockHours())
+			parityRec, parityErr = encodeOn(sopts.ParityRig, parity)
 		}()
 	}
 	wg.Wait()

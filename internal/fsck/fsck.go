@@ -1,6 +1,8 @@
 // Package fsck audits and repairs campaign and scheduler state
 // directories offline — the disk-side mirror of the salvage logic that
-// campaign.Resume and sched.Resume run at startup.
+// sched.ResumeCampaign and sched.Resume run at startup. A standalone
+// campaign directory is a one-tenant scheduler with a flat layout, so
+// both kinds go through one audit.
 //
 // An audit never writes: it reads the journal with the same
 // frame-verification and structural-replay rules the resume paths use,
@@ -18,9 +20,12 @@
 // machinery to handle it: corrupt checkpoint images are struck there
 // via ckptbad records (an older generation or a from-scratch rebuild
 // steps in), a rotten result.json is rebuilt from the journal, and a
-// campaign whose spec.json is unrecoverable is quarantined. Repair
-// never deletes device images — older generations are exactly what
-// degraded resume falls back on.
+// campaign whose spec.json is unrecoverable is quarantined (a
+// standalone campaign refuses to resume). Repair never deletes device
+// images — older generations are exactly what degraded resume falls
+// back on. A journal in the legacy campaign grammar is audited through
+// sched.MigrateLegacy; repair writes the migrated journal, as resume
+// would.
 package fsck
 
 import (
@@ -30,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/sched"
@@ -137,18 +141,37 @@ func inspect(fsys storage.FS, dir string, repair bool) (*Report, error) {
 	rep := &Report{Dir: dir}
 	if _, err := fsys.Stat(filepath.Join(dir, "campaigns")); err == nil {
 		rep.Kind = KindScheduler
-		if err := auditScheduler(fsys, dir, rep); err != nil {
-			return rep, err
-		}
 	} else if _, err := fsys.Stat(filepath.Join(dir, "spec.json")); err == nil {
 		rep.Kind = KindCampaign
-		if err := auditCampaign(fsys, dir, rep); err != nil {
-			return rep, err
-		}
 	} else {
 		return nil, fmt.Errorf("fsck: %s: neither campaigns/ nor spec.json — cannot tell scheduler from campaign state", dir)
 	}
+	data, err := fsys.ReadFile(jpath)
+	if err != nil {
+		return rep, fmt.Errorf("fsck: read journal: %w", err)
+	}
+	migrated, legacyCut, legacy := sched.MigrateLegacy(data)
+	if legacy {
+		rep.add(SevInfo, "journal.jsonl", "journal is in the legacy campaign grammar",
+			"repair, or the next resume, rewrites it in the scheduler grammar")
+		data = migrated
+	}
+	entries := audit(fsys, dir, data, rep)
+	if legacyCut.Truncated {
+		rep.DroppedBytes += legacyCut.DroppedBytes
+		rep.TornTail, rep.Reason = legacyCut.TornTail, legacyCut.Reason
+	}
+	if rep.DroppedBytes > 0 {
+		rep.add(SevError, "journal.jsonl",
+			fmt.Sprintf("only %d of %d records verify (%d bytes beyond the consistent prefix)", rep.JournalRecords, entries, rep.DroppedBytes),
+			fmt.Sprintf("repair truncates to %d bytes; resume salvages the same prefix", rep.ValidLen))
+	}
 	if repair {
+		if legacy {
+			if err := ioatomic.WriteFileFS(fsys, jpath, data, 0o644); err != nil {
+				return rep, fmt.Errorf("fsck: migrate legacy journal: %w", err)
+			}
+		}
 		if err := applyRepair(fsys, dir, rep); err != nil {
 			return rep, err
 		}
@@ -191,87 +214,28 @@ func sweepList(fsys storage.FS, root, dir string) []string {
 	return out
 }
 
-func auditCampaign(fsys storage.FS, dir string, rep *Report) error {
-	rep.TempFiles = sweepList(fsys, dir, dir)
-	for _, t := range rep.TempFiles {
-		rep.add(SevWarn, t, "stale temp file from an interrupted atomic write", "repair removes it; resume sweeps it")
-	}
-
-	entries, sal, err := campaign.ReadJournalSalvage(fsys, filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		return err
-	}
-	st, used, serr := campaign.ReplaySalvage(entries)
-	cut := used
-
-	// The spec is the one file with no fallback: without it (or with a
-	// digest that no longer matches the journal) the campaign cannot be
-	// resumed — the message content is gone.
-	spec, specErr := campaign.LoadSpec(fsys, dir)
-	switch {
-	case specErr != nil:
-		rep.add(SevError, "spec.json", specErr.Error(), "campaign cannot resume: spec is unrecoverable")
-	case st != nil && st.Campaign != "" && spec.ScheduleDigest() != st.Digest:
-		rep.add(SevError, "spec.json",
-			fmt.Sprintf("schedule digest mismatch: journal %.12s…, spec %.12s…", st.Digest, spec.ScheduleDigest()),
-			"campaign cannot resume: spec is unrecoverable")
-	}
-
-	// Verify every device image the surviving prefix references. A
-	// corrupt checkpoint is survivable (resume strikes it and an older
-	// generation or a scratch rebuild steps in); a corrupt final image
-	// is not — the encoded record it anchors must be cut so resume
-	// re-runs the slot deterministically.
-	if st != nil {
-		for i, sl := range st.Slots {
-			for _, ck := range sl.Ckpts {
-				if _, err := device.LoadFileFS(fsys, filepath.Join(dir, ck.Image)); err != nil {
-					rep.add(SevWarn, ck.Image,
-						fmt.Sprintf("slot %d checkpoint fails verification: %v", i, err),
-						"resume strikes it (ckptbad) and falls back to an older generation")
-				}
-			}
-			if sl.FinalImage != "" {
-				if _, err := device.LoadFileFS(fsys, filepath.Join(dir, sl.FinalImage)); err != nil {
-					k := earliestBadEncoded(entriesKinds(entries[:used]), sl.FinalImage)
-					if k >= 0 && k < cut {
-						cut = k
-					}
-					rep.add(SevError, sl.FinalImage,
-						fmt.Sprintf("slot %d final image fails verification: %v", i, err),
-						"repair cuts the journal before the encoded record so resume re-runs the slot")
-				}
-			}
+// audit checks a state directory against its scheduler-grammar
+// journal data and returns how many records frame-verify. A standalone
+// campaign directory (KindCampaign) is a one-tenant scheduler whose
+// campaign files sit in dir itself; the kinds differ only in where
+// files live and in what resume does about an unrecoverable spec or a
+// lost result.
+func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
+	flat := rep.Kind == KindCampaign
+	// rel places a campaign's file relative to dir.
+	rel := func(id, name string) string {
+		if flat {
+			return name
 		}
-		if st.Done {
-			if _, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(dir, "result.json")); err != nil {
-				rep.add(SevWarn, "result.json",
-					fmt.Sprintf("fails verification: %v", err),
-					"resume rebuilds it from the journal")
-			}
-		}
+		return filepath.Join("campaigns", id, name)
+	}
+	specAction := "resume will quarantine this campaign; other tenants are unaffected"
+	resultAction := "report only: decode needs campaign.DecodeResult against surviving images"
+	if flat {
+		specAction = "campaign cannot resume: spec is unrecoverable"
+		resultAction = "resume rebuilds it from the journal"
 	}
 
-	rep.ValidLen = cutAt(sal, cut)
-	rep.JournalRecords = cut
-	rep.DroppedRecords = sal.Entries - cut
-	rep.DroppedBytes = sal.ValidLen - rep.ValidLen + sal.DroppedBytes
-	rep.TornTail = sal.TornTail
-	switch {
-	case serr != nil && cut == used:
-		rep.Reason = serr.Error()
-	case sal.Reason != "":
-		rep.Reason = sal.Reason
-	}
-	if rep.DroppedBytes > 0 {
-		rep.add(SevError, "journal.jsonl",
-			fmt.Sprintf("only %d of %d records verify (%d bytes beyond the consistent prefix)", cut, sal.Entries, rep.DroppedBytes),
-			fmt.Sprintf("repair truncates to %d bytes; resume salvages the same prefix", rep.ValidLen))
-	}
-	return nil
-}
-
-func auditScheduler(fsys storage.FS, dir string, rep *Report) error {
 	rep.TempFiles = sweepList(fsys, dir, dir)
 	croot := filepath.Join(dir, "campaigns")
 	if ents, err := fsys.ReadDir(croot); err == nil {
@@ -285,55 +249,57 @@ func auditScheduler(fsys storage.FS, dir string, rep *Report) error {
 		rep.add(SevWarn, t, "stale temp file from an interrupted atomic write", "repair removes it; resume sweeps it")
 	}
 
-	entries, sal, err := sched.ReadJournalSalvage(fsys, filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		return err
-	}
+	entries, sal := sched.ParseJournalSalvage(data)
 	st, used, serr := sched.ReplaySalvage(entries)
 	cut := used
 
-	if st != nil {
-		for _, id := range st.Order {
-			cr := st.Campaigns[id]
-			cdir := filepath.Join(croot, id)
-			if cr.Quarantined {
-				rep.add(SevInfo, filepath.Join("campaigns", id),
-					"campaign already quarantined by an earlier resume", "no action; quarantine is terminal")
-				continue
+	// The spec is the one file with no fallback: a standalone run reads
+	// it before the journal, so it must load even when no campaign has
+	// been submitted yet.
+	if flat && len(st.Order) == 0 {
+		if _, err := sched.LoadSpec(fsys, dir); err != nil {
+			rep.add(SevError, "spec.json", err.Error(), specAction)
+		}
+	}
+	for _, id := range st.Order {
+		cr := st.Campaigns[id]
+		cdir := filepath.Join(dir, rel(id, ""))
+		if cr.Quarantined {
+			rep.add(SevInfo, rel(id, ""), "campaign already quarantined by an earlier resume", "no action; quarantine is terminal")
+			continue
+		}
+		// Mirror sched.rebuildCampaign's spec acceptance: raw unmarshal,
+		// digest compare. Failure means the next resume quarantines this
+		// campaign (only it), or fails outright in a standalone run.
+		if err := checkSpec(fsys, cdir, cr.Digest, len(cr.Slots)); err != nil {
+			rep.add(SevError, rel(id, "spec.json"), err.Error(), specAction)
+		}
+		// A corrupt checkpoint is survivable (resume strikes it and an
+		// older generation or a scratch rebuild steps in); a corrupt
+		// final image is not — the encoded record it anchors must be cut
+		// so resume re-runs the slot deterministically.
+		for si, sl := range cr.Slots {
+			for _, ck := range sl.Ckpts {
+				if _, err := device.LoadFileFS(fsys, filepath.Join(cdir, ck.Image)); err != nil {
+					rep.add(SevWarn, rel(id, ck.Image),
+						fmt.Sprintf("slot %d checkpoint fails verification: %v", si, err),
+						"resume strikes it (ckptbad) and falls back to an older generation")
+				}
 			}
-			// Mirror sched.rebuildCampaign's spec acceptance: raw
-			// unmarshal, digest compare. Failure means the next resume
-			// quarantines this campaign (and only it).
-			if err := checkSchedSpec(fsys, cdir, cr.Digest, len(cr.Slots)); err != nil {
-				rep.add(SevError, filepath.Join("campaigns", id, "spec.json"),
-					err.Error(), "resume will quarantine this campaign; other tenants are unaffected")
-			}
-			for si, sl := range cr.Slots {
-				for _, ck := range sl.Ckpts {
-					if _, err := device.LoadFileFS(fsys, filepath.Join(cdir, ck.Image)); err != nil {
-						rep.add(SevWarn, filepath.Join("campaigns", id, ck.Image),
-							fmt.Sprintf("slot %d checkpoint fails verification: %v", si, err),
-							"resume strikes it (ckptbad) and falls back to an older generation")
+			if sl.FinalImage != "" {
+				if _, err := device.LoadFileFS(fsys, filepath.Join(cdir, sl.FinalImage)); err != nil {
+					if k := earliestBadEncoded(entries[:used], id, sl.FinalImage); k >= 0 && k < cut {
+						cut = k
 					}
-				}
-				if sl.FinalImage != "" {
-					if _, err := device.LoadFileFS(fsys, filepath.Join(cdir, sl.FinalImage)); err != nil {
-						k := earliestBadEncodedSched(entries[:used], id, sl.FinalImage)
-						if k >= 0 && k < cut {
-							cut = k
-						}
-						rep.add(SevError, filepath.Join("campaigns", id, sl.FinalImage),
-							fmt.Sprintf("slot %d final image fails verification: %v", si, err),
-							"repair cuts the journal before the encoded record so resume re-runs the slot")
-					}
+					rep.add(SevError, rel(id, sl.FinalImage),
+						fmt.Sprintf("slot %d final image fails verification: %v", si, err),
+						"repair cuts the journal before the encoded record so resume re-runs the slot")
 				}
 			}
-			if cr.Done {
-				if _, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(cdir, "result.json")); err != nil {
-					rep.add(SevWarn, filepath.Join("campaigns", id, "result.json"),
-						fmt.Sprintf("fails verification: %v", err),
-						"report only: decode needs campaign.DecodeResult against surviving images")
-				}
+		}
+		if cr.Done {
+			if _, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(cdir, "result.json")); err != nil {
+				rep.add(SevWarn, rel(id, "result.json"), fmt.Sprintf("fails verification: %v", err), resultAction)
 			}
 		}
 	}
@@ -349,23 +315,18 @@ func auditScheduler(fsys storage.FS, dir string, rep *Report) error {
 	case sal.Reason != "":
 		rep.Reason = sal.Reason
 	}
-	if rep.DroppedBytes > 0 {
-		rep.add(SevError, "journal.jsonl",
-			fmt.Sprintf("only %d of %d records verify (%d bytes beyond the consistent prefix)", cut, sal.Entries, rep.DroppedBytes),
-			fmt.Sprintf("repair truncates to %d bytes; resume salvages the same prefix", rep.ValidLen))
-	}
-	return nil
+	return sal.Entries
 }
 
-// checkSchedSpec reproduces sched.rebuildCampaign's spec validation
-// without building the campaign: readable JSON, matching schedule
-// digest, matching slot count.
-func checkSchedSpec(fsys storage.FS, cdir, digest string, slots int) error {
+// checkSpec reproduces sched.rebuildCampaign's spec validation without
+// building the campaign: readable JSON, matching schedule digest,
+// matching slot count.
+func checkSpec(fsys storage.FS, cdir, digest string, slots int) error {
 	b, err := fsys.ReadFile(filepath.Join(cdir, "spec.json"))
 	if err != nil {
 		return err
 	}
-	var spec campaign.Spec
+	var spec sched.Spec
 	if err := json.Unmarshal(b, &spec); err != nil {
 		return fmt.Errorf("parse spec.json: %w", err)
 	}
@@ -378,31 +339,10 @@ func checkSchedSpec(fsys storage.FS, cdir, digest string, slots int) error {
 	return nil
 }
 
-type kindImage struct {
-	kind  string
-	image string
-}
-
-func entriesKinds(entries []campaign.Entry) []kindImage {
-	out := make([]kindImage, len(entries))
-	for i, e := range entries {
-		out[i] = kindImage{kind: e.Type, image: e.Image}
-	}
-	return out
-}
-
-// earliestBadEncoded finds the first "encoded" record naming image, the
-// cut point that un-journals a final image that no longer verifies.
-func earliestBadEncoded(entries []kindImage, image string) int {
-	for i, e := range entries {
-		if e.kind == "encoded" && e.image == image {
-			return i
-		}
-	}
-	return -1
-}
-
-func earliestBadEncodedSched(entries []sched.Entry, id, image string) int {
+// earliestBadEncoded finds the first "encoded" record of campaign id
+// naming image, the cut point that un-journals a final image that no
+// longer verifies.
+func earliestBadEncoded(entries []sched.Entry, id, image string) int {
 	for i := range entries {
 		if entries[i].Type == "encoded" && entries[i].Campaign == id && entries[i].Image == image {
 			return i

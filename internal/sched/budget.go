@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"invisiblebits/internal/campaign"
+	"invisiblebits/internal/core"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/rig"
-
-	"invisiblebits/internal/core"
 )
 
 // Budget is a planning-time estimate of what one campaign costs the
@@ -21,8 +19,9 @@ type Budget struct {
 	// Records counts the journal appends an uninterrupted run of this
 	// campaign costs: submit, one pass per slice round (worst case —
 	// solo, unbatched; batching amortizes pass records across members),
-	// and per slot the prepared/slice/checkpoint/encoded stream, plus
-	// the final done record.
+	// and per live slot the prepared/slice/checkpoint/encoded stream,
+	// plus the final done record. Zero-width slots never run, so they
+	// journal nothing.
 	Records int
 	// Bytes is the encoded size of those records, newlines included.
 	Bytes int
@@ -49,19 +48,10 @@ func entrySize(e *Entry) int {
 // numbers and chamber clocks are given realistic widths, and pass
 // records assume the campaign runs solo (a batch shares each pass
 // record across its members).
-func EstimateJournalBudget(spec campaign.Spec, m device.Model) Budget {
-	soak := spec.StressHours
-	if soak <= 0 {
-		soak = m.EncodingHours
-	}
-	sliceHours := spec.SliceHours
-	if sliceHours <= 0 {
-		sliceHours = campaign.DefaultSliceHours
-	}
-	every := spec.CheckpointEvery
-	if every <= 0 {
-		every = campaign.DefaultCheckpointEvery
-	}
+func EstimateJournalBudget(spec Spec, m device.Model) Budget {
+	spec = spec.withDefaults()
+	soak := estChamberHours(spec, m)
+	sliceHours, every := spec.SliceHours, spec.CheckpointEvery
 	slices := int(soak / sliceHours)
 	if float64(slices)*sliceHours < soak {
 		slices++
@@ -120,8 +110,16 @@ func EstimateJournalBudget(spec campaign.Spec, m device.Model) Budget {
 		VAccV: m.VAccV, TAccC: m.TAccC, Quantum: sliceHours,
 		Setup: DefaultSetupHours, AtHours: clock, Slot: -1,
 	})
+	// A spec the stripe planner rejects (nil segs) would never be
+	// admitted; it is budgeted as if every slot were live.
+	segs, _ := spec.segments(m)
+	live := 0
 	perSlotCkptImage := fmt.Sprintf("slot-%d-ckpt-%.4fh.img", len(spec.Serials)-1, clock)
 	for i := range spec.Serials {
+		if segs != nil && segs[i] == 0 {
+			continue
+		}
+		live++
 		add(1, &Entry{Type: entryPrepared, Campaign: spec.ID, Slot: i})
 		add(slices, &Entry{
 			Type: entrySlice, Campaign: spec.ID, Slot: i,
@@ -137,7 +135,7 @@ func EstimateJournalBudget(spec campaign.Spec, m device.Model) Budget {
 			Rig: rigState, Record: record,
 		})
 	}
-	baselines := make([]float64, len(spec.Serials))
+	baselines := make([]float64, live)
 	for i := range baselines {
 		baselines[i] = 0.9840169270833324
 	}

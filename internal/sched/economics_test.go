@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/stegocrypt"
 	"invisiblebits/internal/storage"
 )
@@ -77,7 +76,7 @@ func economicsRun(b *testing.B, tenants int, batching bool) Status {
 	for i := 0; i < tenants; i++ {
 		if err := s.Submit(Submission{
 			Tenant: fmt.Sprintf("tenant-%05d", i),
-			Spec: campaign.Spec{
+			Spec: Spec{
 				ID:          fmt.Sprintf("bench-%05d", i),
 				Model:       "MSP430G2553",
 				Serials:     []string{fmt.Sprintf("bch%05d", i)},

@@ -2,19 +2,16 @@ package sched
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime/debug"
 	"sync"
 
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/core"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/fleet"
-	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/rig"
 	"invisiblebits/internal/wal"
 )
@@ -556,13 +553,6 @@ func (s *Scheduler) rerouteSlotLocked(c *campState, run *slotRun) bool {
 // the images ARE the state), write result.json, then append the done
 // record that makes it all count.
 func (s *Scheduler) completeCampaignLocked(c *campState) {
-	res := &campaign.Result{
-		Campaign:     c.id,
-		MessageBytes: len(c.spec.Message),
-		SegmentSizes: c.segs,
-		Records:      make([]*core.Record, len(c.slots)),
-		Images:       make([]string, len(c.slots)),
-	}
 	var baselines []float64
 	captures := c.spec.Captures
 	if captures <= 0 {
@@ -572,9 +562,6 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		if !sl.live() {
 			continue
 		}
-		res.Records[i] = sl.record
-		res.Images[i] = sl.finalImage
-		res.EquivalentHours += sl.finalClock
 		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.finalImage))
 		if err != nil {
 			s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
@@ -587,15 +574,10 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		}
 		baselines = append(baselines, probe.MeanMargin)
 	}
-	resJSON, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		s.failCampaignLocked(c, fmt.Errorf("sched: marshal result: %w", err))
-		return
-	}
 	if err := s.gate("result/" + c.id); err != nil {
 		return
 	}
-	if err := ioatomic.WriteFileSealed(s.fsys, filepath.Join(c.dir, "result.json"), resJSON, 0o644); err != nil {
+	if err := writeResult(s.fsys, c.dir, s.resultOf(c)); err != nil {
 		s.noteFatalLocked(fmt.Errorf("%w: campaign %q persist result: %w", wal.ErrJournalIO, c.id, err))
 		return
 	}
@@ -612,6 +594,30 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 	ts := s.tenants[c.tenant]
 	ts.done++
 	s.latencies = append(s.latencies, c.doneAt-c.submitAt)
+}
+
+// resultOf assembles a finished campaign's Result from its slots. A
+// standalone run also reports its breaker set's write-offs; a scheduler
+// shares one set across tenants, so its results do not.
+func (s *Scheduler) resultOf(c *campState) *Result {
+	res := &Result{
+		Campaign:     c.id,
+		MessageBytes: len(c.spec.Message),
+		SegmentSizes: c.segs,
+		Records:      make([]*core.Record, len(c.slots)),
+		Images:       make([]string, len(c.slots)),
+	}
+	for i, sl := range c.slots {
+		if sl.live() {
+			res.Records[i] = sl.record
+			res.Images[i] = sl.finalImage
+			res.EquivalentHours += sl.finalClock
+		}
+	}
+	if s.standalone {
+		res.Quarantined = s.cfg.Breakers.Quarantined()
+	}
+	return res
 }
 
 // failCampaignLocked terminally fails a campaign with a typed,

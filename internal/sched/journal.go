@@ -9,8 +9,8 @@ import (
 	"invisiblebits/internal/wal"
 )
 
-// The scheduler journal is the PR 5 campaign write-ahead log extended
-// to service scope: ONE journal records the tenant table, every
+// The scheduler journal is the write-ahead log of every campaign,
+// standalone or scheduled: ONE journal records the tenant table, every
 // admission, every batch (pass) assignment, and every per-slot phase
 // transition of every in-flight campaign, interleaved. Killing the
 // whole service at any append and resuming replays every campaign to a
@@ -105,7 +105,7 @@ type Entry struct {
 	// (submit, pass, drain, done, failed) — the latency bookkeeping.
 	AtHours float64 `json:"at_hours,omitempty"`
 
-	// Slot-stream fields, mirroring the campaign journal.
+	// Slot-stream fields.
 	Slot    int          `json:"slot"`
 	Applied float64      `json:"applied_hours,omitempty"`
 	Total   float64      `json:"total_hours,omitempty"`
@@ -140,8 +140,7 @@ type SlotCheckpoint struct {
 	Rig     *rig.State
 }
 
-// SlotReplay is one slot's reconstructed position (same shape as the
-// campaign journal's, plus the reroute-resolved serial).
+// SlotReplay is one slot's reconstructed position.
 type SlotReplay struct {
 	// Serial is the carrier the slot currently runs on (after any
 	// reroutes); empty means the spec's original serial.
@@ -576,4 +575,9 @@ func ReadJournalSalvage(fsys storage.FS, path string) (entries []Entry, sal wal.
 // ParseJournal is ReadJournal over in-memory bytes (the fuzz surface).
 func ParseJournal(data []byte) (entries []Entry, validLen int64, err error) {
 	return wal.Parse(data, entryOK)
+}
+
+// ParseJournalSalvage is ReadJournalSalvage over in-memory bytes.
+func ParseJournalSalvage(data []byte) ([]Entry, wal.Salvage) {
+	return wal.ParseSalvage(data, entryOK)
 }

@@ -21,9 +21,13 @@
 //     proceed.
 //
 // Carrier-agnosticism comes free: the scheduler only speaks
-// device.Model operating points and campaign.Spec schedules, so any
-// catalog entry — SRAM today, other drift-capable memories tomorrow —
-// batches by its own (V, T).
+// device.Model operating points and Spec schedules, so any catalog
+// entry — SRAM today, other drift-capable memories tomorrow — batches
+// by its own (V, T).
+//
+// It is also the only campaign engine: a standalone campaign
+// (RunCampaign, ResumeCampaign) is a one-tenant scheduler whose state
+// directory is the campaign directory itself (standalone.go).
 package sched
 
 import (
@@ -38,11 +42,8 @@ import (
 	"sync"
 	"time"
 
-	"invisiblebits/internal/campaign"
-	"invisiblebits/internal/cliutil"
 	"invisiblebits/internal/core"
 	"invisiblebits/internal/device"
-	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/fleet"
 	"invisiblebits/internal/ioatomic"
@@ -110,9 +111,9 @@ const (
 type Submission struct {
 	// Tenant names the quota owner.
 	Tenant string `json:"tenant"`
-	// Spec is the campaign schedule (campaign.Spec: model, serials,
-	// message, codec, slice/checkpoint cadence).
-	Spec campaign.Spec `json:"spec"`
+	// Spec is the campaign schedule: model, serials, message, codec,
+	// slice/checkpoint cadence.
+	Spec Spec `json:"spec"`
 	// Spares lists reserve serials the scheduler may re-route slots to
 	// when a carrier dies or its breaker writes it off.
 	Spares []string `json:"spares,omitempty"`
@@ -279,7 +280,7 @@ func (sl *slotState) finished() bool { return !sl.live() || sl.record != nil }
 type campState struct {
 	id     string
 	tenant string
-	spec   campaign.Spec
+	spec   Spec
 	model  device.Model
 	opts   core.Options
 	segs   []int
@@ -363,6 +364,10 @@ type Scheduler struct {
 	// salvage is the degraded-resume report; nil for a fresh scheduler,
 	// non-nil (possibly clean) after Resume.
 	salvage *ResumeSummary
+	// standalone marks a one-tenant run (RunCampaign, ResumeCampaign):
+	// its campaign directory is dir itself, and a campaign whose spec is
+	// unrecoverable fails the resume instead of being quarantined.
+	standalone bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -482,6 +487,17 @@ func (s *Scheduler) Salvage() *ResumeSummary { return s.salvage }
 // durable record while every other tenant resumes bit-identically.
 // Salvage() reports each of those decisions.
 func Resume(dir string, cfg Config) (*Scheduler, error) {
+	s, err := resume(dir, cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	go s.loop()
+	return s, nil
+}
+
+// resume rebuilds a scheduler from dir's journal without starting its
+// loop.
+func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	fsys := storage.Default(cfg.FS)
 	sum := &ResumeSummary{}
 	swept, err := ioatomic.SweepTemps(fsys, dir)
@@ -532,6 +548,7 @@ func Resume(dir string, cfg Config) (*Scheduler, error) {
 	}
 	s := newScheduler(dir, cfg, j)
 	s.salvage = sum
+	s.standalone = standalone
 	s.chamberHours = st.ChamberHours
 	s.passes = st.Passes
 	s.setups = st.Setups
@@ -552,7 +569,13 @@ func Resume(dir string, cfg Config) (*Scheduler, error) {
 		} else if c, err = s.rebuildCampaign(id, cr); err != nil {
 			// The campaign's own state is unrecoverable — the spec holds
 			// the message itself, which no amount of determinism can
-			// reconstruct. Park it durably; every other tenant resumes.
+			// reconstruct. A standalone run has nothing else to resume,
+			// so it fails without appending anything; a scheduler parks
+			// the campaign durably and every other tenant resumes.
+			if standalone {
+				j.Close()
+				return nil, err
+			}
 			if aerr := s.j.Append(&Entry{
 				Type: entryQuarantined, Campaign: id,
 				Error: err.Error(), AtHours: st.ChamberHours, Slot: -1,
@@ -641,13 +664,14 @@ func Resume(dir string, cfg Config) (*Scheduler, error) {
 		}
 	}
 
-	if used > 0 {
+	// A standalone directory with nothing in flight gets no resume
+	// record: its campaign is either finished or not yet submitted.
+	if used > 0 && (!standalone || len(s.queue) > 0) {
 		if err := s.j.Append(&Entry{Type: entryResume, Slot: -1}); err != nil {
 			j.Close()
 			return nil, err
 		}
 	}
-	go s.loop()
 	return s, nil
 }
 
@@ -658,7 +682,7 @@ func (s *Scheduler) quarantinedCampaign(id string, cr *CampaignReplay) *campStat
 	return &campState{
 		id:          id,
 		tenant:      cr.Tenant,
-		dir:         filepath.Join(s.dir, campaignsDir, id),
+		dir:         s.campaignDir(id),
 		estHours:    cr.EstHours,
 		submitSeq:   cr.SubmitSeq,
 		submitAt:    cr.SubmitAt,
@@ -680,15 +704,24 @@ func offsetOf(sal wal.Salvage, used int) int64 {
 	return sal.ValidLen
 }
 
+// campaignDir is where campaign id keeps its spec, images and result:
+// campaigns/<id> under a scheduler, the state directory itself in a
+// standalone run.
+func (s *Scheduler) campaignDir(id string) string {
+	if s.standalone {
+		return s.dir
+	}
+	return filepath.Join(s.dir, campaignsDir, id)
+}
+
 // rebuildCampaign reconstructs one campaign from its replayed state,
 // verifying spec.json still matches the journaled schedule digest.
 func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, error) {
-	cdir := filepath.Join(s.dir, campaignsDir, id)
-	b, err := s.fsys.ReadFile(filepath.Join(cdir, "spec.json"))
+	b, err := s.fsys.ReadFile(filepath.Join(s.campaignDir(id), specFile))
 	if err != nil {
 		return nil, fmt.Errorf("sched: campaign %q: %w", id, err)
 	}
-	var spec campaign.Spec
+	var spec Spec
 	if err := json.Unmarshal(b, &spec); err != nil {
 		return nil, fmt.Errorf("sched: campaign %q spec: %w", id, err)
 	}
@@ -713,9 +746,6 @@ func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, 
 	}
 	c.done, c.failed, c.errText = cr.Done, cr.Failed, cr.Error
 	c.doneAt, c.baselines = cr.DoneAt, cr.Baselines
-	if c.terminal() {
-		return c, nil
-	}
 	for i, sr := range cr.Slots {
 		sl := c.slots[i]
 		if sr.Serial != "" {
@@ -723,9 +753,13 @@ func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, 
 		}
 		switch {
 		case sr.Record != nil:
+			// Kept for terminal campaigns too: a standalone run rebuilds
+			// a lost result.json from them.
 			sl.record = sr.Record
 			sl.finalImage = sr.FinalImage
 			sl.finalClock = sr.FinalClock
+		case c.terminal():
+			// Never scheduled again: no checkpoint history to keep.
 		case sr.CkptImage != "":
 			sl.ckpts = append([]SlotCheckpoint(nil), sr.Ckpts...)
 			sl.preparedJournaled = true
@@ -742,23 +776,16 @@ func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, 
 
 // buildCampaign assembles the in-memory campaign: codec, key, segment
 // layout, one slotState per serial.
-func (s *Scheduler) buildCampaign(id, tenant string, spec campaign.Spec, spares []string, est float64, submitSeq int, submitAt float64) (*campState, error) {
+func (s *Scheduler) buildCampaign(id, tenant string, spec Spec, spares []string, est float64, submitSeq int, submitAt float64) (*campState, error) {
 	model, err := device.ByName(spec.Model)
 	if err != nil {
 		return nil, err
 	}
-	var codec ecc.Codec
-	if spec.Codec != "" {
-		codec, err = cliutil.ParseCodec(spec.Codec)
-		if err != nil {
-			return nil, err
-		}
+	codec, err := spec.codec()
+	if err != nil {
+		return nil, err
 	}
-	sizes := make([]int, len(spec.Serials))
-	for i := range sizes {
-		sizes[i] = model.SRAMBytes
-	}
-	segs, err := fleet.PlanSegments(sizes, len(spec.Message), codec)
+	segs, err := spec.segments(model)
 	if err != nil {
 		return nil, err
 	}
@@ -775,7 +802,7 @@ func (s *Scheduler) buildCampaign(id, tenant string, spec campaign.Spec, spares 
 		},
 		segs:      segs,
 		spares:    append([]string(nil), spares...),
-		dir:       filepath.Join(s.dir, campaignsDir, id),
+		dir:       s.campaignDir(id),
 		estHours:  est,
 		submitSeq: submitSeq,
 		submitAt:  submitAt,
@@ -795,7 +822,7 @@ func (s *Scheduler) buildCampaign(id, tenant string, spec campaign.Spec, spares 
 // estChamberHours is the admission-time chamber budget estimate: the
 // campaign occupies the chamber for its soak length regardless of how
 // many boards ride each pass.
-func estChamberHours(spec campaign.Spec, model device.Model) float64 {
+func estChamberHours(spec Spec, model device.Model) float64 {
 	if spec.StressHours > 0 {
 		return spec.StressHours
 	}
@@ -811,13 +838,7 @@ func (s *Scheduler) Submit(sub Submission) error {
 	if sub.Tenant == "" {
 		return errors.New("sched: submission without a tenant")
 	}
-	spec := sub.Spec
-	if spec.SliceHours <= 0 {
-		spec.SliceHours = campaign.DefaultSliceHours
-	}
-	if spec.CheckpointEvery <= 0 {
-		spec.CheckpointEvery = campaign.DefaultCheckpointEvery
-	}
+	spec := sub.Spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return err
 	}
@@ -889,18 +910,14 @@ func (s *Scheduler) Submit(sub Submission) error {
 		ts = &tenantState{quota: quota}
 		s.tenants[sub.Tenant] = ts
 	}
-	cdir := filepath.Join(s.dir, campaignsDir, spec.ID)
+	cdir := s.campaignDir(spec.ID)
 	if err := s.fsys.MkdirAll(cdir, 0o755); err != nil {
-		return fmt.Errorf("sched: %w", err)
-	}
-	specJSON, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
 		return fmt.Errorf("sched: %w", err)
 	}
 	if err := s.gate("spec/" + spec.ID); err != nil {
 		return err
 	}
-	if err := ioatomic.WriteFileFS(s.fsys, filepath.Join(cdir, "spec.json"), specJSON, 0o644); err != nil {
+	if err := writeSpec(s.fsys, cdir, spec); err != nil {
 		err = fmt.Errorf("%w: persist spec for %q: %w", wal.ErrJournalIO, spec.ID, err)
 		s.noteFatalLocked(err)
 		return err
@@ -989,33 +1006,31 @@ func (s *Scheduler) noteFatalLocked(err error) {
 // intact.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if s.fatal != nil {
-		err := s.fatal
-		s.mu.Unlock()
+	err := s.drainLocked()
+	s.mu.Unlock()
+	if err != nil {
 		return err
 	}
+	return s.wait(ctx)
+}
+
+// drainLocked journals the drain record (once per incarnation) and
+// closes admission.
+func (s *Scheduler) drainLocked() error {
+	if s.fatal != nil {
+		return s.fatal
+	}
 	if s.stopping {
-		s.mu.Unlock()
 		return ErrStopped
 	}
 	if !s.draining {
 		if err := s.append(&Entry{Type: entryDrain, AtHours: s.chamberHours, Slot: -1}); err != nil {
-			s.mu.Unlock()
 			return err
 		}
 		s.draining = true
 		s.cond.Broadcast()
 	}
-	s.mu.Unlock()
-
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fatal
+	return nil
 }
 
 // Stop halts the scheduling loop at the next pass boundary WITHOUT
@@ -1038,7 +1053,12 @@ func (s *Scheduler) Stop(ctx context.Context) error {
 	s.stopping = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	return s.wait(ctx)
+}
 
+// wait blocks until the scheduling loop exits or ctx ends, and returns
+// the fatal error, if any, that ended the loop.
+func (s *Scheduler) wait(ctx context.Context) error {
 	select {
 	case <-s.done:
 	case <-ctx.Done():

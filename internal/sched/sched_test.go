@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/fleet"
 	"invisiblebits/internal/stegocrypt"
@@ -34,7 +33,7 @@ func miniSub(tenant, id string, serials []string, stress float64, spares ...stri
 	return Submission{
 		Tenant: tenant,
 		Spares: spares,
-		Spec: campaign.Spec{
+		Spec: Spec{
 			ID:              id,
 			Model:           "MSP430G2553",
 			Serials:         serials,
@@ -58,7 +57,7 @@ func drainOK(t *testing.T, s *Scheduler) {
 
 func decodeCampaign(t *testing.T, root, tenant, id string) []byte {
 	t.Helper()
-	got, err := campaign.DecodeResult(context.Background(),
+	got, err := DecodeResult(context.Background(),
 		filepath.Join(root, campaignsDir, id), testKeyFor(tenant, id))
 	if err != nil {
 		t.Fatalf("decode campaign %s: %v", id, err)
@@ -270,7 +269,7 @@ func TestStarvationGuardGrantsSoloPass(t *testing.T) {
 	// hogs) needs a single 2.5h slice.
 	starved := Submission{
 		Tenant: "starved",
-		Spec: campaign.Spec{
+		Spec: Spec{
 			ID: "starved-1", Model: "MSP432P401", Serials: []string{"st-0"},
 			Message: []byte("payload for starved-1"), StressHours: 2.5, SliceHours: 2.5,
 		},

@@ -1,11 +1,9 @@
 // Package wal is the shared write-ahead journal beneath the crash-safe
 // supervisors: one record per state transition, fsynced before the
 // caller takes the next step, so a crash at ANY point leaves a clean
-// prefix of the truth on disk. internal/campaign journals one campaign
-// with it; internal/sched journals a whole multi-tenant scheduler
-// (tenant table, queue, batch assignments) with the same machinery —
-// the PR 5 single-campaign guarantees extended to service scope
-// without forking the durability code.
+// prefix of the truth on disk. internal/sched journals a whole
+// multi-tenant scheduler (tenant table, queue, batch assignments) with
+// it, and a standalone campaign is a one-tenant scheduler.
 //
 // Records are framed (v2) as
 //
