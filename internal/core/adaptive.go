@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 
 	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/rig"
+	"invisiblebits/internal/sram"
 )
 
 // Adaptive-decode defaults.
@@ -42,7 +44,9 @@ type AdaptiveOptions struct {
 	// odd); 0 means DefaultInitialCaptures.
 	InitialCaptures int
 	// MaxCaptures caps total captures across all rungs; 0 means
-	// DefaultMaxAdaptiveCaptures.
+	// DefaultMaxAdaptiveCaptures. A cap above sram.MaxCaptures, which
+	// the accumulated counts could not represent, is rejected with
+	// *sram.CaptureCountError before any capture.
 	MaxCaptures int
 	// ErasureDeadZone is the confidence half-width around 0.5 that marks
 	// a coded bit as erased on the deepest rung; 0 means
@@ -102,8 +106,10 @@ type DecodeReport struct {
 	VerifiedRung  string // name of the verifying rung ("" if none)
 	// ResidualChannelError is the fraction of payload bits whose
 	// accumulated hard majority disagrees with the re-encoded verified
-	// message — the channel error the ladder decoded through. −1 when
-	// unknown (no verified message to re-encode).
+	// message — the channel error the ladder decoded through. It is
+	// measured in the coded domain, after decryption, so a key supplied
+	// for an unencrypted record changes nothing. −1 when unknown (no
+	// verified message to re-encode).
 	ResidualChannelError float64
 	// UnresolvedBits counts message bits the erasure rung left open
 	// (only meaningful when the erasure rung ran).
@@ -135,6 +141,10 @@ func (rep *DecodeReport) Escalated() bool {
 // the sum. The deepest rung marks coded bits whose vote confidence sits
 // inside the dead zone as erasures (requires the codec to implement
 // ecc.ErasureDecoder; skipped otherwise).
+//
+// Votes accumulate bit-sliced (sram.VotePlane): each capture total is
+// hard-decided once, and only the soft and erasure rungs unpack
+// per-cell counts.
 //
 // On success the verified message and a DecodeReport are returned. On
 // exhaustion the report is still returned alongside ErrDigestMismatch
@@ -168,55 +178,6 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 	if rec.Encrypted && opts.Key == nil {
 		return nil, nil, errors.New("core: record is encrypted but no key supplied")
 	}
-	if err := prepareDecode(ctx, r, opts); err != nil {
-		return nil, nil, err
-	}
-
-	report := &DecodeReport{ResidualChannelError: -1}
-	// Accumulated vote counts and total captures so far. sampleTo tops
-	// the accumulator up to a target count; earlier bursts are never
-	// discarded. The first burst lands in the accumulator itself, later
-	// ones in burst scratch that is then added in.
-	var votes []uint16
-	total := 0
-	sampleTo := func(target int) error {
-		delta := target - total
-		if delta <= 0 {
-			return nil
-		}
-		cells := r.Device().SRAM.Cells()
-		burst := a.votesBuf(cells)
-		if votes != nil {
-			burst = a.burstBuf(cells)
-		}
-		if err := opts.retry(ctx, r, func() error {
-			return r.SampleVotesIntoContext(ctx, delta, burst)
-		}); err != nil {
-			return err
-		}
-		if votes == nil {
-			if rec.PayloadBytes*8 > len(burst) {
-				return fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
-					rec.PayloadBytes*8, len(burst))
-			}
-			votes = burst
-		} else {
-			for i := range votes {
-				votes[i] += burst[i]
-			}
-		}
-		total = target
-		report.CapturesSpent = total
-		return nil
-	}
-
-	// hardPayload hard-decides the accumulated votes and decrypts.
-	hardPayload := func() ([]byte, error) {
-		p := a.payloadBuf(rec.PayloadBytes)
-		payloadFromVotesInto(p, votes, total)
-		return p, a.decryptInPlace(p, rec, opts)
-	}
-
 	// Capture schedule: I, then 3I, then the full budget. Odd totals
 	// keep hard majorities tie-free. The deep rungs spend everything:
 	// weak cells are per-capture coin flips, and their vote fractions
@@ -224,21 +185,94 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 	// the dead zone erases them) only with a deep burst.
 	initial := aopts.initial()
 	maxCap := aopts.max()
+	if maxCap > sram.MaxCaptures {
+		return nil, nil, &sram.CaptureCountError{Captures: maxCap}
+	}
 	mid := oddCap(3*initial, maxCap)
 	deep := oddCap(maxCap, maxCap)
+	if err := prepareDecode(ctx, r, opts); err != nil {
+		return nil, nil, err
+	}
+
+	report := &DecodeReport{ResidualChannelError: -1}
+	// acc holds the accumulated votes, total its capture count.
+	// sampleTo tops it up to a target count; earlier bursts are never
+	// discarded. The first burst lands in acc itself, later ones in a
+	// burst plane that is then ripple-added in.
+	acc := &a.acc
+	total := 0
+	sampleTo := func(target int) error {
+		delta := target - total
+		if delta <= 0 {
+			return nil
+		}
+		burst := acc
+		if total > 0 {
+			burst = &a.burstPlane
+		}
+		if err := opts.retry(ctx, r, func() error {
+			return r.SampleVotePlaneIntoContext(ctx, delta, burst)
+		}); err != nil {
+			return err
+		}
+		if total == 0 {
+			if rec.PayloadBytes*8 > burst.Cells() {
+				return fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
+					rec.PayloadBytes*8, burst.Cells())
+			}
+		} else if err := acc.Add(burst); err != nil {
+			return err
+		}
+		total = target
+		report.CapturesSpent = total
+		return nil
+	}
+
+	// decided and counted are the capture totals the arena's payload
+	// decision and unpacked counts hold (0: none yet).
+	decided, counted := 0, 0
+	// hardPayload hard-decides the accumulated votes and decrypts, once
+	// per capture total: payload bit = ¬(power-on majority), i.e. votes
+	// < ⌈total/2⌉, a sliced compare over 64 cells at a time. The
+	// erasure rung and finish reuse the decision; the decoders only
+	// read it.
+	hardPayload := func() ([]byte, error) {
+		p := a.payloadBuf(rec.PayloadBytes)
+		if decided == total {
+			return p, nil
+		}
+		decided = 0
+		acc.BelowInto(p, (total+1)/2)
+		if err := a.decryptInPlace(p, rec, opts); err != nil {
+			return nil, err
+		}
+		decided = total
+		return p, nil
+	}
+	// counts unpacks the payload cells' vote counts once per capture
+	// total, for the soft and erasure rungs.
+	counts := func() []uint16 {
+		v := a.votesBuf(rec.PayloadBytes * 8)
+		if counted != total {
+			acc.CountsInto(v)
+			counted = total
+		}
+		return v
+	}
 
 	finish := func(rung string, msg []byte) ([]byte, *DecodeReport, error) {
 		report.Verified = true
 		report.VerifiedRung = rung
 		last := &report.Rungs[len(report.Rungs)-1]
 		last.Verified = true
-		// Residual channel error: re-encode the verified message and
-		// compare against the accumulated hard majority in the channel
-		// (encrypted-payload) domain.
-		if expected, err := BuildPayload(msg, rec.DeviceID, opts); err == nil && len(expected) == rec.PayloadBytes {
-			observed := a.payloadBuf(rec.PayloadBytes)
-			payloadFromVotesInto(observed, votes, total)
-			report.ResidualChannelError = bitDiffFraction(observed, expected)
+		// Residual channel error, in the coded domain: the re-encoded
+		// verified message against the decrypted hard decision. The
+		// CTR keystream flips both sides alike, so this is the channel
+		// error rate of the payload as captured.
+		if plain, err := hardPayload(); err == nil {
+			if coded, err := codec.Encode(msg); err == nil && len(coded)+wordPad(len(coded)) == rec.PayloadBytes {
+				report.ResidualChannelError = codedBitError(plain, coded)
+			}
 		}
 		return msg, report, nil
 	}
@@ -269,7 +303,7 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 			if err := sampleTo(step.captures); err != nil {
 				return nil, report, err
 			}
-			conf, err := a.confidences(votes, total, rec, opts)
+			conf, err := a.confidences(counts(), total, rec, opts)
 			if err != nil {
 				return nil, report, err
 			}
@@ -289,7 +323,7 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 			if err != nil {
 				return nil, report, err
 			}
-			erased := a.erasureMaskInto(votes, total, rec.PayloadBytes*8, aopts.deadZone())
+			erased := a.erasureMaskInto(counts(), total, rec.PayloadBytes*8, aopts.deadZone())
 			var unresolved []bool
 			msg, unresolved, decErr = ed.DecodeErasure(plain[:codedLen], erased[:codedLen*8], rec.MessageBytes)
 			if decErr == nil {
@@ -340,15 +374,23 @@ func oddCap(n, max int) int {
 	return n
 }
 
-// bitDiffFraction is the fraction of differing bits between equal-length
-// byte slices.
-func bitDiffFraction(a, b []byte) float64 {
-	if len(a) == 0 {
+// codedBitError is the fraction of plain's bits that differ from coded
+// followed by zero padding to len(plain) — the word padding an encoded
+// payload carries. len(coded) must not exceed len(plain).
+func codedBitError(plain, coded []byte) float64 {
+	if len(plain) == 0 {
 		return 0
 	}
-	diff := 0
-	for i := range a {
-		diff += bits.OnesCount8(a[i] ^ b[i])
+	diff, i := 0, 0
+	for ; i+8 <= len(coded); i += 8 {
+		diff += bits.OnesCount64(binary.LittleEndian.Uint64(plain[i:]) ^ binary.LittleEndian.Uint64(coded[i:]))
 	}
-	return float64(diff) / float64(8*len(a))
+	for ; i < len(plain); i++ {
+		b := plain[i]
+		if i < len(coded) {
+			b ^= coded[i]
+		}
+		diff += bits.OnesCount8(b)
+	}
+	return float64(diff) / float64(8*len(plain))
 }

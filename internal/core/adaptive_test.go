@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/device"
@@ -10,6 +11,7 @@ import (
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/rig"
 	"invisiblebits/internal/rng"
+	"invisiblebits/internal/sram"
 	"invisiblebits/internal/stegocrypt"
 )
 
@@ -304,5 +306,44 @@ func TestDecodeAtWrongTemperature(t *testing.T) {
 	}
 	if c, want := r.Conditions(), r.Device().Model.TNomC; c.TempC != want {
 		t.Fatalf("chamber at %.0f°C after nominal decode, want %.0f", c.TempC, want)
+	}
+}
+
+// TestDecodeAdaptiveMaxCapturesCeiling: the accumulated votes are
+// counted in at most sram.MaxCaptures. A budget of exactly 65535
+// captures runs the whole ladder (a damaged digest forces every rung)
+// and accumulates to the ceiling; 65537 is rejected with the typed
+// error before the first capture.
+func TestDecodeAdaptiveMaxCapturesCeiling(t *testing.T) {
+	r := newRig(t, "MSP432P401", "capture-ceiling", 128)
+	key := stegocrypt.KeyFromPassphrase("ceiling")
+	opts := Options{Codec: paperCodec(t), Key: &key}
+	rec, err := Encode(r, []byte("ceil"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Device().SRAM.PowerOnCount()
+	events := len(r.Events())
+	_, rep, err := DecodeAdaptive(context.Background(), r, rec, AdaptiveOptions{Options: opts, MaxCaptures: sram.MaxCaptures + 2})
+	var cce *sram.CaptureCountError
+	if !errors.As(err, &cce) || cce.Captures != sram.MaxCaptures+2 {
+		t.Fatalf("MaxCaptures %d: err = %v, want *sram.CaptureCountError", sram.MaxCaptures+2, err)
+	}
+	if rep != nil || r.Device().SRAM.PowerOnCount() != before || len(r.Events()) != events {
+		t.Fatal("a rejected capture budget touched the rig")
+	}
+
+	damaged := *rec
+	damaged.Digest = strings.Repeat("0", len(rec.Digest))
+	aopts := AdaptiveOptions{Options: opts, InitialCaptures: sram.MaxCaptures / 3, MaxCaptures: sram.MaxCaptures}
+	_, rep, err = DecodeAdaptive(context.Background(), r, &damaged, aopts)
+	if !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("err = %v, want ErrDigestMismatch", err)
+	}
+	if rep.CapturesSpent != sram.MaxCaptures || len(rep.Rungs) != 4 || rep.Rungs[1].Captures != sram.MaxCaptures {
+		t.Fatalf("ladder did not accumulate to %d captures: %+v", sram.MaxCaptures, *rep)
+	}
+	if got := r.Device().SRAM.PowerOnCount() - before; got < sram.MaxCaptures {
+		t.Fatalf("ladder ran %d power-ons, want at least %d", got, sram.MaxCaptures)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"invisiblebits/internal/ecc"
+	"invisiblebits/internal/sram"
 	"invisiblebits/internal/stegocrypt"
 )
 
@@ -32,10 +33,13 @@ import (
 type DecodeArena struct {
 	payload []byte
 	msg     []byte
-	votes   []uint16 // adaptive-ladder vote accumulator
-	burst   []uint16 // adaptive-ladder per-burst scratch
+	votes   []uint16 // per-cell vote counts
 	conf    []float64
 	erased  []bool
+
+	// Adaptive-ladder vote accumulator and per-burst scratch,
+	// bit-sliced.
+	acc, burstPlane sram.VotePlane
 
 	// Per-vote-value confidence table: confTab[v] = 1 − v/total, the
 	// exact expression the payloadConfidences oracle (oracle_test.go)
@@ -133,13 +137,6 @@ func (a *DecodeArena) votesBuf(n int) []uint16 {
 		a.votes = make([]uint16, n)
 	}
 	return a.votes[:n]
-}
-
-func (a *DecodeArena) burstBuf(n int) []uint16 {
-	if cap(a.burst) < n {
-		a.burst = make([]uint16, n)
-	}
-	return a.burst[:n]
 }
 
 // pipelineFor returns the compiled pipeline for codec, reusing the

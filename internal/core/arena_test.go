@@ -489,3 +489,118 @@ func TestDecodeAdaptiveArenaReportIdentical(t *testing.T) {
 		}
 	}
 }
+
+// noInjectorLadders pin adaptive decodes on rigs with no fault injector
+// mounted — the capture path every production reveal takes, which no
+// pinnedLadders entry reaches — recorded before the receiver decided
+// straight from bit-sliced counters: the SHA-256 of the plaintext and
+// the full DecodeReport of a fresh carrier that verifies on the hard
+// rung, and of a shelved one that escalates to the soft rung.
+var noInjectorLadders = []struct {
+	name        string
+	serial      string
+	stressHours float64
+	shelfHours  float64 // at 45 °C; 0 decodes fresh
+	sha256      string
+	report      DecodeReport
+}{
+	{
+		name:   "fresh",
+		serial: "pin-fresh",
+		sha256: "623454244fd5748d666ade1f822b53d0a4c202f52ab6ae7a0035730ce58732e3",
+		report: DecodeReport{
+			Rungs:                []RungResult{{Name: RungHard, Captures: 3, Verified: true}},
+			CapturesSpent:        3,
+			Verified:             true,
+			VerifiedRung:         RungHard,
+			ResidualChannelError: 0.06887755102040816,
+		},
+	},
+	{
+		name:        "shelved",
+		serial:      "pin-shelved-10",
+		stressHours: 10,
+		shelfHours:  550,
+		sha256:      "623454244fd5748d666ade1f822b53d0a4c202f52ab6ae7a0035730ce58732e3",
+		report: DecodeReport{
+			Rungs: []RungResult{
+				{Name: RungHard, Captures: 3, Note: noteMismatch},
+				{Name: RungHardMore, Captures: 9, Note: noteMismatch},
+				{Name: RungSoft, Captures: 25, Verified: true},
+			},
+			CapturesSpent:        25,
+			Verified:             true,
+			VerifiedRung:         RungSoft,
+			ResidualChannelError: 0.12340561224489796,
+		},
+	},
+}
+
+// TestDecodeAdaptiveNoInjectorPinned: without an injector, pooled and
+// caller-owned arenas reproduce the pinned plaintext and DecodeReport.
+func TestDecodeAdaptiveNoInjectorPinned(t *testing.T) {
+	for _, tc := range noInjectorLadders {
+		for _, mode := range []string{"pooled", "caller-arena"} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				r := newRig(t, "MSP432P401", tc.serial, 4<<10)
+				key := stegocrypt.KeyFromPassphrase("no-injector")
+				opts := Options{Codec: paperCodec(t), Key: &key, StressHours: tc.stressHours}
+				msg := make([]byte, 192)
+				rng.NewSource(2022).Bytes(msg)
+				rec, err := Encode(r, msg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.shelfHours > 0 {
+					if err := r.ShelveAtFor(tc.shelfHours, 45); err != nil {
+						t.Fatal(err)
+					}
+				}
+				aopts := AdaptiveOptions{Options: opts}
+				if mode == "caller-arena" {
+					aopts.Arena = NewDecodeArena()
+				}
+				got, rep, err := DecodeAdaptive(context.Background(), r, rec, aopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(got)
+				if hex.EncodeToString(sum[:]) != tc.sha256 || !bytes.Equal(got, msg) {
+					t.Fatalf("plaintext diverges from the pinned message (sha256 %x)", sum)
+				}
+				if !reflect.DeepEqual(*rep, tc.report) {
+					t.Fatalf("report diverges from the pinned ladder:\ngot:  %#v\nwant: %#v", *rep, tc.report)
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeAdaptiveResidualIgnoresUnusedKey: a key supplied for an
+// unencrypted record changes nothing. Twin rigs (same serial, so the
+// same silicon and noise) hold the same plaintext CRC record; decoding
+// one with a key and the other without must give equal reports,
+// ResidualChannelError included.
+func TestDecodeAdaptiveResidualIgnoresUnusedKey(t *testing.T) {
+	key := stegocrypt.KeyFromPassphrase("unused")
+	var reports [2]*DecodeReport
+	for i, k := range []*stegocrypt.Key{nil, &key} {
+		c := encodePooledCarrier(t, "residual-key-twin", nil)
+		aopts := AdaptiveOptions{Options: c.opts}
+		aopts.Key = k
+		got, rep, err := DecodeAdaptive(context.Background(), c.r, c.rec, aopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.msg) {
+			t.Fatal("wrong plaintext")
+		}
+		reports[i] = rep
+	}
+	if reports[0].ResidualChannelError < 0 {
+		t.Fatalf("no residual reported: %+v", *reports[0])
+	}
+	if !reflect.DeepEqual(*reports[0], *reports[1]) {
+		t.Fatalf("a key for an unencrypted record changes the report:\nwithout: %+v\nwith:    %+v", *reports[0], *reports[1])
+	}
+}

@@ -26,7 +26,8 @@ type Codec interface {
 	// Encode produces the channel payload.
 	Encode(msg []byte) ([]byte, error)
 	// Decode recovers a message of msgBytes bytes from a payload produced
-	// by Encode (possibly corrupted in transit).
+	// by Encode (possibly corrupted in transit). It only reads payload:
+	// the adaptive decoder reuses one hard decision across rungs.
 	Decode(payload []byte, msgBytes int) ([]byte, error)
 	// Rate returns the information rate in data bits per coded bit.
 	Rate() float64

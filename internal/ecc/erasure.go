@@ -19,6 +19,7 @@ import (
 // 8×EncodedLen(msgBytes). The returned unresolved mask (length
 // 8×msgBytes) marks message bits the code could not pin down — they are
 // 0-filled in msg, and callers treat them as residual uncertainty.
+// Like Decode, DecodeErasure only reads payload and erased.
 type ErasureDecoder interface {
 	Codec
 	DecodeErasure(payload []byte, erased []bool, msgBytes int) (msg []byte, unresolved []bool, err error)

@@ -1,11 +1,14 @@
 // Package parallel provides the bounded worker pool behind the SRAM
-// capture engine. A Pool is a concurrency *budget*, not a set of pinned
-// goroutines: each Run spawns one short-lived goroutine per chunk, and
-// a shared semaphore bounds how many are executing at once. Because the
-// semaphore is owned by the Pool — not the call — a fleet pointing many
-// devices at one Pool gets fleet-wide bounded parallelism for free: ten
-// concurrent capture bursts share the same worker budget instead of
-// oversubscribing the machine tenfold.
+// capture engine. A Pool is a concurrency *budget*: it owns a fixed set
+// of worker goroutines, and every Run hands its chunks to them as value
+// descriptors over one channel, so at most Workers chunks execute at
+// once across all callers. Because the workers belong to the Pool — not
+// the call — a fleet pointing many devices at one Pool gets fleet-wide
+// bounded parallelism for free: ten concurrent capture bursts share the
+// same worker budget instead of oversubscribing the machine tenfold.
+// Dispatch allocates nothing, so a warm capture burst stays at zero
+// allocations at any width. A Pool's workers exit once the Pool is
+// unreachable.
 //
 // Correctness never depends on the pool: the capture engine derives all
 // randomness from counter-based streams (rng.Stream), so any worker
@@ -22,8 +25,19 @@ import (
 // or Shared.
 type Pool struct {
 	workers int
-	sem     chan struct{}
+	jobs    chan job
 }
+
+// job is one chunk of a Run: fn over [lo, hi), reported to wg.
+type job struct {
+	fn     func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
+}
+
+// waitGroups recycles the per-Run WaitGroup: a stack WaitGroup would
+// escape through the jobs channel and cost one allocation per Run.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // New builds a pool with the given concurrency budget; workers <= 0
 // means runtime.GOMAXPROCS(0).
@@ -31,7 +45,27 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, sem: make(chan struct{}, workers)}
+	p := &Pool{workers: workers}
+	if workers > 1 {
+		// One slot per worker: a Run hands out a whole round of chunks
+		// without waiting for each worker to reach the channel.
+		p.jobs = make(chan job, workers)
+		for i := 0; i < workers; i++ {
+			go work(p.jobs)
+		}
+		// The workers hold only the channel, so an unreachable Pool is
+		// collected and its finalizer releases them.
+		runtime.SetFinalizer(p, func(p *Pool) { close(p.jobs) })
+	}
+	return p
+}
+
+// work runs chunks until the pool's channel closes.
+func work(jobs <-chan job) {
+	for j := range jobs {
+		j.fn(j.lo, j.hi)
+		j.wg.Done()
+	}
 }
 
 var (
@@ -87,39 +121,25 @@ func (p *Pool) RunChunked(ctx context.Context, n, chunk int, fn func(lo, hi int)
 	if chunk <= 0 {
 		chunk = n
 	}
-	if chunk >= n || p.workers == 1 {
-		// Serial fast path: no goroutines, no semaphore round-trips.
+	if chunk >= n || p.jobs == nil {
+		// Serial fast path: no hand-off to the workers.
 		for lo := 0; lo < n; lo += chunk {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+chunk, n))
 		}
 		return ctx.Err()
 	}
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
 			break
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p.sem <- struct{}{} // acquire before spawn: bounds live goroutines
 		wg.Add(1)
-		go func(lo, hi int) {
-			defer func() {
-				<-p.sem
-				wg.Done()
-			}()
-			fn(lo, hi)
-		}(lo, hi)
+		p.jobs <- job{fn: fn, lo: lo, hi: min(lo+chunk, n), wg: wg}
 	}
 	wg.Wait()
+	waitGroups.Put(wg)
 	return ctx.Err()
 }

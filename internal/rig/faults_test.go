@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"invisiblebits/internal/analog"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/progen"
+	"invisiblebits/internal/sram"
 )
 
 func newFaultyRig(t *testing.T, model string, p faults.Profile) *Rig {
@@ -228,5 +230,75 @@ func TestZeroFaultInjectorIsBitIdentical(t *testing.T) {
 	}
 	if plain.ClockHours() != zero.ClockHours() {
 		t.Errorf("clocks diverged: %v vs %v", plain.ClockHours(), zero.ClockHours())
+	}
+}
+
+// inertCounter is an injector that injects nothing and reports itself
+// inert, counting its CorruptVotes calls and the view lengths it got.
+type inertCounter struct {
+	calls, cells int
+}
+
+func (c *inertCounter) Inert() bool                      { return true }
+func (c *inertCounter) OpError(faults.Op, float64) error { return nil }
+func (c *inertCounter) CorruptSnapshot([]byte, float64)  {}
+func (c *inertCounter) CorruptVotes(v []uint16, _ int, _ float64) {
+	c.calls, c.cells = c.calls+1, c.cells+len(v)
+}
+func (c *inertCounter) PerturbConditions(cond analog.Conditions, _ float64) (analog.Conditions, string) {
+	return cond, ""
+}
+
+// TestSampleVotePlaneMatchesVotes: on twin rigs (same serial, same
+// injector profile) the vote-plane burst counts exactly what the
+// uint16 burst counts — with no injector, with an active one whose
+// corrupted cells are written back into the plane, and with an inert
+// one, which is still called, with an empty view.
+func TestSampleVotePlaneMatchesVotes(t *testing.T) {
+	active := faults.Profile{Seed: 3, StuckFrac: 0.05, WeakFrac: 0.1}
+	for _, tc := range []struct {
+		name string
+		inj  func(serial string) faults.Injector
+	}{
+		{"none", func(string) faults.Injector { return nil }},
+		{"active", func(s string) faults.Injector { return faults.New(active, s) }},
+		{"inert", func(string) faults.Injector { return &inertCounter{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Rig {
+				m, err := device.ByName("MSP432P401")
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := device.New(m, "plane-twin", device.WithSRAMLimit(1<<10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var opts []Option
+				if inj := tc.inj(d.Serial); inj != nil {
+					opts = append(opts, WithInjector(inj))
+				}
+				return New(d, opts...)
+			}
+			rv, rp := mk(), mk()
+			votes := make([]uint16, rv.Device().SRAM.Cells())
+			var plane sram.VotePlane
+			for _, n := range []int{3, 6} {
+				if err := rv.SampleVotesIntoContext(context.Background(), n, votes); err != nil {
+					t.Fatal(err)
+				}
+				if err := rp.SampleVotePlaneIntoContext(context.Background(), n, &plane); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range votes {
+					if got := plane.Count(i); got != v {
+						t.Fatalf("%d captures, cell %d: plane %d, votes %d", n, i, got, v)
+					}
+				}
+			}
+			if c, ok := rp.Injector().(*inertCounter); ok && (c.calls != 2 || c.cells != 0) {
+				t.Fatalf("inert injector got %d CorruptVotes calls over %d cells, want 2 calls with empty views", c.calls, c.cells)
+			}
+		})
 	}
 }

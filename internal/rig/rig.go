@@ -22,6 +22,7 @@ import (
 	"invisiblebits/internal/cpu"
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/faults"
+	"invisiblebits/internal/sram"
 )
 
 // ChamberRampCPerMin is the thermal chamber's ramp rate. Ramps consume
@@ -45,6 +46,9 @@ type Rig struct {
 	bypassed   bool
 
 	injector faults.Injector
+	// view is the per-cell count scratch an active injector corrupts
+	// on the vote-plane path.
+	view []uint16
 
 	transientFaults int
 	permanentFaults int
@@ -415,6 +419,27 @@ func (r *Rig) ShelveAtFor(hours, tempC float64) error {
 	return nil
 }
 
+// captureBurst runs one capture burst over the debugger link, which an
+// injector may drop: it power-cycles the device into capture, and
+// afterwards re-arms the CPU so firmware can run after sampling.
+func (r *Rig) captureBurst(ctx context.Context, capture func() error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := r.opError(faults.OpCapture); err != nil {
+		return err
+	}
+	if r.dev.SRAM.Powered() {
+		r.dev.PowerOff(true)
+	}
+	if err := capture(); err != nil {
+		return err
+	}
+	r.dev.PowerOff(true)
+	_, err := r.dev.PowerOnContext(ctx, r.chamberC)
+	return err
+}
+
 // SampleVotes captures n power-on states and returns the per-cell count
 // of 1 readings — the soft information that ecc.SoftDecoder consumes.
 // The device is left powered.
@@ -426,21 +451,11 @@ func (r *Rig) SampleVotes(n int) ([]uint16, error) {
 // injection: the capture burst rides the debugger link (it may drop
 // transiently) and stuck/weak cells corrupt the vote counts.
 func (r *Rig) SampleVotesContext(ctx context.Context, n int) ([]uint16, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.opError(faults.OpCapture); err != nil {
-		return nil, err
-	}
-	if r.dev.SRAM.Powered() {
-		r.dev.PowerOff(true)
-	}
-	votes, err := r.dev.SRAM.CaptureVotesContext(ctx, n, r.chamberC)
-	if err != nil {
-		return nil, err
-	}
-	r.dev.PowerOff(true)
-	if _, err := r.dev.PowerOnContext(ctx, r.chamberC); err != nil {
+	var votes []uint16
+	if err := r.captureBurst(ctx, func() (err error) {
+		votes, err = r.dev.SRAM.CaptureVotesContext(ctx, n, r.chamberC)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	if r.injector != nil {
@@ -456,24 +471,45 @@ func (r *Rig) SampleVotesContext(ctx context.Context, n int) ([]uint16, error) {
 // allocates nothing in steady state. The buffer is overwritten, not
 // accumulated into.
 func (r *Rig) SampleVotesIntoContext(ctx context.Context, n int, out []uint16) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := r.opError(faults.OpCapture); err != nil {
-		return err
-	}
-	if r.dev.SRAM.Powered() {
-		r.dev.PowerOff(true)
-	}
-	if err := r.dev.SRAM.CaptureVotesInto(ctx, n, r.chamberC, out); err != nil {
-		return err
-	}
-	r.dev.PowerOff(true)
-	if _, err := r.dev.PowerOnContext(ctx, r.chamberC); err != nil {
+	if err := r.captureBurst(ctx, func() error {
+		return r.dev.SRAM.CaptureVotesInto(ctx, n, r.chamberC, out)
+	}); err != nil {
 		return err
 	}
 	if r.injector != nil {
 		r.injector.CorruptVotes(out, n, r.clockHours)
+	}
+	r.logf("sampled %d power-on states (per-cell votes)", n)
+	return nil
+}
+
+// SampleVotePlaneIntoContext is SampleVotesIntoContext writing
+// bit-sliced counts into p (see sram.VotePlane), so the receiver
+// decides and accumulates on a few bits per cell. p is overwritten,
+// not accumulated into. An active injector corrupts a per-cell count
+// view of the plane, and only the cells it changed are written back;
+// an inert one still gets its CorruptVotes call, with an empty view.
+func (r *Rig) SampleVotePlaneIntoContext(ctx context.Context, n int, p *sram.VotePlane) error {
+	if err := r.captureBurst(ctx, func() error {
+		return r.dev.SRAM.CaptureVotePlaneInto(ctx, n, r.chamberC, p)
+	}); err != nil {
+		return err
+	}
+	switch {
+	case r.faultsActive():
+		if cap(r.view) < p.Cells() {
+			r.view = make([]uint16, p.Cells())
+		}
+		view := r.view[:p.Cells()]
+		p.CountsInto(view)
+		r.injector.CorruptVotes(view, n, r.clockHours)
+		for i, v := range view {
+			if p.Count(i) != v {
+				p.SetCount(i, v)
+			}
+		}
+	case r.injector != nil:
+		r.injector.CorruptVotes(nil, n, r.clockHours)
 	}
 	r.logf("sampled %d power-on states (per-cell votes)", n)
 	return nil
@@ -490,22 +526,11 @@ func (r *Rig) SampleMajority(n int) ([]byte, error) {
 // SampleMajorityContext is SampleMajority with cancellation and fault
 // injection (transient link drops, stuck/weak cell corruption).
 func (r *Rig) SampleMajorityContext(ctx context.Context, n int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.opError(faults.OpCapture); err != nil {
-		return nil, err
-	}
-	if r.dev.SRAM.Powered() {
-		r.dev.PowerOff(true)
-	}
-	maj, err := r.dev.SRAM.CaptureMajorityContext(ctx, n, r.chamberC)
-	if err != nil {
-		return nil, err
-	}
-	// Re-arm the CPU so firmware can run after sampling.
-	r.dev.PowerOff(true)
-	if _, err := r.dev.PowerOnContext(ctx, r.chamberC); err != nil {
+	var maj []byte
+	if err := r.captureBurst(ctx, func() (err error) {
+		maj, err = r.dev.SRAM.CaptureMajorityContext(ctx, n, r.chamberC)
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	if r.injector != nil {

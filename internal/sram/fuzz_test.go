@@ -11,7 +11,8 @@ import (
 // unpruned reference engine through an arbitrary device history —
 // identity seed, array size, capture count, temperature, imprint aging,
 // worker count, remanence, noise generation — and requires bit-identical
-// votes, data planes and counter consumption. This is the kernel's
+// votes, data planes and counter consumption, from the uint16 output
+// and from a VotePlane captured on a third twin. This is the kernel's
 // contract in one sentence: every fast path (deterministic-plane
 // pruning, packed float32 classification, bit-sliced counting, dense
 // edge resolution) is an exact rewrite of the reference race.
@@ -97,6 +98,30 @@ func FuzzCaptureEquivalence(f *testing.F) {
 		if ak.PowerOnCount() != ar.PowerOnCount() {
 			t.Fatalf("counter consumption diverged: kernel %d, reference %d",
 				ak.PowerOnCount(), ar.PowerOnCount())
+		}
+
+		ap := mk(w)
+		var plane VotePlane
+		if err := ap.CaptureVotePlaneInto(context.Background(), caps, temp, &plane); err != nil {
+			t.Fatal(err)
+		}
+		if plane.Cells() != n || plane.captures != caps {
+			t.Fatalf("plane sized %d cells / %d captures, want %d / %d", plane.Cells(), plane.captures, n, caps)
+		}
+		for i := range vr {
+			if got := plane.Count(i); got != vr[i] {
+				t.Fatalf("cell %d: plane votes %d, reference votes %d", i, got, vr[i])
+			}
+		}
+		dp, _ := ap.Read()
+		for i := range dp {
+			if dp[i] != dr[i] {
+				t.Fatalf("data byte %d: plane burst %02x, reference %02x", i, dp[i], dr[i])
+			}
+		}
+		if ap.PowerOnCount() != ar.PowerOnCount() {
+			t.Fatalf("counter consumption diverged: plane burst %d, reference %d",
+				ap.PowerOnCount(), ar.PowerOnCount())
 		}
 	})
 }

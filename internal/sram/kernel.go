@@ -2,6 +2,7 @@ package sram
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -30,10 +31,13 @@ import (
 //   - Races iterate innermost over cache-sized chunks of the packed
 //     arrays (kernelChunkWords), so a burst streams the per-cell tables
 //     from memory once, not once per race.
-//   - After the last race the sliced counters transpose back to per-cell
-//     counts, the final race's votes scatter into the data plane next
-//     to the deterministic words, and majority/vote/bias outputs all
-//     derive from the counts.
+//   - After the last race the kernel builds only the output its caller
+//     reads (burstOut). Every burst scatters the final race's votes
+//     into the data plane next to the deterministic words, and a
+//     power-on stops there. A VotePlane burst scatters the sliced
+//     counters into the global word domain, which the majority decides
+//     from with a sliced compare. Only CaptureVotesInto and BiasMap
+//     transpose the counters back to per-cell uint16 counts.
 //
 // The kernel consumes exactly the counter-derived noise tape
 // (norm(base+k, i) for race k, cell i) the serial engines consume, so
@@ -96,9 +100,10 @@ type capKernel struct {
 	last   []uint64 // final race's votes, scattered to the data plane
 	slices [16][]uint64
 	ctrs   []uint64
-	dataW  []uint64 // assembled data plane, global word domain
-	counts []uint16 // per-cell counts for callers that discard them
-	remB   []byte   // retained-contents snapshot for remanent first captures
+	dataW  []uint64  // assembled data plane, global word domain
+	counts []uint16  // per-cell counts for callers that discard them
+	plane  VotePlane // sliced counts CaptureMajorityInto decides from
+	remB   []byte    // retained-contents snapshot for remanent first captures
 	// detCounts is the deterministic-cell count plane for detRaces races
 	// (0 at noisy and deterministic-zero cells): counts assembly starts
 	// as one memcpy instead of a per-cell walk.
@@ -244,13 +249,21 @@ func (a *Array) scratchCounts() []uint16 {
 	return a.kern.counts
 }
 
+// burstOut names the count output a capture burst builds besides the
+// data plane, which every burst writes. At most one field is set; a
+// burst with neither is a power-on, which reads only the data plane.
+type burstOut struct {
+	counts []uint16   // per-cell counts, len Cells()
+	plane  *VotePlane // bit-sliced counts, sized by the burst
+}
+
 // captureBurstInto runs `captures` power-on races at tempC, writing
-// each cell's count of 1 readings into out (len == Cells()) and the
-// final capture into the data plane, leaving the array powered. It is
-// the engine behind every capture entry point; steady-state calls
-// allocate nothing. Counter consumption, remanence handling and the
-// noise tape match CaptureVotesReference bit for bit.
-func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float64, out []uint16) error {
+// each cell's count of 1 readings into out and the final capture into
+// the data plane, leaving the array powered. It is the engine behind
+// every capture entry point; steady-state calls allocate nothing.
+// Counter consumption, remanence handling and the noise tape match
+// CaptureVotesReference bit for bit.
+func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float64, out burstOut) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -267,21 +280,27 @@ func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float6
 		// Snapshot the retained contents before the races overwrite them.
 		remBytes = a.kern.remSnapshot(a.data)
 	}
+	if out.plane != nil {
+		out.plane.reset(a.n, captures)
+	}
 	if races > 0 {
 		if err := a.runRaces(ctx, races, tempC, out); err != nil {
 			a.powered = false
 			return err
 		}
 	} else {
-		for i := range out {
-			out[i] = 0
-		}
+		clear(out.counts)
 	}
 	if remFirst {
-		for byteIdx, bv := range remBytes {
-			base := byteIdx * 8
-			for ; bv != 0; bv &= bv - 1 {
-				out[base+bits.TrailingZeros8(bv)]++
+		switch {
+		case out.plane != nil:
+			out.plane.addBits(remBytes)
+		case out.counts != nil:
+			for byteIdx, bv := range remBytes {
+				base := byteIdx * 8
+				for ; bv != 0; bv &= bv - 1 {
+					out.counts[base+bits.TrailingZeros8(bv)]++
+				}
 			}
 		}
 	}
@@ -299,9 +318,10 @@ func (k *capKernel) remSnapshot(data []byte) []byte {
 	return k.remB
 }
 
-// runRaces executes `races` fresh power-on races and fills out with the
-// per-cell counts; the last race becomes the data plane.
-func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []uint16) error {
+// runRaces executes `races` fresh power-on races and builds out from
+// the sliced counters; the last race becomes the data plane. A plane
+// in out must already be reset to zero for this burst.
+func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out burstOut) error {
 	sigma := a.noiseSigmaAt(tempC)
 	if err := a.ensureKernel(ctx, sigma); err != nil {
 		return err
@@ -332,17 +352,69 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []ui
 		}
 	}
 
-	// Assemble counts and the final data plane. Deterministic cells
-	// resolve identically on every race, so their count plane is a pure
-	// function of (layout, races): build it once per races value and
-	// memcpy it per burst — steady-state decode loops reuse one races
-	// count, so the per-cell walk amortizes to a copy. Noisy cells then
-	// transpose out of the sliced counters and scatter over the template.
-	if k.detRaces != races {
-		if cap(k.detCounts) < a.n {
-			k.detCounts = make([]uint16, a.n)
+	copy(k.dataW, k.det1)
+	if out.counts != nil {
+		// The transpose scatters the data plane as it goes.
+		k.emitCounts(races, out.counts)
+	} else {
+		if out.plane != nil {
+			k.emitPlane(races, out.plane)
 		}
-		k.detCounts = k.detCounts[:a.n]
+		k.emitData()
+	}
+	packWordsToBytes(k.dataW, a.data)
+	return nil
+}
+
+// emitData scatters the final race's votes of the noisy cells into the
+// data plane: one store per cell that read 1.
+func (k *capKernel) emitData() {
+	for pw, lv := range k.last {
+		idx := k.cellIdx[pw*64:]
+		for ; lv != 0; lv &= lv - 1 {
+			ci := idx[bits.TrailingZeros64(lv)]
+			k.dataW[ci>>6] |= 1 << (ci & 63)
+		}
+	}
+}
+
+// emitPlane writes the burst's counts into p, which is zeroed and
+// sized for at least races: a deterministic-one cell counts every race,
+// so slice b starts as the det1 plane wherever bit b of races is set,
+// and each noisy cell's set count bits scatter from the packed sliced
+// counters to the cell's global word.
+func (k *capKernel) emitPlane(races int, p *VotePlane) {
+	for b := 0; b < bits.Len(uint(races)); b++ {
+		if races>>uint(b)&1 != 0 {
+			copy(p.slices[b], k.det1)
+		}
+		dst := p.slices[b]
+		for pw, sw := range k.slices[b] {
+			idx := k.cellIdx[pw*64:]
+			for ; sw != 0; sw &= sw - 1 {
+				ci := idx[bits.TrailingZeros64(sw)]
+				dst[ci>>6] |= 1 << (ci & 63)
+			}
+		}
+	}
+}
+
+// emitCounts fills out with the per-cell counts and the data plane.
+// Deterministic cells resolve identically on every race, so their count
+// plane is a pure function of (layout, races): build it once per races
+// value and memcpy it per burst — steady-state decode loops reuse one
+// races count, so the per-cell walk amortizes to a copy. Noisy cells
+// then transpose out of the sliced counters and scatter over the
+// template.
+func (k *capKernel) emitCounts(races int, out []uint16) {
+	nc := len(k.cellIdx)
+	nwN := len(k.last)
+	nb := bits.Len(uint(races))
+	if k.detRaces != races {
+		if cap(k.detCounts) < len(out) {
+			k.detCounts = make([]uint16, len(out))
+		}
+		k.detCounts = k.detCounts[:len(out)]
 		for i := range k.detCounts {
 			k.detCounts[i] = 0
 		}
@@ -356,7 +428,6 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []ui
 		k.detRaces = races
 	}
 	copy(out, k.detCounts)
-	copy(k.dataW, k.det1)
 	for pw := 0; pw < nwN; pw++ {
 		lv := k.last[pw]
 		cbase := pw * 64
@@ -394,8 +465,6 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []ui
 			k.dataW[ci>>6] |= (lv >> uint(j) & 1) << (ci & 63)
 		}
 	}
-	packWordsToBytes(k.dataW, a.data)
-	return nil
 }
 
 // raceChunks is the burst worker body: it runs every race of the
@@ -479,15 +548,7 @@ func (a *Array) raceChunks(lo, hi int) {
 func packWordsToBytes(words []uint64, data []byte) {
 	i := 0
 	for ; i+8 <= len(data); i += 8 {
-		w := words[i>>3]
-		data[i] = byte(w)
-		data[i+1] = byte(w >> 8)
-		data[i+2] = byte(w >> 16)
-		data[i+3] = byte(w >> 24)
-		data[i+4] = byte(w >> 32)
-		data[i+5] = byte(w >> 40)
-		data[i+6] = byte(w >> 48)
-		data[i+7] = byte(w >> 56)
+		binary.LittleEndian.PutUint64(data[i:], words[i>>3])
 	}
 	if i < len(data) {
 		w := words[i>>3]

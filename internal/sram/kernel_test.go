@@ -277,9 +277,10 @@ func requireThreeWay(t *testing.T, mk func(workers int) *Array, workers []int, c
 }
 
 // TestCaptureIntoNoAllocSteadyState: after the first burst warms the
-// kernel's layout and scratch, CaptureVotesInto and CaptureMajorityInto
-// allocate nothing — on a 4 KiB array at one worker (the receiver's
-// decode loop), and on an array sharing the process-wide pool.
+// kernel's layout and scratch, CaptureVotesInto, CaptureMajorityInto
+// and CaptureVotePlaneInto allocate nothing — on a 4 KiB array at one
+// worker (the receiver's decode loop), and on an array whose pool is
+// GOMAXPROCS wide, so every -cpu width dispatches to pool workers.
 func TestCaptureIntoNoAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the zero-alloc gate runs in the non-race hot-path CI job")
@@ -295,7 +296,9 @@ func TestCaptureIntoNoAllocSteadyState(t *testing.T) {
 		}
 		requireCaptureIntoNoAlloc(t, a)
 	})
-	a, err := New(kernelTestSpec(4096, NoiseGenZiggurat, 11))
+	spec := kernelTestSpec(4096, NoiseGenZiggurat, 11)
+	spec.Workers = runtime.GOMAXPROCS(0)
+	a, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +329,17 @@ func requireCaptureIntoNoAlloc(t *testing.T, a *Array) {
 		}
 	}); avg != 0 {
 		t.Fatalf("CaptureMajorityInto allocates %.1f objects per steady-state burst", avg)
+	}
+	var plane VotePlane
+	if err := a.CaptureVotePlaneInto(ctx, 5, 25, &plane); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := a.CaptureVotePlaneInto(ctx, 5, 25, &plane); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("CaptureVotePlaneInto allocates %.1f objects per steady-state burst", avg)
 	}
 }
 

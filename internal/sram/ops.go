@@ -85,9 +85,10 @@ func (a *Array) PowerOnContext(ctx context.Context, tempC float64) ([]byte, erro
 	}
 	// A power-on is a one-capture burst through the word-parallel kernel:
 	// deterministic cells resolve by plane, noisy cells by one packed
-	// race, consuming exactly one counter. Identical for any worker
-	// count or chunk size (counter-derived noise).
-	if err := a.captureBurstInto(ctx, 1, tempC, a.scratchCounts()); err != nil {
+	// race, consuming exactly one counter. It builds only the data
+	// plane. Identical for any worker count or chunk size
+	// (counter-derived noise).
+	if err := a.captureBurstInto(ctx, 1, tempC, burstOut{}); err != nil {
 		return nil, err
 	}
 	out := make([]byte, len(a.data))

@@ -9,8 +9,9 @@ import (
 )
 
 // Capture entry points. All of them run the word-parallel kernel burst
-// (kernel.go) and derive their output from the per-cell vote counts;
-// the array is left powered with the final capture as its digital
+// (kernel.go) and build only the output they return: per-cell uint16
+// counts, a bit-sliced VotePlane, or a majority decided from one; the
+// array is left powered with the final capture as its digital
 // contents (as real hardware does after the last power cycle of a
 // sampling burst). Because each race's noise is counter-derived
 // (norm(k, i) for power-on k, cell i), results are bit-identical to
@@ -67,21 +68,12 @@ func (a *Array) CaptureMajorityInto(ctx context.Context, captures int, tempC flo
 	if len(out) != a.n/8 {
 		return fmt.Errorf("sram: majority into %d bytes, need %d", len(out), a.n/8)
 	}
-	counts := a.scratchCounts()
-	if err := a.captureBurstInto(ctx, captures, tempC, counts); err != nil {
+	// Decide straight from the sliced counters, 64 cells per compare.
+	plane := &a.kern.plane
+	if err := a.captureBurstInto(ctx, captures, tempC, burstOut{plane: plane}); err != nil {
 		return err
 	}
-	threshold := uint16(captures/2) + 1
-	for byteIdx := range out {
-		var bv byte
-		base := byteIdx * 8
-		for b := 0; b < 8; b++ {
-			if counts[base+b] >= threshold {
-				bv |= 1 << uint(b)
-			}
-		}
-		out[byteIdx] = bv
-	}
+	plane.AtLeastInto(out, captures/2+1)
 	return nil
 }
 
@@ -113,7 +105,19 @@ func (a *Array) CaptureVotesInto(ctx context.Context, captures int, tempC float6
 	if len(out) != a.n {
 		return fmt.Errorf("sram: votes into %d counters, need %d", len(out), a.n)
 	}
-	return a.captureBurstInto(ctx, captures, tempC, out)
+	return a.captureBurstInto(ctx, captures, tempC, burstOut{counts: out})
+}
+
+// CaptureVotePlaneInto is CaptureVotesInto writing bit-sliced counts:
+// p is resized to this array and ⌈log2(captures+1)⌉ slices, reusing
+// its buffers, so a receiver that decides, or accumulates bursts, on
+// the plane touches a few bits per cell instead of a uint16 and
+// allocates nothing in steady state.
+func (a *Array) CaptureVotePlaneInto(ctx context.Context, captures int, tempC float64, p *VotePlane) error {
+	if err := validCaptures(captures); err != nil {
+		return err
+	}
+	return a.captureBurstInto(ctx, captures, tempC, burstOut{plane: p})
 }
 
 // BiasMap estimates each cell's power-on bias (fraction of 1s) over the
@@ -130,7 +134,7 @@ func (a *Array) BiasMapContext(ctx context.Context, captures int, tempC float64)
 		return nil, err
 	}
 	counts := a.scratchCounts()
-	if err := a.captureBurstInto(ctx, captures, tempC, counts); err != nil {
+	if err := a.captureBurstInto(ctx, captures, tempC, burstOut{counts: counts}); err != nil {
 		return nil, err
 	}
 	out := make([]float64, a.n)
