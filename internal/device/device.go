@@ -18,14 +18,20 @@ const (
 	SRAMBase  = 0x20000000
 )
 
+// flashPageBytes is the erase-page size of every model's Flash.
+const flashPageBytes = 512
+
 // Device is one simulated board: a catalog Model instantiated with a
 // serial number that determines its silicon fingerprint.
 type Device struct {
 	Model  Model
 	Serial string
 
-	SRAM  *sram.Array
-	Flash *flash.Array
+	SRAM *sram.Array
+	// Flash is the firmware store, digital only: nothing reads a device's
+	// Flash below its NOR contents. The §5.3 baselines build their own
+	// analog flash.Array. Nil on models without on-chip Flash.
+	Flash *flash.Store
 
 	cpu        *cpu.CPU
 	fatal      error          // non-nil once the device has died permanently
@@ -109,13 +115,9 @@ func New(model Model, serial string, opts ...Option) (*Device, error) {
 		return nil, fmt.Errorf("device %s: %w", model.Name, err)
 	}
 
-	var fl *flash.Array
+	var fl *flash.Store
 	if model.FlashBytes > 0 {
-		fspec := flash.DefaultSpec()
-		fspec.PageBytes = 512
-		fspec.Pages = model.FlashBytes / fspec.PageBytes
-		fspec.Seed = rng.HashString(model.Name + "/flash/" + serial)
-		fl, err = flash.New(fspec)
+		fl, err = flash.NewStore(flashPageBytes, model.FlashBytes/flashPageBytes)
 		if err != nil {
 			return nil, fmt.Errorf("device %s: %w", model.Name, err)
 		}
@@ -189,15 +191,14 @@ func (d *Device) LoadProgram(prog *asm.Program) error {
 	if len(prog.Image) > d.Flash.Bytes() {
 		return fmt.Errorf("device: image of %d bytes exceeds %d-byte flash", len(prog.Image), d.Flash.Bytes())
 	}
-	pageBytes := d.Flash.Spec().PageBytes
+	pageBytes := d.Flash.PageBytes()
 	lastPage := (len(prog.Image) + pageBytes - 1) / pageBytes
 	for p := 0; p < lastPage; p++ {
 		if err := d.Flash.ErasePage(p); err != nil {
 			return err
 		}
 	}
-	_, err := d.Flash.Program(0, prog.Image)
-	return err
+	return d.Flash.Program(0, prog.Image)
 }
 
 // ReadSRAM reads the SRAM contents over the debug port. For cache-SRAM

@@ -48,8 +48,8 @@ type image struct {
 	SRAMBytes int // instantiated size (may be a sample of the model size)
 	SRAM      sram.State
 	// FlashData is the digital Flash contents (the firmware travels with
-	// the chip). Flash *analog* state (wear, Vt levels) is not part of
-	// the image — the steganographic channel under study is the SRAM.
+	// the chip). A device's Flash has no analog state to carry — the
+	// steganographic channel under study is the SRAM.
 	FlashData []byte
 	// RefreshLog is the maintenance ledger (since version 2). Absent in
 	// version-1 images.
@@ -137,6 +137,11 @@ func Load(r io.Reader) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(img.FlashData) > 0 && model.FlashBytes == 0 {
+		// Loading would drop the bytes, and a re-Save would lose them.
+		return nil, fmt.Errorf("device: image carries %d bytes of flash, but model %s has no flash",
+			len(img.FlashData), model.Name)
+	}
 	var opts []Option
 	if img.SRAMBytes < model.SRAMBytes {
 		opts = append(opts, WithSRAMLimit(img.SRAMBytes))
@@ -149,14 +154,14 @@ func Load(r io.Reader) (*Device, error) {
 		return nil, err
 	}
 	d.refreshLog = append(d.refreshLog, img.RefreshLog...)
-	if d.Flash != nil && img.FlashData != nil {
+	if len(img.FlashData) > 0 {
 		if len(img.FlashData) != d.Flash.Bytes() {
 			return nil, fmt.Errorf("device: image flash is %d bytes, device has %d",
 				len(img.FlashData), d.Flash.Bytes())
 		}
-		// A fresh array is fully erased, so programming reproduces the
+		// A fresh store is fully erased, so programming reproduces the
 		// digital contents exactly (NOR 1→0 transitions only).
-		if _, err := d.Flash.Program(0, img.FlashData); err != nil {
+		if err := d.Flash.Program(0, img.FlashData); err != nil {
 			return nil, err
 		}
 	}

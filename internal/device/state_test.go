@@ -2,6 +2,8 @@ package device
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/rng"
@@ -95,5 +97,66 @@ func TestSaveLoadPreservesDigitalContents(t *testing.T) {
 	}
 	if got[10] != 0xAB || got[11] != 0xCD {
 		t.Fatal("digital contents lost")
+	}
+}
+
+// encodeImage gob-encodes an image of d that carries flashData in
+// place of d's own Flash contents.
+func encodeImage(t *testing.T, d *Device, flashData []byte) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(image{
+		Version:   imageVersion,
+		ModelName: d.Model.Name,
+		Serial:    d.Serial,
+		SRAMBytes: d.SRAM.Bytes(),
+		SRAM:      d.SRAM.StateSnapshot(),
+		FlashData: flashData,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// A flashless model cannot hold Flash contents: loading such an image
+// would drop the bytes, and a re-Save would silently lose them.
+func TestLoadRejectsFlashOnFlashlessModel(t *testing.T) {
+	d := mustDevice(t, "BCM2837", "flashless", WithSRAMLimit(1<<10))
+	_, err := Load(encodeImage(t, d, []byte{1, 2, 3}))
+	if err == nil {
+		t.Fatal("BCM2837 image with 3 bytes of flash loaded")
+	}
+	if !strings.Contains(err.Error(), "BCM2837") {
+		t.Errorf("error %q does not name the model", err)
+	}
+}
+
+// Images without Flash contents load on every model; a model with
+// Flash comes back with it erased.
+func TestLoadWithoutFlashDataOnEveryModel(t *testing.T) {
+	for _, m := range Catalog {
+		for _, data := range [][]byte{nil, {}} {
+			d, err := New(m, "no-flash-data", WithSRAMLimit(1<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2, err := Load(encodeImage(t, d, data))
+			if err != nil {
+				t.Fatalf("%s, flash data %v: %v", m.Name, data, err)
+			}
+			if (d2.Flash == nil) != (m.FlashBytes == 0) {
+				t.Fatalf("%s: flash present = %v, model has %d bytes", m.Name, d2.Flash != nil, m.FlashBytes)
+			}
+			if d2.Flash == nil {
+				continue
+			}
+			got, err := d2.Flash.Read(0, d2.Flash.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xFF}, m.FlashBytes)) {
+				t.Fatalf("%s: loaded flash is not erased", m.Name)
+			}
+		}
 	}
 }

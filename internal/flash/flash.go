@@ -5,12 +5,14 @@
 // Memory") and per-cell *threshold-voltage level* (Zuck et al., "Stash in
 // a Flash").
 //
-// Digital behaviour: erase sets a page's bits to 1; programming can only
-// clear bits (1→0); programming a 0 bit again is a no-op. The device's
-// firmware image lives here too ("the instructions ... run from
-// non-volatile memory", §4.2), loaded through the debugger interface.
+// Digital behaviour (Store): erase sets a page's bits to 1; programming
+// can only clear bits (1→0); programming a 0 bit again is a no-op. A
+// device's firmware image lives in a bare Store ("the instructions ...
+// run from non-volatile memory", §4.2), loaded through the debugger
+// interface; nothing reads a device's Flash below the digital level.
 //
-// Analog behaviour per bit cell:
+// Analog behaviour per bit cell (Array, the baselines' measurement
+// model, which embeds a Store):
 //
 //   - ProgramTime: lognormal with a long tail. Program/erase cycling
 //     (wear) increases it measurably — Wang et al. encode a hidden bit by
@@ -88,11 +90,11 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Array is a simulated NOR Flash.
+// Array is a simulated NOR Flash with its analog side channels.
 type Array struct {
-	spec Spec
-	data []byte // digital contents
+	Store // digital contents and the NOR rules
 
+	spec       Spec
 	progTimeUs []float32 // per-bit intrinsic program time
 	vt         []float32 // per-bit current threshold voltage
 	peCycles   []uint32  // per-page program/erase count
@@ -105,11 +107,14 @@ func New(spec Spec) (*Array, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	bytes := spec.PageBytes * spec.Pages
-	bits := bytes * 8
+	st, err := NewStore(spec.PageBytes, spec.Pages)
+	if err != nil {
+		return nil, err
+	}
+	bits := st.Bytes() * 8
 	a := &Array{
+		Store:      *st,
 		spec:       spec,
-		data:       make([]byte, bytes),
 		progTimeUs: make([]float32, bits),
 		vt:         make([]float32, bits),
 		peCycles:   make([]uint32, spec.Pages),
@@ -122,55 +127,20 @@ func New(spec Spec) (*Array, error) {
 			math.Exp(vary.NormScaled(0, spec.ProgramTimeSigma)))
 		a.vt[i] = float32(spec.VtErased)
 	}
-	for i := range a.data {
-		a.data[i] = 0xFF // erased state reads all-1s
-	}
 	return a, nil
 }
 
 // Spec returns the construction parameters.
 func (a *Array) Spec() Spec { return a.spec }
 
-// Bytes returns the capacity in bytes.
-func (a *Array) Bytes() int { return len(a.data) }
-
-func (a *Array) checkRange(off, n int) error {
-	if off < 0 || off+n > len(a.data) {
-		return fmt.Errorf("flash: access [%d,%d) out of range of %d bytes", off, off+n, len(a.data))
-	}
-	return nil
-}
-
-// Read copies n bytes starting at off.
-func (a *Array) Read(off, n int) ([]byte, error) {
-	if err := a.checkRange(off, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, a.data[off:off+n])
-	return out, nil
-}
-
-// ByteAt returns a single byte.
-func (a *Array) ByteAt(off int) (byte, error) {
-	if err := a.checkRange(off, 1); err != nil {
-		return 0, err
-	}
-	return a.data[off], nil
-}
-
 // ErasePage resets a page to all-1s, clears its analog levels, and counts
 // a P/E cycle (wearing the page's cells). Any hidden data riding on the
 // page's analog state is destroyed.
 func (a *Array) ErasePage(page int) error {
-	if page < 0 || page >= a.spec.Pages {
-		return fmt.Errorf("flash: page %d out of range", page)
+	if err := a.Store.ErasePage(page); err != nil {
+		return err
 	}
-	base := page * a.spec.PageBytes
-	for i := 0; i < a.spec.PageBytes; i++ {
-		a.data[base+i] = 0xFF
-	}
-	bitBase := base * 8
+	bitBase := page * a.spec.PageBytes * 8
 	for b := 0; b < a.spec.PageBytes*8; b++ {
 		a.vt[bitBase+b] = float32(a.spec.VtErased)
 	}
@@ -198,9 +168,7 @@ func (a *Array) Program(off int, data []byte) (totalTimeUs float64, err error) {
 		return 0, err
 	}
 	for i, b := range data {
-		old := a.data[off+i]
-		a.data[off+i] = old & b
-		cleared := old &^ b // bits going 1→0
+		cleared := a.programByte(off+i, b)
 		for k := 0; k < 8; k++ {
 			if cleared&(1<<k) != 0 {
 				bit := (off+i)*8 + k
@@ -217,8 +185,8 @@ func (a *Array) Program(off int, data []byte) (totalTimeUs float64, err error) {
 // without changing its final (erased) digital contents — the Wang et al.
 // encoding knob.
 func (a *Array) CyclePage(page, n int) error {
-	if page < 0 || page >= a.spec.Pages {
-		return fmt.Errorf("flash: page %d out of range", page)
+	if err := a.checkPage(page); err != nil {
+		return err
 	}
 	if n < 0 {
 		return errors.New("flash: negative cycle count")
@@ -279,8 +247,8 @@ func (a *Array) MarginRead(bit int) (float64, error) {
 
 // PECycles reports a page's program/erase count.
 func (a *Array) PECycles(page int) (uint32, error) {
-	if page < 0 || page >= a.spec.Pages {
-		return 0, fmt.Errorf("flash: page %d out of range", page)
+	if err := a.checkPage(page); err != nil {
+		return 0, err
 	}
 	return a.peCycles[page], nil
 }

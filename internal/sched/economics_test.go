@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"invisiblebits/internal/stegocrypt"
@@ -23,9 +24,11 @@ import (
 // in BENCH_5.json. ns/op is the wall time of one whole run: the
 // scheduler keeping up. Every fsync returns at once (unsyncedFS), so it
 // measures scheduling, not disk. The scheduler keeps each finished
-// campaign's rig in memory, about 1.3 MB, so the 10000-tenant level
-// needs a host with some 13 GB to spare; the command below runs only
-// the 1000-tenant level.
+// campaign's rig in memory; heap-MB/campaign reads 0.33 MB at 1000
+// tenants (1.34 MB while every device also built an analog Flash
+// model), so the 10000-tenant level holds some 3.3 GB live, and the
+// default GOGC lets the heap grow to about twice that before a
+// collection. The command below runs only the 1000-tenant level.
 //
 //	go test -run '^$' -bench 'BatchingEconomics/tenants=1000$' -benchtime 1x ./internal/sched
 func BenchmarkBatchingEconomics(b *testing.B) {
@@ -38,9 +41,11 @@ func BenchmarkBatchingEconomics(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("tenants=%d/batching=%s", tenants, arm), func(b *testing.B) {
 				var st Status
+				var heapMB float64
 				for i := 0; i < b.N; i++ {
-					st = economicsRun(b, tenants, batching)
+					st, heapMB = economicsRun(b, tenants, batching)
 				}
+				b.ReportMetric(heapMB/float64(tenants), "heap-MB/campaign")
 				b.ReportMetric(st.ChamberHours, "chamber-h")
 				b.ReportMetric(st.ChamberHours/float64(tenants), "chamber-h/campaign")
 				b.ReportMetric(float64(st.Passes), "passes")
@@ -55,8 +60,10 @@ func BenchmarkBatchingEconomics(b *testing.B) {
 }
 
 // economicsRun submits tenants one-slice campaigns to a fresh scheduler,
-// drains it, and fails unless every campaign ended done.
-func economicsRun(b *testing.B, tenants int, batching bool) Status {
+// drains it, and fails unless every campaign ended done. It also
+// returns the heap the drained scheduler holds, in MB: HeapInuse after
+// Drain less HeapInuse before New, each read after a full collection.
+func economicsRun(b *testing.B, tenants int, batching bool) (Status, float64) {
 	b.Helper()
 	dir, err := os.MkdirTemp(b.TempDir(), "run-")
 	if err != nil {
@@ -64,6 +71,7 @@ func economicsRun(b *testing.B, tenants int, batching bool) Status {
 	}
 	defer os.RemoveAll(dir)
 	key := stegocrypt.KeyFromPassphrase("batching-economics")
+	heapBefore := heapInuse()
 	s, err := New(dir, Config{
 		KeyFor:          func(string, string) *stegocrypt.Key { return &key },
 		MaxQueued:       tenants,
@@ -91,11 +99,20 @@ func economicsRun(b *testing.B, tenants int, batching bool) Status {
 	if err := s.Drain(context.Background()); err != nil {
 		b.Fatal(err)
 	}
+	heapMB := float64(heapInuse()-heapBefore) / (1 << 20)
 	st := s.Status()
 	if st.Done != tenants || st.Failed != 0 || st.Quarantined != 0 {
 		b.Fatalf("%d of %d campaigns done (%d failed, %d quarantined)", st.Done, tenants, st.Failed, st.Quarantined)
 	}
-	return st
+	return st, heapMB
+}
+
+// heapInuse collects garbage and returns the bytes in in-use heap spans.
+func heapInuse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
 }
 
 // unsyncedFS is the real filesystem with every fsync returning at once,

@@ -283,6 +283,13 @@ func (a *Array) PowerOnCount() uint64 { return a.powerOns }
 
 // synthesizeMismatch draws the white local component and superimposes a
 // smooth low-frequency across-die field (random sinusoids + planar tilt).
+//
+// The field is evaluated once per cell, rows in parallel on the worker
+// pool (pure per-cell math, so any sharding gives the same values). Its
+// mean is then summed serially in row-major order, and the serial white
+// draws read the field back. Every float operation is the one the
+// two-pass synthesis made, in its order, so the plane is the same bit
+// for bit (TestMismatchFieldEquivalence).
 func (a *Array) synthesizeMismatch(src *rng.Source) {
 	sigma := a.spec.MismatchSigmaMv
 	gAmp := sigma * a.spec.GradientFrac
@@ -300,11 +307,6 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	tiltR := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
 	tiltC := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
 
-	// First pass: compute the smooth field's mean so it can be centered.
-	// An uncentered gradient would bias the whole device's power-on state
-	// away from 0.5, which real silicon does not show (Table 5's clean
-	// biases are 0.500–0.502).
-	var smoothMean float64
 	smoothAt := func(r, c int) float64 {
 		s := tiltR*float64(r) + tiltC*float64(c)
 		for _, w := range waves {
@@ -312,30 +314,41 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 		}
 		return s
 	}
-	for r := 0; r < a.spec.Rows; r++ {
-		for c := 0; c < a.spec.Cols; c++ {
-			smoothMean += smoothAt(r, c)
+	// The field's scratch is t0Ref: a new array's equivalent times are
+	// all zero, and it is cleared again before anything reads them.
+	// Background context: Run cannot fail.
+	field, cols := a.t0Ref, a.spec.Cols
+	_ = a.pool.Run(context.Background(), a.spec.Rows, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			for c := 0; c < cols; c++ {
+				field[r*cols+c] = smoothAt(r, c)
+			}
 		}
+	})
+
+	// Center the field. An uncentered gradient would bias the whole
+	// device's power-on state away from 0.5, which real silicon does not
+	// show (Table 5's clean biases are 0.500–0.502).
+	var smoothMean float64
+	for _, s := range field {
+		smoothMean += s
 	}
 	smoothMean /= float64(a.n)
 
-	i := 0
-	for r := 0; r < a.spec.Rows; r++ {
-		for c := 0; c < a.spec.Cols; c++ {
-			smooth := smoothAt(r, c) - smoothMean
-			if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
-				mag := a.spec.ExtremeMinMv +
-					src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
-				if src.Float64() < 0.5 {
-					mag = -mag
-				}
-				a.mismatch[i] = float32(mag + smooth)
-			} else {
-				a.mismatch[i] = float32(src.NormScaled(0, sigma) + smooth)
+	for i, f := range field {
+		smooth := f - smoothMean
+		if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
+			mag := a.spec.ExtremeMinMv +
+				src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
+			if src.Float64() < 0.5 {
+				mag = -mag
 			}
-			i++
+			a.mismatch[i] = float32(mag + smooth)
+		} else {
+			a.mismatch[i] = float32(src.NormScaled(0, sigma) + smooth)
 		}
 	}
+	clear(field)
 }
 
 // Spec returns the array's construction parameters.

@@ -3,8 +3,10 @@ package sram
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"invisiblebits/internal/analog"
+	"invisiblebits/internal/rng"
 )
 
 // Test-only oracles. This file freezes the two earlier generations of
@@ -24,6 +26,11 @@ import (
 // and all three are exact — and the aging pools to agree to float
 // rounding. Their timings are recorded in BENCH_4.json and
 // BENCH_6.json.
+//
+// It also keeps the two-pass mismatch synthesis, which evaluated the
+// smooth field twice per cell, serially: once for its mean, once to
+// apply it. TestMismatchFieldEquivalence requires the one-pass
+// synthesizeMismatch to write the same plane bit for bit.
 
 // PowerOnReference resolves a power-on race with the serial, unpruned
 // engine. Semantics match PowerOn exactly: same counter consumption,
@@ -272,4 +279,61 @@ func (a *Array) DeterministicFrac(tempC float64) (float64, error) {
 		}
 	}
 	return float64(pruned) / float64(a.n), nil
+}
+
+// synthesizeMismatchReference is the two-pass mismatch synthesis,
+// verbatim.
+func (a *Array) synthesizeMismatchReference(src *rng.Source) {
+	sigma := a.spec.MismatchSigmaMv
+	gAmp := sigma * a.spec.GradientFrac
+
+	type wave struct{ kr, kc, phase, amp float64 }
+	waves := make([]wave, 4)
+	for i := range waves {
+		waves[i] = wave{
+			kr:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Rows),
+			kc:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Cols),
+			phase: src.Float64() * 2 * math.Pi,
+			amp:   gAmp * (0.5 + src.Float64()),
+		}
+	}
+	tiltR := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
+	tiltC := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
+
+	// First pass: compute the smooth field's mean so it can be centered.
+	// An uncentered gradient would bias the whole device's power-on state
+	// away from 0.5, which real silicon does not show (Table 5's clean
+	// biases are 0.500–0.502).
+	var smoothMean float64
+	smoothAt := func(r, c int) float64 {
+		s := tiltR*float64(r) + tiltC*float64(c)
+		for _, w := range waves {
+			s += w.amp * math.Sin(w.kr*float64(r)+w.kc*float64(c)+w.phase)
+		}
+		return s
+	}
+	for r := 0; r < a.spec.Rows; r++ {
+		for c := 0; c < a.spec.Cols; c++ {
+			smoothMean += smoothAt(r, c)
+		}
+	}
+	smoothMean /= float64(a.n)
+
+	i := 0
+	for r := 0; r < a.spec.Rows; r++ {
+		for c := 0; c < a.spec.Cols; c++ {
+			smooth := smoothAt(r, c) - smoothMean
+			if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
+				mag := a.spec.ExtremeMinMv +
+					src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
+				if src.Float64() < 0.5 {
+					mag = -mag
+				}
+				a.mismatch[i] = float32(mag + smooth)
+			} else {
+				a.mismatch[i] = float32(src.NormScaled(0, sigma) + smooth)
+			}
+			i++
+		}
+	}
 }
