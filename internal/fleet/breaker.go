@@ -336,9 +336,9 @@ func (s *BreakerSet) Stats() []BreakerStats {
 	return out
 }
 
-// isRerouteable reports whether err means "stop using this device now"
+// IsRerouteable reports whether err means "stop using this device now"
 // — permanent device faults plus breaker rejections — the trigger for
-// spare re-routing and parity reconstruction.
-func isRerouteable(err error) bool {
+// spare re-routing and parity reconstruction, here and in the scheduler.
+func IsRerouteable(err error) bool {
 	return faults.IsPermanent(err) || errors.Is(err, ErrBreakerOpen) || errors.Is(err, ErrQuarantined)
 }

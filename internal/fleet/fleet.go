@@ -244,19 +244,13 @@ func StripeWithOptions(ctx context.Context, rigs []*rig.Rig, message []byte, opt
 		return nil, core.ErrEmptyMessage
 	}
 	// Plan shard sizes against each device's capacity.
-	sizes := make([]int, len(rigs))
-	remaining := len(message)
+	sramBytes := make([]int, len(rigs))
 	for i, r := range rigs {
-		capBytes := core.MaxMessageBytes(r.Device().SRAM.Bytes(), opts.Codec)
-		take := capBytes
-		if take > remaining {
-			take = remaining
-		}
-		sizes[i] = take
-		remaining -= take
+		sramBytes[i] = r.Device().SRAM.Bytes()
 	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("fleet: message exceeds fleet capacity by %d bytes", remaining)
+	sizes, err := PlanSegments(sramBytes, len(message), opts.Codec)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &StripeResult{MessageBytes: len(message), SegmentSizes: sizes}
@@ -311,7 +305,7 @@ func StripeWithOptions(ctx context.Context, rigs []*rig.Rig, message []byte, opt
 		// rejections — an open or quarantined primary should cost the
 		// stripe nothing beyond the Allow call. Transient faults were
 		// already retried inside the rig.
-		for err != nil && isRerouteable(err) {
+		for err != nil && IsRerouteable(err) {
 			sp := nextSpare(jb.n)
 			if sp == nil {
 				break

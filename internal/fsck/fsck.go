@@ -29,7 +29,6 @@
 package fsck
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -268,10 +267,9 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 			rep.add(SevInfo, rel(id, ""), "campaign already quarantined by an earlier resume", "no action; quarantine is terminal")
 			continue
 		}
-		// Mirror sched.rebuildCampaign's spec acceptance: raw unmarshal,
-		// digest compare. Failure means the next resume quarantines this
-		// campaign (only it), or fails outright in a standalone run.
-		if err := checkSpec(fsys, cdir, cr.Digest, len(cr.Slots)); err != nil {
+		// A spec resume would reject means the next resume quarantines
+		// this campaign (only it), or fails outright in a standalone run.
+		if _, err := sched.AcceptSpec(fsys, cdir, id, cr); err != nil {
 			rep.add(SevError, rel(id, "spec.json"), err.Error(), specAction)
 		}
 		// A corrupt checkpoint is survivable (resume strikes it and an
@@ -316,27 +314,6 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 		rep.Reason = sal.Reason
 	}
 	return sal.Entries
-}
-
-// checkSpec reproduces sched.rebuildCampaign's spec validation without
-// building the campaign: readable JSON, matching schedule digest,
-// matching slot count.
-func checkSpec(fsys storage.FS, cdir, digest string, slots int) error {
-	b, err := fsys.ReadFile(filepath.Join(cdir, "spec.json"))
-	if err != nil {
-		return err
-	}
-	var spec sched.Spec
-	if err := json.Unmarshal(b, &spec); err != nil {
-		return fmt.Errorf("parse spec.json: %w", err)
-	}
-	if d := spec.ScheduleDigest(); d != digest {
-		return fmt.Errorf("schedule digest mismatch: journal %.12s…, spec %.12s…", digest, d)
-	}
-	if len(spec.Serials) != slots {
-		return fmt.Errorf("journal plans %d slots, spec has %d", slots, len(spec.Serials))
-	}
-	return nil
 }
 
 // earliestBadEncoded finds the first "encoded" record of campaign id

@@ -3,16 +3,19 @@ package fsck
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/campaign"
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/sched"
 	"invisiblebits/internal/stegocrypt"
+	"invisiblebits/internal/wal"
 )
 
 func testKey() *stegocrypt.Key {
@@ -176,6 +179,54 @@ func TestAuditFlagsUnrecoverableSpec(t *testing.T) {
 	if !rep.Unrecoverable() {
 		t.Fatalf("audit did not flag the unrecoverable spec: %+v", rep)
 	}
+}
+
+// TestAuditFlagsShortJournaledDigest: a submit record whose schedule
+// digest is shorter than the 12 characters a mismatch report prints is
+// an unrecoverable spec like any other mismatch, reported at SevError.
+func TestAuditFlagsShortJournaledDigest(t *testing.T) {
+	dir := t.TempDir()
+	cdir := filepath.Join(dir, "campaigns", "sd")
+	if err := os.MkdirAll(cdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(testSpec("sd", []string{"sd-0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cdir, "spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for i, e := range []sched.Entry{
+		{Type: "tenant", Tenant: "alice", Quota: &sched.Quota{}, Slot: -1},
+		{Type: "submit", Tenant: "alice", Campaign: "sd", Digest: "abc", Slots: 1, Slot: -1},
+	} {
+		e.Seq = i
+		payload, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, wal.EncodeFrame(payload)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Audit(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join("campaigns", "sd", "spec.json")
+	for _, f := range rep.Findings {
+		if f.Path == want && f.Severity == SevError && strings.Contains(f.Problem, "digest mismatch") {
+			if !rep.Unrecoverable() {
+				t.Fatalf("spec finding not counted unrecoverable: %+v", rep)
+			}
+			return
+		}
+	}
+	t.Fatalf("audit did not report %s at %s: %+v", want, SevError, rep.Findings)
 }
 
 // TestSchedulerRepairDrill: the same drill against a multi-tenant

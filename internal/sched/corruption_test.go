@@ -3,11 +3,13 @@ package sched
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/faults"
@@ -54,22 +56,30 @@ func copyTree(t *testing.T, src, dst string) {
 // starts, so every pass batches all of them and the journal holds the
 // same records on every run. With New, the loop can plan a pass between
 // two Submits and soak the first campaign alone, one pass record more.
-func newQueued(t *testing.T, dir string, cfg Config, subs []Submission) *Scheduler {
-	t.Helper()
+func newQueued(tb testing.TB, dir string, cfg Config, subs []Submission) *Scheduler {
+	tb.Helper()
+	s := newAdmitted(tb, dir, cfg, subs)
+	go s.loop()
+	return s
+}
+
+// newAdmitted is New with subs admitted and the scheduling loop not
+// started.
+func newAdmitted(tb testing.TB, dir string, cfg Config, subs []Submission) *Scheduler {
+	tb.Helper()
 	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := newScheduler(dir, cfg, j)
 	for _, sub := range subs {
 		if err := s.Submit(sub); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	go s.loop()
 	return s
 }
 
@@ -398,5 +408,112 @@ func TestKillCorruptStorm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// writeJournal writes entries as dir's framed journal.
+func writeJournal(t *testing.T, dir string, entries []Entry) {
+	t.Helper()
+	data := bytes.Join(journalLines(t, entries, true), nil)
+	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShortJournaledDigestQuarantines: a submit record whose schedule
+// digest is shorter than the 12 characters a mismatch report prints
+// must not crash resume. A scheduler quarantines that campaign and
+// resumes the rest; a standalone resume returns an error.
+func TestShortJournaledDigestQuarantines(t *testing.T) {
+	t.Run("scheduler", func(t *testing.T) {
+		dir := t.TempDir()
+		subs := []Submission{
+			miniSub("alice", "sd-a", []string{"sda-0"}, 7.5),
+			miniSub("bob", "sd-b", []string{"sdb-0"}, 7.5),
+		}
+		var entries []Entry
+		for _, sub := range subs {
+			cdir := filepath.Join(dir, campaignsDir, sub.Spec.ID)
+			if err := os.MkdirAll(cdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeSpec(nil, cdir, sub.Spec.withDefaults()); err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries,
+				Entry{Type: entryTenant, Tenant: sub.Tenant, Quota: &Quota{}, Slot: -1},
+				Entry{
+					Type: entrySubmit, Tenant: sub.Tenant, Campaign: sub.Spec.ID,
+					Digest: sub.Spec.ScheduleDigest(), Slots: 1, EstHours: 7.5, Slot: -1,
+				})
+		}
+		entries[1].Digest = "abc"
+		writeJournal(t, dir, entries)
+
+		s, err := Resume(dir, Config{KeyFor: testKeyFor})
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		drainOK(t, s)
+		if sal := s.Salvage(); len(sal.Quarantined) != 1 || sal.Quarantined[0] != "sd-a" {
+			t.Fatalf("quarantined %v, want exactly [sd-a]", sal.Quarantined)
+		}
+		if cs, _ := s.Campaign("sd-a"); cs.State != "quarantined" || !strings.Contains(cs.Error, "digest mismatch: journal abc…") {
+			t.Fatalf("sd-a = %+v, want quarantined for its digest", cs)
+		}
+		if cs, _ := s.Campaign("sd-b"); cs.State != "done" {
+			t.Fatalf("sd-b = %+v, want done", cs)
+		}
+		if got := decodeCampaign(t, dir, "bob", "sd-b"); !bytes.Equal(got, subs[1].Spec.Message) {
+			t.Fatalf("sd-b decodes to %q", got)
+		}
+	})
+
+	t.Run("standalone", func(t *testing.T) {
+		dir := t.TempDir()
+		spec := miniSub("", "sd-solo", []string{"sds-0"}, 7.5).Spec.withDefaults()
+		if err := writeSpec(nil, dir, spec); err != nil {
+			t.Fatal(err)
+		}
+		writeJournal(t, dir, []Entry{
+			{Type: entryTenant, Tenant: standaloneTenant, Quota: &Quota{}, Slot: -1},
+			{Type: entrySubmit, Tenant: standaloneTenant, Campaign: spec.ID, Digest: "abc", Slots: 1, Slot: -1},
+		})
+		_, _, err := ResumeCampaign(context.Background(), dir, CampaignOptions{Key: testKeyFor("", spec.ID)})
+		if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+			t.Fatalf("standalone resume over a short digest: %v, want a digest mismatch", err)
+		}
+	})
+}
+
+// TestResumeAcceptsSpecWithoutDefaults: the schedule digest covers the
+// slice and checkpoint defaults, so a spec.json that omits them (as a
+// hand-written one may) still matches its submit record. The resumed
+// campaign must run with the defaults the digest vouched for, not with
+// a zero checkpoint cadence.
+func TestResumeAcceptsSpecWithoutDefaults(t *testing.T) {
+	dir := t.TempDir()
+	sub := miniSub("alice", "nd-a", []string{"nda-0"}, 7.5)
+	sub.Spec.SliceHours, sub.Spec.CheckpointEvery = 0, 0
+	s := newAdmitted(t, dir, Config{KeyFor: testKeyFor}, []Submission{sub})
+	s.j.Close()
+	b, err := json.Marshal(sub.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, campaignsDir, "nd-a", specFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := Resume(dir, Config{KeyFor: testKeyFor})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	drainOK(t, rs)
+	if cs, _ := rs.Campaign("nd-a"); cs.State != "done" {
+		t.Fatalf("nd-a = %+v, want done", cs)
+	}
+	if got := decodeCampaign(t, dir, "alice", "nd-a"); !bytes.Equal(got, sub.Spec.Message) {
+		t.Fatalf("nd-a decodes to %q", got)
 	}
 }

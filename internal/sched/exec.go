@@ -110,9 +110,9 @@ func (s *Scheduler) planPassLocked() *passPlan {
 		v:        lead.model.VAccV,
 		t:        lead.model.TAccC,
 		quantum:  lead.spec.SliceHours,
-		atHours:  s.chamberHours,
+		atHours:  s.st.ChamberHours,
 	}
-	if !s.lastPoint || s.lastV != p.v || s.lastT != p.t {
+	if !s.st.LastPoint || s.st.LastV != p.v || s.st.LastT != p.t {
 		p.setup = s.cfg.setupHours()
 	}
 	for _, c := range members {
@@ -126,9 +126,9 @@ func (s *Scheduler) planPassLocked() *passPlan {
 }
 
 // commitPassLocked makes the pass durable — the batch-boundary kill
-// point — and advances the shared chamber clock and the fairness
-// counters. Only after the pass record is on disk may any slot work
-// run.
+// point; applying the pass record advances the shared chamber clock —
+// and then ticks the fairness counters. Only after the pass record is
+// on disk may any slot work run.
 func (s *Scheduler) commitPassLocked(p *passPlan) error {
 	ids := make([]string, len(p.members))
 	for i, c := range p.members {
@@ -141,23 +141,6 @@ func (s *Scheduler) commitPassLocked(p *passPlan) error {
 	}); err != nil {
 		return err
 	}
-	s.chamberHours = p.atHours + p.setup + p.quantum
-	s.passes++
-	if p.setup > 0 {
-		s.setups++
-	}
-	if len(p.members) > 1 {
-		// Mirror Replay's accounting: every unfinished slot riding a
-		// multi-campaign pass is a batched slice.
-		for _, c := range p.members {
-			for _, sl := range c.slots {
-				if sl.record == nil {
-					s.batchedSlices++
-				}
-			}
-		}
-	}
-	s.lastV, s.lastT, s.lastPoint = p.v, p.t, true
 
 	inPass := map[*campState]bool{}
 	for _, c := range p.members {
@@ -239,32 +222,25 @@ func (s *Scheduler) breakerRecord(deviceID string, err error, clockHours float64
 // A checkpoint image that fails to load — bit rot since the resume-time
 // verification — is struck from history with a durable ckptbad record
 // and the slot falls back to the previous generation, exactly what a
-// fresh resume would do; the journal high-water marks are rewound with
-// it so re-run slices re-append in agreement with replay. Device
-// identity is a pure function of (model, serial), so a from-scratch
-// rebuild replays any abandoned progress bit-identically.
+// fresh resume would do; applying the record rewinds the stream's
+// cursor with it, so re-run slices re-append in agreement with replay.
+// Device identity is a pure function of (model, serial), so a
+// from-scratch rebuild replays any abandoned progress bit-identically.
 func (s *Scheduler) bootstrapSlot(ctx context.Context, c *campState, idx int, sl *slotState) error {
 	var ropts []rig.Option
 	if s.cfg.InjectorFor != nil {
-		if inj := s.cfg.InjectorFor(sl.serial); inj != nil {
+		if inj := s.cfg.InjectorFor(c.serial(idx)); inj != nil {
 			ropts = append(ropts, rig.WithInjector(inj))
 		}
 	}
 	sl.sess = nil
 	sl.sliceCount = 0
-	for n := len(sl.ckpts); n > 0; n = len(sl.ckpts) {
-		ck := sl.ckpts[n-1]
+	for n := len(sl.rep.Ckpts); n > 0; n = len(sl.rep.Ckpts) {
+		ck := sl.rep.Ckpts[n-1]
 		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, ck.Image))
 		if err != nil {
-			if aerr := s.j.Append(&Entry{Type: entryCkptBad, Campaign: c.id, Slot: idx, Image: ck.Image}); aerr != nil {
+			if aerr := s.appendSlot(sl, &Entry{Type: entryCkptBad, Campaign: c.id, Slot: idx, Image: ck.Image}); aerr != nil {
 				return aerr
-			}
-			sl.ckpts = sl.ckpts[:n-1]
-			if prev := sl.newestCkpt(); prev != nil {
-				sl.journaledApplied = prev.Applied
-			} else {
-				sl.journaledApplied = 0
-				sl.preparedJournaled = false
 			}
 			continue
 		}
@@ -281,7 +257,7 @@ func (s *Scheduler) bootstrapSlot(ctx context.Context, c *campState, idx int, sl
 		sl.applied = ck.Applied
 		return nil
 	}
-	d, err := device.New(c.model, sl.serial)
+	d, err := device.New(c.model, c.serial(idx))
 	if err != nil {
 		return err
 	}
@@ -296,7 +272,8 @@ func (s *Scheduler) bootstrapSlot(ctx context.Context, c *campState, idx int, sl
 // the schedule completes. Journal appends are suppressed while the slot
 // is re-running work the journal already holds (an in-memory rebuild
 // after a transient fault replays from the last checkpoint; re-appending
-// those records would rewind the replay stream).
+// those records would rewind the replay stream). Each append is applied
+// to the slot's replay right after it fsyncs.
 //
 // A panic anywhere in the slot's work — bootstrap, session, stress
 // kernel — is contained here: it recovers into a SlotPanicError
@@ -307,7 +284,7 @@ func (s *Scheduler) runSlot(run *slotRun, p *passPlan) {
 	defer func() {
 		if r := recover(); r != nil {
 			run.err = &SlotPanicError{
-				Campaign: run.c.id, Slot: run.idx, Serial: run.sl.serial,
+				Campaign: run.c.id, Slot: run.idx, Serial: run.c.serial(run.idx),
 				Value: r, Stack: debug.Stack(),
 			}
 			if run.sl.rig != nil {
@@ -341,11 +318,10 @@ func (s *Scheduler) driveSlot(ctx context.Context, run *slotRun, p *passPlan) er
 		}
 		sl.sess = sess
 		sl.prepared = true
-		if !sl.preparedJournaled {
-			if err := s.j.Append(&Entry{Type: entryPrepared, Campaign: c.id, Slot: run.idx}); err != nil {
+		if !sl.rep.Prepared {
+			if err := s.appendSlot(sl, &Entry{Type: entryPrepared, Campaign: c.id, Slot: run.idx}); err != nil {
 				return err
 			}
-			sl.preparedJournaled = true
 			run.progressed = true
 		}
 	}
@@ -354,21 +330,20 @@ func (s *Scheduler) driveSlot(ctx context.Context, run *slotRun, p *passPlan) er
 	}
 	sl.applied = sl.sess.AppliedHours()
 	sl.sliceCount++
-	if sl.applied > sl.journaledApplied {
-		if err := s.j.Append(&Entry{
+	if sl.applied > sl.rep.Applied {
+		if err := s.appendSlot(sl, &Entry{
 			Type: entrySlice, Campaign: c.id, Slot: run.idx,
 			Applied: sl.applied, Total: sl.sess.TotalHours(),
 		}); err != nil {
 			return err
 		}
-		sl.journaledApplied = sl.applied
 		run.progressed = true
 	}
 	remaining := sl.sess.RemainingHours()
 	// Checkpoint on cadence — but only when the journal stream is at
 	// this exact position (catch-up replays skip it; the checkpoint is
 	// already on disk from the first time through).
-	if remaining > 0 && sl.sliceCount%c.spec.CheckpointEvery == 0 && sl.applied == sl.journaledApplied {
+	if remaining > 0 && sl.sliceCount%c.spec.CheckpointEvery == 0 && sl.applied == sl.rep.Applied {
 		if err := s.checkpointSlot(c, run, sl); err != nil {
 			return err
 		}
@@ -388,13 +363,12 @@ func (s *Scheduler) driveSlot(ctx context.Context, run *slotRun, p *passPlan) er
 		return fmt.Errorf("%w: campaign %q final image for slot %d: %w", wal.ErrJournalIO, c.id, run.idx, err)
 	}
 	state := sl.rig.State()
-	if err := s.j.Append(&Entry{
+	if err := s.appendSlot(sl, &Entry{
 		Type: entryEncoded, Campaign: c.id, Slot: run.idx,
 		Applied: state.ClockHours, Image: name, Rig: &state, Record: rec,
 	}); err != nil {
 		return err
 	}
-	sl.record, sl.finalImage, sl.finalClock = rec, name, state.ClockHours
 	run.progressed = true
 	return nil
 }
@@ -410,28 +384,30 @@ func (s *Scheduler) checkpointSlot(c *campState, run *slotRun, sl *slotState) er
 		return fmt.Errorf("%w: campaign %q checkpoint image for slot %d: %w", wal.ErrJournalIO, c.id, run.idx, err)
 	}
 	state := sl.rig.State()
-	if err := s.j.Append(&Entry{
+	if err := s.appendSlot(sl, &Entry{
 		Type: entryCkpt, Campaign: c.id, Slot: run.idx,
 		Applied: sl.applied, Image: name, Rig: &state,
 	}); err != nil {
 		return err
 	}
-	sl.ckpts = append(sl.ckpts, SlotCheckpoint{Image: name, Applied: sl.applied, Rig: &state})
 	run.progressed = true
 	return nil
 }
 
-// isFatal classifies errors that kill the whole scheduler: a fired kill
-// point or a journal/image durability failure. Everything else is a
-// slot-level fault, handled per campaign.
-func isFatal(err error) bool {
-	return errors.Is(err, faults.ErrKilled) || errors.Is(err, wal.ErrJournalIO)
+// appendSlot journals one of sl's own records and applies it to the
+// slot's replay. Only the worker that owns the slot calls it.
+func (s *Scheduler) appendSlot(sl *slotState, e *Entry) error {
+	if err := s.j.Append(e); err != nil {
+		return err
+	}
+	return diverged(sl.rep.apply(e))
 }
 
-// isRerouteable mirrors the fleet layer's triage: permanent device
-// faults and breaker rejections mean "stop using this carrier now".
-func isRerouteable(err error) bool {
-	return faults.IsPermanent(err) || errors.Is(err, fleet.ErrBreakerOpen) || errors.Is(err, fleet.ErrQuarantined)
+// isFatal classifies errors that kill the whole scheduler: a fired kill
+// point, a journal/image durability failure, or a record replay
+// rejects. Everything else is a slot-level fault, handled per campaign.
+func isFatal(err error) bool {
+	return errors.Is(err, faults.ErrKilled) || errors.Is(err, wal.ErrJournalIO) || errors.Is(err, errDiverged)
 }
 
 // applyPassLocked folds the pass outcomes back into scheduler state:
@@ -474,7 +450,7 @@ func (s *Scheduler) applyPassLocked(p *passPlan) {
 			if c.terminal() {
 				continue // a sibling slot's fault already failed the campaign
 			}
-			if isRerouteable(run.err) {
+			if fleet.IsRerouteable(run.err) {
 				if s.rerouteSlotLocked(c, run) {
 					progressed = true
 				}
@@ -484,7 +460,7 @@ func (s *Scheduler) applyPassLocked(p *passPlan) {
 			// the in-memory state is unusable. Drop it; the next pass
 			// rebuilds from the last durable checkpoint (or from scratch)
 			// and replays — deterministically, appends suppressed until
-			// live progress passes the journal high-water mark.
+			// live progress passes the stream's cursor.
 			s.rewindSlot(run.sl)
 		}
 		if s.fatal != nil {
@@ -515,14 +491,7 @@ func (s *Scheduler) applyPassLocked(p *passPlan) {
 // rewindSlot discards a slot's in-memory state so the next pass
 // rebuilds it from the last durable checkpoint.
 func (s *Scheduler) rewindSlot(sl *slotState) {
-	sl.rig = nil
-	sl.sess = nil
-	sl.prepared = false
-	sl.applied = 0
-	if ck := sl.newestCkpt(); ck != nil {
-		sl.applied = ck.Applied
-	}
-	sl.sliceCount = 0
+	*sl = slotState{rep: sl.rep, seg: sl.seg, applied: sl.rep.CkptApplied}
 }
 
 // rerouteSlotLocked moves a slot whose carrier died onto a spare,
@@ -531,19 +500,17 @@ func (s *Scheduler) rewindSlot(sl *slotState) {
 // the campaign fails with the carrier's error. Returns true when a
 // reroute record was appended (durable progress).
 func (s *Scheduler) rerouteSlotLocked(c *campState, run *slotRun) bool {
-	if len(c.spares) == 0 {
-		s.failCampaignLocked(c, fmt.Errorf("sched: carrier %q is gone and no spares remain: %w", run.sl.serial, run.err))
+	if len(c.rep.Spares) == 0 {
+		s.failCampaignLocked(c, fmt.Errorf("sched: carrier %q is gone and no spares remain: %w", c.serial(run.idx), run.err))
 		return false
 	}
-	spare := c.spares[0]
 	if err := s.append(&Entry{
 		Type: entryReroute, Campaign: c.id, Slot: run.idx,
-		From: run.sl.serial, To: spare,
+		From: c.serial(run.idx), To: c.rep.Spares[0],
 	}); err != nil {
 		return false
 	}
-	c.spares = c.spares[1:]
-	*run.sl = slotState{serial: spare, seg: run.sl.seg}
+	*run.sl = slotState{rep: run.sl.rep, seg: run.sl.seg}
 	return true
 }
 
@@ -562,7 +529,7 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		if !sl.live() {
 			continue
 		}
-		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.finalImage))
+		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.rep.FinalImage))
 		if err != nil {
 			s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
 			return
@@ -583,17 +550,11 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 	}
 	if err := s.append(&Entry{
 		Type: entryDone, Campaign: c.id,
-		AtHours: s.chamberHours, Baselines: baselines, Slot: -1,
+		AtHours: s.st.ChamberHours, Baselines: baselines, Slot: -1,
 	}); err != nil {
 		return
 	}
-	c.done = true
-	c.doneAt = s.chamberHours
-	c.baselines = baselines
 	s.retireLocked(c)
-	ts := s.tenants[c.tenant]
-	ts.done++
-	s.latencies = append(s.latencies, c.doneAt-c.submitAt)
 }
 
 // resultOf assembles a finished campaign's Result from its slots. A
@@ -609,9 +570,9 @@ func (s *Scheduler) resultOf(c *campState) *Result {
 	}
 	for i, sl := range c.slots {
 		if sl.live() {
-			res.Records[i] = sl.record
-			res.Images[i] = sl.finalImage
-			res.EquivalentHours += sl.finalClock
+			res.Records[i] = sl.rep.Record
+			res.Images[i] = sl.rep.FinalImage
+			res.EquivalentHours += sl.rep.FinalClock
 		}
 	}
 	if s.standalone {
@@ -626,20 +587,15 @@ func (s *Scheduler) resultOf(c *campState) *Result {
 func (s *Scheduler) failCampaignLocked(c *campState, cause error) {
 	if err := s.append(&Entry{
 		Type: entryFailed, Campaign: c.id,
-		Error: cause.Error(), AtHours: s.chamberHours, Slot: -1,
+		Error: cause.Error(), AtHours: s.st.ChamberHours, Slot: -1,
 	}); err != nil {
 		return
 	}
-	c.failed = true
-	c.errText = cause.Error()
-	c.doneAt = s.chamberHours
 	s.retireLocked(c)
-	s.tenants[c.tenant].failed++
 }
 
-// retireLocked removes a now-terminal campaign from the queue and
-// releases its quota holds (chamber-hour charges are cumulative and
-// stay).
+// retireLocked removes a now-terminal campaign from the queue. Its
+// quota holds were released when its terminal record was applied.
 func (s *Scheduler) retireLocked(c *campState) {
 	for i, id := range s.queue {
 		if id == c.id {
@@ -647,7 +603,4 @@ func (s *Scheduler) retireLocked(c *campState) {
 			break
 		}
 	}
-	ts := s.tenants[c.tenant]
-	ts.active--
-	ts.devices -= c.devsHeld
 }

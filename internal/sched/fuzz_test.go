@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"invisiblebits/internal/core"
@@ -213,9 +214,10 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			return // rejected: fail-closed is the expected path
 		}
-		// An accepted journal must be internally coherent.
-		if st.NextSeq != len(entries) {
-			t.Fatalf("NextSeq %d, want %d", st.NextSeq, len(entries))
+		// An accepted journal must be internally coherent: salvage uses
+		// every entry and reaches the same state.
+		if again, used, err := ReplaySalvage(entries); err != nil || used != len(entries) || !reflect.DeepEqual(again, st) {
+			t.Fatalf("salvage replay used %d of %d entries (%v)", used, len(entries), err)
 		}
 		for id, c := range st.Campaigns {
 			if c.Tenant == "" || c.Digest == "" || len(c.Slots) == 0 {

@@ -144,7 +144,11 @@ type SlotCheckpoint struct {
 type SlotReplay struct {
 	// Serial is the carrier the slot currently runs on (after any
 	// reroutes); empty means the spec's original serial.
-	Serial   string
+	Serial string
+	// Prepared and Applied are the slot stream's cursor: whether its
+	// prepared record stands, and the soak hours its slice records
+	// reached. A live slot re-running work from a checkpoint appends
+	// again only once it passes them.
 	Prepared bool
 	Applied  float64
 
@@ -181,10 +185,12 @@ type CampaignReplay struct {
 	Spares   []string // remaining, after reroutes consumed some
 	Slots    []SlotReplay
 	EstHours float64
+	// Devices is what the campaign charges against its tenant's device
+	// quota while it is live: its serials plus its spares at admission.
+	Devices int
 
-	SubmitSeq int     // admission order (FIFO tiebreak)
-	SubmitAt  float64 // chamber clock at admission
-	DoneAt    float64 // chamber clock at done/failed
+	SubmitAt float64 // chamber clock at admission
+	DoneAt   float64 // chamber clock at done/failed
 
 	Done   bool
 	Failed bool
@@ -200,9 +206,14 @@ type CampaignReplay struct {
 // Terminal reports whether the campaign needs no further scheduling.
 func (c *CampaignReplay) Terminal() bool { return c.Done || c.Failed || c.Quarantined }
 
-// State is the validated outcome of replaying a scheduler journal.
+// State is the validated outcome of replaying a scheduler journal. A
+// live scheduler holds one too and applies each record to it right
+// after the append, so it is always what a resume would rebuild.
 type State struct {
-	Tenants   map[string]Quota
+	// Tenants holds each tenant's effective quota and its campaign
+	// counts. A campaign counts in exactly one of Active, Done, Failed
+	// and Quarantined; quarantine wins over an earlier done or failed.
+	Tenants   map[string]*TenantStatus
 	Campaigns map[string]*CampaignReplay
 	// Order lists campaign IDs in admission order.
 	Order []string
@@ -217,7 +228,13 @@ type State struct {
 	LastPoint    bool
 
 	Draining bool
-	NextSeq  int
+}
+
+func newState() *State {
+	return &State{
+		Tenants:   map[string]*TenantStatus{},
+		Campaigns: map[string]*CampaignReplay{},
+	}
 }
 
 // Replay validates the journal prefix and reconstructs the scheduler
@@ -241,22 +258,16 @@ func Replay(entries []Entry) (*State, error) {
 // the journal at the returned count and continue from there. An empty
 // (or fully rejected) journal salvages to a fresh scheduler state.
 func ReplaySalvage(entries []Entry) (*State, int, error) {
-	st := &State{
-		Tenants:   map[string]Quota{},
-		Campaigns: map[string]*CampaignReplay{},
-	}
+	st := newState()
 	for i := range entries {
 		e := &entries[i]
 		if e.Seq != i {
-			st.NextSeq = i
 			return st, i, fmt.Errorf("sched: journal sequence broken: record %d claims seq %d", i, e.Seq)
 		}
 		if err := st.apply(e); err != nil {
-			st.NextSeq = i
 			return st, i, err
 		}
 	}
-	st.NextSeq = len(entries)
 	return st, len(entries), nil
 }
 
@@ -282,6 +293,15 @@ func (st *State) slotOf(e *Entry) (*CampaignReplay, *SlotReplay, error) {
 	return c, &c.Slots[e.Slot], nil
 }
 
+// retire ends a campaign's hold on its tenant's live counts as it turns
+// terminal, and returns the tenant.
+func (st *State) retire(c *CampaignReplay) *TenantStatus {
+	t := st.Tenants[c.Tenant]
+	t.Active--
+	t.Devices -= c.Devices
+	return t
+}
+
 func (st *State) apply(e *Entry) error {
 	switch e.Type {
 	case entryTenant:
@@ -291,13 +311,14 @@ func (st *State) apply(e *Entry) error {
 		if _, dup := st.Tenants[e.Tenant]; dup {
 			return fmt.Errorf("sched: tenant %q admitted twice (seq %d)", e.Tenant, e.Seq)
 		}
-		st.Tenants[e.Tenant] = *e.Quota
+		st.Tenants[e.Tenant] = &TenantStatus{Quota: *e.Quota}
 
 	case entrySubmit:
 		if e.Campaign == "" || e.Tenant == "" || e.Digest == "" || e.Slots <= 0 {
 			return fmt.Errorf("sched: submit record %d is incomplete", e.Seq)
 		}
-		if _, ok := st.Tenants[e.Tenant]; !ok {
+		t, ok := st.Tenants[e.Tenant]
+		if !ok {
 			return fmt.Errorf("sched: submit record %d names unknown tenant %q", e.Seq, e.Tenant)
 		}
 		if _, dup := st.Campaigns[e.Campaign]; dup {
@@ -310,16 +331,20 @@ func (st *State) apply(e *Entry) error {
 		if e.Slots > maxSlots {
 			return fmt.Errorf("sched: submit record %d claims %d slots", e.Seq, e.Slots)
 		}
-		st.Campaigns[e.Campaign] = &CampaignReplay{
-			Tenant:    e.Tenant,
-			Digest:    e.Digest,
-			Spares:    append([]string(nil), e.Spares...),
-			Slots:     make([]SlotReplay, e.Slots),
-			EstHours:  e.EstHours,
-			SubmitSeq: e.Seq,
-			SubmitAt:  e.AtHours,
+		c := &CampaignReplay{
+			Tenant:   e.Tenant,
+			Digest:   e.Digest,
+			Spares:   append([]string(nil), e.Spares...),
+			Slots:    make([]SlotReplay, e.Slots),
+			EstHours: e.EstHours,
+			Devices:  e.Slots + len(e.Spares),
+			SubmitAt: e.AtHours,
 		}
+		st.Campaigns[e.Campaign] = c
 		st.Order = append(st.Order, e.Campaign)
+		t.Active++
+		t.Devices += c.Devices
+		t.CommittedHours += e.EstHours
 
 	case entryResume:
 		// A new process took over: every live slot's in-memory progress
@@ -374,6 +399,8 @@ func (st *State) apply(e *Entry) error {
 			st.Setups++
 		}
 		if len(e.Members) > 1 {
+			// Every unfinished slot riding a multi-campaign pass is a
+			// batched slice.
 			for _, id := range e.Members {
 				c := st.Campaigns[id]
 				for k := range c.Slots {
@@ -385,96 +412,12 @@ func (st *State) apply(e *Entry) error {
 		}
 		st.LastV, st.LastT, st.LastPoint = e.VAccV, e.TAccC, true
 
-	case entryPrepared:
+	case entryPrepared, entrySlice, entryCkpt, entryCkptBad, entryEncoded:
 		_, s, err := st.slotOf(e)
 		if err != nil {
 			return err
 		}
-		if s.Record != nil || s.Prepared {
-			return fmt.Errorf("sched: campaign %q slot %d prepared twice (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		s.Prepared = true
-
-	case entrySlice:
-		_, s, err := st.slotOf(e)
-		if err != nil {
-			return err
-		}
-		if s.Record != nil || !s.Prepared {
-			return fmt.Errorf("sched: slice for unprepared campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		if e.Applied <= s.Applied {
-			return fmt.Errorf("sched: campaign %q slot %d slice rewinds %.4fh → %.4fh (seq %d)", e.Campaign, e.Slot, s.Applied, e.Applied, e.Seq)
-		}
-		if e.Total > 0 && e.Applied > e.Total+1e-9 {
-			return fmt.Errorf("sched: campaign %q slot %d overshoots its schedule (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		s.Applied = e.Applied
-
-	case entryCkpt:
-		_, s, err := st.slotOf(e)
-		if err != nil {
-			return err
-		}
-		if s.Record != nil || !s.Prepared {
-			return fmt.Errorf("sched: checkpoint for unprepared campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		if e.Image == "" || e.Rig == nil {
-			return fmt.Errorf("sched: checkpoint record %d lacks image or rig state", e.Seq)
-		}
-		if e.Applied != s.Applied {
-			return fmt.Errorf("sched: checkpoint %d claims %.4fh, campaign %q slot %d is at %.4fh", e.Seq, e.Applied, e.Campaign, e.Slot, s.Applied)
-		}
-		s.Ckpts = append(s.Ckpts, SlotCheckpoint{Image: e.Image, Applied: e.Applied, Rig: e.Rig})
-		s.syncNewest()
-
-	case entryCkptBad:
-		_, s, err := st.slotOf(e)
-		if err != nil {
-			return err
-		}
-		if s.Record != nil {
-			return fmt.Errorf("sched: ckptbad for finished campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		if e.Image == "" {
-			return fmt.Errorf("sched: ckptbad record %d names no image", e.Seq)
-		}
-		found := -1
-		for k := len(s.Ckpts) - 1; k >= 0; k-- {
-			if s.Ckpts[k].Image == e.Image {
-				found = k
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("sched: ckptbad at seq %d strikes unknown checkpoint %q for campaign %q slot %d", e.Seq, e.Image, e.Campaign, e.Slot)
-		}
-		s.Ckpts = append(s.Ckpts[:found], s.Ckpts[found+1:]...)
-		s.syncNewest()
-		// Rewind the live position onto the surviving generation. A
-		// runtime strike (bootstrap fallback) has no resume record after
-		// it, so the stream itself must agree with the fallback: the slot
-		// re-runs — and re-appends — from the older generation (or from
-		// scratch when none survives).
-		if s.CkptImage == "" {
-			s.Prepared = false
-			s.Applied = 0
-		} else if s.Applied > s.CkptApplied {
-			s.Applied = s.CkptApplied
-		}
-
-	case entryEncoded:
-		_, s, err := st.slotOf(e)
-		if err != nil {
-			return err
-		}
-		if s.Record != nil || !s.Prepared {
-			return fmt.Errorf("sched: encoded record for campaign %q slot %d out of order (seq %d)", e.Campaign, e.Slot, e.Seq)
-		}
-		if e.Record == nil || e.Image == "" {
-			return fmt.Errorf("sched: encoded record %d lacks record or image", e.Seq)
-		}
-		s.Record, s.FinalImage, s.FinalClock = e.Record, e.Image, e.Applied
+		return s.apply(e)
 
 	case entryReroute:
 		c, s, err := st.slotOf(e)
@@ -515,6 +458,7 @@ func (st *State) apply(e *Entry) error {
 		c.Done = true
 		c.DoneAt = e.AtHours
 		c.Baselines = e.Baselines
+		st.retire(c).Done++
 
 	case entryFailed:
 		c, err := st.campaignOf(e)
@@ -530,6 +474,7 @@ func (st *State) apply(e *Entry) error {
 		c.Failed = true
 		c.Error = e.Error
 		c.DoneAt = e.AtHours
+		st.retire(c).Failed++
 
 	case entryQuarantined:
 		// Unlike done/failed, quarantine may land on an already-terminal
@@ -545,14 +490,106 @@ func (st *State) apply(e *Entry) error {
 		if e.Error == "" {
 			return fmt.Errorf("sched: quarantined record %d carries no error", e.Seq)
 		}
-		c.Quarantined = true
-		c.Error = e.Error
-		if !c.Done && !c.Failed {
+		t := st.Tenants[c.Tenant]
+		switch {
+		case c.Done:
+			t.Done--
+		case c.Failed:
+			t.Failed--
+		default:
+			st.retire(c)
 			c.DoneAt = e.AtHours
 		}
+		t.Quarantined++
+		c.Quarantined = true
+		c.Error = e.Error
 
 	default:
 		return fmt.Errorf("sched: unknown record type %q at seq %d", e.Type, e.Seq)
+	}
+	return nil
+}
+
+// apply applies one of the slot's own records: prepared, slice, ckpt,
+// ckptbad or encoded. Replay reaches it through State.apply, which first
+// checks that the campaign is live and the slot exists; a running
+// scheduler calls it from the worker that owns the slot, which never
+// touches State.Campaigns.
+func (s *SlotReplay) apply(e *Entry) error {
+	switch e.Type {
+	case entryPrepared:
+		if s.Record != nil || s.Prepared {
+			return fmt.Errorf("sched: campaign %q slot %d prepared twice (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		s.Prepared = true
+
+	case entrySlice:
+		if s.Record != nil || !s.Prepared {
+			return fmt.Errorf("sched: slice for unprepared campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		if e.Applied <= s.Applied {
+			return fmt.Errorf("sched: campaign %q slot %d slice rewinds %.4fh → %.4fh (seq %d)", e.Campaign, e.Slot, s.Applied, e.Applied, e.Seq)
+		}
+		if e.Total > 0 && e.Applied > e.Total+1e-9 {
+			return fmt.Errorf("sched: campaign %q slot %d overshoots its schedule (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		s.Applied = e.Applied
+
+	case entryCkpt:
+		if s.Record != nil || !s.Prepared {
+			return fmt.Errorf("sched: checkpoint for unprepared campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		if e.Image == "" || e.Rig == nil {
+			return fmt.Errorf("sched: checkpoint record %d lacks image or rig state", e.Seq)
+		}
+		if e.Applied != s.Applied {
+			return fmt.Errorf("sched: checkpoint %d claims %.4fh, campaign %q slot %d is at %.4fh", e.Seq, e.Applied, e.Campaign, e.Slot, s.Applied)
+		}
+		s.Ckpts = append(s.Ckpts, SlotCheckpoint{Image: e.Image, Applied: e.Applied, Rig: e.Rig})
+		s.syncNewest()
+
+	case entryCkptBad:
+		if s.Record != nil {
+			return fmt.Errorf("sched: ckptbad for finished campaign %q slot %d (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		if e.Image == "" {
+			return fmt.Errorf("sched: ckptbad record %d names no image", e.Seq)
+		}
+		found := -1
+		for k := len(s.Ckpts) - 1; k >= 0; k-- {
+			if s.Ckpts[k].Image == e.Image {
+				found = k
+				break
+			}
+		}
+		if found < 0 {
+			return fmt.Errorf("sched: ckptbad at seq %d strikes unknown checkpoint %q for campaign %q slot %d", e.Seq, e.Image, e.Campaign, e.Slot)
+		}
+		s.Ckpts = append(s.Ckpts[:found], s.Ckpts[found+1:]...)
+		s.syncNewest()
+		// Rewind the live position onto the surviving generation. A
+		// runtime strike (bootstrap fallback) has no resume record after
+		// it, so the stream itself must agree with the fallback: the slot
+		// re-runs — and re-appends — from the older generation (or from
+		// scratch when none survives).
+		if s.CkptImage == "" {
+			s.Prepared = false
+			s.Applied = 0
+		} else if s.Applied > s.CkptApplied {
+			s.Applied = s.CkptApplied
+		}
+
+	case entryEncoded:
+		if s.Record != nil || !s.Prepared {
+			return fmt.Errorf("sched: encoded record for campaign %q slot %d out of order (seq %d)", e.Campaign, e.Slot, e.Seq)
+		}
+		if e.Record == nil || e.Image == "" {
+			return fmt.Errorf("sched: encoded record %d lacks record or image", e.Seq)
+		}
+		s.Record, s.FinalImage, s.FinalClock = e.Record, e.Image, e.Applied
+
+	default:
+		return fmt.Errorf("sched: record %d (%s) is not a slot record", e.Seq, e.Type)
 	}
 	return nil
 }

@@ -32,7 +32,6 @@ package sched
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -222,76 +221,42 @@ func (c Config) keyFor(tenant, id string) *stegocrypt.Key {
 	return c.KeyFor(tenant, id)
 }
 
-// tenantState is one tenant's live quota accounting.
-type tenantState struct {
-	quota       Quota
-	active      int     // non-terminal campaigns
-	devices     int     // serials + spares held by non-terminal campaigns
-	estHours    float64 // cumulative chamber-hour estimate ever charged
-	done        int
-	failed      int
-	quarantined int
-}
-
-// slotState is one campaign slot's live position. During a pass the
-// slot belongs to its worker goroutine; between passes it belongs to
-// the scheduler loop.
+// slotState is one campaign slot's in-memory side: its rig and session
+// and how far they have soaked. Everything durable about the slot lives
+// in rep, its replay. During a pass the slot, rep included, belongs to
+// its worker goroutine; between passes it belongs to the scheduler loop.
 type slotState struct {
-	serial string
-	seg    []byte // message segment (nil for zero-width slots)
+	rep *SlotReplay
+	seg []byte // message segment (nil for zero-width slots)
 
 	rig  *rig.Rig
 	sess *core.EncodeSession
 
+	// prepared and applied are the live soak position. After an
+	// in-memory rebuild from a checkpoint the slot re-runs slices the
+	// journal already holds, and re-appending them would rewind the
+	// replay stream — so appends stay suppressed until the live position
+	// passes the stream's cursor, rep.Prepared and rep.Applied, again.
 	prepared   bool
 	applied    float64
 	sliceCount int
-
-	// Journal high-water marks: after an in-memory rebuild from a
-	// checkpoint the slot re-runs slices the journal already holds, and
-	// re-appending them would rewind the replay stream — so appends are
-	// suppressed until live progress passes the high-water mark again.
-	preparedJournaled bool
-	journaledApplied  float64
-
-	// ckpts is the surviving durable checkpoint history, oldest first
-	// (rebuild bootstrap). The newest generation is tried first; one that
-	// fails verification is struck with a ckptbad record and the slot
-	// falls back to the previous generation or a scratch rebuild.
-	ckpts []SlotCheckpoint
-
-	record     *core.Record
-	finalImage string
-	finalClock float64
-}
-
-// newestCkpt returns the newest surviving checkpoint generation, or nil.
-func (sl *slotState) newestCkpt() *SlotCheckpoint {
-	if n := len(sl.ckpts); n > 0 {
-		return &sl.ckpts[n-1]
-	}
-	return nil
 }
 
 func (sl *slotState) live() bool     { return len(sl.seg) > 0 }
-func (sl *slotState) finished() bool { return !sl.live() || sl.record != nil }
+func (sl *slotState) finished() bool { return !sl.live() || sl.rep.Record != nil }
 
-// campState is one campaign's live scheduling state.
+// campState is one campaign's live scheduling state: its replay, rep,
+// plus what the journal cannot hold — the spec and what derives from
+// it, the slots' in-memory side, and the loop's fairness counters.
 type campState struct {
-	id     string
-	tenant string
-	spec   Spec
-	model  device.Model
-	opts   core.Options
-	segs   []int
-	slots  []*slotState
-	spares []string
-	dir    string
-
-	estHours  float64
-	devsHeld  int // serials + spares charged against the tenant's device quota
-	submitSeq int
-	submitAt  float64
+	id    string
+	rep   *CampaignReplay
+	spec  Spec
+	model device.Model
+	opts  core.Options
+	segs  []int
+	slots []*slotState
+	dir   string
 
 	deferrals int
 	barren    int
@@ -301,18 +266,18 @@ type campState struct {
 	// taking s.mu, so Campaign reports this published figure and never
 	// reads the slots.
 	applied float64
-
-	done   bool
-	failed bool
-	// quarantined parks a campaign whose on-disk state was unrecoverable
-	// at resume (spec.json lost or corrupt). Terminal; never scheduled.
-	quarantined bool
-	errText     string
-	doneAt      float64
-	baselines   []float64
 }
 
-func (c *campState) terminal() bool { return c.done || c.failed || c.quarantined }
+func (c *campState) terminal() bool { return c.rep.Terminal() }
+
+// serial is the carrier slot i runs on: the spec's, or the spare its
+// last reroute moved it to.
+func (c *campState) serial(i int) string {
+	if ser := c.slots[i].rep.Serial; ser != "" {
+		return ser
+	}
+	return c.spec.Serials[i]
+}
 
 // publishProgress sums the slots' soak positions into c.applied. Call
 // it with s.mu held while no pass is running: the loop owns the slots
@@ -323,7 +288,7 @@ func (c *campState) publishProgress() {
 	for _, sl := range c.slots {
 		switch {
 		case !sl.live():
-		case sl.record != nil:
+		case sl.rep.Record != nil:
 			c.applied += total
 		default:
 			c.applied += sl.applied
@@ -372,25 +337,21 @@ type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	tenants map[string]*tenantState
+	// st is the scheduler's durable state: the replay of its journal,
+	// kept current by applying each record right after its append
+	// fsyncs. A slot's own records are applied by the worker that owns
+	// the slot, to the SlotReplay it holds; every other record under mu.
+	st *State
+	// camps holds the campaigns whose spec was accepted; a quarantined
+	// campaign has none.
 	camps   map[string]*campState
 	queue   []string          // non-terminal campaign IDs, admission order
 	serials map[string]string // serial → owning campaign, never released
-
-	chamberHours  float64
-	passes        int
-	setups        int
-	batchedSlices int
-	lastV, lastT  float64
-	lastPoint     bool
-
-	latencies []float64 // completed-campaign latencies, chamber hours
 
 	// passWallSecs is an EWMA of the measured wall-clock duration of one
 	// chamber pass — the basis for load-aware Retry-After hints.
 	passWallSecs float64
 
-	draining bool
 	stopping bool
 	fatal    error
 	done     chan struct{}
@@ -422,7 +383,7 @@ func newScheduler(dir string, cfg Config, j *wal.Journal) *Scheduler {
 		dir:     dir,
 		j:       j,
 		fsys:    storage.Default(cfg.FS),
-		tenants: map[string]*tenantState{},
+		st:      newState(),
 		camps:   map[string]*campState{},
 		serials: map[string]string{},
 		done:    make(chan struct{}),
@@ -542,69 +503,46 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	}
 	sum.JournalRecords = used
 
-	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, FS: cfg.FS}, st.NextSeq, validLen)
+	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, FS: cfg.FS}, used, validLen)
 	if err != nil {
 		return nil, err
 	}
 	s := newScheduler(dir, cfg, j)
 	s.salvage = sum
 	s.standalone = standalone
-	s.chamberHours = st.ChamberHours
-	s.passes = st.Passes
-	s.setups = st.Setups
-	s.batchedSlices = st.BatchedSlices
-	s.lastV, s.lastT, s.lastPoint = st.LastV, st.LastT, st.LastPoint
-	// Draining is not inherited: the resume record this incarnation is
-	// about to append clears it in replay too, keeping disk and memory
-	// in agreement.
-
-	for tenant, q := range st.Tenants {
-		s.tenants[tenant] = &tenantState{quota: q}
+	s.st = st
+	// fail closes the journal on a failed resume.
+	fail := func(err error) (*Scheduler, error) {
+		j.Close()
+		return nil, err
 	}
+
 	for _, id := range st.Order {
 		cr := st.Campaigns[id]
-		var c *campState
-		if cr.Quarantined {
-			c = s.quarantinedCampaign(id, cr)
-		} else if c, err = s.rebuildCampaign(id, cr); err != nil {
-			// The campaign's own state is unrecoverable — the spec holds
-			// the message itself, which no amount of determinism can
-			// reconstruct. A standalone run has nothing else to resume,
-			// so it fails without appending anything; a scheduler parks
-			// the campaign durably and every other tenant resumes.
-			if standalone {
-				j.Close()
-				return nil, err
+		if !cr.Quarantined {
+			c, err := s.rebuildCampaign(id, cr)
+			switch {
+			case err == nil:
+				s.camps[id] = c
+			case standalone:
+				// The campaign's own state is unrecoverable — the spec
+				// holds the message itself, which no amount of determinism
+				// can reconstruct. A standalone run has nothing else to
+				// resume, so it fails without appending anything.
+				return fail(err)
+			default:
+				// A scheduler parks the campaign durably and every other
+				// tenant resumes.
+				if aerr := s.append(&Entry{
+					Type: entryQuarantined, Campaign: id,
+					Error: err.Error(), AtHours: st.ChamberHours, Slot: -1,
+				}); aerr != nil {
+					return fail(aerr)
+				}
+				sum.Quarantined = append(sum.Quarantined, id)
 			}
-			if aerr := s.j.Append(&Entry{
-				Type: entryQuarantined, Campaign: id,
-				Error: err.Error(), AtHours: st.ChamberHours, Slot: -1,
-			}); aerr != nil {
-				j.Close()
-				return nil, aerr
-			}
-			sum.Quarantined = append(sum.Quarantined, id)
-			cr.Quarantined = true
-			cr.Error = err.Error()
-			if !cr.Done && !cr.Failed {
-				cr.DoneAt = st.ChamberHours
-			}
-			c = s.quarantinedCampaign(id, cr)
 		}
-		s.camps[id] = c
-		ts := s.tenants[cr.Tenant]
-		ts.estHours += c.estHours
-		switch {
-		case cr.Quarantined:
-			ts.quarantined++
-		case cr.Done:
-			ts.done++
-			s.latencies = append(s.latencies, cr.DoneAt-cr.SubmitAt)
-		case cr.Failed:
-			ts.failed++
-		default:
-			ts.active++
-			ts.devices += c.devsHeld
+		if !cr.Terminal() {
 			s.queue = append(s.queue, id)
 		}
 		// Every serial the campaign ever touched stays reserved: the
@@ -613,8 +551,10 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 		// campaign's originals are unknowable (the spec is gone) — the
 		// journal-known serials stay reserved, and the duplicate-ID check
 		// keeps the campaign itself from being resubmitted.
-		for _, ser := range c.spec.Serials {
-			s.serials[ser] = id
+		if c := s.camps[id]; c != nil {
+			for _, ser := range c.spec.Serials {
+				s.serials[ser] = id
+			}
 		}
 		for _, ser := range cr.Spares {
 			s.serials[ser] = id
@@ -630,36 +570,21 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	// striking unloadable images with durable ckptbad records BEFORE the
 	// resume record — replay's rewind must agree with the generation the
 	// next pass actually bootstraps from.
-	for _, id := range st.Order {
-		cr := st.Campaigns[id]
-		if cr.Terminal() {
-			continue
-		}
+	for _, id := range s.queue {
 		c := s.camps[id]
 		for i, sl := range c.slots {
-			if sl.record != nil {
+			if sl.rep.Record != nil {
 				continue
 			}
-			for n := len(sl.ckpts); n > 0; n = len(sl.ckpts) {
-				ck := sl.ckpts[n-1]
+			for n := len(sl.rep.Ckpts); n > 0; n = len(sl.rep.Ckpts) {
+				ck := sl.rep.Ckpts[n-1]
 				if _, lerr := device.LoadFileFS(s.fsys, filepath.Join(c.dir, ck.Image)); lerr == nil {
 					break
 				}
-				if aerr := s.j.Append(&Entry{Type: entryCkptBad, Campaign: id, Slot: i, Image: ck.Image}); aerr != nil {
-					j.Close()
-					return nil, aerr
+				if aerr := s.append(&Entry{Type: entryCkptBad, Campaign: id, Slot: i, Image: ck.Image}); aerr != nil {
+					return fail(aerr)
 				}
 				sum.BadCheckpoints = append(sum.BadCheckpoints, ck.Image)
-				sl.ckpts = sl.ckpts[:n-1]
-			}
-			// Re-derive the journal high-water marks from the surviving
-			// generation: the slot re-runs — and re-appends — from there.
-			if ck := sl.newestCkpt(); ck != nil {
-				sl.preparedJournaled = true
-				sl.journaledApplied = ck.Applied
-			} else {
-				sl.preparedJournaled = false
-				sl.journaledApplied = 0
 			}
 		}
 	}
@@ -667,29 +592,11 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	// A standalone directory with nothing in flight gets no resume
 	// record: its campaign is either finished or not yet submitted.
 	if used > 0 && (!standalone || len(s.queue) > 0) {
-		if err := s.j.Append(&Entry{Type: entryResume, Slot: -1}); err != nil {
-			j.Close()
-			return nil, err
+		if err := s.append(&Entry{Type: entryResume, Slot: -1}); err != nil {
+			return fail(err)
 		}
 	}
 	return s, nil
-}
-
-// quarantinedCampaign builds the terminal placeholder for a campaign
-// whose spec is unrecoverable: enough state to answer Status queries and
-// hold the duplicate-ID reservation, nothing schedulable.
-func (s *Scheduler) quarantinedCampaign(id string, cr *CampaignReplay) *campState {
-	return &campState{
-		id:          id,
-		tenant:      cr.Tenant,
-		dir:         s.campaignDir(id),
-		estHours:    cr.EstHours,
-		submitSeq:   cr.SubmitSeq,
-		submitAt:    cr.SubmitAt,
-		quarantined: true,
-		errText:     cr.Error,
-		doneAt:      cr.DoneAt,
-	}
 }
 
 // offsetOf returns the byte offset just past record used-1 (0 when
@@ -714,69 +621,26 @@ func (s *Scheduler) campaignDir(id string) string {
 	return filepath.Join(s.dir, campaignsDir, id)
 }
 
-// rebuildCampaign reconstructs one campaign from its replayed state,
-// verifying spec.json still matches the journaled schedule digest.
+// rebuildCampaign rebuilds the in-memory side of a replayed campaign
+// from its spec.json, which must still reproduce the journaled schedule.
 func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, error) {
-	b, err := s.fsys.ReadFile(filepath.Join(s.campaignDir(id), specFile))
-	if err != nil {
-		return nil, fmt.Errorf("sched: campaign %q: %w", id, err)
-	}
-	var spec Spec
-	if err := json.Unmarshal(b, &spec); err != nil {
-		return nil, fmt.Errorf("sched: campaign %q spec: %w", id, err)
-	}
-	if digest := spec.ScheduleDigest(); digest != cr.Digest {
-		return nil, fmt.Errorf("sched: campaign %q schedule digest mismatch: journal %s…, spec %s… — the spec changed under a live scheduler",
-			id, cr.Digest[:12], digest[:12])
-	}
-	if len(spec.Serials) != len(cr.Slots) {
-		return nil, fmt.Errorf("sched: campaign %q journal plans %d slots, spec has %d", id, len(cr.Slots), len(spec.Serials))
-	}
-	c, err := s.buildCampaign(id, cr.Tenant, spec, cr.Spares, cr.EstHours, cr.SubmitSeq, cr.SubmitAt)
+	spec, err := AcceptSpec(s.fsys, s.campaignDir(id), id, cr)
 	if err != nil {
 		return nil, err
 	}
-	// Devices held = originals + remaining spares + spares a reroute
-	// already consumed (they live on as slot serials).
-	c.devsHeld = len(spec.Serials) + len(cr.Spares)
-	for _, sr := range cr.Slots {
-		if sr.Serial != "" {
-			c.devsHeld++
-		}
+	c, err := s.newCampaign(cr.Tenant, spec)
+	if err != nil {
+		return nil, err
 	}
-	c.done, c.failed, c.errText = cr.Done, cr.Failed, cr.Error
-	c.doneAt, c.baselines = cr.DoneAt, cr.Baselines
-	for i, sr := range cr.Slots {
-		sl := c.slots[i]
-		if sr.Serial != "" {
-			sl.serial = sr.Serial // reroute landed here
-		}
-		switch {
-		case sr.Record != nil:
-			// Kept for terminal campaigns too: a standalone run rebuilds
-			// a lost result.json from them.
-			sl.record = sr.Record
-			sl.finalImage = sr.FinalImage
-			sl.finalClock = sr.FinalClock
-		case c.terminal():
-			// Never scheduled again: no checkpoint history to keep.
-		case sr.CkptImage != "":
-			sl.ckpts = append([]SlotCheckpoint(nil), sr.Ckpts...)
-			sl.preparedJournaled = true
-			sl.journaledApplied = sr.CkptApplied
-		default:
-			// Never checkpointed: the slot restarts from scratch. The
-			// resume record rewound the replay stream, so re-appending
-			// its early records is legal.
-		}
-	}
+	c.bind(cr)
 	c.publishProgress()
 	return c, nil
 }
 
-// buildCampaign assembles the in-memory campaign: codec, key, segment
-// layout, one slotState per serial.
-func (s *Scheduler) buildCampaign(id, tenant string, spec Spec, spares []string, est float64, submitSeq int, submitAt float64) (*campState, error) {
+// newCampaign assembles a campaign's in-memory side: codec, key, segment
+// layout, one slot per serial. It is bound to its replay once the
+// submit record is applied.
+func (s *Scheduler) newCampaign(tenant string, spec Spec) (*campState, error) {
 	model, err := device.ByName(spec.Model)
 	if err != nil {
 		return nil, err
@@ -790,26 +654,21 @@ func (s *Scheduler) buildCampaign(id, tenant string, spec Spec, spares []string,
 		return nil, err
 	}
 	c := &campState{
-		id:     id,
-		tenant: tenant,
-		spec:   spec,
-		model:  model,
+		id:    spec.ID,
+		spec:  spec,
+		model: model,
 		opts: core.Options{
 			Codec:       codec,
-			Key:         s.cfg.keyFor(tenant, id),
+			Key:         s.cfg.keyFor(tenant, spec.ID),
 			StressHours: spec.StressHours,
 			Captures:    spec.Captures,
 		},
-		segs:      segs,
-		spares:    append([]string(nil), spares...),
-		dir:       s.campaignDir(id),
-		estHours:  est,
-		submitSeq: submitSeq,
-		submitAt:  submitAt,
+		segs: segs,
+		dir:  s.campaignDir(spec.ID),
 	}
 	off := 0
-	for i, ser := range spec.Serials {
-		sl := &slotState{serial: ser}
+	for i := range spec.Serials {
+		sl := &slotState{}
 		if segs[i] > 0 {
 			sl.seg = spec.Message[off : off+segs[i]]
 			off += segs[i]
@@ -817,6 +676,14 @@ func (s *Scheduler) buildCampaign(id, tenant string, spec Spec, spares []string,
 		c.slots = append(c.slots, sl)
 	}
 	return c, nil
+}
+
+// bind attaches c and its slots to the campaign's replay.
+func (c *campState) bind(cr *CampaignReplay) {
+	c.rep = cr
+	for i, sl := range c.slots {
+		sl.rep = &cr.Slots[i]
+	}
 }
 
 // estChamberHours is the admission-time chamber budget estimate: the
@@ -868,13 +735,13 @@ func (s *Scheduler) Submit(sub Submission) error {
 	if s.stopping {
 		return ErrStopped
 	}
-	if s.draining {
+	if s.st.Draining {
 		return ErrDraining
 	}
 	if len(s.queue) >= s.cfg.maxQueued() {
 		return fmt.Errorf("%w: %d campaigns queued", ErrSaturated, len(s.queue))
 	}
-	if _, dup := s.camps[spec.ID]; dup {
+	if _, dup := s.st.Campaigns[spec.ID]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateCampaign, spec.ID)
 	}
 	for ser := range seen {
@@ -885,19 +752,25 @@ func (s *Scheduler) Submit(sub Submission) error {
 
 	est := estChamberHours(spec, model)
 	devs := len(spec.Serials) + len(sub.Spares)
-	ts, known := s.tenants[sub.Tenant]
-	quota := s.cfg.quotaFor(sub.Tenant)
-	if known {
-		quota = ts.quota
+	t, known := s.st.Tenants[sub.Tenant]
+	if !known {
+		t = &TenantStatus{Quota: s.cfg.quotaFor(sub.Tenant)}
 	}
-	if quota.MaxCampaigns > 0 && activeOf(ts)+1 > quota.MaxCampaigns {
-		return fmt.Errorf("%w: tenant %q at %d/%d campaigns", ErrQuotaExceeded, sub.Tenant, activeOf(ts), quota.MaxCampaigns)
+	quota := t.Quota
+	if quota.MaxCampaigns > 0 && t.Active+1 > quota.MaxCampaigns {
+		return fmt.Errorf("%w: tenant %q at %d/%d campaigns", ErrQuotaExceeded, sub.Tenant, t.Active, quota.MaxCampaigns)
 	}
-	if quota.MaxDevices > 0 && devicesOf(ts)+devs > quota.MaxDevices {
-		return fmt.Errorf("%w: tenant %q would hold %d/%d devices", ErrQuotaExceeded, sub.Tenant, devicesOf(ts)+devs, quota.MaxDevices)
+	if quota.MaxDevices > 0 && t.Devices+devs > quota.MaxDevices {
+		return fmt.Errorf("%w: tenant %q would hold %d/%d devices", ErrQuotaExceeded, sub.Tenant, t.Devices+devs, quota.MaxDevices)
 	}
-	if quota.MaxChamberHours > 0 && estOf(ts)+est > quota.MaxChamberHours {
-		return fmt.Errorf("%w: tenant %q would commit %.1f/%.1f chamber-hours", ErrQuotaExceeded, sub.Tenant, estOf(ts)+est, quota.MaxChamberHours)
+	if quota.MaxChamberHours > 0 && t.CommittedHours+est > quota.MaxChamberHours {
+		return fmt.Errorf("%w: tenant %q would commit %.1f/%.1f chamber-hours", ErrQuotaExceeded, sub.Tenant, t.CommittedHours+est, quota.MaxChamberHours)
+	}
+
+	// The stripe layout is the last check; it also builds the campaign.
+	c, err := s.newCampaign(sub.Tenant, spec)
+	if err != nil {
+		return err
 	}
 
 	// Admission is now certain barring durability failure. Journal the
@@ -907,17 +780,14 @@ func (s *Scheduler) Submit(sub Submission) error {
 		if err := s.append(&Entry{Type: entryTenant, Tenant: sub.Tenant, Quota: &quota, Slot: -1}); err != nil {
 			return err
 		}
-		ts = &tenantState{quota: quota}
-		s.tenants[sub.Tenant] = ts
 	}
-	cdir := s.campaignDir(spec.ID)
-	if err := s.fsys.MkdirAll(cdir, 0o755); err != nil {
+	if err := s.fsys.MkdirAll(c.dir, 0o755); err != nil {
 		return fmt.Errorf("sched: %w", err)
 	}
 	if err := s.gate("spec/" + spec.ID); err != nil {
 		return err
 	}
-	if err := writeSpec(s.fsys, cdir, spec); err != nil {
+	if err := writeSpec(s.fsys, c.dir, spec); err != nil {
 		err = fmt.Errorf("%w: persist spec for %q: %w", wal.ErrJournalIO, spec.ID, err)
 		s.noteFatalLocked(err)
 		return err
@@ -925,24 +795,13 @@ func (s *Scheduler) Submit(sub Submission) error {
 	if err := s.append(&Entry{
 		Type: entrySubmit, Tenant: sub.Tenant, Campaign: spec.ID,
 		Digest: spec.ScheduleDigest(), Slots: len(spec.Serials),
-		Spares: sub.Spares, EstHours: est, AtHours: s.chamberHours, Slot: -1,
+		Spares: sub.Spares, EstHours: est, AtHours: s.st.ChamberHours, Slot: -1,
 	}); err != nil {
 		return err
 	}
-
-	c, err := s.buildCampaign(spec.ID, sub.Tenant, spec, sub.Spares, est, s.j.NextSeq()-1, s.chamberHours)
-	if err != nil {
-		// Validation passed above; a build failure here is a bug, but
-		// the journal already holds the admission — fail the campaign
-		// rather than leave a ghost record.
-		return err
-	}
-	c.devsHeld = devs
+	c.bind(s.st.Campaigns[spec.ID])
 	s.camps[spec.ID] = c
 	s.queue = append(s.queue, spec.ID)
-	ts.active++
-	ts.devices += devs
-	ts.estHours += est
 	for ser := range seen {
 		s.serials[ser] = spec.ID
 	}
@@ -950,35 +809,31 @@ func (s *Scheduler) Submit(sub Submission) error {
 	return nil
 }
 
-func activeOf(ts *tenantState) int {
-	if ts == nil {
-		return 0
+// errDiverged marks a record the journal took but replay rejects: the
+// live state no longer matches the journal, so the incarnation stops
+// before it acts on the difference, as on a journal I/O failure.
+var errDiverged = errors.New("sched: live state diverged from the journal")
+
+// diverged wraps a replay rejection of a record just appended.
+func diverged(err error) error {
+	if err == nil {
+		return nil
 	}
-	return ts.active
+	return fmt.Errorf("%w: %w", errDiverged, err)
 }
 
-func devicesOf(ts *tenantState) int {
-	if ts == nil {
-		return 0
-	}
-	return ts.devices
-}
-
-func estOf(ts *tenantState) float64 {
-	if ts == nil {
-		return 0
-	}
-	return ts.estHours
-}
-
-// append journals a record while holding s.mu; journal failures are
-// fatal to the whole scheduler (fail closed).
+// append journals a record and applies it to s.st, holding s.mu (or
+// before the loop starts). Failures of either are fatal to the whole
+// scheduler (fail closed).
 func (s *Scheduler) append(e *Entry) error {
-	if err := s.j.Append(e); err != nil {
-		s.noteFatalLocked(err)
-		return err
+	err := s.j.Append(e)
+	if err == nil {
+		err = diverged(s.st.apply(e))
 	}
-	return nil
+	if err != nil {
+		s.noteFatalLocked(err)
+	}
+	return err
 }
 
 // gate consults the kill hook at a named non-journal point while
@@ -1023,11 +878,10 @@ func (s *Scheduler) drainLocked() error {
 	if s.stopping {
 		return ErrStopped
 	}
-	if !s.draining {
-		if err := s.append(&Entry{Type: entryDrain, AtHours: s.chamberHours, Slot: -1}); err != nil {
+	if !s.st.Draining {
+		if err := s.append(&Entry{Type: entryDrain, AtHours: s.st.ChamberHours, Slot: -1}); err != nil {
 			return err
 		}
-		s.draining = true
 		s.cond.Broadcast()
 	}
 	return nil
@@ -1103,13 +957,13 @@ func (s *Scheduler) RetryAfterHint() time.Duration {
 func (s *Scheduler) CampaignDigest(id string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.camps[id]
-	if !ok || c.quarantined {
+	c, ok := s.st.Campaigns[id]
+	if !ok || c.Quarantined {
 		// A quarantined campaign's spec is unrecoverable; no digest can
 		// vouch for it, so a retried submit reports a real conflict.
 		return "", false
 	}
-	return c.spec.ScheduleDigest(), true
+	return c.Digest, true
 }
 
 // Done is closed when the scheduling loop exits: after a completed
@@ -1132,50 +986,53 @@ func (s *Scheduler) loop() {
 	defer s.j.Close()
 	for {
 		s.mu.Lock()
-		var plan *passPlan
-		for {
-			if s.fatal != nil || s.stopping {
-				s.mu.Unlock()
-				return
-			}
-			s.completeFinishedLocked()
-			if s.fatal != nil {
-				s.mu.Unlock()
-				return
-			}
-			plan = s.planPassLocked()
-			if plan != nil {
-				break
-			}
-			if s.draining && s.allTerminalLocked() {
-				s.mu.Unlock()
-				return
-			}
-			s.cond.Wait()
-		}
-		if err := s.commitPassLocked(plan); err != nil {
-			s.mu.Unlock()
+		plan := s.nextPassLocked()
+		s.mu.Unlock()
+		if plan == nil {
 			return
 		}
-		s.mu.Unlock()
-
-		start := time.Now()
-		s.executePass(plan)
-		wall := time.Since(start).Seconds()
-
-		s.mu.Lock()
-		if s.passWallSecs <= 0 {
-			s.passWallSecs = wall
-		} else {
-			s.passWallSecs = 0.8*s.passWallSecs + 0.2*wall
-		}
-		s.applyPassLocked(plan)
-		s.mu.Unlock()
+		s.runPass(plan)
 	}
 }
 
-func (s *Scheduler) allTerminalLocked() bool {
-	return len(s.queue) == 0
+// nextPassLocked waits until a pass can be planned, commits it and
+// returns it; nil means the loop must exit.
+func (s *Scheduler) nextPassLocked() *passPlan {
+	for {
+		if s.fatal != nil || s.stopping {
+			return nil
+		}
+		s.completeFinishedLocked()
+		if s.fatal != nil {
+			return nil
+		}
+		if plan := s.planPassLocked(); plan != nil {
+			if s.commitPassLocked(plan) != nil {
+				return nil
+			}
+			return plan
+		}
+		if s.st.Draining && len(s.queue) == 0 {
+			return nil
+		}
+		s.cond.Wait()
+	}
+}
+
+// runPass executes a committed pass and folds its outcomes in.
+func (s *Scheduler) runPass(plan *passPlan) {
+	start := time.Now()
+	s.executePass(plan)
+	wall := time.Since(start).Seconds()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.passWallSecs <= 0 {
+		s.passWallSecs = wall
+	} else {
+		s.passWallSecs = 0.8*s.passWallSecs + 0.2*wall
+	}
+	s.applyPassLocked(plan)
 }
 
 // completeFinishedLocked seals queued campaigns with no slot work left.
@@ -1229,7 +1086,8 @@ type Status struct {
 	Tenants map[string]TenantStatus `json:"tenants,omitempty"`
 }
 
-// TenantStatus is one tenant's slice of the snapshot.
+// TenantStatus is one tenant's slice of the snapshot: its effective
+// quota and campaign counts, as the journal's replay keeps them.
 type TenantStatus struct {
 	Quota          Quota   `json:"quota"`
 	Active         int     `json:"active"`
@@ -1268,35 +1126,33 @@ func (s *Scheduler) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		ChamberHours:  s.chamberHours,
-		Passes:        s.passes,
-		Setups:        s.setups,
-		BatchedSlices: s.batchedSlices,
+		ChamberHours:  s.st.ChamberHours,
+		Passes:        s.st.Passes,
+		Setups:        s.st.Setups,
+		BatchedSlices: s.st.BatchedSlices,
 		Active:        len(s.queue),
-		Drain:         s.draining,
+		Drain:         s.st.Draining,
 		Stopping:      s.stopping,
-		Tenants:       map[string]TenantStatus{},
+		Salvage:       s.salvage,
+		Tenants:       make(map[string]TenantStatus, len(s.st.Tenants)),
 	}
-	st.Salvage = s.salvage
-	for name, ts := range s.tenants {
-		st.Done += ts.done
-		st.Failed += ts.failed
-		st.Quarantined += ts.quarantined
-		st.Tenants[name] = TenantStatus{
-			Quota:          ts.quota,
-			Active:         ts.active,
-			Devices:        ts.devices,
-			CommittedHours: ts.estHours,
-			Done:           ts.done,
-			Failed:         ts.failed,
-			Quarantined:    ts.quarantined,
+	for name, t := range s.st.Tenants {
+		st.Done += t.Done
+		st.Failed += t.Failed
+		st.Quarantined += t.Quarantined
+		st.Tenants[name] = *t
+	}
+	if s.st.ChamberHours > 0 {
+		st.CampaignsPerChamberHour = float64(st.Done) / s.st.ChamberHours
+	}
+	var latencies []float64
+	for _, c := range s.st.Campaigns {
+		if c.Done && !c.Quarantined {
+			latencies = append(latencies, c.DoneAt-c.SubmitAt)
 		}
 	}
-	if s.chamberHours > 0 {
-		st.CampaignsPerChamberHour = float64(st.Done) / s.chamberHours
-	}
-	st.LatencyP50 = percentile(s.latencies, 0.50)
-	st.LatencyP99 = percentile(s.latencies, 0.99)
+	st.LatencyP50 = percentile(latencies, 0.50)
+	st.LatencyP99 = percentile(latencies, 0.99)
 	return st
 }
 
@@ -1304,31 +1160,36 @@ func (s *Scheduler) Status() Status {
 func (s *Scheduler) Campaign(id string) (CampaignStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.camps[id]
+	cr, ok := s.st.Campaigns[id]
 	if !ok {
 		return CampaignStatus{}, false
 	}
 	cs := CampaignStatus{
-		Campaign:    c.id,
-		Tenant:      c.tenant,
+		Campaign:    id,
+		Tenant:      cr.Tenant,
 		State:       "queued",
-		Error:       c.errText,
-		Slots:       len(c.slots),
-		SubmittedAt: c.submitAt,
-		Baselines:   c.baselines,
+		Error:       cr.Error,
+		SubmittedAt: cr.SubmitAt,
 	}
 	switch {
-	case c.quarantined:
+	case cr.Quarantined:
 		cs.State = "quarantined"
-	case c.done:
+	case cr.Done:
 		cs.State = "done"
-	case c.failed:
+	case cr.Failed:
 		cs.State = "failed"
 	}
-	if c.terminal() {
-		cs.DoneAt = c.doneAt
-		cs.LatencyHours = c.doneAt - c.submitAt
+	if cr.Terminal() {
+		cs.DoneAt = cr.DoneAt
+		cs.LatencyHours = cr.DoneAt - cr.SubmitAt
 	}
+	// A quarantined campaign has no spec, so nothing below to report.
+	c := s.camps[id]
+	if c == nil {
+		return cs, true
+	}
+	cs.Slots = len(c.slots)
+	cs.Baselines = cr.Baselines
 	total := estChamberHours(c.spec, c.model)
 	for _, n := range c.segs {
 		if n > 0 { // a live slot

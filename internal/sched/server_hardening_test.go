@@ -197,14 +197,14 @@ func TestServerHealthEndpoints(t *testing.T) {
 
 	// Draining: alive, not ready.
 	s.mu.Lock()
-	s.draining = true
+	s.st.Draining = true
 	s.mu.Unlock()
 	assertHealth("/healthz", http.StatusOK, "ok")
 	assertHealth("/readyz", http.StatusServiceUnavailable, "draining")
 
 	// Stopping preempts draining in the readiness report.
 	s.mu.Lock()
-	s.draining = false
+	s.st.Draining = false
 	s.stopping = true
 	s.mu.Unlock()
 	assertHealth("/readyz", http.StatusServiceUnavailable, "stopping")

@@ -198,6 +198,31 @@ func LoadSpec(fsys storage.FS, dir string) (Spec, error) {
 	return spec, spec.Validate()
 }
 
+// AcceptSpec reads the spec.json that campaign id keeps in dir and
+// accepts it only if it reproduces the journal's submit record: the
+// same schedule digest and slot count. Resume rebuilds a campaign only
+// from a spec it accepts, and fsck audits with it; a rejected spec is
+// unrecoverable, since the message itself is in it.
+func AcceptSpec(fsys storage.FS, dir, id string, cr *CampaignReplay) (Spec, error) {
+	var spec Spec
+	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, specFile))
+	if err != nil {
+		return Spec{}, fmt.Errorf("sched: campaign %q: %w", id, err)
+	}
+	if err := json.Unmarshal(b, &spec); err != nil {
+		return Spec{}, fmt.Errorf("sched: campaign %q spec: %w", id, err)
+	}
+	if digest := spec.ScheduleDigest(); digest != cr.Digest {
+		return Spec{}, fmt.Errorf("sched: campaign %q schedule digest mismatch: journal %.12s…, spec %.12s… — the spec changed under a live scheduler",
+			id, cr.Digest, digest)
+	}
+	if len(spec.Serials) != len(cr.Slots) {
+		return Spec{}, fmt.Errorf("sched: campaign %q journal plans %d slots, spec has %d", id, len(cr.Slots), len(spec.Serials))
+	}
+	// The digest covers the defaults, so they are part of the schedule.
+	return spec.withDefaults(), nil
+}
+
 func readResult(fsys storage.FS, dir string) (*Result, error) {
 	b, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(dir, resultFile))
 	if err != nil {

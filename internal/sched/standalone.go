@@ -160,8 +160,8 @@ func (s *Scheduler) runStandalone(ctx context.Context, spec Spec) (*Result, erro
 			return nil, err
 		}
 	}
-	if !c.done {
-		return nil, fmt.Errorf("campaign: %q failed: %s", c.id, c.errText)
+	if !c.rep.Done {
+		return nil, fmt.Errorf("campaign: %q failed: %s", c.id, c.rep.Error)
 	}
 	res, err := readResult(s.fsys, c.dir)
 	if err == nil {
