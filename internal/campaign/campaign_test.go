@@ -102,11 +102,37 @@ func assertSameOutcome(t *testing.T, label, dir string, res *Result, refRes *Res
 // same result (records, layout, bench hours), same final device images,
 // same decoded message.
 func TestCrashMatrixResumeEquivalence(t *testing.T) {
+	// 2 slots × (prepare + 4 slices + checkpoints + final) plus the
+	// campaign-level records is well over a dozen points.
+	crashMatrix(t, testSpec(t, "matrix"), 15)
+}
+
+// TestCrashMatrixDurableSpec walks the matrix on the bench's
+// campaign-durable shape: 16 one-hour slices on a 16 KiB carrier,
+// checkpointed every second slice. Before device images carried the
+// equivalent stress times, 36 of its 55 kill points resumed to other
+// final images.
+func TestCrashMatrixDurableSpec(t *testing.T) {
+	crashMatrix(t, durableSpec(), 50)
+}
+
+// TestCrashMatrixCheckpointEverySlice walks the matrix on the same
+// shape checkpointed after every slice, so nearly every resume
+// restores an image.
+func TestCrashMatrixCheckpointEverySlice(t *testing.T) {
+	spec := durableSpec()
+	spec.CheckpointEvery = 1
+	crashMatrix(t, spec, 65)
+}
+
+// crashMatrix kills spec's campaign at each kill point in turn, resumes
+// it, and requires the uninterrupted run's result, byte-equal final
+// images and message. The walk must cover at least minPoints points.
+func crashMatrix(t *testing.T, spec Spec, minPoints int) {
 	ctx := context.Background()
 	key := testKey()
 	base := t.TempDir()
 
-	spec := testSpec(t, "matrix")
 	refDir := filepath.Join(base, "ref")
 	refRes, err := Run(ctx, refDir, spec, Options{Key: key})
 	if err != nil {
@@ -153,12 +179,11 @@ func TestCrashMatrixResumeEquivalence(t *testing.T) {
 				t.Fatalf("%s: decode after resume: %v", label, err)
 			}
 		}
+		os.RemoveAll(dir)
 	}
-	// The matrix is only meaningful if it actually walked the journal:
-	// 2 slots × (prepare + 4 slices + checkpoints + final) plus the
-	// campaign-level records is well over a dozen points.
-	if points < 15 {
-		t.Fatalf("crash matrix covered only %d kill points", points)
+	// The matrix is only meaningful if it actually walked the journal.
+	if points < minPoints {
+		t.Fatalf("crash matrix covered only %d kill points, want %d", points, minPoints)
 	}
 	t.Logf("crash matrix: %d kill points, all resumed bit-identically", points)
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,31 +65,83 @@ func fileSHA256(t *testing.T, path string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestStandaloneBitPins pins the bytes an uninterrupted campaign
-// writes: result.json and every final image, as SHA-256 literals
-// recorded with the retired single-campaign engine, which the
-// scheduler reproduces byte for byte. Re-record them only on the parent
+// imageState loads a device image and hashes the state it decodes to,
+// whatever the image format: the data plane, then each of the six pools
+// (s0Perm, s0Fast, s0Slow, s1Perm, s1Fast, s1Slow) over every cell as
+// float32 bits, each equivalent stress time (t0, then t1) over every
+// cell as float64 bits — left out when withTimes is false — PowerOns
+// and NoiseGen as uint64, the Flash bytes, and each refresh event's
+// four fields as float64 bits, all little-endian. With withTimes it is
+// the device package's state pin.
+func imageState(t *testing.T, path string, withTimes bool) string {
+	t.Helper()
+	d, err := device.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	st := d.SRAM.StateSnapshot()
+	h.Write(st.Data)
+	var b [8]byte
+	for _, pool := range [][]float32{st.S0Perm, st.S0Fast, st.S0Slow, st.S1Perm, st.S1Fast, st.S1Slow} {
+		for _, v := range pool {
+			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
+			h.Write(b[:4])
+		}
+	}
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for dir := 0; withTimes && dir < 2; dir++ {
+		for i := 0; i < d.SRAM.Cells(); i++ {
+			t0, t1 := d.SRAM.EquivalentTimes(i)
+			put(math.Float64bits([2]float64{t0, t1}[dir]))
+		}
+	}
+	put(st.PowerOns)
+	put(uint64(st.NoiseGen))
+	if d.Flash != nil {
+		fl, err := d.Flash.Read(0, d.Flash.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(fl)
+	}
+	for _, ev := range d.RefreshLog() {
+		for _, v := range []float64{ev.ClockHours, ev.StressHours, ev.MarginBefore, ev.MarginAfter} {
+			put(math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestStandaloneBitPins pins what an uninterrupted campaign writes: the
+// bytes of result.json, recorded with the retired single-campaign
+// engine, which the scheduler reproduces byte for byte, and the state
+// each final image decodes to (imageState), recorded from the live
+// devices before image version 4. Re-record them only on the parent
 // commit of a change that moves them, and say why in CHANGES.md.
 func TestStandaloneBitPins(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		spec   Spec
 		result string
-		images map[int]string
+		states map[int]string
 	}{
 		{
 			spec:   testSpec(t, "matrix"),
 			result: "bee904f22fb583f370035e6dea9181cfaa8a987851bbad57ea26fb3c67780819",
-			images: map[int]string{
-				0: "d4f499fcec3d34e83f395c1ec899be56449bf819b4474ebbff96daa054093735",
-				1: "bf09aa9a4b516d07483847f3d757b62af9c8585400c7b667db1667eade1c88f4",
+			states: map[int]string{
+				0: "23224c820f0a4a373bc3997f3c5be2469ce4607573fb9142e0bf9112c1d5cbc7",
+				1: "91f21d96115e6e3f09cd5a2476c434d69363aa7ab81321816bcb4afe14ac0f89",
 			},
 		},
 		{
 			spec:   durableSpec(),
 			result: "276a0b4303d8bf9411556cd7e96259ca81689e3912c9c533fd5e19c2968fe07c",
-			images: map[int]string{
-				0: "28576f48508c6ae7c2e70a9166577f97b179543d52b730c940237dd03b8c9b1d",
+			states: map[int]string{
+				0: "ced5f6c419450dcdddbf1d3cb0e5757d79a81d05a0c913a95f9937ef0fc96a90",
 			},
 		},
 	} {
@@ -106,12 +160,12 @@ func TestStandaloneBitPins(t *testing.T) {
 					continue
 				}
 				images++
-				if got := fileSHA256(t, filepath.Join(dir, img)); got != tc.images[slot] {
-					t.Errorf("slot %d final image sha256 %s, want %s", slot, got, tc.images[slot])
+				if got := imageState(t, filepath.Join(dir, img), true); got != tc.states[slot] {
+					t.Errorf("slot %d final state sha256 %s, want %s", slot, got, tc.states[slot])
 				}
 			}
-			if images != len(tc.images) {
-				t.Errorf("%d final images, want %d", images, len(tc.images))
+			if images != len(tc.states) {
+				t.Errorf("%d final images, want %d", images, len(tc.states))
 			}
 		})
 	}
@@ -154,7 +208,6 @@ func TestLegacyCampaignDirs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	refImages := readImages(t, refDir, refRes)
 
 	for _, name := range []string{"killed", "finished"} {
 		t.Run(name, func(t *testing.T) {
@@ -185,7 +238,26 @@ func TestLegacyCampaignDirs(t *testing.T) {
 			if want := bytes.Count(legacy, []byte("\n")) + 1; sum.JournalRecords != want || sum.Degraded() {
 				t.Fatalf("resume replayed %d records, want %d undamaged: %+v", sum.JournalRecords, want, sum)
 			}
-			assertSameOutcome(t, name, dir, res, refRes, refImages)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Fatalf("result differs from uninterrupted run:\n got %+v\nwant %+v", res, refRes)
+			}
+			// A version-3 image can never equal a version-4 one, so the
+			// final images are compared by the state they decode to. Every
+			// image in the fixture is version 3, which carries no
+			// equivalent stress times: a slot that has one ended in it or
+			// resumed from it, and its times were re-derived — the
+			// documented approximate resume. Its pools still match.
+			for slot, img := range res.Images {
+				if img == "" {
+					continue
+				}
+				legacySlot, _ := filepath.Glob(filepath.Join(fixture, fmt.Sprintf("slot-%d-*.img", slot)))
+				withTimes := len(legacySlot) == 0
+				got := imageState(t, filepath.Join(dir, img), withTimes)
+				if want := imageState(t, filepath.Join(refDir, refRes.Images[slot]), withTimes); got != want {
+					t.Fatalf("slot %d final image decodes to another state than the uninterrupted run's", slot)
+				}
+			}
 			entries, _, err := sched.ReadJournal(filepath.Join(dir, journalFile))
 			if err != nil || len(entries) == 0 || entries[0].Type != "tenant" {
 				t.Fatalf("journal not migrated to the scheduler grammar: %v", err)

@@ -3,10 +3,12 @@ package device
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
 
 	"invisiblebits/internal/rng"
+	"invisiblebits/internal/sram"
 	"invisiblebits/internal/stats"
 )
 
@@ -100,13 +102,13 @@ func TestSaveLoadPreservesDigitalContents(t *testing.T) {
 	}
 }
 
-// encodeImage gob-encodes an image of d that carries flashData in
-// place of d's own Flash contents.
+// encodeImage gob-encodes a version-3 image of d that carries
+// flashData in place of d's own Flash contents.
 func encodeImage(t *testing.T, d *Device, flashData []byte) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(image{
-		Version:   imageVersion,
+		Version:   lastGobVersion,
 		ModelName: d.Model.Name,
 		Serial:    d.Serial,
 		SRAMBytes: d.SRAM.Bytes(),
@@ -119,15 +121,25 @@ func encodeImage(t *testing.T, d *Device, flashData []byte) *bytes.Buffer {
 }
 
 // A flashless model cannot hold Flash contents: loading such an image
-// would drop the bytes, and a re-Save would silently lose them.
+// would drop the bytes, and a re-Save would silently lose them. Both
+// the gob reader and the version-4 reader refuse it.
 func TestLoadRejectsFlashOnFlashlessModel(t *testing.T) {
 	d := mustDevice(t, "BCM2837", "flashless", WithSRAMLimit(1<<10))
-	_, err := Load(encodeImage(t, d, []byte{1, 2, 3}))
-	if err == nil {
-		t.Fatal("BCM2837 image with 3 bytes of flash loaded")
+	var v4 bytes.Buffer
+	if err := d.Save(&v4); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "BCM2837") {
-		t.Errorf("error %q does not name the model", err)
+	for name, img := range map[string]*bytes.Buffer{
+		"gob": encodeImage(t, d, []byte{1, 2, 3}),
+		"v4":  bytes.NewBuffer(withV4Flash(t, v4.Bytes(), []byte{1, 2, 3})),
+	} {
+		_, err := Load(img)
+		if err == nil {
+			t.Fatalf("%s: BCM2837 image with 3 bytes of flash loaded", name)
+		}
+		if !strings.Contains(err.Error(), "BCM2837") {
+			t.Errorf("%s: error %q does not name the model", name, err)
+		}
 	}
 }
 
@@ -158,5 +170,27 @@ func TestLoadWithoutFlashDataOnEveryModel(t *testing.T) {
 				t.Fatalf("%s: loaded flash is not erased", m.Name)
 			}
 		}
+	}
+}
+
+// A gob image whose pools do not all cover the array is refused: the
+// missing cells would otherwise load with zero aging, a different
+// device.
+func TestLoadRejectsShortLegacyPools(t *testing.T) {
+	d := mustDevice(t, "MSP430G2553", "short-pools")
+	st := d.SRAM.StateSnapshot()
+	st.S1Fast = st.S1Fast[:10]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(image{
+		Version:   lastGobVersion,
+		ModelName: d.Model.Name,
+		Serial:    d.Serial,
+		SRAMBytes: d.SRAM.Bytes(),
+		SRAM:      st,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); !errors.Is(err, sram.ErrStateMismatch) {
+		t.Fatalf("image with a 10-cell S1Fast pool: %v, want ErrStateMismatch", err)
 	}
 }

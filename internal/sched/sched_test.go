@@ -251,32 +251,27 @@ func TestBatchingReducesChamberHours(t *testing.T) {
 // to lead, the chamber re-targets to its (V, T); with no compatible
 // peers it runs alone — instead of waiting for every competing
 // campaign to finish.
+//
+// Every campaign is admitted before the loop starts: submitted to a
+// running loop, the hogs could finish before the starved campaign is
+// even queued, and the test would time its own submissions instead.
 func TestStarvationGuardGrantsSoloPass(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(dir, Config{KeyFor: testKeyFor, StarveLimit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var subs []Submission
 	// Three long G2553 campaigns (3.6V) hog the chamber...
 	for i := 0; i < 3; i++ {
-		sub := miniSub(fmt.Sprintf("hog%d", i), fmt.Sprintf("hog-%d", i),
-			[]string{fmt.Sprintf("hg%d-0", i)}, 10)
-		if err := s.Submit(sub); err != nil {
-			t.Fatal(err)
-		}
+		subs = append(subs, miniSub(fmt.Sprintf("hog%d", i), fmt.Sprintf("hog-%d", i),
+			[]string{fmt.Sprintf("hg%d-0", i)}, 10))
 	}
 	// ...while one MSP432P401 campaign (3.3V — never batchable with the
 	// hogs) needs a single 2.5h slice.
-	starved := Submission{
+	subs = append(subs, Submission{
 		Tenant: "starved",
 		Spec: Spec{
 			ID: "starved-1", Model: "MSP432P401", Serials: []string{"st-0"},
 			Message: []byte("payload for starved-1"), StressHours: 2.5, SliceHours: 2.5,
 		},
-	}
-	if err := s.Submit(starved); err != nil {
-		t.Fatal(err)
-	}
+	})
+	s := newQueued(t, t.TempDir(), Config{KeyFor: testKeyFor, StarveLimit: 2}, subs)
 	drainOK(t, s)
 
 	st := s.Status()

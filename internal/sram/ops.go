@@ -220,15 +220,17 @@ func (a *Array) Stress(c analog.Conditions, hours float64) error {
 	dtEff := hours * math.Pow(p.Rate(c)/a0, invN)
 	// Pure per-cell math over disjoint byte-aligned shards; the plane
 	// update rides along, so a full Stress leaves the bias cache fresh
-	// even if it was stale on entry.
+	// even if it was stale on entry. Shards run concurrently, so each
+	// keeps its own growth memo.
 	err := a.pool.Run(context.Background(), len(a.data), 1, func(lo, hi int) {
+		memo := growMemo{te: math.NaN()}
 		for byteIdx := lo; byteIdx < hi; byteIdx++ {
 			bits := a.data[byteIdx]
 			base := byteIdx * 8
 			for b := 0; b < 8; b++ {
 				i := base + b
 				if bits&(1<<b) != 0 {
-					growPoolsEq(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
+					memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
 						&a.t1Ref[i], &a.s1Perm[i], &a.s1Fast[i], &a.s1Slow[i])
 					if a.s0Fast[i] != 0 || a.s0Slow[i] != 0 {
 						a.s0Fast[i] *= f32
@@ -236,7 +238,7 @@ func (a *Array) Stress(c analog.Conditions, hours float64) error {
 						a.t0Ref[i] = -1 // total shrank: equivalent time stale
 					}
 				} else {
-					growPoolsEq(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
+					memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
 						&a.t0Ref[i], &a.s0Perm[i], &a.s0Fast[i], &a.s0Slow[i])
 					if a.s1Fast[i] != 0 || a.s1Slow[i] != 0 {
 						a.s1Fast[i] *= f32
@@ -256,14 +258,21 @@ func (a *Array) Stress(c analog.Conditions, hours float64) error {
 	return nil
 }
 
-// growPoolsEq applies effective-time stress growth to one direction's
-// pools using the tracked reference-rate equivalent time: te advances by
-// the caller's pre-scaled dtEff and the new total is one forward
-// exp(n·log te). A negative *tRef means the pools decayed since te was
-// last valid; re-derive it from the current total — the same inverse
-// power the pre-overhaul engine paid on every cell of every call, now
-// paid only by cells that actually decayed.
-func growPoolsEq(a0, n, invN, dtEff, permFrac, fastFrac, slowFrac float64,
+// growMemo remembers the last equivalent time a Stress shard grew a
+// cell to and that time's total a0·exp(n·log te). Cells with the same
+// history reach the same te, so most cells reuse the total: the same
+// input gives the same float, so the memo is exact.
+type growMemo struct{ te, total float64 }
+
+// grow applies effective-time stress growth to one direction's pools
+// using the tracked reference-rate equivalent time: te advances by the
+// caller's pre-scaled dtEff and the new total is one forward
+// exp(n·log te), or the memo's when te repeats. A negative *tRef means
+// the pools decayed since te was last valid; re-derive it from the
+// current total — the same inverse power the pre-overhaul engine paid
+// on every cell of every call, now paid only by cells that actually
+// decayed.
+func (m *growMemo) grow(a0, n, invN, dtEff, permFrac, fastFrac, slowFrac float64,
 	tRef *float64, perm, fast, slow *float32) {
 	total := float64(*perm) + float64(*fast) + float64(*slow)
 	te := *tRef
@@ -275,7 +284,10 @@ func growPoolsEq(a0, n, invN, dtEff, permFrac, fastFrac, slowFrac float64,
 	}
 	te += dtEff
 	*tRef = te
-	delta := a0*math.Exp(n*math.Log(te)) - total
+	if te != m.te {
+		m.te, m.total = te, a0*math.Exp(n*math.Log(te))
+	}
+	delta := m.total - total
 	if delta <= 0 {
 		return
 	}

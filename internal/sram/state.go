@@ -68,8 +68,13 @@ func (a *Array) RestoreState(s State) error {
 	if s.Seed != a.spec.Seed {
 		return fmt.Errorf("%w: seed %d vs %d", ErrStateMismatch, s.Seed, a.spec.Seed)
 	}
-	if len(s.Data) != len(a.data) || len(s.S0Perm) != a.n {
+	if len(s.Data) != len(a.data) {
 		return fmt.Errorf("%w: geometry differs", ErrStateMismatch)
+	}
+	for _, pool := range [][]float32{s.S0Perm, s.S0Fast, s.S0Slow, s.S1Perm, s.S1Fast, s.S1Slow} {
+		if len(pool) != a.n {
+			return fmt.Errorf("%w: geometry differs", ErrStateMismatch)
+		}
 	}
 	gen := s.NoiseGen
 	switch gen {

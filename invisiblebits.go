@@ -395,7 +395,8 @@ func HealthSweepFleet(ctx context.Context, carriers []*Carrier, cfg HealthSweepC
 // the physical chip or carrying it across a border.
 func SaveDevice(dev *Device, w io.Writer) error { return dev.Save(w) }
 
-// LoadDevice reconstructs a device from a SaveDevice image.
+// LoadDevice reconstructs a device from a SaveDevice image of any
+// version, or from the bytes of a SaveDeviceFile file.
 func LoadDevice(r io.Reader) (*Device, error) { return device.Load(r) }
 
 // SaveDeviceFile writes a device image to path atomically (temp file +
