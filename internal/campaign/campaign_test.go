@@ -79,6 +79,27 @@ func readImages(t *testing.T, dir string, res *Result) map[int][]byte {
 	return out
 }
 
+// doneBaselines returns the baselines of the done record in dir's
+// journal.
+func doneBaselines(t *testing.T, dir string) []float64 {
+	t.Helper()
+	entries, _, err := sched.ReadJournal(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched.Replay(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range st.Order {
+		if c := st.Campaigns[id]; c.Done {
+			return c.Baselines
+		}
+	}
+	t.Fatalf("%s: journal has no done campaign", dir)
+	return nil
+}
+
 func assertSameOutcome(t *testing.T, label, dir string, res *Result, refRes *Result, refImages map[int][]byte) {
 	t.Helper()
 	if !reflect.DeepEqual(res, refRes) {
@@ -139,6 +160,7 @@ func crashMatrix(t *testing.T, spec Spec, minPoints int) {
 		t.Fatalf("reference run: %v", err)
 	}
 	refImages := readImages(t, refDir, refRes)
+	refBaselines := doneBaselines(t, refDir)
 	got, err := DecodeResult(ctx, refDir, key)
 	if err != nil {
 		t.Fatalf("reference decode: %v", err)
@@ -173,6 +195,12 @@ func crashMatrix(t *testing.T, spec Spec, minPoints int) {
 		}
 		label := fmt.Sprintf("kill point %d", k)
 		assertSameOutcome(t, label, dir, res, refRes, refImages)
+		// The uninterrupted run probes its baselines on the live
+		// devices; a resume that has no live rig for a slot probes its
+		// final image. Both must give the same floats.
+		if b := doneBaselines(t, dir); !reflect.DeepEqual(b, refBaselines) {
+			t.Fatalf("%s: done baselines %v, uninterrupted run %v", label, b, refBaselines)
+		}
 		if k%5 == 0 {
 			got, err := DecodeResult(ctx, dir, key)
 			if err != nil || !bytes.Equal(got, spec.Message) {

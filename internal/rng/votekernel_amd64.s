@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 // Code generated for the packed ziggurat vote kernel. The hot pass
 // resolves 16 lanes per classifier block: vpmullq SplitMix64 hash

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 // Dense AVX-512 edge resolver for the packed ziggurat vote kernel.
 // Generated to match the exact semantics of fixSlowLanes's scalar

@@ -1,10 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package rng
 
-// Non-amd64 hosts always run the portable packed-vote pass. Kept a
-// var (never assigned outside tests) so test helpers that restore it
-// compile on every platform.
+// Non-amd64 hosts, and builds tagged purego, always run the portable
+// packed-vote pass. Kept a var (never assigned outside tests) so test
+// helpers that restore it compile on every platform.
 var haveAVX512 = false
 
 func packedZigVotesAVX512(ctrState uint64, idxMul *uint64, nWords uint64,

@@ -306,7 +306,12 @@ func (s *Scheduler) runSlot(run *slotRun, p *passPlan) {
 		return
 	}
 	run.err = s.driveSlot(ctx, run, p)
-	s.breakerRecord(devID, run.err, p.atHours+p.setup+p.quantum)
+	// A fatal error is the scheduler's own failure, not the carrier's:
+	// charging it would trip healthy carriers for a caller that resumes
+	// with the same breaker set.
+	if !isFatal(run.err) {
+		s.breakerRecord(devID, run.err, p.atHours+p.setup+p.quantum)
+	}
 }
 
 func (s *Scheduler) driveSlot(ctx context.Context, run *slotRun, p *passPlan) error {
@@ -515,10 +520,13 @@ func (s *Scheduler) rerouteSlotLocked(c *campState, run *slotRun) bool {
 }
 
 // completeCampaignLocked seals a campaign whose every live slot minted
-// its record: probe the per-slot fresh-capture baselines from the
-// durable final images (deterministic regardless of crash history —
-// the images ARE the state), write result.json, then append the done
-// record that makes it all count.
+// its record: probe the per-slot fresh-capture baselines, write
+// result.json, then append the done record that makes it all count.
+// The probe reads each slot's final device, which is deterministic
+// regardless of crash history: a slot that encoded in this run still
+// holds it on its live rig, in the state its final image carries bit
+// for bit, and is probed there through a fresh rig (no injector); a
+// slot rebuilt by resume has no live rig and loads its final image.
 func (s *Scheduler) completeCampaignLocked(c *campState) {
 	var baselines []float64
 	captures := c.spec.Captures
@@ -529,10 +537,15 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		if !sl.live() {
 			continue
 		}
-		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.rep.FinalImage))
-		if err != nil {
-			s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
-			return
+		var d *device.Device
+		if sl.rig != nil {
+			d = sl.rig.Device()
+		} else {
+			var err error
+			if d, err = device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.rep.FinalImage)); err != nil {
+				s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
+				return
+			}
 		}
 		probe, err := rig.New(d).ProbeHealth(captures, 0)
 		if err != nil {

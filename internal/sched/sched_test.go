@@ -429,6 +429,88 @@ func assertOutcomes(t *testing.T, label string, got, want map[string]outcomeCmp)
 	}
 }
 
+// TestKillIsNotACarrierFault sweeps the kill points of the scheduler
+// drill's scenario (a healthy campaign, a two-carrier one, one whose
+// carrier dies with a spare standing by, one doomed without a spare)
+// with one strict breaker set — a single failure trips a carrier, a
+// single trip quarantines it — shared by the killed run and its
+// resume, as a caller that keeps its breakers across a restart does.
+// A kill is the scheduler's own failure, not the carriers', so after
+// every resume three campaigns are done and only the doomed one fails.
+// Before runSlot stopped charging scheduler-fatal errors to the
+// breaker, healthy carriers were quarantined at most kill points.
+func TestKillIsNotACarrierFault(t *testing.T) {
+	base := t.TempDir()
+	injectorFor := func(serial string) faults.Injector {
+		if len(serial) >= 4 && serial[:4] == "dead" {
+			return faults.New(faults.Profile{Seed: 11, FailAtHours: 1}, serial)
+		}
+		return nil
+	}
+	subs := []Submission{
+		miniSub("alice", "kb-a", []string{"kba-0"}, 7.5),
+		miniSub("bob", "kb-b", []string{"kbb-0", "kbb-1"}, 7.5),
+		miniSub("carol", "kb-c", []string{"dead-0"}, 7.5, "spare-0"),
+		miniSub("dave", "kb-d", []string{"dead-1"}, 7.5),
+	}
+	points := 0
+	for k := 0; ; k++ {
+		cfg := Config{
+			KeyFor:      testKeyFor,
+			InjectorFor: injectorFor,
+			Breakers: fleet.NewBreakerSet(fleet.BreakerConfig{
+				FailureThreshold: 1, BaseBackoffHours: 1, QuarantineAfterTrips: 1,
+			}),
+		}
+		dir := filepath.Join(base, fmt.Sprintf("k%03d", k))
+		ks := faults.NewKillSwitch(k)
+		killCfg := cfg
+		killCfg.Hook = ks.Hook()
+		s, err := New(dir, killCfg)
+		if err != nil {
+			t.Fatalf("kill point %d: new: %v", k, err)
+		}
+		for _, sub := range subs {
+			s.Submit(sub) //nolint:errcheck // a fired kill point rejects later submits
+		}
+		drainErr := s.Drain(context.Background())
+		if !ks.Fired() {
+			// k is past the last kill point: this run completed clean.
+			if drainErr != nil {
+				t.Fatalf("unkilled run failed: %v", drainErr)
+			}
+			points = k
+			break
+		}
+
+		rs, err := Resume(dir, cfg)
+		if err != nil {
+			t.Fatalf("resume after kill point %d (%s): %v", k, ks.FiredAt(), err)
+		}
+		for _, sub := range subs {
+			if err := rs.Submit(sub); err != nil && !errors.Is(err, ErrDuplicateCampaign) {
+				t.Fatalf("re-submit %s after kill point %d: %v", sub.Spec.ID, k, err)
+			}
+		}
+		drainOK(t, rs)
+		for _, sub := range subs {
+			want := "done"
+			if sub.Spec.ID == "kb-d" {
+				want = "failed"
+			}
+			if cs, _ := rs.Campaign(sub.Spec.ID); cs.State != want {
+				t.Fatalf("kill point %d (%s): campaign %s is %s (%s), want %s",
+					k, ks.FiredAt(), sub.Spec.ID, cs.State, cs.Error, want)
+			}
+		}
+		os.RemoveAll(dir)
+	}
+	if points < 20 {
+		t.Fatalf("kill sweep covered only %d kill points", points)
+	}
+	t.Logf("kill sweep: %d kill points, no carrier charged for a kill", points)
+}
+
 // TestFaultStormDegradesGracefully pins the degradation contract: a
 // carrier dying mid-batch re-routes its campaign to a spare, a campaign
 // with no spares left fails with a typed per-tenant error, and

@@ -159,10 +159,15 @@ type Array struct {
 
 	mismatch []float32 // static per-cell mismatch, mV
 
-	// Per-direction stress pools (mV). s0* accumulate while holding 0 and
-	// push power-on toward 1; s1* push toward 0.
-	s0Perm, s0Fast, s0Slow []float32
-	s1Perm, s1Fast, s1Slow []float32
+	// A cell's aging state depends only on the bits it held under each
+	// stress and on the shelf history, so cells that share a history
+	// hold the same floats bit for bit. Each cell names its history
+	// class; hist holds each class's aging state once (see history).
+	// Every class is used by at least one cell. Two histories can reach
+	// the same floats, so hist may repeat a value; AppendState merges
+	// them.
+	class []uint32
+	hist  []history
 
 	data     []byte // current digital contents, bit-packed row-major
 	powered  bool
@@ -179,12 +184,12 @@ type Array struct {
 
 	// biasPlane caches each cell's decision variable as one flat,
 	// cache-friendly array so the race loops read one float32 instead
-	// of gathering seven arrays. The engine's decision variable is
-	// float64(biasPlane[i]); Bias keeps the exact seven-term float64
-	// sum for calibration and tests. Stress and decayPools touch every
-	// cell anyway and keep the plane fresh inline; New and RestoreState
-	// mark it dirty and the next race rebuilds it, sharded over the
-	// pool.
+	// of gathering the cell's mismatch and class. The engine's decision
+	// variable is float64(biasPlane[i]); Bias keeps the exact seven-term
+	// float64 sum for calibration and tests. Stress moves every cell
+	// anyway and keeps the plane fresh inline, and decayPools rebuilds
+	// it; New, RestoreState and ReadState mark it dirty and the next
+	// race rebuilds it, sharded over the pool.
 	biasPlane []float32
 	biasFresh bool
 	// biasEpoch counts bias-plane generations; every writer bumps it so
@@ -195,17 +200,25 @@ type Array struct {
 	// burst scratch (see kernel.go).
 	kern capKernel
 
+	pool *parallel.Pool
+}
+
+// history is one aging class: the stress pools and equivalent times
+// every cell of the class holds.
+type history struct {
+	// Per-direction stress pools (mV). s0* accumulate while holding 0
+	// and push power-on toward 1; s1* push toward 0.
+	s0Perm, s0Fast, s0Slow float32
+	s1Perm, s1Fast, s1Slow float32
 	// t0Ref and t1Ref track each direction's accumulated stress as
 	// equivalent time at the reference rate A0 (total = A0·tⁿ), letting
-	// Stress advance a cell with one add + forward power evaluation
+	// Stress advance a class with one add + forward power evaluation
 	// instead of the inverse math.Pow in analog.GrowShift. −1 marks a
 	// stale entry (the direction's recoverable pools decayed, shrinking
 	// total); the next growth re-derives it from the current total —
 	// exactly the re-derivation the pre-overhaul engine did for every
 	// cell on every call.
-	t0Ref, t1Ref []float64
-
-	pool *parallel.Pool
+	t0Ref, t1Ref float64
 }
 
 // New builds an array with a fresh, unaged mismatch pattern.
@@ -218,21 +231,15 @@ func New(spec Spec) (*Array, error) {
 	}
 	n := spec.Rows * spec.Cols
 	a := &Array{
-		spec:      spec,
-		n:         n,
-		mismatch:  make([]float32, n),
-		s0Perm:    make([]float32, n),
-		s0Fast:    make([]float32, n),
-		s0Slow:    make([]float32, n),
-		s1Perm:    make([]float32, n),
-		s1Fast:    make([]float32, n),
-		s1Slow:    make([]float32, n),
+		spec:     spec,
+		n:        n,
+		mismatch: make([]float32, n),
+		// Every cell starts in one class of zero shift, whose zero
+		// equivalent times are already valid.
+		class:     make([]uint32, n),
+		hist:      make([]history, 1),
 		data:      make([]byte, n/8),
 		biasPlane: make([]float32, n),
-		// Fresh pools hold zero shift, so the zeroed equivalent times
-		// are already valid.
-		t0Ref: make([]float64, n),
-		t1Ref: make([]float64, n),
 	}
 	seedSrc := rng.NewSource(spec.Seed)
 	mismatchSrc := seedSrc.Split()
@@ -314,10 +321,8 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 		}
 		return s
 	}
-	// The field's scratch is t0Ref: a new array's equivalent times are
-	// all zero, and it is cleared again before anything reads them.
 	// Background context: Run cannot fail.
-	field, cols := a.t0Ref, a.spec.Cols
+	field, cols := make([]float64, a.n), a.spec.Cols
 	_ = a.pool.Run(context.Background(), a.spec.Rows, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			for c := 0; c < cols; c++ {
@@ -348,7 +353,6 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 			a.mismatch[i] = float32(src.NormScaled(0, sigma) + smooth)
 		}
 	}
-	clear(field)
 }
 
 // Spec returns the array's construction parameters.
@@ -369,16 +373,18 @@ func (a *Array) Cols() int { return a.spec.Cols }
 // Powered reports whether the array currently has supply voltage.
 func (a *Array) Powered() bool { return a.powered }
 
-// bias returns cell i's decision variable in mV.
-func (a *Array) bias(i int) float64 {
-	return float64(a.mismatch[i]) +
-		float64(a.s0Perm[i]) + float64(a.s0Fast[i]) + float64(a.s0Slow[i]) -
-		float64(a.s1Perm[i]) - float64(a.s1Fast[i]) - float64(a.s1Slow[i])
+// bias returns the decision variable (mV) of a cell with the given
+// mismatch in class h, summed in the fixed order mismatch, s0 pools, s1
+// pools.
+func (h *history) bias(mismatch float32) float64 {
+	return float64(mismatch) +
+		float64(h.s0Perm) + float64(h.s0Fast) + float64(h.s0Slow) -
+		float64(h.s1Perm) - float64(h.s1Fast) - float64(h.s1Slow)
 }
 
 // Bias exposes the decision variable for cell i (mV); used by tests,
 // calibration, and the PUF-cloning example.
-func (a *Array) Bias(i int) float64 { return a.bias(i) }
+func (a *Array) Bias(i int) float64 { return a.hist[a.class[i]].bias(a.mismatch[i]) }
 
 // ensureBiasPlane rebuilds the cached decision-variable plane if it is
 // stale, sharded over the worker pool (pure per-cell math, so any
@@ -387,16 +393,24 @@ func (a *Array) ensureBiasPlane(ctx context.Context) error {
 	if a.biasFresh {
 		return ctx.Err()
 	}
+	class, plane, mismatch, hist := a.class, a.biasPlane, a.mismatch, a.hist
 	if err := a.pool.Run(ctx, len(a.data), 1, func(lo, hi int) {
-		for i := lo * 8; i < hi*8; i++ {
-			a.biasPlane[i] = float32(a.bias(i))
-		}
+		biasCells(class[lo*8:hi*8], plane[lo*8:hi*8], mismatch[lo*8:hi*8], hist)
 	}); err != nil {
 		return err
 	}
 	a.biasFresh = true
 	a.bumpBiasEpoch()
 	return nil
+}
+
+// biasCells writes the bias of every cell of class into plane.
+func biasCells(class []uint32, plane, mismatch []float32, hist []history) {
+	plane = plane[:len(class)]
+	mismatch = mismatch[:len(class)]
+	for i, c := range class {
+		plane[i] = float32(hist[c].bias(mismatch[i]))
+	}
 }
 
 // pruneBound returns the decision threshold beyond which a cell's race

@@ -42,16 +42,11 @@ const (
 // does.
 var ErrTruncatedState = errors.New("sram: state section truncated")
 
-// agingClass is one cell's aging state as raw bits — s0Perm|s0Fast<<32,
+// agingClass is a history as raw bits — s0Perm|s0Fast<<32,
 // s0Slow|s1Perm<<32, s1Fast|s1Slow<<32, t0Ref, t1Ref — so equal classes
 // are bit-identical (±0 and NaN payloads stay distinct), and its five
 // words in little-endian order are its table entry.
 type agingClass [5]uint64
-
-// is compares word by word, cheaper than the generic 40-byte compare.
-func (c *agingClass) is(d *agingClass) bool {
-	return c[0] == d[0] && c[1] == d[1] && c[2] == d[2] && c[3] == d[3] && c[4] == d[4]
-}
 
 func pair(lo, hi float32) uint64 {
 	return uint64(math.Float32bits(lo)) | uint64(math.Float32bits(hi))<<32
@@ -61,9 +56,30 @@ func unpair(w uint64) (lo, hi float32) {
 	return math.Float32frombits(uint32(w)), math.Float32frombits(uint32(w >> 32))
 }
 
-// AppendState appends the array's state section to dst, read straight
-// from the live arrays: the equivalent stress times travel with the
-// pools, so a restored array continues exactly where this one stands.
+// key returns h's bits.
+func (h *history) key() agingClass {
+	return agingClass{
+		pair(h.s0Perm, h.s0Fast), pair(h.s0Slow, h.s1Perm), pair(h.s1Fast, h.s1Slow),
+		math.Float64bits(h.t0Ref), math.Float64bits(h.t1Ref),
+	}
+}
+
+// history returns the class whose bits c holds.
+func (c *agingClass) history() history {
+	var h history
+	h.s0Perm, h.s0Fast = unpair(c[0])
+	h.s0Slow, h.s1Perm = unpair(c[1])
+	h.s1Fast, h.s1Slow = unpair(c[2])
+	h.t0Ref, h.t1Ref = math.Float64frombits(c[3]), math.Float64frombits(c[4])
+	return h
+}
+
+// AppendState appends the array's state section to dst. The live class
+// table already holds each history once; AppendState only renumbers
+// the classes in first-use order by cell, merging classes whose values
+// are equal (two histories can reach the same floats), so the section
+// is canonical. The equivalent stress times travel with the pools, so a
+// restored array continues exactly where this one stands.
 func (a *Array) AppendState(dst []byte) []byte {
 	var flags byte
 	if a.powered {
@@ -78,37 +94,26 @@ func (a *Array) AppendState(dst []byte) []byte {
 	dst = append(dst, byte(a.spec.NoiseGen))
 	dst = append(dst, a.data...)
 
-	// Number the classes in first-use order. Neighbouring cells mostly
-	// draw on the same few classes (two, for a message soak), so the two
-	// most recently seen are tried before the map.
-	n := a.n
-	s0p, s0f, s0s := a.s0Perm[:n], a.s0Fast[:n], a.s0Slow[:n]
-	s1p, s1f, s1s := a.s1Perm[:n], a.s1Fast[:n], a.s1Slow[:n]
-	t0, t1 := a.t0Ref[:n], a.t1Ref[:n]
-	ids := make([]uint32, n)
-	seen := make(map[agingClass]uint32)
+	// Number the classes in first-use order, one map lookup per live
+	// class; renum holds each live class's image number plus one. Every
+	// live class is used, so the scan stops once all are numbered.
+	renum := make([]uint32, len(a.hist))
+	seen := make(map[agingClass]uint32, len(a.hist))
 	var table []agingClass
-	var recent [2]uint32
-	for i := 0; i < n; i++ {
-		c := agingClass{
-			pair(s0p[i], s0f[i]), pair(s0s[i], s1p[i]), pair(s1f[i], s1s[i]),
-			math.Float64bits(t0[i]), math.Float64bits(t1[i]),
+	for i, left := 0, len(a.hist); i < a.n && left > 0; i++ {
+		c := a.class[i]
+		if renum[c] != 0 {
+			continue
 		}
-		id := recent[0]
-		if i == 0 || !table[id].is(&c) {
-			if id = recent[1]; i == 0 || !table[id].is(&c) {
-				var ok bool
-				if id, ok = seen[c]; !ok {
-					id = uint32(len(table))
-					seen[c] = id
-					table = append(table, c)
-				}
-			}
+		k := a.hist[c].key()
+		id, ok := seen[k]
+		if !ok {
+			id = uint32(len(table))
+			seen[k] = id
+			table = append(table, k)
 		}
-		if id != recent[0] {
-			recent[0], recent[1] = id, recent[0]
-		}
-		ids[i] = id
+		renum[c] = id + 1
+		left--
 	}
 
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(table)))
@@ -120,8 +125,8 @@ func (a *Array) AppendState(dst []byte) []byte {
 	w := uint(bits.Len32(uint32(len(table) - 1)))
 	var acc uint64
 	var nb uint
-	for _, id := range ids {
-		acc |= uint64(id) << nb
+	for _, c := range a.class {
+		acc |= uint64(renum[c]-1) << nb
 		for nb += w; nb >= 8; nb -= 8 {
 			dst = append(dst, byte(acc))
 			acc >>= 8
@@ -231,14 +236,16 @@ func (a *Array) ReadState(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sram: state section has %d aging classes, cells use %d", k, used)
 	}
 
-	x = newClassIndex(index, k)
-	for i := 0; i < a.n; i++ {
-		c := &classes[x.next()]
-		a.s0Perm[i], a.s0Fast[i] = unpair(c[0])
-		a.s0Slow[i], a.s1Perm[i] = unpair(c[1])
-		a.s1Fast[i], a.s1Slow[i] = unpair(c[2])
-		a.t0Ref[i], a.t1Ref[i] = math.Float64frombits(c[3]), math.Float64frombits(c[4])
+	// The array adopts the image's table as it is.
+	hist := make([]history, k)
+	for c := range classes {
+		hist[c] = classes[c].history()
 	}
+	x = newClassIndex(index, k)
+	for i := range a.class {
+		a.class[i] = x.next()
+	}
+	a.hist = hist
 	copy(a.data, data)
 	a.powered = flags&flagPowered != 0
 	a.remanent = flags&flagRemanent != 0
@@ -252,4 +259,7 @@ func (a *Array) ReadState(src []byte) ([]byte, error) {
 // the 0- and 1-holding directions (hours at the reference rate; −1
 // marks a stale entry that the next growth re-derives). Used by tests
 // and state pins.
-func (a *Array) EquivalentTimes(i int) (t0, t1 float64) { return a.t0Ref[i], a.t1Ref[i] }
+func (a *Array) EquivalentTimes(i int) (t0, t1 float64) {
+	h := &a.hist[a.class[i]]
+	return h.t0Ref, h.t1Ref
+}

@@ -120,8 +120,8 @@ type capKernel struct {
 
 // bumpBiasEpoch invalidates every derived view of the bias plane (the
 // packed capture layout). Call sites are exactly the writers of
-// biasPlane: ensureBiasPlane rebuilds, Stress, decayPools and the
-// test-only StressReference.
+// biasPlane: ensureBiasPlane rebuilds (after a load, and for decayPools)
+// and Stress.
 func (a *Array) bumpBiasEpoch() { a.biasEpoch++ }
 
 // ensureKernel (re)builds the packed capture layout for sigma if the

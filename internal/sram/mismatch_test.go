@@ -33,9 +33,9 @@ func TestMismatchFieldEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						got := append([]float32(nil), a.mismatch...)
-						for i, v := range a.t0Ref {
-							if v != 0 {
-								t.Fatalf("t0Ref[%d] = %v after New, want 0", i, v)
+						for i := 0; i < a.Cells(); i++ {
+							if t0, t1 := a.EquivalentTimes(i); t0 != 0 || t1 != 0 {
+								t.Fatalf("cell %d: equivalent times (%v, %v) after New, want 0", i, t0, t1)
 							}
 						}
 						clear(a.mismatch)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"invisiblebits/internal/analog"
 )
@@ -196,6 +198,25 @@ func (a *Array) Fill(b byte) error {
 // stress; the opposite direction's recoverable pools relax (its PMOS is
 // unstressed for the duration). This is the paper's data-directed aging
 // (§2.2) and the core of the encoding step (Algorithm 1, lines 5–6).
+//
+// A cell's next state depends only on its class and the bit it holds,
+// so Stress grows each used (class, bit) pair once and moves every cell
+// to its pair's successor class:
+//
+//  1. one parallel pass over the cells marks the used pairs (pair
+//     2·class+bit) and counts them;
+//  2. a serial scan numbers them in first-use order by cell, stopping
+//     at the last new one, so the new table does not depend on how the
+//     passes were sharded;
+//  3. each successor grows once, from a copy of its class;
+//  4. one parallel pass moves every cell to its successor and
+//     refreshes its bias.
+//
+// Each successor holds exactly the floats its cells held under the
+// per-cell engine: the same operations on the same inputs. First-use
+// numbering keeps a cell's class near its neighbours' in the table, so
+// the move pass reads the table in order even when nearly every cell
+// has a history of its own.
 func (a *Array) Stress(c analog.Conditions, hours float64) error {
 	if !a.powered {
 		return ErrUnpowered
@@ -212,56 +233,126 @@ func (a *Array) Stress(c analog.Conditions, hours float64) error {
 	n := p.TimeExponent
 	invN := 1 / n
 	a0 := p.A0MvPerHourN
-	// Everything condition-dependent hoists out of the cell loop: dt
-	// hours at Rate(c) advances a cell's reference-rate equivalent time
+	// Everything condition-dependent hoists out of the class loop: dt
+	// hours at Rate(c) advances a class's reference-rate equivalent time
 	// by dt·(Rate(c)/A0)^(1/n) — one Rate and one Pow for the whole
-	// call instead of per cell, and growth becomes a forward power
-	// evaluation (no inverse Pow per cell).
+	// call, and growth becomes a forward power evaluation.
 	dtEff := hours * math.Pow(p.Rate(c)/a0, invN)
-	// Pure per-cell math over disjoint byte-aligned shards; the plane
-	// update rides along, so a full Stress leaves the bias cache fresh
-	// even if it was stale on entry. Shards run concurrently, so each
-	// keeps its own growth memo.
-	err := a.pool.Run(context.Background(), len(a.data), 1, func(lo, hi int) {
+	// Background context: Run cannot fail.
+	ctx := context.Background()
+
+	// 1. Mark the used pairs. Each shard marks its own bitset and merges
+	// it under the lock (no atomic OR at the module's Go version).
+	class, data := a.class, a.data
+	used := make([]uint64, (2*len(a.hist)+63)/64)
+	var mu sync.Mutex
+	_ = a.pool.Run(ctx, len(data), 1, func(lo, hi int) {
+		mine := make([]uint64, len(used))
+		markPairs(data[lo:hi], class[lo*8:hi*8], mine)
+		mu.Lock()
+		for w, m := range mine {
+			used[w] |= m
+		}
+		mu.Unlock()
+	})
+
+	// 2. Number them in first-use order: pair pairs[id] becomes class
+	// id, and succ maps each used pair to its id plus one.
+	left := 0
+	for _, m := range used {
+		left += bits.OnesCount64(m)
+	}
+	succ := make([]uint32, 2*len(a.hist))
+	pairs := make([]uint32, 0, left)
+	for i := 0; left > 0; i++ {
+		pr := class[i]<<1 | uint32(data[i>>3])>>(i&7)&1
+		if succ[pr] == 0 {
+			pairs = append(pairs, pr)
+			succ[pr] = uint32(len(pairs))
+			left--
+		}
+	}
+
+	// 3. Grow each successor once, from a copy of its class. Shards run
+	// concurrently, so each keeps its own growth memo.
+	next := make([]history, len(pairs))
+	_ = a.pool.Run(ctx, len(pairs), 1, func(lo, hi int) {
 		memo := growMemo{te: math.NaN()}
-		for byteIdx := lo; byteIdx < hi; byteIdx++ {
-			bits := a.data[byteIdx]
-			base := byteIdx * 8
-			for b := 0; b < 8; b++ {
-				i := base + b
-				if bits&(1<<b) != 0 {
-					memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
-						&a.t1Ref[i], &a.s1Perm[i], &a.s1Fast[i], &a.s1Slow[i])
-					if a.s0Fast[i] != 0 || a.s0Slow[i] != 0 {
-						a.s0Fast[i] *= f32
-						a.s0Slow[i] *= s32
-						a.t0Ref[i] = -1 // total shrank: equivalent time stale
-					}
-				} else {
-					memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
-						&a.t0Ref[i], &a.s0Perm[i], &a.s0Fast[i], &a.s0Slow[i])
-					if a.s1Fast[i] != 0 || a.s1Slow[i] != 0 {
-						a.s1Fast[i] *= f32
-						a.s1Slow[i] *= s32
-						a.t1Ref[i] = -1
-					}
+		for id := lo; id < hi; id++ {
+			pr := pairs[id]
+			h := a.hist[pr>>1]
+			if pr&1 != 0 {
+				memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
+					&h.t1Ref, &h.s1Perm, &h.s1Fast, &h.s1Slow)
+				if h.s0Fast != 0 || h.s0Slow != 0 {
+					h.s0Fast *= f32
+					h.s0Slow *= s32
+					h.t0Ref = -1 // total shrank: equivalent time stale
 				}
-				a.biasPlane[i] = float32(a.bias(i))
+			} else {
+				memo.grow(a0, n, invN, dtEff, permFrac, p.RecFastFrac, p.RecSlowFrac,
+					&h.t0Ref, &h.s0Perm, &h.s0Fast, &h.s0Slow)
+				if h.s1Fast != 0 || h.s1Slow != 0 {
+					h.s1Fast *= f32
+					h.s1Slow *= s32
+					h.t1Ref = -1
+				}
 			}
+			next[id] = h
 		}
 	})
-	if err != nil {
-		return err
-	}
+
+	// 4. Move every cell to its successor; the plane update rides along,
+	// so a full Stress leaves the bias cache fresh even if it was stale
+	// on entry.
+	plane, mismatch := a.biasPlane, a.mismatch
+	_ = a.pool.Run(ctx, len(data), 1, func(lo, hi int) {
+		moveCells(data[lo:hi], class[lo*8:hi*8], plane[lo*8:hi*8], mismatch[lo*8:hi*8], succ, next)
+	})
+	a.hist = next
 	a.biasFresh = true
 	a.bumpBiasEpoch()
 	return nil
 }
 
+// markPairs sets bit 2·class+bit in used for every cell of the
+// bit-packed plane data, whose classes are class; a table of at most 32
+// classes marks in a register.
+func markPairs(data []byte, class []uint32, used []uint64) {
+	var one uint64
+	for j, d := range data {
+		held := uint32(d)
+		for b, c := range class[j*8 : j*8+8] {
+			pr := c<<1 | held>>b&1
+			if len(used) == 1 {
+				one |= 1 << (pr & 63)
+			} else {
+				used[pr>>6] |= 1 << (pr & 63)
+			}
+		}
+	}
+	used[0] |= one
+}
+
+// moveCells moves every cell of the bit-packed plane data to its
+// successor class, succ[2·class+bit]−1 in next, and writes its bias.
+func moveCells(data []byte, class []uint32, plane, mismatch []float32, succ []uint32, next []history) {
+	for j, d := range data {
+		held := uint32(d)
+		cs := class[j*8 : j*8+8]
+		ps, ms := plane[j*8:j*8+8], mismatch[j*8:j*8+8]
+		for b, c := range cs {
+			id := succ[c<<1|held>>b&1] - 1
+			cs[b] = id
+			ps[b] = float32(next[id].bias(ms[b]))
+		}
+	}
+}
+
 // growMemo remembers the last equivalent time a Stress shard grew a
-// cell to and that time's total a0·exp(n·log te). Cells with the same
-// history reach the same te, so most cells reuse the total: the same
-// input gives the same float, so the memo is exact.
+// class to and that time's total a0·exp(n·log te). Classes that differ
+// only in the other direction reach the same te, so they reuse the
+// total: the same input gives the same float, so the memo is exact.
 type growMemo struct{ te, total float64 }
 
 // grow applies effective-time stress growth to one direction's pools
@@ -327,26 +418,25 @@ func (a *Array) ShelveAt(hours, tempC float64) error {
 	return nil
 }
 
+// decayPools decays each class's recoverable pools once; decayed
+// directions' equivalent times go stale. The bias plane is then rebuilt,
+// so shelving leaves the bias cache fresh.
 func (a *Array) decayPools(fFast, fSlow float64) {
 	f32, s32 := float32(fFast), float32(fSlow)
-	// Background context: Run cannot fail. Decayed directions' equivalent
-	// times go stale; the plane update rides along, so shelving leaves
-	// the bias cache fresh.
-	_ = a.pool.Run(context.Background(), len(a.data), 1, func(lo, hi int) {
-		for i := lo * 8; i < hi*8; i++ {
-			if a.s0Fast[i] != 0 || a.s0Slow[i] != 0 {
-				a.s0Fast[i] *= f32
-				a.s0Slow[i] *= s32
-				a.t0Ref[i] = -1
-			}
-			if a.s1Fast[i] != 0 || a.s1Slow[i] != 0 {
-				a.s1Fast[i] *= f32
-				a.s1Slow[i] *= s32
-				a.t1Ref[i] = -1
-			}
-			a.biasPlane[i] = float32(a.bias(i))
+	for c := range a.hist {
+		h := &a.hist[c]
+		if h.s0Fast != 0 || h.s0Slow != 0 {
+			h.s0Fast *= f32
+			h.s0Slow *= s32
+			h.t0Ref = -1
 		}
-	})
-	a.biasFresh = true
-	a.bumpBiasEpoch()
+		if h.s1Fast != 0 || h.s1Slow != 0 {
+			h.s1Fast *= f32
+			h.s1Slow *= s32
+			h.t1Ref = -1
+		}
+	}
+	a.biasFresh = false
+	// Background context: the rebuild cannot fail.
+	_ = a.ensureBiasPlane(context.Background())
 }

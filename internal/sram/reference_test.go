@@ -126,9 +126,12 @@ func (a *Array) CaptureVotesReference(captures int, tempC float64) ([]uint16, er
 
 // StressReference ages the array with the pre-overhaul serial loop:
 // analog.GrowShift per cell, which re-derives the equivalent time with
-// an inverse math.Pow (and re-evaluates Rate) on every cell. Results
-// agree with Stress to floating-point rounding — TestStressMatchesReference
-// compares the pools to a relative tolerance.
+// an inverse math.Pow (and re-evaluates Rate) on every cell. It runs on
+// a StateSnapshot's per-cell pools and writes them back through
+// RestoreState, whose stale equivalent times are what the loop leaves.
+// Results agree with Stress to floating-point rounding —
+// TestStressMatchesReference compares the biases to a relative
+// tolerance.
 func (a *Array) StressReference(c analog.Conditions, hours float64) error {
 	if !a.powered {
 		return ErrUnpowered
@@ -139,26 +142,20 @@ func (a *Array) StressReference(c analog.Conditions, hours float64) error {
 	p := a.spec.Aging
 	fFast, fSlow := p.RecoveryFactorsAt(hours, c.TempC)
 	permFrac := p.PermanentFrac()
+	st := a.StateSnapshot()
 	for i := 0; i < a.n; i++ {
 		held1 := a.data[i/8]&(1<<(i%8)) != 0
 		if held1 {
-			growPoolsLegacy(p, c, hours, permFrac, &a.s1Perm[i], &a.s1Fast[i], &a.s1Slow[i])
-			a.t1Ref[i] = -1
-			a.s0Fast[i] *= float32(fFast)
-			a.s0Slow[i] *= float32(fSlow)
-			a.t0Ref[i] = -1
+			growPoolsLegacy(p, c, hours, permFrac, &st.S1Perm[i], &st.S1Fast[i], &st.S1Slow[i])
+			st.S0Fast[i] *= float32(fFast)
+			st.S0Slow[i] *= float32(fSlow)
 		} else {
-			growPoolsLegacy(p, c, hours, permFrac, &a.s0Perm[i], &a.s0Fast[i], &a.s0Slow[i])
-			a.t0Ref[i] = -1
-			a.s1Fast[i] *= float32(fFast)
-			a.s1Slow[i] *= float32(fSlow)
-			a.t1Ref[i] = -1
+			growPoolsLegacy(p, c, hours, permFrac, &st.S0Perm[i], &st.S0Fast[i], &st.S0Slow[i])
+			st.S1Fast[i] *= float32(fFast)
+			st.S1Slow[i] *= float32(fSlow)
 		}
-		a.biasPlane[i] = float32(a.bias(i))
 	}
-	a.biasFresh = true
-	a.bumpBiasEpoch()
-	return nil
+	return a.RestoreState(st)
 }
 
 // growPoolsLegacy is the pre-overhaul per-cell growth: state re-derived

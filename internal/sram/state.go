@@ -34,15 +34,18 @@ type State struct {
 	S1Slow   []float32
 }
 
-// StateSnapshot captures the array's current mutable state.
+// StateSnapshot captures the array's current mutable state, each
+// cell's pools expanded from its class.
 func (a *Array) StateSnapshot() State {
-	cp := func(src []float32) []float32 {
-		out := make([]float32, len(src))
-		copy(out, src)
-		return out
-	}
 	data := make([]byte, len(a.data))
 	copy(data, a.data)
+	s0p, s0f, s0s := make([]float32, a.n), make([]float32, a.n), make([]float32, a.n)
+	s1p, s1f, s1s := make([]float32, a.n), make([]float32, a.n), make([]float32, a.n)
+	for i, c := range a.class {
+		h := &a.hist[c]
+		s0p[i], s0f[i], s0s[i] = h.s0Perm, h.s0Fast, h.s0Slow
+		s1p[i], s1f[i], s1s[i] = h.s1Perm, h.s1Fast, h.s1Slow
+	}
 	return State{
 		Seed:     a.spec.Seed,
 		Powered:  a.powered,
@@ -50,8 +53,8 @@ func (a *Array) StateSnapshot() State {
 		PowerOns: a.powerOns,
 		NoiseGen: a.spec.NoiseGen,
 		Data:     data,
-		S0Perm:   cp(a.s0Perm), S0Fast: cp(a.s0Fast), S0Slow: cp(a.s0Slow),
-		S1Perm: cp(a.s1Perm), S1Fast: cp(a.s1Fast), S1Slow: cp(a.s1Slow),
+		S0Perm:   s0p, S0Fast: s0f, S0Slow: s0s,
+		S1Perm: s1p, S1Fast: s1f, S1Slow: s1s,
 	}
 }
 
@@ -84,24 +87,33 @@ func (a *Array) RestoreState(s State) error {
 	default:
 		return fmt.Errorf("sram: snapshot uses unknown noise-generation version %d", s.NoiseGen)
 	}
+	// Snapshots carry no equivalent stress times, so every class's are
+	// stale (they re-derive lazily on the class's next growth), and
+	// cells with equal pools share a class.
+	var hist []history
+	seen := make(map[agingClass]uint32)
+	for i := range a.class {
+		h := history{
+			s0Perm: s.S0Perm[i], s0Fast: s.S0Fast[i], s0Slow: s.S0Slow[i],
+			s1Perm: s.S1Perm[i], s1Fast: s.S1Fast[i], s1Slow: s.S1Slow[i],
+			t0Ref: -1, t1Ref: -1,
+		}
+		k := h.key()
+		id, ok := seen[k]
+		if !ok {
+			id = uint32(len(hist))
+			seen[k] = id
+			hist = append(hist, h)
+		}
+		a.class[i] = id
+	}
+	a.hist = hist
 	copy(a.data, s.Data)
-	copy(a.s0Perm, s.S0Perm)
-	copy(a.s0Fast, s.S0Fast)
-	copy(a.s0Slow, s.S0Slow)
-	copy(a.s1Perm, s.S1Perm)
-	copy(a.s1Fast, s.S1Fast)
-	copy(a.s1Slow, s.S1Slow)
 	a.powered = s.Powered
 	a.remanent = s.Remanent
 	a.powerOns = s.PowerOns
 	a.setNoiseGen(gen)
-	// The cached decision variables and equivalent stress times belong
-	// to the replaced pools: invalidate both (equivalent times re-derive
-	// lazily on the next growth of each cell).
+	// The cached decision variables belong to the replaced classes.
 	a.biasFresh = false
-	for i := range a.t0Ref {
-		a.t0Ref[i] = -1
-		a.t1Ref[i] = -1
-	}
 	return nil
 }
