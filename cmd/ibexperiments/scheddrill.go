@@ -66,7 +66,9 @@ func runSchedDrill() error {
 	fmt.Printf("scheduler drill: %d tenants, one carrier rerouting to a spare, one doomed, kill mid-flight\n\n", len(subs))
 
 	dir := filepath.Join(base, "sched")
-	ks := faults.NewKillSwitch(40)
+	// Kill at the first stress slice's journal record: the first slot is
+	// mid-soak, with the rest of every campaign still ahead.
+	ks := faults.NewKillSwitchAt("journal/slice")
 	killCfg := cfg
 	killCfg.Hook = ks.Hook()
 	s, err := sched.New(dir, killCfg)
@@ -74,13 +76,15 @@ func runSchedDrill() error {
 		return err
 	}
 	for _, sb := range subs {
-		if err := s.Submit(sb); err != nil && !errors.Is(err, faults.ErrKilled) {
+		// A submit that lands after the kill sees the dead scheduler;
+		// every campaign is submitted again after the resume.
+		if err := s.Submit(sb); err != nil && !errors.Is(err, faults.ErrKilled) && !errors.Is(err, sched.ErrSchedulerDown) {
 			return fmt.Errorf("submit %s: %w", sb.Spec.ID, err)
 		}
 	}
 	drainErr := s.Drain(context.Background())
 	if !ks.Fired() {
-		return errors.New("kill switch never fired; raise the kill point")
+		return errors.New("kill switch never fired: no stress slice was journaled")
 	}
 	if drainErr == nil {
 		return errors.New("killed scheduler drained cleanly")

@@ -333,3 +333,23 @@ func TestTable4BitRatesEmerge(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNew builds a fresh device: the catalog lookup, the mismatch
+// synthesis (the field and the white draws, both on the shared worker
+// pool) and the digital Flash, at three SRAM sizes (0.5, 16 and 64 KiB).
+func BenchmarkNew(b *testing.B) {
+	for _, model := range []string{"MSP430G2553", "ATSAML11E16A", "MSP432P401"} {
+		b.Run(model, func(b *testing.B) {
+			m, err := ByName(model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(m, "bench-new"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

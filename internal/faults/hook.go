@@ -20,22 +20,29 @@ var ErrKilled = errors.New("faults: killed at kill point")
 type Hook func(point string) error
 
 // KillSwitch is the deterministic reference Hook: it fires ErrKilled at
-// the n-th kill point hit (0-based) and at every hit thereafter — once
-// the process is "dead", nothing may persist anything else, no matter
-// which goroutine asks. It is safe for concurrent use, matching the
-// supervisors it instruments.
+// the n-th kill point hit (0-based), or at the first hit of a named kill
+// point, and at every hit thereafter — once the process is "dead",
+// nothing may persist anything else, no matter which goroutine asks. It
+// is safe for concurrent use, matching the supervisors it instruments.
 type KillSwitch struct {
-	mu    sync.Mutex
-	armAt int
-	hits  int
-	fired bool
-	point string
+	mu       sync.Mutex
+	armAt    int
+	armPoint string
+	hits     int
+	fired    bool
+	point    string
 }
 
 // NewKillSwitch arms a crash at the armAt-th kill point hit (0-based).
 // Negative armAt never fires, giving tests a no-op hook with counting.
 func NewKillSwitch(armAt int) *KillSwitch {
 	return &KillSwitch{armAt: armAt}
+}
+
+// NewKillSwitchAt arms a crash at the first hit of the named kill point,
+// whatever the points crossed before it.
+func NewKillSwitchAt(point string) *KillSwitch {
+	return &KillSwitch{armAt: -1, armPoint: point}
 }
 
 // Hook adapts the switch to the Hook type.
@@ -49,7 +56,7 @@ func (k *KillSwitch) Hit(point string) error {
 	if k.fired {
 		return ErrKilled
 	}
-	if k.hits == k.armAt {
+	if k.hits == k.armAt || (k.armPoint != "" && point == k.armPoint) {
 		k.fired = true
 		k.point = point
 		k.hits++

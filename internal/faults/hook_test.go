@@ -26,6 +26,24 @@ func TestKillSwitchFiresAtArmedHitAndStaysDead(t *testing.T) {
 	}
 }
 
+func TestKillSwitchAtFiresAtNamedPointAndStaysDead(t *testing.T) {
+	k := NewKillSwitchAt("journal/slice")
+	for _, p := range []string{"journal/tenant", "journal/submit", "image/a"} {
+		if err := k.Hit(p); err != nil {
+			t.Fatalf("hit %s: %v", p, err)
+		}
+	}
+	if err := k.Hit("journal/slice"); !errors.Is(err, ErrKilled) {
+		t.Fatalf("hit journal/slice = %v, want ErrKilled", err)
+	}
+	if err := k.Hit("journal/pass"); !errors.Is(err, ErrKilled) {
+		t.Fatalf("post-fire hit = %v, want ErrKilled", err)
+	}
+	if !k.Fired() || k.FiredAt() != "journal/slice" || k.Hits() != 4 {
+		t.Fatalf("fired=%v at %q after %d hits, want true at journal/slice after 4", k.Fired(), k.FiredAt(), k.Hits())
+	}
+}
+
 func TestKillSwitchNegativeNeverFires(t *testing.T) {
 	k := NewKillSwitch(-1)
 	for i := 0; i < 10; i++ {

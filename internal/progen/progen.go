@@ -59,20 +59,37 @@ payload:
 	return sb.String(), nil
 }
 
+// writeWords emits payload as .word lines of eight little-endian words,
+// each written 0x%08X, formatted by hand into one reused line buffer
+// after growing the builder once to the exact output size.
 func writeWords(sb *strings.Builder, payload []byte) {
-	const perLine = 8
+	const (
+		perLine = 8
+		indent  = "        .word "
+		hex     = "0123456789ABCDEF"
+	)
+	words := len(payload) / 4
+	lines := (words + perLine - 1) / perLine
+	// Per line: the indent and a newline; per word: 0x and eight
+	// digits, and ", " before every word but a line's first.
+	sb.Grow(lines*(len(indent)+1) + words*10 + (words-lines)*2)
+	var buf [len(indent) + perLine*12]byte
 	for i := 0; i < len(payload); i += 4 * perLine {
-		sb.WriteString("        .word ")
+		line := append(buf[:0], indent...)
 		for j := 0; j < perLine && i+4*j < len(payload); j++ {
 			if j > 0 {
-				sb.WriteString(", ")
+				line = append(line, ", "...)
 			}
 			off := i + 4*j
 			w := uint32(payload[off]) | uint32(payload[off+1])<<8 |
 				uint32(payload[off+2])<<16 | uint32(payload[off+3])<<24
-			fmt.Fprintf(sb, "0x%08X", w)
+			line = append(line, '0', 'x')
+			for shift := 28; shift >= 0; shift -= 4 {
+				line = append(line, hex[w>>uint(shift)&0xF])
+			}
 		}
-		sb.WriteByte('\n')
+		line = append(line, '\n')
+		sb.Write(line)
 	}
 }
 

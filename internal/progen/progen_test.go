@@ -2,6 +2,8 @@ package progen
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/cpu"
@@ -208,6 +210,51 @@ func TestWriterProgramFitsInFlash(t *testing.T) {
 	}
 	if err := d.LoadProgram(prog); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeWordsFmt is the fmt formatting writeWords reproduces by hand:
+// one Fprintf of 0x%08X per little-endian word, eight to a line.
+func writeWordsFmt(sb *strings.Builder, payload []byte) {
+	for i := 0; i < len(payload); i += 32 {
+		sb.WriteString("        .word ")
+		for j := 0; j < 8 && i+4*j < len(payload); j++ {
+			if j > 0 {
+				sb.WriteString(", ")
+			}
+			off := i + 4*j
+			w := uint32(payload[off]) | uint32(payload[off+1])<<8 |
+				uint32(payload[off+2])<<16 | uint32(payload[off+3])<<24
+			fmt.Fprintf(sb, "0x%08X", w)
+		}
+		sb.WriteByte('\n')
+	}
+}
+
+// TestWriteWordsMatchesFmt holds the hand-formatted payload words to
+// fmt's, byte for byte, at sizes with and without a partial last line,
+// and requires it to grow the builder once.
+func TestWriteWordsMatchesFmt(t *testing.T) {
+	for _, size := range []int{4, 28, 32, 36, 1000, 65536} {
+		payload := make([]byte, size)
+		rng.NewSource(uint64(size)).Bytes(payload)
+		// Words with leading zero nibbles and every hex digit.
+		copy(payload, []byte{0x0f, 0, 0, 0})
+		if size >= 8 {
+			copy(payload[4:], []byte{0xef, 0xcd, 0xab, 0x89})
+		}
+		var got, want strings.Builder
+		writeWords(&got, payload)
+		writeWordsFmt(&want, payload)
+		if got.String() != want.String() {
+			t.Fatalf("%d bytes: writeWords differs from fmt:\n%q\nwant\n%q", size, got.String(), want.String())
+		}
+		if allocs := testing.AllocsPerRun(3, func() {
+			var sb strings.Builder
+			writeWords(&sb, payload)
+		}); allocs != 1 {
+			t.Fatalf("%d bytes: writeWords allocates %.0f times, want one growth", size, allocs)
+		}
 	}
 }
 

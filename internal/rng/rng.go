@@ -42,14 +42,23 @@ func (s *Source) Split() *Source {
 	return &Source{state: s.Uint64() * 0x9e3779b97f4a7c15}
 }
 
+// splitMixGamma is SplitMix64's Weyl increment: each draw advances the
+// state by it.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += splitMixGamma
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Skip advances s past n draws in O(1), leaving it where n Uint64 calls
+// would: the state is a Weyl sequence, so n draws add n·gamma. Workers
+// that each own a range of a serial draw sequence start from Skip.
+func (s *Source) Skip(n uint64) { s.state += n * splitMixGamma }
 
 // Uint32 returns the next 32 pseudo-random bits.
 func (s *Source) Uint32() uint32 { return uint32(s.Uint64() >> 32) }

@@ -30,6 +30,26 @@ func TestSourceSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestSkipEqualsDraws: Skip(n) leaves a source exactly where n Uint64
+// calls do, including across the state's wrap-around.
+func TestSkipEqualsDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 42, 1<<64 - splitMixGamma, math.MaxUint64} {
+		for _, n := range []uint64{0, 1, 2, 3, 17, 1000} {
+			drawn, skipped := NewSource(seed), NewSource(seed)
+			for i := uint64(0); i < n; i++ {
+				drawn.Uint64()
+			}
+			skipped.Skip(n)
+			if *drawn != *skipped {
+				t.Fatalf("seed %#x: Skip(%d) state differs from %d draws", seed, n, n)
+			}
+			if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("seed %#x: next draw after Skip(%d) = %#x, after %d draws %#x", seed, n, b, n, a)
+			}
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := NewSource(7)
 	child := parent.Split()

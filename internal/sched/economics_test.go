@@ -30,12 +30,13 @@ import (
 // its loop was already planning passes. ns/op is the wall time of one
 // whole run: the scheduler keeping up. Every fsync returns at once (unsyncedFS), so it
 // measures scheduling, not disk. The scheduler keeps each finished
-// campaign's rig in memory; heap-MB/campaign reads 0.21 MB at 1000
-// and 10000 tenants since aging state lives as history classes (0.33 MB
-// before, 1.34 MB while every device also built an analog Flash model),
-// so the 10000-tenant level holds some 2 GB live, and the default GOGC
-// lets the heap grow to about twice that before a collection. The
-// command below runs only the 1000-tenant level.
+// campaign's rig in memory; heap-MB/campaign reads 0.14 MB at 1000
+// and 10000 tenants since the capture layout holds only the noisy cells
+// (0.21 MB while it held every cell, 0.33 MB before aging state lived
+// as history classes, 1.34 MB while every device also built an analog
+// Flash model), so the 10000-tenant level holds some 1.4 GB live, and
+// the default GOGC lets the heap grow to about twice that before a
+// collection. The command below runs only the 1000-tenant level.
 //
 //	go test -run '^$' -bench 'BatchingEconomics/tenants=1000$' -benchtime 1x ./internal/sched
 func BenchmarkBatchingEconomics(b *testing.B) {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"invisiblebits/internal/analog"
 	"invisiblebits/internal/parallel"
@@ -186,14 +187,14 @@ type Array struct {
 	// cache-friendly array so the race loops read one float32 instead
 	// of gathering the cell's mismatch and class. The engine's decision
 	// variable is float64(biasPlane[i]); Bias keeps the exact seven-term
-	// float64 sum for calibration and tests. Stress moves every cell
-	// anyway and keeps the plane fresh inline, and decayPools rebuilds
-	// it; New, RestoreState and ReadState mark it dirty and the next
-	// race rebuilds it, sharded over the pool.
+	// float64 sum for calibration and tests. New, Stress, decayPools,
+	// RestoreState and ReadState mark it stale, and ensureBiasPlane, its
+	// one writer, rebuilds it before the next race reads it, sharded
+	// over the pool.
 	biasPlane []float32
 	biasFresh bool
-	// biasEpoch counts bias-plane generations; every writer bumps it so
-	// the capture kernel knows when its packed layout is stale.
+	// biasEpoch counts bias-plane generations; ensureBiasPlane bumps it
+	// so the capture kernel knows when its packed layout is stale.
 	biasEpoch uint64
 
 	// kern caches the word-parallel capture engine's packed layout and
@@ -293,10 +294,13 @@ func (a *Array) PowerOnCount() uint64 { return a.powerOns }
 //
 // The field is evaluated once per cell, rows in parallel on the worker
 // pool (pure per-cell math, so any sharding gives the same values). Its
-// mean is then summed serially in row-major order, and the serial white
-// draws read the field back. Every float operation is the one the
-// two-pass synthesis made, in its order, so the plane is the same bit
-// for bit (TestMismatchFieldEquivalence).
+// mean is then summed serially in row-major order, and the white draws,
+// chunked over the pool, read the field back. Every cell draws from the
+// state the serial draw sequence reaches it at, and every float
+// operation is the one the two-pass synthesis made, in its order, so
+// the plane is the same bit for bit (TestMismatchFieldEquivalence,
+// TestWhiteDrawsRetryEquivalence), and src ends where the serial draws
+// leave it.
 func (a *Array) synthesizeMismatch(src *rng.Source) {
 	sigma := a.spec.MismatchSigmaMv
 	gAmp := sigma * a.spec.GradientFrac
@@ -340,8 +344,50 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	}
 	smoothMean /= float64(a.n)
 
-	for i, f := range field {
-		smooth := f - smoothMean
+	// The white draws run as chunks on the pool. A cell makes a fixed
+	// number of draws (the defect test, then the defect's magnitude and
+	// sign or Norm's two uniforms) except when Norm retries a zero first
+	// uniform, so each chunk starts from src skipped to its first cell.
+	// A chunk that ends anywhere but its successor's start drew more; the
+	// earliest such chunk started right, and every cell after it is
+	// redrawn serially from its end state.
+	per := uint64(2)
+	if a.spec.ExtremeFrac > 0 {
+		per = 3
+	}
+	var (
+		mu       sync.Mutex
+		retryLo  = a.n // the earliest chunk that drew more: [retryLo, retryHi)
+		retryHi  int
+		retryEnd rng.Source
+	)
+	_ = a.pool.Run(context.Background(), a.n, 1, func(lo, hi int) {
+		s, want := *src, *src
+		s.Skip(per * uint64(lo))
+		want.Skip(per * uint64(hi))
+		a.whiteCells(&s, field, smoothMean, lo, hi)
+		if s != want {
+			mu.Lock()
+			if lo < retryLo {
+				retryLo, retryHi, retryEnd = lo, hi, s
+			}
+			mu.Unlock()
+		}
+	})
+	if retryLo == a.n {
+		src.Skip(per * uint64(a.n))
+		return
+	}
+	*src = retryEnd
+	a.whiteCells(src, field, smoothMean, retryHi, a.n)
+}
+
+// whiteCells draws cells [lo, hi)'s white mismatch from src in cell
+// order and writes each cell's mismatch over its centered field.
+func (a *Array) whiteCells(src *rng.Source, field []float64, smoothMean float64, lo, hi int) {
+	sigma := a.spec.MismatchSigmaMv
+	for i := lo; i < hi; i++ {
+		smooth := field[i] - smoothMean
 		if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
 			mag := a.spec.ExtremeMinMv +
 				src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
@@ -400,7 +446,7 @@ func (a *Array) ensureBiasPlane(ctx context.Context) error {
 		return err
 	}
 	a.biasFresh = true
-	a.bumpBiasEpoch()
+	a.biasEpoch++ // the packed capture layout is stale
 	return nil
 }
 

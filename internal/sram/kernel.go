@@ -86,7 +86,11 @@ type capKernel struct {
 	// Global word domain (nw = ceil(n/64) words).
 	det1 []uint64 // cells deterministically 1 at this sigma
 	det0 []uint64 // cells deterministically 0
-	// Packed noisy-cell residue, ascending cell order.
+	// offs[w] is word w's first noisy cell in the packed residue;
+	// offs[nw] is the noisy count.
+	offs []uint32
+	// Packed noisy-cell residue, ascending cell order, sized to the
+	// largest noisy count so far.
 	cellIdx []uint32
 	idxMul  []uint64
 	xt      []float64
@@ -118,16 +122,16 @@ type capKernel struct {
 	burstNB    int // count bits this burst needs (bits.Len(races))
 }
 
-// bumpBiasEpoch invalidates every derived view of the bias plane (the
-// packed capture layout). Call sites are exactly the writers of
-// biasPlane: ensureBiasPlane rebuilds (after a load, and for decayPools)
-// and Stress.
-func (a *Array) bumpBiasEpoch() { a.biasEpoch++ }
-
 // ensureKernel (re)builds the packed capture layout for sigma if the
-// cached one is stale. The build is one pass over the bias plane;
-// within an epoch (between stress/recovery events) every burst at the
-// same temperature reuses it.
+// cached one is stale. Within an epoch (between stress/recovery events)
+// every burst at the same temperature reuses it. The build runs on the
+// pool in two passes with a serial prefix sum between them: the first
+// splits each 64-cell word into its deterministic planes and counts its
+// noisy cells, the sum gives each word its offset in the packed arrays,
+// and the second fills them there, in ascending cell order. The packed
+// arrays hold exactly the noisy cells and grow only when an epoch has
+// more of them than any before. A cancelled build leaves the layout
+// invalid.
 func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	if err := a.ensureBiasPlane(ctx); err != nil {
 		return err
@@ -136,65 +140,58 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	if k.valid && k.epoch == a.biasEpoch && k.sigma == sigma && k.gen == a.spec.NoiseGen {
 		return nil
 	}
+	k.valid = false
 	nw := (a.n + 63) / 64
 	if cap(k.det1) < nw {
 		k.det1 = make([]uint64, nw)
 		k.det0 = make([]uint64, nw)
 		k.dataW = make([]uint64, nw)
+		k.offs = make([]uint32, nw+1)
 	}
 	k.det1 = k.det1[:nw]
 	k.det0 = k.det0[:nw]
 	k.dataW = k.dataW[:nw]
-	if cap(k.cellIdx) < a.n {
-		// Worst case every cell is noisy (always true for v1 arrays).
-		k.cellIdx = make([]uint32, 0, a.n)
-		k.idxMul = make([]uint64, 0, a.n)
-		k.xt = make([]float64, 0, a.n)
-		k.xtLo = make([]float32, 0, a.n)
-		k.xtHi = make([]float32, 0, a.n)
-	}
-	k.cellIdx = k.cellIdx[:0]
-	k.idxMul = k.idxMul[:0]
-	k.xt = k.xt[:0]
-	k.xtLo = k.xtLo[:0]
-	k.xtHi = k.xtHi[:0]
+	k.offs = k.offs[:nw+1]
 
 	bound := a.pruneBound(sigma)
+	plane := a.biasPlane
+	if err := a.pool.Run(ctx, nw, 1, func(lo, hi int) {
+		splitWords(plane, bound, k.det1[lo:hi], k.det0[lo:hi], k.offs[lo:hi], lo)
+	}); err != nil {
+		return err
+	}
+	var nc uint32
+	for w, c := range k.offs[:nw] {
+		k.offs[w] = nc
+		nc += c
+	}
+	k.offs[nw] = nc
+
 	zig := a.spec.NoiseGen == NoiseGenZiggurat
-	for w := 0; w < nw; w++ {
-		var d1, d0 uint64
-		base := w * 64
-		lim := a.n - base
-		if lim > 64 {
-			lim = 64
+	if cap(k.cellIdx) < int(nc) {
+		k.cellIdx = make([]uint32, nc)
+		k.idxMul = make([]uint64, nc)
+		k.xt = make([]float64, nc)
+	}
+	k.cellIdx = k.cellIdx[:nc]
+	k.idxMul = k.idxMul[:nc]
+	k.xt = k.xt[:nc]
+	k.xtLo, k.xtHi = k.xtLo[:0], k.xtHi[:0]
+	if zig {
+		if cap(k.xtLo) < int(nc) {
+			k.xtLo = make([]float32, nc)
+			k.xtHi = make([]float32, nc)
 		}
-		for j := 0; j < lim; j++ {
-			i := base + j
-			bias := float64(a.biasPlane[i])
-			if bias > bound {
-				d1 |= 1 << uint(j)
-				continue
-			}
-			if bias < -bound {
-				d0 |= 1 << uint(j)
-				continue
-			}
-			xt := rng.VoteThreshold(bias, sigma)
-			k.cellIdx = append(k.cellIdx, uint32(i))
-			k.idxMul = append(k.idxMul, rng.IdxMul(uint64(i)))
-			k.xt = append(k.xt, xt)
-			if zig {
-				lo, hi := rng.VoteBoundsF32(xt)
-				k.xtLo = append(k.xtLo, lo)
-				k.xtHi = append(k.xtHi, hi)
-			}
-		}
-		k.det1[w] = d1
-		k.det0[w] = d0
+		k.xtLo = k.xtLo[:nc]
+		k.xtHi = k.xtHi[:nc]
+	}
+	if err := a.pool.Run(ctx, nw, 1, func(lo, hi int) {
+		k.packWords(plane, sigma, zig, lo, hi)
+	}); err != nil {
+		return err
 	}
 
-	nc := len(k.cellIdx)
-	nwN := (nc + 63) / 64
+	nwN := (int(nc) + 63) / 64
 	if cap(k.votes) < nwN {
 		k.votes = make([]uint64, nwN)
 		k.slow = make([]uint64, nwN)
@@ -203,7 +200,7 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.votes = k.votes[:nwN]
 	k.slow = k.slow[:nwN]
 	k.last = k.last[:nwN]
-	if cap(k.draws) < nc {
+	if cap(k.draws) < int(nc) {
 		k.draws = make([]uint64, nc)
 	}
 	k.draws = k.draws[:nc]
@@ -214,6 +211,61 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.gen = a.spec.NoiseGen
 	k.detRaces = -1 // det planes changed: count template is stale
 	return nil
+}
+
+// splitWords splits words [w0, w0+len(det1)) of the bias plane at
+// bound: it writes each word's deterministic-one and -zero planes and
+// its noisy-cell count. A cell's sides are set without branching: on
+// fresh silicon the sign of a deterministic cell is a coin flip, and
+// the branchy split ran at half the speed.
+func splitWords(plane []float32, bound float64, det1, det0 []uint64, counts []uint32, w0 int) {
+	for w := range det1 {
+		base := (w0 + w) * 64
+		cells := plane[base:min(base+64, len(plane))]
+		var d1, d0 uint64
+		for j, b := range cells {
+			bias := float64(b)
+			d1 |= bit(bias > bound) << uint(j)
+			d0 |= bit(bias < -bound) << uint(j)
+		}
+		det1[w], det0[w] = d1, d0
+		counts[w] = uint32(len(cells) - bits.OnesCount64(d1|d0))
+	}
+}
+
+// bit returns 1 for true and 0 for false, compiled without a branch.
+func bit(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
+}
+
+// packWords fills the packed noisy-cell arrays for words [lo, hi) of
+// the split layout, each word's cells from its prefix-sum offset on.
+func (k *capKernel) packWords(plane []float32, sigma float64, zig bool, lo, hi int) {
+	cellIdx, idxMul, xts, xtLo, xtHi := k.cellIdx, k.idxMul, k.xt, k.xtLo, k.xtHi
+	n := len(plane)
+	for w := lo; w < hi; w++ {
+		base := w * 64
+		noisy := ^(k.det1[w] | k.det0[w])
+		if lim := n - base; lim < 64 {
+			noisy &= 1<<uint(lim) - 1
+		}
+		p := k.offs[w]
+		for ; noisy != 0; noisy &= noisy - 1 {
+			i := base + bits.TrailingZeros64(noisy)
+			xt := rng.VoteThreshold(float64(plane[i]), sigma)
+			cellIdx[p] = uint32(i)
+			idxMul[p] = rng.IdxMul(uint64(i))
+			xts[p] = xt
+			if zig {
+				xtLo[p], xtHi[p] = rng.VoteBoundsF32(xt)
+			}
+			p++
+		}
+	}
 }
 
 // ensureSlices sizes and zeroes the bit-sliced counter planes for a

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -285,14 +286,21 @@ func TestStateNoiseGenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBiasPlaneTracksMutation: the cached plane is invalidated or
-// updated by every pool mutation path, so races never read stale bias.
+// TestBiasPlaneTracksMutation: every pool mutation path marks the
+// cached plane stale, and the rebuild before the next race matches the
+// exact bias, so races never read stale bias.
 func TestBiasPlaneTracksMutation(t *testing.T) {
 	a, err := New(equivSpec(53))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ageArray(t, a) // stress leaves the plane fresh
+	ageArray(t, a)
+	if a.biasFresh {
+		t.Fatal("stress should leave the plane stale (the next read rebuilds it)")
+	}
+	if err := a.ensureBiasPlane(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{0, 1017, a.Cells() - 1} {
 		exact := a.Bias(i)
 		if got := float64(a.biasPlane[i]); math.Abs(got-exact) > math.Abs(exact)*1e-6+1e-6 {
@@ -302,8 +310,11 @@ func TestBiasPlaneTracksMutation(t *testing.T) {
 	if err := a.Shelve(10); err != nil {
 		t.Fatal(err)
 	}
-	if !a.biasFresh {
-		t.Fatal("shelve should leave the plane fresh (it touches every cell)")
+	if a.biasFresh {
+		t.Fatal("shelve should leave the plane stale (the next read rebuilds it)")
+	}
+	if err := a.ensureBiasPlane(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1017, a.Cells() - 1} {
 		exact := a.Bias(i)

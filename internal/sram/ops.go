@@ -209,8 +209,10 @@ func (a *Array) Fill(b byte) error {
 //     at the last new one, so the new table does not depend on how the
 //     passes were sharded;
 //  3. each successor grows once, from a copy of its class;
-//  4. one parallel pass moves every cell to its successor and
-//     refreshes its bias.
+//  4. one parallel pass moves every cell to its successor.
+//
+// The bias plane is left stale: the next read rebuilds it once, so a
+// soak of k slices pays one bias pass, not k.
 //
 // Each successor holds exactly the floats its cells held under the
 // per-cell engine: the same operations on the same inputs. First-use
@@ -302,16 +304,13 @@ func (a *Array) Stress(c analog.Conditions, hours float64) error {
 		}
 	})
 
-	// 4. Move every cell to its successor; the plane update rides along,
-	// so a full Stress leaves the bias cache fresh even if it was stale
-	// on entry.
-	plane, mismatch := a.biasPlane, a.mismatch
+	// 4. Move every cell to its successor. The classes changed, so the
+	// bias plane is stale until the next read rebuilds it.
 	_ = a.pool.Run(ctx, len(data), 1, func(lo, hi int) {
-		moveCells(data[lo:hi], class[lo*8:hi*8], plane[lo*8:hi*8], mismatch[lo*8:hi*8], succ, next)
+		moveCells(data[lo:hi], class[lo*8:hi*8], succ)
 	})
 	a.hist = next
-	a.biasFresh = true
-	a.bumpBiasEpoch()
+	a.biasFresh = false
 	return nil
 }
 
@@ -335,16 +334,13 @@ func markPairs(data []byte, class []uint32, used []uint64) {
 }
 
 // moveCells moves every cell of the bit-packed plane data to its
-// successor class, succ[2·class+bit]−1 in next, and writes its bias.
-func moveCells(data []byte, class []uint32, plane, mismatch []float32, succ []uint32, next []history) {
+// successor class, succ[2·class+bit]−1.
+func moveCells(data []byte, class []uint32, succ []uint32) {
 	for j, d := range data {
 		held := uint32(d)
 		cs := class[j*8 : j*8+8]
-		ps, ms := plane[j*8:j*8+8], mismatch[j*8:j*8+8]
 		for b, c := range cs {
-			id := succ[c<<1|held>>b&1] - 1
-			cs[b] = id
-			ps[b] = float32(next[id].bias(ms[b]))
+			cs[b] = succ[c<<1|held>>b&1] - 1
 		}
 	}
 }
@@ -419,8 +415,8 @@ func (a *Array) ShelveAt(hours, tempC float64) error {
 }
 
 // decayPools decays each class's recoverable pools once; decayed
-// directions' equivalent times go stale. The bias plane is then rebuilt,
-// so shelving leaves the bias cache fresh.
+// directions' equivalent times go stale, and so does the bias plane
+// until the next read rebuilds it.
 func (a *Array) decayPools(fFast, fSlow float64) {
 	f32, s32 := float32(fFast), float32(fSlow)
 	for c := range a.hist {
@@ -437,6 +433,4 @@ func (a *Array) decayPools(fFast, fSlow float64) {
 		}
 	}
 	a.biasFresh = false
-	// Background context: the rebuild cannot fail.
-	_ = a.ensureBiasPlane(context.Background())
 }

@@ -29,8 +29,13 @@ import (
 //
 // It also keeps the two-pass mismatch synthesis, which evaluated the
 // smooth field twice per cell, serially: once for its mean, once to
-// apply it. TestMismatchFieldEquivalence requires the one-pass
-// synthesizeMismatch to write the same plane bit for bit.
+// apply it, and drew every cell's white mismatch in one serial pass.
+// TestMismatchFieldEquivalence and TestWhiteDrawsRetryEquivalence
+// require the one-pass, chunked synthesizeMismatch to write the same
+// plane bit for bit.
+//
+// Last, it keeps the serial capture-layout build, which
+// TestKernelLayoutEquivalence holds the two-pass ensureKernel to.
 
 // PowerOnReference resolves a power-on race with the serial, unpruned
 // engine. Semantics match PowerOn exactly: same counter consumption,
@@ -333,4 +338,59 @@ func (a *Array) synthesizeMismatchReference(src *rng.Source) {
 			i++
 		}
 	}
+}
+
+// kernelLayout is one packed capture layout: the deterministic word
+// planes and the noisy-cell residue.
+type kernelLayout struct {
+	det1, det0 []uint64
+	cellIdx    []uint32
+	idxMul     []uint64
+	xt         []float64
+	xtLo, xtHi []float32
+}
+
+// kernelLayoutReference is the serial layout build the two-pass
+// ensureKernel replaced, verbatim apart from writing into a fresh
+// kernelLayout: one walk over the bias plane in cell order, appending
+// each noisy cell to the residue. TestKernelLayoutEquivalence requires
+// the kernel's layout to equal it array for array. The caller must
+// ensureBiasPlane first.
+func (a *Array) kernelLayoutReference(sigma float64) kernelLayout {
+	nw := (a.n + 63) / 64
+	k := kernelLayout{det1: make([]uint64, nw), det0: make([]uint64, nw)}
+	bound := a.pruneBound(sigma)
+	zig := a.spec.NoiseGen == NoiseGenZiggurat
+	for w := 0; w < nw; w++ {
+		var d1, d0 uint64
+		base := w * 64
+		lim := a.n - base
+		if lim > 64 {
+			lim = 64
+		}
+		for j := 0; j < lim; j++ {
+			i := base + j
+			bias := float64(a.biasPlane[i])
+			if bias > bound {
+				d1 |= 1 << uint(j)
+				continue
+			}
+			if bias < -bound {
+				d0 |= 1 << uint(j)
+				continue
+			}
+			xt := rng.VoteThreshold(bias, sigma)
+			k.cellIdx = append(k.cellIdx, uint32(i))
+			k.idxMul = append(k.idxMul, rng.IdxMul(uint64(i)))
+			k.xt = append(k.xt, xt)
+			if zig {
+				lo, hi := rng.VoteBoundsF32(xt)
+				k.xtLo = append(k.xtLo, lo)
+				k.xtHi = append(k.xtHi, hi)
+			}
+		}
+		k.det1[w] = d1
+		k.det0[w] = d0
+	}
+	return k
 }
