@@ -236,7 +236,7 @@ func splitArgs(rest string) []string {
 	if strings.TrimSpace(rest) == "" {
 		return nil
 	}
-	var args []string
+	args := make([]string, 0, strings.Count(rest, ",")+1)
 	depth := 0
 	start := 0
 	for i := 0; i < len(rest); i++ {

@@ -190,6 +190,42 @@ func TestNumberFormats(t *testing.T) {
 	}
 }
 
+// TestParseNumberForms: parseNumber takes either case of the 0x and 0b
+// prefixes, an optional '#', a sign and character literals, and
+// resolveValue reads numeric tokens as numbers and labels as their
+// addresses.
+func TestParseNumberForms(t *testing.T) {
+	cases := map[string]int64{
+		"0x1F": 31, "0X1f": 31, "#0x1f": 31, "#0XFF": 255,
+		"0b101": 5, "0B101": 5, "#0b11": 3, "#0B11": 3,
+		"42": 42, "#42": 42, "+7": 7, "#+7": 7, "-12": -12, "#-12": -12,
+		"-0x10": -16, "#-0X10": -16, "-0b11": -3,
+		"'A'": 'A', "#'z'": 'z', "'\\n'": '\n',
+		"0": 0, "#0": 0, " 0x0 ": 0,
+	}
+	for tok, want := range cases {
+		got, err := parseNumber(tok, 1)
+		if err != nil || got != want {
+			t.Errorf("parseNumber(%q) = %d, %v; want %d", tok, got, err, want)
+		}
+	}
+	for _, tok := range []string{"0x", "0b2", "0xG", "#", "''", "'ab'", "x10", "1_000"} {
+		if _, err := parseNumber(tok, 1); err == nil {
+			t.Errorf("parseNumber(%q) accepted", tok)
+		}
+	}
+	symbols := map[string]uint32{"data": 0x2000, "x1": 0x40}
+	for tok, want := range map[string]uint32{"data": 0x2000, "#x1": 0x40, "0x40": 0x40, "#0X7": 7, "-1": 0xFFFFFFFF, "'B'": 'B'} {
+		got, err := resolveValue(tok, symbols, 1)
+		if err != nil || got != want {
+			t.Errorf("resolveValue(%q) = %#x, %v; want %#x", tok, got, err, want)
+		}
+	}
+	if _, err := resolveValue("nowhere", symbols, 1); err == nil {
+		t.Error("resolveValue accepted an unknown symbol")
+	}
+}
+
 func TestOriginAffectsSymbols(t *testing.T) {
 	p, err := Assemble("start: nop\n", 0x1000)
 	if err != nil {

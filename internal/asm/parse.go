@@ -50,11 +50,13 @@ func parseNumber(tok string, line int) (int64, error) {
 		t = t[1:]
 	}
 	base := 10
-	switch {
-	case strings.HasPrefix(strings.ToLower(t), "0x"):
-		base, t = 16, t[2:]
-	case strings.HasPrefix(strings.ToLower(t), "0b"):
-		base, t = 2, t[2:]
+	if len(t) >= 2 && t[0] == '0' {
+		switch t[1] {
+		case 'x', 'X':
+			base, t = 16, t[2:]
+		case 'b', 'B':
+			base, t = 2, t[2:]
+		}
 	}
 	v, err := strconv.ParseUint(t, base, 64)
 	if err != nil {
@@ -71,8 +73,12 @@ func parseNumber(tok string, line int) (int64, error) {
 // 32-bit value.
 func resolveValue(tok string, symbols map[string]uint32, line int) (uint32, error) {
 	t := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(tok), "#"))
-	if addr, ok := symbols[t]; ok {
-		return addr, nil
+	// validLabel never lets a label start with a digit, so a numeric
+	// token skips the symbol lookup.
+	if t == "" || t[0] < '0' || t[0] > '9' {
+		if addr, ok := symbols[t]; ok {
+			return addr, nil
+		}
 	}
 	n, err := parseNumber(tok, line)
 	if err != nil {

@@ -163,17 +163,20 @@ func sameCodec(x, y ecc.Codec) (eq bool) {
 }
 
 // keystream returns (and caches) the CTR keystream for (key, deviceID),
-// at least n bytes of it.
+// at least n bytes of it. A miss regenerates the stream in place in the
+// arena's buffer, so an arena serving carriers round-robin allocates no
+// stream per reveal; the returned slice is valid until the next call.
 func (a *DecodeArena) keystream(key stegocrypt.Key, deviceID string, n int) ([]byte, error) {
 	if a.ksValid && a.ksKey == key && a.ksDev == deviceID && len(a.ks) >= n {
 		return a.ks[:n], nil
 	}
-	ks, err := stegocrypt.StreamXOR(key, deviceID, make([]byte, n))
-	if err != nil {
+	a.ksValid = false // a failed fill leaves no stale entry
+	a.ks = growBytes(a.ks, n)
+	if err := stegocrypt.KeyStream(key, deviceID, a.ks); err != nil {
 		return nil, err
 	}
-	a.ks, a.ksKey, a.ksDev, a.ksValid = ks, key, deviceID, true
-	return ks, nil
+	a.ksKey, a.ksDev, a.ksValid = key, deviceID, true
+	return a.ks, nil
 }
 
 // decryptInPlace reverses the encryption layer of an inverted payload

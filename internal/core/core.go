@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
+	"invisiblebits/internal/asm"
 	"invisiblebits/internal/cpu"
 	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/faults"
@@ -365,13 +367,20 @@ func decodeOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, opts
 	return msg, nil
 }
 
+// retainerProgram is the assembled retainer firmware. It is constant,
+// so it is assembled once; LoadProgram only reads it, so every reveal
+// shares it.
+var retainerProgram = sync.OnceValues(func() (*asm.Program, error) {
+	return progen.Assemble(progen.RetainerProgram())
+})
+
 // prepareDecode flashes the retainer program (retried across transient
 // link faults) and brings the chamber to decode conditions: nominal
 // voltage, and either nominal temperature or Options.DecodeTempC.
 func prepareDecode(ctx context.Context, r *rig.Rig, opts Options) error {
 	dev := r.Device()
 	if dev.Flash != nil {
-		ret, err := progen.Assemble(progen.RetainerProgram())
+		ret, err := retainerProgram()
 		if err != nil {
 			return fmt.Errorf("core: retainer: %w", err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/ecc"
+	"invisiblebits/internal/progen"
 	"invisiblebits/internal/rig"
 	"invisiblebits/internal/rng"
 	"invisiblebits/internal/stats"
@@ -254,5 +255,25 @@ func TestCamouflageLoadedAfterEncode(t *testing.T) {
 	}
 	if reason.String() != "step-limit" {
 		t.Errorf("camouflage firmware stopped with %v", reason)
+	}
+}
+
+// TestRetainerProgramAssembledOnce: every reveal flashes one shared
+// assembly of the retainer program, and it is the program the
+// generator's source assembles to.
+func TestRetainerProgramAssembledOnce(t *testing.T) {
+	p, err := retainerProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, _ := retainerProgram(); q != p {
+		t.Fatal("the retainer program was assembled twice")
+	}
+	want, err := progen.Assemble(progen.RetainerProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.Image, want.Image) || p.Origin != want.Origin {
+		t.Fatal("the shared retainer program differs from a fresh assembly")
 	}
 }

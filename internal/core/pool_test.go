@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -213,5 +214,109 @@ func TestPooledDecodeAdaptiveAllocBound(t *testing.T) {
 	t.Logf("%d bytes allocated per reveal, %d cells", perReveal, cells)
 	if perReveal >= cells {
 		t.Fatalf("warm pooled reveal allocates %d bytes, want < %d (one per SRAM cell)", perReveal, cells)
+	}
+}
+
+// TestArenaRoundRobinReveals: one caller-owned arena revealing three
+// carriers in turn, so that every encrypted reveal misses the arena's
+// one-entry keystream cache and regenerates the stream in place,
+// returns what a fresh arena per reveal returns on twin carriers: the
+// same messages and the same reports, adaptive and soft.
+func TestArenaRoundRobinReveals(t *testing.T) {
+	keyA := stegocrypt.KeyFromPassphrase("rr-a")
+	keyB := stegocrypt.KeyFromPassphrase("rr-b")
+	carriers := func() []pooledCarrier {
+		return []pooledCarrier{
+			encodePooledCarrier(t, "rr-0", &keyA),
+			encodePooledCarrier(t, "rr-1", &keyB),
+			encodePooledCarrier(t, "rr-2", &keyA),
+		}
+	}
+	shared, fresh := carriers(), carriers()
+	arena := NewDecodeArena()
+	ctx := context.Background()
+	reveal := func(c pooledCarrier, a *DecodeArena, soft bool) ([]byte, *DecodeReport) {
+		t.Helper()
+		opts := c.opts
+		opts.Arena = a
+		if soft {
+			opts.Soft = true
+			msg, err := DecodeContext(ctx, c.r, c.rec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bytes.Clone(msg), nil
+		}
+		msg, rep, err := DecodeAdaptive(ctx, c.r, c.rec, AdaptiveOptions{Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Clone(msg), rep
+	}
+	for round := 0; round < 4; round++ {
+		soft := round%2 == 1
+		for i := range shared {
+			got, gotRep := reveal(shared[i], arena, soft)
+			want, wantRep := reveal(fresh[i], NewDecodeArena(), soft)
+			if !bytes.Equal(got, want) || !bytes.Equal(got, shared[i].msg) {
+				t.Fatalf("round %d, carrier %d: the shared arena's message differs", round, i)
+			}
+			if !reflect.DeepEqual(gotRep, wantRep) {
+				t.Fatalf("round %d, carrier %d: reports differ:\n%+v\n%+v", round, i, gotRep, wantRep)
+			}
+		}
+	}
+}
+
+// TestArenaKeystreamMissInPlace: on a warm arena a keystream miss
+// regenerates the stream into the arena's own buffer: the stream equals
+// StreamXOR's, the buffer is the same one, and no buffer of the
+// stream's length is allocated (crypto/cipher allocates its AES and
+// CTR state per stream, about a kilobyte). A failed fill leaves no
+// cache entry behind.
+func TestArenaKeystreamMissInPlace(t *testing.T) {
+	const n = 64 << 10
+	keys := []stegocrypt.Key{stegocrypt.KeyFromPassphrase("ks-a"), stegocrypt.KeyFromPassphrase("ks-b")}
+	devs := []string{"dev-a", "dev-b"}
+	a := NewDecodeArena()
+	for i := range keys { // warm: the buffer has grown to n
+		if _, err := a.keystream(keys[i], devs[i], n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := &a.ks[0]
+	const misses = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < misses; i++ {
+		if _, err := a.keystream(keys[i%2], devs[i%2], n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perMiss := (after.TotalAlloc - before.TotalAlloc) / misses; perMiss >= n/16 {
+		t.Fatalf("a warm keystream miss allocates %d bytes, want < %d: the stream is not regenerated in place", perMiss, n/16)
+	}
+	if &a.ks[0] != buf {
+		t.Fatal("a warm miss replaced the arena's keystream buffer")
+	}
+	for i := range keys {
+		got, err := a.keystream(keys[i], devs[i], n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := stegocrypt.StreamXOR(keys[i], devs[i], make([]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %d: regenerated keystream differs from StreamXOR's", i)
+		}
+	}
+	if _, err := a.keystream(keys[0], "", n); err == nil {
+		t.Fatal("an empty device ID filled the keystream")
+	}
+	if a.ksValid {
+		t.Fatal("a failed fill left a cache entry")
 	}
 }

@@ -2,6 +2,8 @@ package progen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -264,6 +266,48 @@ func BenchmarkWriterProgramGeneration64KB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := WriterProgram(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// writer64KB returns the writer program for a fixed 64 KiB payload: the
+// paper codec's full-capacity write on a 64 KiB carrier.
+func writer64KB(tb testing.TB) string {
+	tb.Helper()
+	payload := make([]byte, 64<<10)
+	rng.NewSource(0x64b).Bytes(payload)
+	src, err := WriterProgram(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return src
+}
+
+// TestWriterProgram64KBImage pins the assembled image of the 64 KiB
+// writer program (SHA-256 recorded before the assembler's .word path
+// stopped allocating per word), so the parser's number and symbol
+// shortcuts cannot move a byte.
+func TestWriterProgram64KBImage(t *testing.T) {
+	p, err := Assemble(writer64KB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ae937b8821058e43dac6250e37a2e76ee53ae0f327462819b0ea23825fcd6ff5"
+	sum := sha256.Sum256(p.Image)
+	if got := hex.EncodeToString(sum[:]); len(p.Image) != 65592 || got != want {
+		t.Fatalf("64 KiB writer image: %d bytes, SHA-256 %s; want 65592 bytes, %s", len(p.Image), got, want)
+	}
+}
+
+// BenchmarkAssembleWriter64KB assembles the 64 KiB writer program, the
+// assembler's share of a paper round trip.
+func BenchmarkAssembleWriter64KB(b *testing.B) {
+	src := writer64KB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Assemble(src); err != nil {
 			b.Fatal(err)
 		}
 	}

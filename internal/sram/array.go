@@ -231,17 +231,7 @@ func New(spec Spec) (*Array, error) {
 		spec.NoiseGen = NoiseGenZiggurat
 	}
 	n := spec.Rows * spec.Cols
-	a := &Array{
-		spec:     spec,
-		n:        n,
-		mismatch: make([]float32, n),
-		// Every cell starts in one class of zero shift, whose zero
-		// equivalent times are already valid.
-		class:     make([]uint32, n),
-		hist:      make([]history, 1),
-		data:      make([]byte, n/8),
-		biasPlane: make([]float32, n),
-	}
+	a := &Array{spec: spec, n: n, mismatch: make([]float32, n)}
 	seedSrc := rng.NewSource(spec.Seed)
 	mismatchSrc := seedSrc.Split()
 	a.noise = rng.NewStream(spec.Seed)
@@ -251,7 +241,17 @@ func New(spec Spec) (*Array, error) {
 	} else {
 		a.pool = parallel.Shared()
 	}
+	// The synthesis's field scratch (8 B per cell) dies with it, so the
+	// other planes are allocated after it: a collection during New then
+	// finds at most the mismatch plane and the scratch live, and does
+	// not raise the heap goal by the planes it would otherwise find too.
 	a.synthesizeMismatch(mismatchSrc)
+	// Every cell starts in one class of zero shift, whose zero
+	// equivalent times are already valid.
+	a.class = make([]uint32, n)
+	a.hist = make([]history, 1)
+	a.data = make([]byte, n/8)
+	a.biasPlane = make([]float32, n)
 	return a, nil
 }
 
@@ -289,6 +289,12 @@ func (a *Array) Pool() *parallel.Pool { return a.pool }
 // restored array replays the same noise future it would have seen.
 func (a *Array) PowerOnCount() uint64 { return a.powerOns }
 
+// synthKernels selects the AVX-512 synthesis kernels (rng.Field.Row and
+// rng.WhiteCells) where the host has them. Both paths write the same
+// plane bit for bit; the package's tests switch it off to hold the
+// kernels to the scalar code on one host.
+var synthKernels = rng.SynthKernels()
+
 // synthesizeMismatch draws the white local component and superimposes a
 // smooth low-frequency across-die field (random sinusoids + planar tilt).
 //
@@ -300,37 +306,36 @@ func (a *Array) PowerOnCount() uint64 { return a.powerOns }
 // operation is the one the two-pass synthesis made, in its order, so
 // the plane is the same bit for bit (TestMismatchFieldEquivalence,
 // TestWhiteDrawsRetryEquivalence), and src ends where the serial draws
-// leave it.
+// leave it. Where synthKernels holds, both passes run eight cells per
+// instruction through kernels that replay the scalar code's operations
+// exactly, and the scalar code finishes each row's or chunk's tail.
 func (a *Array) synthesizeMismatch(src *rng.Source) {
 	sigma := a.spec.MismatchSigmaMv
 	gAmp := sigma * a.spec.GradientFrac
 
-	type wave struct{ kr, kc, phase, amp float64 }
-	waves := make([]wave, 4)
-	for i := range waves {
-		waves[i] = wave{
-			kr:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Rows),
-			kc:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Cols),
-			phase: src.Float64() * 2 * math.Pi,
-			amp:   gAmp * (0.5 + src.Float64()),
+	var f rng.Field
+	for i := range f.Waves {
+		f.Waves[i] = rng.Wave{
+			KR:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Rows),
+			KC:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Cols),
+			Phase: src.Float64() * 2 * math.Pi,
+			Amp:   gAmp * (0.5 + src.Float64()),
 		}
 	}
-	tiltR := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
-	tiltC := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
+	f.TiltR = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
+	f.TiltC = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
 
-	smoothAt := func(r, c int) float64 {
-		s := tiltR*float64(r) + tiltC*float64(c)
-		for _, w := range waves {
-			s += w.amp * math.Sin(w.kr*float64(r)+w.kc*float64(c)+w.phase)
-		}
-		return s
-	}
 	// Background context: Run cannot fail.
 	field, cols := make([]float64, a.n), a.spec.Cols
 	_ = a.pool.Run(context.Background(), a.spec.Rows, 1, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			for c := 0; c < cols; c++ {
-				field[r*cols+c] = smoothAt(r, c)
+			row := field[r*cols : (r+1)*cols]
+			c := 0
+			if synthKernels {
+				c = f.Row(r, row)
+			}
+			for ; c < cols; c++ {
+				row[c] = f.At(r, c)
 			}
 		}
 	})
@@ -348,13 +353,17 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	// number of draws (the defect test, then the defect's magnitude and
 	// sign or Norm's two uniforms) except when Norm retries a zero first
 	// uniform, so each chunk starts from src skipped to its first cell.
-	// A chunk that ends anywhere but its successor's start drew more; the
-	// earliest such chunk started right, and every cell after it is
-	// redrawn serially from its end state.
-	per := uint64(2)
-	if a.spec.ExtremeFrac > 0 {
-		per = 3
+	// The kernel stops at a retrying cell, and the scalar draws go on
+	// from there. A chunk that ends anywhere but its successor's start
+	// drew more; the earliest such chunk started right, and every cell
+	// after it is redrawn serially from its end state.
+	white := rng.White{
+		Sigma:       sigma,
+		ExtremeFrac: a.spec.ExtremeFrac,
+		ExtremeMin:  a.spec.ExtremeMinMv,
+		ExtremeSpan: a.spec.ExtremeMaxMv - a.spec.ExtremeMinMv,
 	}
+	per := white.Draws()
 	var (
 		mu       sync.Mutex
 		retryLo  = a.n // the earliest chunk that drew more: [retryLo, retryHi)
@@ -365,7 +374,12 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 		s, want := *src, *src
 		s.Skip(per * uint64(lo))
 		want.Skip(per * uint64(hi))
-		a.whiteCells(&s, field, smoothMean, lo, hi)
+		i := lo
+		if synthKernels {
+			i += rng.WhiteCells(s, &white, field[lo:hi], smoothMean, a.mismatch[lo:hi])
+			s.Skip(per * uint64(i-lo))
+		}
+		a.whiteCells(&s, field, smoothMean, i, hi)
 		if s != want {
 			mu.Lock()
 			if lo < retryLo {

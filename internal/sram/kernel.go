@@ -129,9 +129,11 @@ type capKernel struct {
 // splits each 64-cell word into its deterministic planes and counts its
 // noisy cells, the sum gives each word its offset in the packed arrays,
 // and the second fills them there, in ascending cell order. The packed
-// arrays hold exactly the noisy cells and grow only when an epoch has
-// more of them than any before. A cancelled build leaves the layout
-// invalid.
+// arrays hold exactly the noisy cells. They grow when an epoch has more
+// noisy cells than they can hold, and shrink to fit when it has fewer
+// than a quarter as many, as after a soak, so a carrier does not keep
+// its fresh silicon's residue live for the rest of its life. A
+// cancelled build leaves the layout invalid.
 func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	if err := a.ensureBiasPlane(ctx); err != nil {
 		return err
@@ -168,7 +170,8 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.offs[nw] = nc
 
 	zig := a.spec.NoiseGen == NoiseGenZiggurat
-	if cap(k.cellIdx) < int(nc) {
+	refit := func(capacity int) bool { return capacity < int(nc) || int(nc) < capacity/4 }
+	if refit(cap(k.cellIdx)) {
 		k.cellIdx = make([]uint32, nc)
 		k.idxMul = make([]uint64, nc)
 		k.xt = make([]float64, nc)
@@ -178,7 +181,7 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.xt = k.xt[:nc]
 	k.xtLo, k.xtHi = k.xtLo[:0], k.xtHi[:0]
 	if zig {
-		if cap(k.xtLo) < int(nc) {
+		if refit(cap(k.xtLo)) {
 			k.xtLo = make([]float32, nc)
 			k.xtHi = make([]float32, nc)
 		}
@@ -200,7 +203,7 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.votes = k.votes[:nwN]
 	k.slow = k.slow[:nwN]
 	k.last = k.last[:nwN]
-	if cap(k.draws) < int(nc) {
+	if refit(cap(k.draws)) {
 		k.draws = make([]uint64, nc)
 	}
 	k.draws = k.draws[:nc]

@@ -65,14 +65,22 @@ func requireLayout(t *testing.T, a *Array, sigma float64, what string) {
 		t.Fatalf("%s: burst scratch sized %d/%d/%d words and %d draws for %d noisy cells",
 			what, len(k.votes), len(k.slow), len(k.last), len(k.draws), nc)
 	}
+	for _, c := range []int{cap(k.cellIdx), cap(k.idxMul), cap(k.xt), cap(k.draws)} {
+		if c < nc || nc < c/4 {
+			t.Fatalf("%s: packed arrays hold %d cells for %d noisy cells, want at least %d and at most four times", what, c, nc, nc)
+		}
+	}
 }
 
 // TestKernelLayoutEquivalence holds the two-pass, pool-sharded layout
 // build to the serial build it replaced, array for array: cell counts
 // that end mid-word, both noise planes, one to four workers, fresh
-// silicon, an imprint (fewer noisy cells, so the arrays keep their
-// capacity) and a hot read of it (more). It also cancels builds at
-// every cancellation check (requireCancelledBuildRecovers).
+// silicon, an imprint (fewer noisy cells) and a hot read of it (more).
+// It also cancels builds at every cancellation check
+// (requireCancelledBuildRecovers). The packed arrays must hold between
+// one and four times the noisy count, so the 32768-cell imprint on v2
+// noise, which leaves under a quarter of the fresh noisy cells, must
+// shrink them.
 func TestKernelLayoutEquivalence(t *testing.T) {
 	for _, cells := range []int{8, 72, 1000, 4104, 32768} {
 		for _, gen := range []int{NoiseGenBoxMuller, NoiseGenZiggurat} {
@@ -85,8 +93,12 @@ func TestKernelLayoutEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireLayout(t, a, a.noiseSigmaAt(25), "fresh")
+					fresh := len(a.kern.cellIdx)
 					imprintSome(t, a, 10)
 					requireLayout(t, a, a.noiseSigmaAt(25), "imprinted")
+					if cells == 32768 && gen == NoiseGenZiggurat && 4*len(a.kern.cellIdx) >= fresh {
+						t.Fatalf("the imprint left %d of %d noisy cells: it does not exercise a shrink", len(a.kern.cellIdx), fresh)
+					}
 					requireLayout(t, a, a.noiseSigmaAt(125), "imprinted, read hot")
 				})
 			}

@@ -9,15 +9,36 @@ import (
 	"invisiblebits/internal/rng"
 )
 
+// synthPaths runs f once per mismatch-synthesis path this host has:
+// the scalar code, then the AVX-512 kernels where they run. Each run
+// sees synthKernels set to its path.
+func synthPaths(t *testing.T, f func(t *testing.T)) {
+	defer func(v bool) { synthKernels = v }(synthKernels)
+	paths := []bool{false}
+	if rng.SynthKernels() {
+		paths = append(paths, true)
+	}
+	for _, kernels := range paths {
+		synthKernels = kernels
+		t.Run(fmt.Sprintf("kernels=%v", kernels), f)
+	}
+}
+
 // TestMismatchFieldEquivalence requires the one-pass mismatch synthesis,
 // its field and its white draws run in parallel, to write the two-pass
 // oracle's plane bit for bit, with and without the defect population
 // and the smooth field, at one, three and four workers and at
-// GOMAXPROCS.
+// GOMAXPROCS, on the scalar path and on the AVX-512 kernels. The
+// geometries give rows shorter than, equal to and longer than one
+// vector block, with and without a scalar tail.
 func TestMismatchFieldEquivalence(t *testing.T) {
+	synthPaths(t, testMismatchFieldEquivalence)
+}
+
+func testMismatchFieldEquivalence(t *testing.T) {
 	def := DefaultSpec()
 	seed := uint64(0)
-	for _, g := range [][2]int{{1, 8}, {8, 8}, {3, 24}, {37, 64}, {512, 1024}} {
+	for _, g := range [][2]int{{1, 8}, {8, 8}, {3, 24}, {2, 12}, {37, 64}, {13, 40}, {512, 1024}} {
 		for _, extreme := range []float64{0, def.ExtremeFrac} {
 			for _, gradient := range []float64{0, def.GradientFrac} {
 				for _, workers := range []int{1, 3, 4, runtime.GOMAXPROCS(0)} {
@@ -59,13 +80,20 @@ const splitMixGamma = 0x9e3779b97f4a7c15
 // TestWhiteDrawsRetryEquivalence forces Norm's retry of a zero first
 // uniform, the one case in which a cell draws more than its fixed
 // count, at chosen cells: in the first chunk, mid-chunk, at a chunk's
-// last and first cells and in the last chunk, with the defect class on
-// and off, at pools of one to four workers. SplitMix64 outputs 0 when
-// its incremented state is 0, so the start state −(d+1)·gamma makes
-// draw d return exactly 0. The chunked draws must write the serial
-// oracle's plane bit for bit and leave the source where it does, and
-// the oracle must show that the retry fired.
+// last and first cells and in the last chunk; at lanes 0, 3 and 7 of a
+// vector block, in the first chunk's last full block of eight and in
+// its scalar tail, where the chunk has one. It runs with the defect
+// class on and off, at pools of one to four workers, on the scalar
+// path and on the AVX-512 kernels. SplitMix64 outputs 0 when its
+// incremented state is 0, so the start state −(d+1)·gamma makes draw d
+// return exactly 0. The chunked draws must write the serial oracle's
+// plane bit for bit and leave the source where it does, and the oracle
+// must show that the retry fired.
 func TestWhiteDrawsRetryEquivalence(t *testing.T) {
+	synthPaths(t, testWhiteDrawsRetryEquivalence)
+}
+
+func testWhiteDrawsRetryEquivalence(t *testing.T) {
 	const waveDraws = 18 // four waves of four parameters, two tilts
 	def := DefaultSpec()
 	for _, extreme := range []float64{0, def.ExtremeFrac} {
@@ -95,6 +123,16 @@ func TestWhiteDrawsRetryEquivalence(t *testing.T) {
 				{"second-chunk-first-cell", min(chunk, n-1)},
 				{"last-chunk", lastLo + (n-lastLo)/2},
 				{"last-cell", n - 1},
+				{"block-lane-0", 8},
+				{"block-lane-3", 8 + 3},
+				{"block-lane-7", 8 + 7},
+				{"last-full-block", chunk&^7 - 8 + 3},
+			}
+			if chunk%8 != 0 {
+				cells = append(cells, struct {
+					name string
+					cell int
+				}{"scalar-tail", chunk&^7 + 1})
 			}
 			for _, c := range cells {
 				t.Run(fmt.Sprintf("extreme=%g/workers=%d/%s", extreme, workers, c.name), func(t *testing.T) {

@@ -17,34 +17,6 @@ func (a *Array) noiseSigmaAt(tempC float64) float64 {
 		math.Sqrt((tempC+273.15)/(a.spec.NoiseTempRefC+273.15))
 }
 
-// resolveRace runs power-on race ctr for the cells of bytes [lo, hi),
-// writing the resolved bits into a.data. It reads the cached bias plane
-// (the caller must ensureBiasPlane first) and skips the noise draw for
-// cells beyond bound — their outcome is the sign of the bias for every
-// achievable draw. Safe to call concurrently on disjoint byte ranges.
-func (a *Array) resolveRace(ctr uint64, sigma, bound float64, lo, hi int) {
-	norm := a.drawNorm
-	for byteIdx := lo; byteIdx < hi; byteIdx++ {
-		var out byte
-		base := byteIdx * 8
-		for b := 0; b < 8; b++ {
-			i := base + b
-			bias := float64(a.biasPlane[i])
-			if bias > bound {
-				out |= 1 << b
-				continue
-			}
-			if bias < -bound {
-				continue
-			}
-			if bias+sigma*norm(ctr, uint64(i)) > 0 {
-				out |= 1 << b
-			}
-		}
-		a.data[byteIdx] = out
-	}
-}
-
 // Errors returned by digital and power operations.
 var (
 	ErrUnpowered = errors.New("sram: operation requires power")

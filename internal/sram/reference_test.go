@@ -34,8 +34,11 @@ import (
 // require the one-pass, chunked synthesizeMismatch to write the same
 // plane bit for bit.
 //
-// Last, it keeps the serial capture-layout build, which
+// It keeps the serial capture-layout build, which
 // TestKernelLayoutEquivalence holds the two-pass ensureKernel to.
+//
+// Last, it keeps resolveRace, the pruned per-byte race that
+// TestChunkSplitEquivalence drives at forced chunk sizes.
 
 // PowerOnReference resolves a power-on race with the serial, unpruned
 // engine. Semantics match PowerOn exactly: same counter consumption,
@@ -393,4 +396,32 @@ func (a *Array) kernelLayoutReference(sigma float64) kernelLayout {
 		k.det0[w] = d0
 	}
 	return k
+}
+
+// resolveRace runs power-on race ctr for the cells of bytes [lo, hi),
+// writing the resolved bits into a.data. It reads the cached bias plane
+// (the caller must ensureBiasPlane first) and skips the noise draw for
+// cells beyond bound — their outcome is the sign of the bias for every
+// achievable draw. Safe to call concurrently on disjoint byte ranges.
+func (a *Array) resolveRace(ctr uint64, sigma, bound float64, lo, hi int) {
+	norm := a.drawNorm
+	for byteIdx := lo; byteIdx < hi; byteIdx++ {
+		var out byte
+		base := byteIdx * 8
+		for b := 0; b < 8; b++ {
+			i := base + b
+			bias := float64(a.biasPlane[i])
+			if bias > bound {
+				out |= 1 << b
+				continue
+			}
+			if bias < -bound {
+				continue
+			}
+			if bias+sigma*norm(ctr, uint64(i)) > 0 {
+				out |= 1 << b
+			}
+		}
+		a.data[byteIdx] = out
+	}
 }

@@ -58,6 +58,31 @@ var ErrEmptyDeviceID = errors.New("stegocrypt: device ID must be non-empty")
 // returns the result. Encryption and decryption are the same operation.
 // The input is not modified.
 func StreamXOR(key Key, deviceID string, data []byte) ([]byte, error) {
+	stream, err := ctrStream(key, deviceID)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(data))
+	stream.XORKeyStream(out, data)
+	return out, nil
+}
+
+// KeyStream writes the first len(dst) bytes of the AES-CTR keystream for
+// (key, deviceID) into dst, generated in place: what StreamXOR applies
+// to that many bytes, for a caller that keeps the stream in a buffer of
+// its own.
+func KeyStream(key Key, deviceID string, dst []byte) error {
+	stream, err := ctrStream(key, deviceID)
+	if err != nil {
+		return err
+	}
+	clear(dst)
+	stream.XORKeyStream(dst, dst)
+	return nil
+}
+
+// ctrStream returns the AES-CTR stream for (key, deviceID).
+func ctrStream(key Key, deviceID string) (cipher.Stream, error) {
 	if deviceID == "" {
 		return nil, ErrEmptyDeviceID
 	}
@@ -66,9 +91,7 @@ func StreamXOR(key Key, deviceID string, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("stegocrypt: %w", err)
 	}
 	iv := NonceFromDeviceID(deviceID)
-	out := make([]byte, len(data))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, data)
-	return out, nil
+	return cipher.NewCTR(block, iv[:]), nil
 }
 
 // EncryptCBC encrypts data under AES-CBC with a zero-padded final block,

@@ -196,6 +196,29 @@ func TestKeyDerivationStable(t *testing.T) {
 	}
 }
 
+// TestKeyStreamMatchesStreamXOR: the in-place keystream is StreamXOR
+// applied to zeros, at lengths on and off the AES block, whatever dst
+// held before; an empty device ID is rejected.
+func TestKeyStreamMatchesStreamXOR(t *testing.T) {
+	key := KeyFromPassphrase("keystream")
+	for _, n := range []int{0, 1, 15, 16, 17, 4096, 64<<10 + 3} {
+		want, err := StreamXOR(key, "dev-ks", make([]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bytes.Repeat([]byte{0xa5}, n)
+		if err := KeyStream(key, "dev-ks", got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: KeyStream differs from StreamXOR of zeros", n)
+		}
+	}
+	if err := KeyStream(key, "", make([]byte, 16)); err != ErrEmptyDeviceID {
+		t.Fatalf("empty device ID: got %v, want ErrEmptyDeviceID", err)
+	}
+}
+
 func BenchmarkStreamXOR64KB(b *testing.B) {
 	key := KeyFromPassphrase("bench")
 	msg := make([]byte, 64<<10)
@@ -203,6 +226,18 @@ func BenchmarkStreamXOR64KB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := StreamXOR(key, "dev", msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKeyStream64KB(b *testing.B) {
+	key := KeyFromPassphrase("bench")
+	buf := make([]byte, 64<<10)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := KeyStream(key, "dev", buf); err != nil {
 			b.Fatal(err)
 		}
 	}
