@@ -20,6 +20,7 @@ import (
 	"invisiblebits/internal/fleet"
 	"invisiblebits/internal/fsck"
 	"invisiblebits/internal/sched"
+	"invisiblebits/internal/wal"
 )
 
 // durableSpec is the bench's campaign-durable shape: 700 B across three
@@ -39,22 +40,6 @@ func durableSpec() Spec {
 	}
 }
 
-// legacySpec is the spec of the directories under testdata/legacy,
-// written by the retired single-campaign engine: a 28 B message, so
-// slot 1 is zero-width.
-func legacySpec() Spec {
-	return Spec{
-		ID:              "legacy",
-		Model:           "MSP430G2553",
-		Serials:         []string{"lg-0", "lg-1"},
-		Message:         []byte("a legacy standalone campaign"),
-		Codec:           "paper",
-		StressHours:     10,
-		SliceHours:      2.5,
-		CheckpointEvery: 2,
-	}
-}
-
 func fileSHA256(t *testing.T, path string) string {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -65,15 +50,14 @@ func fileSHA256(t *testing.T, path string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// imageState loads a device image and hashes the state it decodes to,
-// whatever the image format: the data plane, then each of the six pools
-// (s0Perm, s0Fast, s0Slow, s1Perm, s1Fast, s1Slow) over every cell as
-// float32 bits, each equivalent stress time (t0, then t1) over every
-// cell as float64 bits — left out when withTimes is false — PowerOns
-// and NoiseGen as uint64, the Flash bytes, and each refresh event's
-// four fields as float64 bits, all little-endian. With withTimes it is
-// the device package's state pin.
-func imageState(t *testing.T, path string, withTimes bool) string {
+// imageState loads a device image and hashes the state it decodes to:
+// the data plane, then each of the six pools (s0Perm, s0Fast, s0Slow,
+// s1Perm, s1Fast, s1Slow) over every cell as float32 bits, each
+// equivalent stress time (t0, then t1) over every cell as float64 bits,
+// PowerOns and the noise generation (2, the ziggurat plane) as uint64,
+// the Flash bytes, and each refresh event's four fields as float64
+// bits, all little-endian. It is the device package's state pin.
+func imageState(t *testing.T, path string) string {
 	t.Helper()
 	d, err := device.LoadFile(path)
 	if err != nil {
@@ -93,14 +77,14 @@ func imageState(t *testing.T, path string, withTimes bool) string {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for dir := 0; withTimes && dir < 2; dir++ {
+	for dir := 0; dir < 2; dir++ {
 		for i := 0; i < d.SRAM.Cells(); i++ {
 			t0, t1 := d.SRAM.EquivalentTimes(i)
 			put(math.Float64bits([2]float64{t0, t1}[dir]))
 		}
 	}
 	put(st.PowerOns)
-	put(uint64(st.NoiseGen))
+	put(2)
 	if d.Flash != nil {
 		fl, err := d.Flash.Read(0, d.Flash.Bytes())
 		if err != nil {
@@ -160,7 +144,7 @@ func TestStandaloneBitPins(t *testing.T) {
 					continue
 				}
 				images++
-				if got := imageState(t, filepath.Join(dir, img), true); got != tc.states[slot] {
+				if got := imageState(t, filepath.Join(dir, img)); got != tc.states[slot] {
 					t.Errorf("slot %d final state sha256 %s, want %s", slot, got, tc.states[slot])
 				}
 			}
@@ -171,34 +155,44 @@ func TestStandaloneBitPins(t *testing.T) {
 	}
 }
 
-// copyDir copies a flat fixture directory into a fresh temp dir.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := filepath.Join(t.TempDir(), filepath.Base(src))
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
+// legacySpec is the campaign behind the legacy directories below.
+func legacySpec() Spec {
+	return Spec{
+		ID:              "legacy",
+		Model:           "MSP430G2553",
+		Serials:         []string{"lg-0", "lg-1"},
+		Message:         []byte("a legacy standalone campaign"),
+		Codec:           "paper",
+		StressHours:     10,
+		SliceHours:      2.5,
+		CheckpointEvery: 2,
 	}
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
 }
 
-// TestLegacyCampaignDirs resumes, audits, repairs and decodes the two
-// directories the retired single-campaign engine wrote for legacySpec:
-// "killed" died at the first kill point after its first checkpoint
-// record, "finished" ran to the end. Their journals are in the legacy
-// grammar, which the first resume migrates.
+// legacyRecords is the journal the retired single-campaign engine wrote
+// for legacySpec, in that engine's grammar (begin, checkpoint, encoded,
+// done): a killed run stopped after record 4, its first checkpoint.
+var legacyRecords = []string{
+	`{"seq":0,"type":"begin","campaign":"legacy","digest":"3a288a0440a4c4ee63b40efa1745ec061bee630fdda5d6b31be1947fb391f988","slots":2,"slot":-1}`,
+	`{"seq":1,"type":"prepared","campaign":"legacy","slot":0}`,
+	`{"seq":2,"type":"slice","campaign":"legacy","slot":0,"applied_hours":2.5,"total_hours":10}`,
+	`{"seq":3,"type":"slice","campaign":"legacy","slot":0,"applied_hours":5,"total_hours":10}`,
+	`{"seq":4,"type":"checkpoint","slot":0,"applied_hours":5,"image":"slot-0-ckpt-5.0000h.img"}`,
+	`{"seq":5,"type":"slice","campaign":"legacy","slot":0,"applied_hours":7.5,"total_hours":10}`,
+	`{"seq":6,"type":"slice","campaign":"legacy","slot":0,"applied_hours":10,"total_hours":10}`,
+	`{"seq":7,"type":"checkpoint","slot":0,"applied_hours":10,"image":"slot-0-ckpt-10.0000h.img"}`,
+	`{"seq":8,"type":"encoded","campaign":"legacy","slot":0,"applied_hours":10.4,"image":"slot-0-final.img"}`,
+	`{"seq":9,"type":"done","campaign":"legacy","slot":-1}`,
+}
+
+// TestLegacyCampaignDirs: a directory the retired single-campaign engine
+// left, its journal framed but in that engine's grammar, takes the
+// generic damaged-journal path (DESIGN §5h, "Compatibility promise").
+// ibfsck finds no record that verifies and repairs to an empty journal;
+// a resume salvages it at its first record and runs the campaign again
+// from spec.json, to the uninterrupted run's result. "killed" stopped
+// after its first checkpoint; "finished" ran to the end and left a
+// result.json.
 func TestLegacyCampaignDirs(t *testing.T) {
 	ctx := context.Background()
 	key := testKey()
@@ -208,73 +202,66 @@ func TestLegacyCampaignDirs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
+	refImages := readImages(t, refDir, refRes)
+	result, err := os.ReadFile(filepath.Join(refDir, "result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, name := range []string{"killed", "finished"} {
-		t.Run(name, func(t *testing.T) {
-			fixture := filepath.Join("testdata", "legacy", name)
+	for _, tc := range []struct {
+		name     string
+		records  int
+		finished bool
+	}{
+		{"killed", 5, false},
+		{"finished", len(legacyRecords), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var journal []byte
+			for _, r := range legacyRecords[:tc.records] {
+				journal = append(journal, wal.EncodeFrame([]byte(r))...)
+			}
+			legacyDir := func() string {
+				dir := t.TempDir()
+				writeSpecJSON(t, dir, spec)
+				if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if tc.finished {
+					if err := os.WriteFile(filepath.Join(dir, "result.json"), result, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return dir
+			}
 
-			dir := copyDir(t, fixture)
+			dir := legacyDir()
 			rep, err := fsck.Audit(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range rep.Findings {
-				if f.Severity == fsck.SevError {
-					t.Fatalf("audit of the legacy directory: %+v", f)
-				}
+			if rep.JournalRecords != 0 || rep.ValidLen != 0 || rep.DroppedBytes != int64(len(journal)) || rep.Clean() {
+				t.Fatalf("audit of the legacy directory: %+v", rep)
 			}
-			result, _ := os.ReadFile(filepath.Join(dir, "result.json"))
-			legacy, err := os.ReadFile(filepath.Join(dir, journalFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
-			// Every legacy record survives the migration (begin becomes
-			// two): the resume continues the legacy run, not a fresh one.
-			if want := bytes.Count(legacy, []byte("\n")) + 1; sum.JournalRecords != want || sum.Degraded() {
-				t.Fatalf("resume replayed %d records, want %d undamaged: %+v", sum.JournalRecords, want, sum)
+			if !sum.Degraded() || sum.JournalRecords != 0 || !strings.Contains(sum.Reason, `unknown record type "begin" at seq 0`) {
+				t.Fatalf("resume did not salvage the legacy journal at its first record: %+v", sum)
 			}
-			if !reflect.DeepEqual(res, refRes) {
-				t.Fatalf("result differs from uninterrupted run:\n got %+v\nwant %+v", res, refRes)
-			}
-			// A version-3 image can never equal a version-4 one, so the
-			// final images are compared by the state they decode to. Every
-			// image in the fixture is version 3, which carries no
-			// equivalent stress times: a slot that has one ended in it or
-			// resumed from it, and its times were re-derived — the
-			// documented approximate resume. Its pools still match.
-			for slot, img := range res.Images {
-				if img == "" {
-					continue
-				}
-				legacySlot, _ := filepath.Glob(filepath.Join(fixture, fmt.Sprintf("slot-%d-*.img", slot)))
-				withTimes := len(legacySlot) == 0
-				got := imageState(t, filepath.Join(dir, img), withTimes)
-				if want := imageState(t, filepath.Join(refDir, refRes.Images[slot]), withTimes); got != want {
-					t.Fatalf("slot %d final image decodes to another state than the uninterrupted run's", slot)
-				}
-			}
-			entries, _, err := sched.ReadJournal(filepath.Join(dir, journalFile))
-			if err != nil || len(entries) == 0 || entries[0].Type != "tenant" {
-				t.Fatalf("journal not migrated to the scheduler grammar: %v", err)
-			}
-			if name == "finished" {
-				if after, _ := os.ReadFile(filepath.Join(dir, "result.json")); !bytes.Equal(after, result) {
-					t.Fatal("resume of the finished campaign rewrote result.json")
-				}
-			}
+			assertSameOutcome(t, tc.name, dir, res, refRes, refImages)
 			got, err := DecodeResult(ctx, dir, key)
 			if err != nil || !bytes.Equal(got, spec.Message) {
 				t.Fatalf("decode: %q, %v", got, err)
 			}
 
-			dir = copyDir(t, fixture)
+			dir = legacyDir()
 			if _, err := fsck.Repair(nil, dir); err != nil {
 				t.Fatal(err)
+			}
+			if after, err := os.ReadFile(filepath.Join(dir, journalFile)); err != nil || len(after) != 0 {
+				t.Fatalf("repair left %d journal bytes, want 0: %v", len(after), err)
 			}
 			if rep, err := fsck.Audit(nil, dir); err != nil || !rep.Clean() {
 				t.Fatalf("repaired legacy directory does not audit clean: %+v, %v", rep, err)

@@ -66,7 +66,6 @@ type Option func(*options)
 
 type options struct {
 	sramLimitBytes int
-	workers        int
 }
 
 // WithSRAMLimit caps the instantiated SRAM size (bytes). Large devices
@@ -76,14 +75,6 @@ type options struct {
 // Model.SRAMBytes.
 func WithSRAMLimit(bytes int) Option {
 	return func(o *options) { o.sramLimitBytes = bytes }
-}
-
-// WithWorkers gives the device's SRAM capture engine a private worker
-// budget instead of the process-wide shared pool. Capture results are
-// identical for any worker count (noise is counter-derived per cell);
-// only throughput changes.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
 }
 
 // New instantiates a device. The serial number seeds process variation:
@@ -108,7 +99,6 @@ func New(model Model, serial string, opts ...Option) (*Device, error) {
 	spec.MismatchSigmaMv = model.MismatchSigmaMv
 	spec.Aging = model.AgingParams()
 	spec.Seed = rng.HashString(model.Name + "/" + serial)
-	spec.Workers = o.workers
 
 	arr, err := sram.New(spec)
 	if err != nil {

@@ -3,60 +3,60 @@ package device
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/sram"
 )
 
-// imageV1 mirrors the version-1 wire layout (no RefreshLog field). gob
-// matches struct fields by name, so encoding this type produces exactly
-// what a pre-ledger build would have written.
-type imageV1 struct {
-	Version   int
-	ModelName string
-	Serial    string
-	SRAMBytes int
-	SRAM      sram.State
-	FlashData []byte
-}
-
-// imageBytes builds a real device image at the requested version:
-// versions 1–3 in the gob layouts their readers expect, 4 by Save.
-func imageBytes(t testing.TB, version int) []byte {
+// freshImage is the image of a fresh, powered MSP430G2553.
+func freshImage(t testing.TB) []byte {
 	t.Helper()
 	d := mustDeviceTB(t, "MSP430G2553", "fuzz-seed")
 	if _, err := d.PowerOn(25); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	var img any
-	switch version {
-	case 1:
-		img = imageV1{
-			Version:   1,
-			ModelName: d.Model.Name,
-			Serial:    d.Serial,
-			SRAMBytes: d.SRAM.Bytes(),
-			SRAM:      d.SRAM.StateSnapshot(),
-		}
-	case 2, 3:
-		img = image{
-			Version:   version,
-			ModelName: d.Model.Name,
-			Serial:    d.Serial,
-			SRAMBytes: d.SRAM.Bytes(),
-			SRAM:      d.SRAM.StateSnapshot(),
-		}
-	default:
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// retiredImage is the gob layout of device image versions 1–3 (version
+// 1 had no RefreshLog). No build writes it any more and Load refuses
+// it: the tests keep it only as hostile input.
+type retiredImage struct {
+	Version    int
+	ModelName  string
+	Serial     string
+	SRAMBytes  int
+	SRAM       sram.State
+	FlashData  []byte
+	RefreshLog []RefreshEvent
+}
+
+// retiredImageBytes encodes a fresh, powered MSP430G2553 in the gob
+// layout of image version v (1–3).
+func retiredImageBytes(t testing.TB, v int) []byte {
+	t.Helper()
+	d := mustDeviceTB(t, "MSP430G2553", "fuzz-seed")
+	if _, err := d.PowerOn(25); err != nil {
+		t.Fatal(err)
+	}
+	img := retiredImage{
+		Version:   v,
+		ModelName: d.Model.Name,
+		Serial:    d.Serial,
+		SRAMBytes: d.SRAM.Bytes(),
+		SRAM:      d.SRAM.StateSnapshot(),
+	}
+	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +76,18 @@ func mustDeviceTB(t testing.TB, model, serial string, opts ...Option) *Device {
 	return d
 }
 
-// imageSeeds returns the seed corpus: genuine gob images (v1, v3), their
-// truncations and a single-byte corruption, plain garbage, then the
-// version-4 seeds. The gob shapes are checked in under
-// testdata/fuzz/FuzzImageLoad as seed-00..06 and never rewritten; the
-// version-4 seeds as v4-seed-NN (regenerate with IB_REGEN_FUZZ=1).
+// imageSeeds returns the seed corpus: plain garbage, gob images in the
+// retired version 1–3 layouts, then the version-4 seeds. The garbage is
+// checked in under testdata/fuzz/FuzzImageLoad as seed-05 and seed-06
+// and never rewritten; the version-4 seeds as v4-seed-NN (regenerate
+// with IB_REGEN_FUZZ=1). The gob images are built here, not checked in.
 func imageSeeds(t testing.TB) [][]byte {
-	v1 := imageBytes(t, 1)
-	v3 := imageBytes(t, 3)
-	flipped := append([]byte(nil), v3...)
-	flipped[len(flipped)/3] ^= 0x40
 	return append([][]byte{
-		v1,
-		v3,
-		v3[:len(v3)/2],
-		v3[:7],
-		flipped,
 		[]byte("not a device image"),
 		{},
+		retiredImageBytes(t, 1),
+		retiredImageBytes(t, 2),
+		retiredImageBytes(t, 3),
 	}, v4Seeds(t)...)
 }
 
@@ -102,7 +96,7 @@ func imageSeeds(t testing.TB) [][]byte {
 // firmware and a refresh event (three classes) — then the second's
 // truncations and a flipped byte in its class table and in its index.
 func v4Seeds(t testing.TB) [][]byte {
-	fresh := imageBytes(t, 4)
+	fresh := freshImage(t)
 	aged := agedImage(t)
 	l := layoutV4(t, aged)
 	table := append([]byte(nil), aged...)
@@ -112,10 +106,10 @@ func v4Seeds(t testing.TB) [][]byte {
 	return [][]byte{fresh, aged, aged[:len(aged)/2], aged[:5], table, index}
 }
 
-// FuzzImageLoad hammers the device-image loader with mutated gob
-// streams and version-4 images. The contract: Load either returns a
-// working device — whose image must survive a re-Save, byte for byte
-// when it was a version-4 image — or an error. Never a panic,
+// FuzzImageLoad hammers the device-image loader with mutated version-4
+// images. The contract: Load either returns a working device — whose
+// image re-Saves to the same bytes, bare or under its seal footer — or
+// an error. Never a panic,
 // regardless of what the bytes claim about version, geometry, class
 // counts or flash size.
 func FuzzImageLoad(f *testing.F) {
@@ -136,31 +130,39 @@ func FuzzImageLoad(f *testing.F) {
 		if err := d.Save(&buf); err != nil {
 			t.Fatalf("re-save of loaded image failed: %v", err)
 		}
-		if bytes.HasPrefix(data, []byte(imageMagic)) &&
-			!bytes.Equal(buf.Bytes(), data) && !bytes.Equal(ioatomic.Seal(buf.Bytes()), data) {
+		if !bytes.Equal(buf.Bytes(), data) && !bytes.Equal(ioatomic.Seal(buf.Bytes()), data) {
 			t.Fatal("a version-4 image loaded but re-saved to other bytes")
 		}
 	})
 }
 
-// TestLoadV1Image pins backward compatibility outside the fuzzer: a
-// version-1 stream (no RefreshLog) loads, reports an empty ledger, and
-// reproduces the saved silicon.
-func TestLoadV1Image(t *testing.T) {
-	d, err := Load(bytes.NewReader(imageBytes(t, 1)))
-	if err != nil {
-		t.Fatalf("v1 image rejected: %v", err)
+// TestLoadRefusesRetiredImages: Load reads version 4 only (DESIGN §5h,
+// "Compatibility promise"). A gob image in a version 1–3 layout is
+// refused as not a version-4 image, not taken for a truncated one; a
+// payload cut inside the magic, the empty one included, is
+// ErrTruncatedImage.
+func TestLoadRefusesRetiredImages(t *testing.T) {
+	for v := 1; v <= 3; v++ {
+		t.Run(fmt.Sprintf("gob v%d", v), func(t *testing.T) {
+			_, err := Load(bytes.NewReader(retiredImageBytes(t, v)))
+			if err == nil || errors.Is(err, ErrTruncatedImage) || !strings.Contains(err.Error(), "not a version-4 device image") {
+				t.Fatalf("version-%d gob image: %v, want a refusal as not a version-4 image", v, err)
+			}
+		})
 	}
-	if d.Model.Name != "MSP430G2553" || d.Serial != "fuzz-seed" {
-		t.Fatalf("identity lost: %s/%s", d.Model.Name, d.Serial)
-	}
-	if len(d.RefreshLog()) != 0 {
-		t.Fatalf("v1 image produced %d ledger entries", len(d.RefreshLog()))
+	img := freshImage(t)
+	for _, n := range []int{0, 5} {
+		t.Run(fmt.Sprintf("cut at %d bytes", n), func(t *testing.T) {
+			if _, err := Load(bytes.NewReader(img[:n])); !errors.Is(err, ErrTruncatedImage) {
+				t.Fatalf("%d bytes of the magic: %v, want ErrTruncatedImage", n, err)
+			}
+		})
 	}
 }
 
 // TestRegenFuzzCorpus rewrites the checked-in version-4 seeds from
-// v4Seeds; the gob seeds (seed-00..06) stay as they were recorded.
+// v4Seeds; the garbage seeds (seed-05, seed-06) stay as they were
+// recorded.
 // Gated so normal runs never touch testdata; run with IB_REGEN_FUZZ=1
 // after changing the image format or seed set.
 func TestRegenFuzzCorpus(t *testing.T) {

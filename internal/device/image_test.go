@@ -139,7 +139,7 @@ func TestV4ImageCarriesWholeState(t *testing.T) {
 // none of them builds a device: the layout is checked against the
 // payload first.
 func TestV4ImagePrefixesAreTruncated(t *testing.T) {
-	for _, img := range [][]byte{imageBytes(t, 4), agedImage(t)} {
+	for _, img := range [][]byte{freshImage(t), agedImage(t)} {
 		for n := 0; n < len(img); n++ {
 			if _, err := Load(bytes.NewReader(img[:n])); !errors.Is(err, ErrTruncatedImage) {
 				t.Fatalf("%d-byte prefix of a %d-byte image: %v, want ErrTruncatedImage", n, len(img), err)
@@ -170,6 +170,7 @@ func TestV4ImageRejectsHostileImages(t *testing.T) {
 		{"unknown flag", func(b []byte) []byte { b[l.state+8] |= 0x04; return b }, false},
 		{"powered and remanent", func(b []byte) []byte { b[l.state+8] = 3; return b }, false},
 		{"noise generation 0", func(b []byte) []byte { b[l.state+17] = 0; return b }, false},
+		{"noise generation 1", func(b []byte) []byte { b[l.state+17] = 1; return b }, false},
 		{"noise generation 3", func(b []byte) []byte { b[l.state+17] = 3; return b }, false},
 		{"no aging class", u32(l.classes, 0), false},
 		{"more classes than cells", u32(l.classes, 4097), false},

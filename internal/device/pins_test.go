@@ -31,7 +31,8 @@ func biasPlaneSHA256(d *Device) string {
 // carried it: the data plane, then each of the six pools (s0Perm,
 // s0Fast, s0Slow, s1Perm, s1Fast, s1Slow) over every cell as float32
 // bits, each equivalent stress time (t0, then t1) over every cell as
-// float64 bits, PowerOns and NoiseGen as uint64, the Flash bytes, and
+// float64 bits, PowerOns and the noise generation (2, the ziggurat
+// plane) as uint64, the Flash bytes, and
 // each refresh event's four fields as float64 bits, all little-endian.
 func stateSHA256(d *Device) string {
 	h := sha256.New()
@@ -55,7 +56,7 @@ func stateSHA256(d *Device) string {
 		}
 	}
 	put(st.PowerOns)
-	put(uint64(st.NoiseGen))
+	put(2)
 	if d.Flash != nil {
 		fl, err := d.Flash.Read(0, d.Flash.Bytes())
 		if err != nil {

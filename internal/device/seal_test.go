@@ -46,9 +46,9 @@ func TestSaveFileSealedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadFilePreFooterCompat: images written before the seal footer
-// existed (a bare gob stream) still load — the footer is optional on
-// read, mandatory only on new writes.
+// TestLoadFilePreFooterCompat: a bare version-4 stream, as Save writes
+// it without the seal footer, still loads from a file — the footer is
+// optional on read, mandatory only on SaveFile's writes.
 func TestLoadFilePreFooterCompat(t *testing.T) {
 	d := mustDevice(t, "MSP430G2553", "legacy-1", WithSRAMLimit(1<<10))
 	path := filepath.Join(t.TempDir(), "legacy.img")

@@ -3,12 +3,10 @@ package device
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/sram"
@@ -30,16 +28,7 @@ var ErrTruncatedImage = errors.New("device: image truncated")
 // with errors.Is; it also matches ioatomic.ErrSealMismatch.
 var ErrCorruptImage = fmt.Errorf("device: image corrupt: %w", ioatomic.ErrSealMismatch)
 
-// Image formats. Versions 1–3 are gob streams of the image struct below:
-// version 2 added the refresh maintenance ledger, version 3 the SRAM
-// noise-plane version (sram.State.NoiseGen). They still load: a missing
-// NoiseGen decodes as zero, which RestoreState maps to Box–Muller — the
-// only sampler that existed when those images were written — so v1/v2
-// archives keep replaying bit-identical captures under the v2 engine.
-// They carry no equivalent stress times, so a device loaded from one
-// re-derives them on its next stress (an approximate resume).
-//
-// Version 4, the one Save writes, is a fixed little-endian layout behind
+// The device image, version 4, is a fixed little-endian layout behind
 // imageMagic:
 //
 //	magic      8 bytes, imageMagic
@@ -48,8 +37,9 @@ var ErrCorruptImage = fmt.Errorf("device: image corrupt: %w", ioatomic.ErrSealMi
 //	serial     u32 length + bytes
 //	sramBytes  u32, the instantiated size (may be a sample of the model's)
 //	state      the SRAM state section (sram.Array.AppendState): seed,
-//	           flags, PowerOns, NoiseGen, data plane, aging class table
-//	           and per-cell class index, equivalent times included
+//	           flags, PowerOns, the noise generation (2), data plane,
+//	           aging class table and per-cell class index, equivalent
+//	           times included
 //	flash      u32 length + bytes: the Flash contents up to the last
 //	           byte that is not erased (0xFF); the erased tail is implied
 //	refresh    u32 count + count × 4 float64: the maintenance ledger
@@ -57,33 +47,12 @@ var ErrCorruptImage = fmt.Errorf("device: image corrupt: %w", ioatomic.ErrSealMi
 // The encoding is canonical — the same device gives the same bytes in
 // any process, and Load rejects any other encoding of it — and it holds
 // the device's whole state, so a device loaded from it continues
-// exactly as the saved one would have.
+// exactly as the saved one would have. Versions 1–3, gob streams that
+// no build writes any more, are refused.
 const (
-	imageVersion   = 4
-	lastGobVersion = 3
-	// imageMagic opens every version-4 image. No gob stream starts with
-	// it: a gob stream opens with a message length, whose first byte is
-	// below 0x80 or a negated byte count of 0xF8 and up.
-	imageMagic = "\x89IBDEV\r\n"
+	imageVersion = 4
+	imageMagic   = "\x89IBDEV\r\n"
 )
-
-// image is the gob-serialized form of a version 1–3 device image: enough
-// to reconstruct the silicon (model + serial regenerate the fingerprint)
-// plus the mutable aging/digital state.
-type image struct {
-	Version   int
-	ModelName string
-	Serial    string
-	SRAMBytes int // instantiated size (may be a sample of the model size)
-	SRAM      sram.State
-	// FlashData is the digital Flash contents (the firmware travels with
-	// the chip). A device's Flash has no analog state to carry — the
-	// steganographic channel under study is the SRAM.
-	FlashData []byte
-	// RefreshLog is the maintenance ledger (since version 2). Absent in
-	// version-1 images.
-	RefreshLog []RefreshEvent
-}
 
 // Save serializes the device to w as a version-4 image. The CPU is not
 // part of the image — firmware is reloaded by whoever receives the
@@ -162,9 +131,9 @@ func LoadFileFS(fsys storage.FS, path string) (*Device, error) {
 	return load(payload, false)
 }
 
-// Load reconstructs a device from an image produced by Save, of any
-// version. The reader may also hold a file SaveFile wrote: a version-4
-// image accepts its seal footer and verifies it.
+// Load reconstructs a device from an image produced by Save. The reader
+// may also hold a file SaveFile wrote: the image accepts its seal
+// footer and verifies it.
 func Load(r io.Reader) (*Device, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -173,69 +142,16 @@ func Load(r io.Reader) (*Device, error) {
 	return load(data, true)
 }
 
-// load dispatches on the magic. sealOK lets a version-4 image end in a
-// seal footer.
+// load reads a version-4 image. sealOK lets it end in a seal footer.
 func load(data []byte, sealOK bool) (*Device, error) {
 	switch {
-	case len(data) < len(imageMagic) && strings.HasPrefix(imageMagic, string(data)):
+	case len(data) < len(imageMagic) && bytes.HasPrefix([]byte(imageMagic), data):
 		// Empty, or cut inside the magic.
 		return nil, fmt.Errorf("device: load: %w", ErrTruncatedImage)
-	case strings.HasPrefix(string(data), imageMagic):
-		return loadV4(data, sealOK)
+	case !bytes.HasPrefix(data, []byte(imageMagic)):
+		return nil, errors.New("device: load: not a version-4 device image")
 	}
-	return loadGob(data)
-}
-
-// loadGob reads a version 1–3 image.
-func loadGob(data []byte) (*Device, error) {
-	var img image
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("device: load: %w", ErrTruncatedImage)
-		}
-		return nil, fmt.Errorf("device: load: %w", err)
-	}
-	if img.Version < 1 || img.Version > lastGobVersion {
-		return nil, fmt.Errorf("device: image version %d unsupported", img.Version)
-	}
-	model, err := ByName(img.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	if len(img.SRAM.Data) != img.SRAMBytes || len(img.SRAM.S0Perm) != 8*img.SRAMBytes {
-		// Checked before New, so a short stream cannot make it build a
-		// large array.
-		return nil, fmt.Errorf("%w: image state does not cover %d bytes of SRAM", sram.ErrStateMismatch, img.SRAMBytes)
-	}
-	if len(img.FlashData) > 0 && model.FlashBytes == 0 {
-		// Loading would drop the bytes, and a re-Save would lose them.
-		return nil, fmt.Errorf("device: image carries %d bytes of flash, but model %s has no flash",
-			len(img.FlashData), model.Name)
-	}
-	var opts []Option
-	if img.SRAMBytes < model.SRAMBytes {
-		opts = append(opts, WithSRAMLimit(img.SRAMBytes))
-	}
-	d, err := New(model, img.Serial, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.SRAM.RestoreState(img.SRAM); err != nil {
-		return nil, err
-	}
-	d.refreshLog = append(d.refreshLog, img.RefreshLog...)
-	if len(img.FlashData) > 0 {
-		if len(img.FlashData) != d.Flash.Bytes() {
-			return nil, fmt.Errorf("device: image flash is %d bytes, device has %d",
-				len(img.FlashData), d.Flash.Bytes())
-		}
-		// A fresh store is fully erased, so programming reproduces the
-		// digital contents exactly (NOR 1→0 transitions only).
-		if err := d.Flash.Program(0, img.FlashData); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return loadV4(data, sealOK)
 }
 
 // imageReader walks a version-4 image. Running off the end is

@@ -23,9 +23,7 @@
 // campaign whose spec.json is unrecoverable is quarantined (a
 // standalone campaign refuses to resume). Repair never deletes device
 // images — older generations are exactly what degraded resume falls
-// back on. A journal in the legacy campaign grammar is audited through
-// sched.MigrateLegacy; repair writes the migrated journal, as resume
-// would.
+// back on.
 package fsck
 
 import (
@@ -149,28 +147,13 @@ func inspect(fsys storage.FS, dir string, repair bool) (*Report, error) {
 	if err != nil {
 		return rep, fmt.Errorf("fsck: read journal: %w", err)
 	}
-	migrated, legacyCut, legacy := sched.MigrateLegacy(data)
-	if legacy {
-		rep.add(SevInfo, "journal.jsonl", "journal is in the legacy campaign grammar",
-			"repair, or the next resume, rewrites it in the scheduler grammar")
-		data = migrated
-	}
 	entries := audit(fsys, dir, data, rep)
-	if legacyCut.Truncated {
-		rep.DroppedBytes += legacyCut.DroppedBytes
-		rep.TornTail, rep.Reason = legacyCut.TornTail, legacyCut.Reason
-	}
 	if rep.DroppedBytes > 0 {
 		rep.add(SevError, "journal.jsonl",
 			fmt.Sprintf("only %d of %d records verify (%d bytes beyond the consistent prefix)", rep.JournalRecords, entries, rep.DroppedBytes),
 			fmt.Sprintf("repair truncates to %d bytes; resume salvages the same prefix", rep.ValidLen))
 	}
 	if repair {
-		if legacy {
-			if err := ioatomic.WriteFileFS(fsys, jpath, data, 0o644); err != nil {
-				return rep, fmt.Errorf("fsck: migrate legacy journal: %w", err)
-			}
-		}
 		if err := applyRepair(fsys, dir, rep); err != nil {
 			return rep, err
 		}

@@ -5,7 +5,7 @@ package rng
 // state. Where Source models a single PRNG tape that must be consumed
 // in order, Stream hands out an independent tape per coordinate — which
 // is what makes the SRAM capture engine parallel-safe by construction:
-// cell i's thermal-noise sample on power-on k is Norm(k, i) no matter
+// cell i's thermal-noise sample on power-on k is NormZig(k, i) no matter
 // which worker computes it, in what order, or in what chunk.
 //
 // The derivation is two rounds of the SplitMix64 finalizer over the key
@@ -65,19 +65,4 @@ func (s Stream) CtrState(counter uint64) uint64 {
 // Successive calls with the same coordinate return identical streams.
 func (s Stream) At(counter, index uint64) *Source {
 	return &Source{state: s.stateAt(counter, index)}
-}
-
-// Norm returns the standard-normal variate at (counter, index) — the
-// first Norm() draw of At(counter, index), without the allocation.
-func (s Stream) Norm(counter, index uint64) float64 {
-	src := Source{state: s.stateAt(counter, index)}
-	return src.Norm()
-}
-
-// NormFromCtr is Norm with the counter state pre-hoisted via CtrState —
-// the v1 (Box–Muller) compat path of the word-parallel capture kernel.
-// Bit-identical to Norm(counter, index) for every coordinate.
-func NormFromCtr(ctrState, index uint64) float64 {
-	src := Source{state: mix64(ctrState ^ index*idxPrime)}
-	return src.Norm()
 }

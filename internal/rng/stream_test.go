@@ -11,17 +11,17 @@ func TestStreamOrderIndependent(t *testing.T) {
 	s := NewStream(42)
 	forward := make([]float64, 64)
 	for i := range forward {
-		forward[i] = s.Norm(7, uint64(i))
+		forward[i] = s.NormZig(7, uint64(i))
 	}
 	for i := len(forward) - 1; i >= 0; i-- {
-		if got := s.Norm(7, uint64(i)); got != forward[i] {
+		if got := s.NormZig(7, uint64(i)); got != forward[i] {
 			t.Fatalf("index %d: reverse-order draw %v != forward draw %v", i, got, forward[i])
 		}
 	}
 	// Interleaving counters must not disturb either stream.
 	for i := range forward {
-		_ = s.Norm(8, uint64(i))
-		if got := s.Norm(7, uint64(i)); got != forward[i] {
+		_ = s.NormZig(8, uint64(i))
+		if got := s.NormZig(7, uint64(i)); got != forward[i] {
 			t.Fatalf("index %d: draw after counter interleave changed", i)
 		}
 	}
@@ -33,8 +33,8 @@ func TestStreamDecorrelated(t *testing.T) {
 	const n = 4096
 	var sumXY, sumX, sumY float64
 	for i := 0; i < n; i++ {
-		x := s.Norm(0, uint64(i))
-		y := s.Norm(0, uint64(i+1))
+		x := s.NormZig(0, uint64(i))
+		y := s.NormZig(0, uint64(i+1))
 		sumXY += x * y
 		sumX += x
 		sumY += y
@@ -44,11 +44,11 @@ func TestStreamDecorrelated(t *testing.T) {
 		t.Fatalf("adjacent-index correlation %v, want ~0", corr)
 	}
 	// Distinct seeds diverge.
-	if NewStream(1).Norm(0, 0) == NewStream(2).Norm(0, 0) {
+	if NewStream(1).NormZig(0, 0) == NewStream(2).NormZig(0, 0) {
 		t.Fatal("different stream keys produced identical draws")
 	}
 	// Distinct counters diverge.
-	if s.Norm(0, 0) == s.Norm(1, 0) {
+	if s.NormZig(0, 0) == s.NormZig(1, 0) {
 		t.Fatal("different counters produced identical draws")
 	}
 }
@@ -58,7 +58,7 @@ func TestStreamMomentsGaussian(t *testing.T) {
 	const n = 200000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		x := s.Norm(3, uint64(i))
+		x := s.NormZig(3, uint64(i))
 		sum += x
 		sumSq += x * x
 	}
@@ -75,8 +75,8 @@ func TestStreamMomentsGaussian(t *testing.T) {
 func TestStreamAtMatchesNorm(t *testing.T) {
 	s := NewStream(7)
 	for i := uint64(0); i < 16; i++ {
-		if got, want := s.At(5, i).Norm(), s.Norm(5, i); got != want {
-			t.Fatalf("At(5,%d).Norm() = %v, Norm(5,%d) = %v", i, got, i, want)
+		if got, want := s.At(5, i).NormZiggurat(), s.NormZig(5, i); got != want {
+			t.Fatalf("At(5,%d).NormZiggurat() = %v, NormZig(5,%d) = %v", i, got, i, want)
 		}
 	}
 }

@@ -374,7 +374,7 @@ func zigSlowVoteFromU(state, u uint64, xt float64) bool {
 func IdxMul(index uint64) uint64 { return index * idxPrime }
 
 // PackedZigVotes resolves one power-on race for n packed noisy cells
-// against the v2 (ziggurat) noise plane. The capture engine packs the
+// against the ziggurat noise plane. The capture engine packs the
 // array's noisy cells contiguously (once per bias epoch): idxMul[j]
 // holds IdxMul(cellIndex[j]), xt[j] the cell's VoteThreshold, and
 // xtLo/xtHi its float32 bracket (VoteBoundsF32). Bit j of votes[j/64]
@@ -585,46 +585,4 @@ func fixSlowLanes(ctrState uint64, idxMul []uint64, xt []float64, votes, slow, d
 		}
 	}
 	edgeScratchPool.Put(es)
-}
-
-// PackedBMVotes is PackedZigVotes' v1 (Box–Muller) counterpart. No
-// layer shortcuts exist for v1 — every draw evaluates the canonical
-// transform — but the hoisted counter state, the precomputed index
-// multiplies and the threshold predicate still apply, and votes stay
-// bit-identical to evaluating Norm per cell.
-func PackedBMVotes(ctrState uint64, idxMul []uint64, xt []float64, votes []uint64) {
-	n := len(idxMul)
-	for w := 0; w*64 < n; w++ {
-		base := w * 64
-		nl := n - base
-		if nl > 64 {
-			nl = 64
-		}
-		var vote uint64
-		for j := 0; j < nl; j++ {
-			src := Source{state: mix64(ctrState ^ idxMul[base+j])}
-			var bit uint64
-			if src.Norm() >= xt[base+j] {
-				bit = 1
-			}
-			vote |= bit << uint(j)
-		}
-		votes[w] = vote
-	}
-}
-
-// VoteBMWord is PackedBMVotes' sparse counterpart: it resolves one race
-// for the noisy cells of a 64-cell word against the unbounded
-// Box–Muller plane, selected by mask, with votes bit-identical to
-// evaluating Norm per cell.
-func VoteBMWord(ctrState, cellBase uint64, noisy uint64, xt *[64]float64) uint64 {
-	var vote uint64
-	for m := noisy; m != 0; m &= m - 1 {
-		b := uint(bits.TrailingZeros64(m)) & 63
-		src := Source{state: mix64(ctrState ^ (cellBase+uint64(b))*idxPrime)}
-		if src.Norm() >= xt[b] {
-			vote |= 1 << b
-		}
-	}
-	return vote
 }

@@ -170,33 +170,6 @@ func TestPackedZigVotesASMMatchesGo(t *testing.T) {
 	}
 }
 
-// TestPackedBMVotesMatchesScalarPredicate: same for the v1 compat path.
-func TestPackedBMVotesMatchesScalarPredicate(t *testing.T) {
-	s := NewStream(0xb0b)
-	const sigma = 1.2
-	for _, n := range []int{1, 64, 100} {
-		idxMul := make([]uint64, n)
-		xt := make([]float64, n)
-		bias := make([]float64, n)
-		for j := 0; j < n; j++ {
-			idxMul[j] = IdxMul(uint64(4096 + j))
-			bias[j] = (float64(j%64) - 31.5) * 0.3
-			xt[j] = VoteThreshold(bias[j], sigma)
-		}
-		votes := make([]uint64, (n+63)/64)
-		for ctr := uint64(0); ctr < 300; ctr++ {
-			PackedBMVotes(s.CtrState(ctr), idxMul, xt, votes)
-			for j := 0; j < n; j++ {
-				want := bias[j]+sigma*s.Norm(ctr, uint64(4096+j)) > 0
-				if (votes[j/64]>>(j%64)&1 == 1) != want {
-					t.Fatalf("n=%d ctr=%d cell=%d: kernel vote %v, scalar %v",
-						n, ctr, j, votes[j/64]>>(j%64)&1 == 1, want)
-				}
-			}
-		}
-	}
-}
-
 var sinkU64 uint64
 
 // benchmarkPacked times a packed race over n noisy cells; ns/op covers

@@ -17,18 +17,6 @@ func TestNormZigFromCtrMatchesNormZig(t *testing.T) {
 	}
 }
 
-func TestNormFromCtrMatchesNorm(t *testing.T) {
-	s := NewStream(0xfeed)
-	for ctr := uint64(0); ctr < 16; ctr++ {
-		cs := s.CtrState(ctr)
-		for idx := uint64(0); idx < 1024; idx++ {
-			if got, want := NormFromCtr(cs, idx), s.Norm(ctr, idx); got != want {
-				t.Fatalf("ctr=%d idx=%d: NormFromCtr=%v Norm=%v", ctr, idx, got, want)
-			}
-		}
-	}
-}
-
 var sinkF float64
 
 func BenchmarkNormZigPointer(b *testing.B) {

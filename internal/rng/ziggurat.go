@@ -2,7 +2,7 @@ package rng
 
 import "math"
 
-// Noise plane v2: a ziggurat Gaussian sampler for the capture hot path.
+// The noise plane: a ziggurat Gaussian sampler for the capture hot path.
 //
 // The Box–Muller transform behind Source.Norm costs two transcendentals
 // (log, cos) plus a square root per draw — ~85% of the per-cell capture
@@ -64,11 +64,9 @@ func init() {
 }
 
 // NormZiggurat returns a standard-normal variate truncated at
-// ±NormZigguratBound using the ziggurat method. It is a drop-in,
-// faster alternative to Norm with a different (deterministic) mapping
-// from the underlying bit stream, so the two samplers are distinct
-// noise-generation versions: an array's NoiseGen selects one and the
-// choice is persisted with its state.
+// ±NormZigguratBound using the ziggurat method. It is a faster
+// alternative to Norm with a different (deterministic) mapping from the
+// underlying bit stream; the SRAM thermal-noise plane draws from it.
 func (s *Source) NormZiggurat() float64 {
 	for {
 		u := s.Uint64()
@@ -108,11 +106,11 @@ func (s *Source) NormZiggurat() float64 {
 	}
 }
 
-// NormZig returns the v2 (ziggurat, ±8σ-truncated) standard-normal
-// variate at (counter, index) — the first NormZiggurat draw of
-// At(counter, index), without the allocation. Like Norm, it is a pure
-// function of (key, counter, index), so any evaluation order or
-// sharding yields identical noise planes.
+// NormZig returns the ziggurat (±8σ-truncated) standard-normal variate
+// at (counter, index) — the first NormZiggurat draw of At(counter,
+// index), without the allocation. It is a pure function of (key,
+// counter, index), so any evaluation order or sharding yields identical
+// noise planes.
 func (s Stream) NormZig(counter, index uint64) float64 {
 	src := Source{state: s.stateAt(counter, index)}
 	return src.NormZiggurat()

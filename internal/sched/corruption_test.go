@@ -414,7 +414,7 @@ func TestKillCorruptStorm(t *testing.T) {
 // writeJournal writes entries as dir's framed journal.
 func writeJournal(t *testing.T, dir string, entries []Entry) {
 	t.Helper()
-	data := bytes.Join(journalLines(t, entries, true), nil)
+	data := bytes.Join(journalLines(t, entries), nil)
 	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"invisiblebits/internal/core"
@@ -14,9 +15,9 @@ import (
 	"invisiblebits/internal/wal"
 )
 
-// journalLines marshals entries as journal lines, v2-framed or (framed
-// false) as bare v1 JSON lines, stamping each with its index as seq.
-func journalLines(t testing.TB, entries []Entry, framed bool) [][]byte {
+// journalLines marshals entries as v2-framed journal lines, stamping
+// each with its index as seq.
+func journalLines(t testing.TB, entries []Entry) [][]byte {
 	t.Helper()
 	lines := make([][]byte, len(entries))
 	for i, e := range entries {
@@ -25,45 +26,9 @@ func journalLines(t testing.TB, entries []Entry, framed bool) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if framed {
-			lines[i] = wal.EncodeFrame(b)
-		} else {
-			lines[i] = append(b, '\n')
-		}
+		lines[i] = wal.EncodeFrame(b)
 	}
 	return lines
-}
-
-// legacyJournalBytes builds a genuine two-slot journal in the legacy
-// standalone grammar (bare v1 lines): begin, both slots prepared,
-// sliced, checkpointed, a resume, encoded, then done.
-func legacyJournalBytes(t testing.TB) []byte {
-	t.Helper()
-	st := rig.State{ClockHours: 2.5, ChamberC: 100, SupplyV: 3.6}
-	rec := &core.Record{DeviceID: "MSP430G2553:fz", MessageBytes: 3, PayloadBytes: 64,
-		CodecName: "none", Captures: 5, StressHours: 5}
-	entries := []Entry{
-		{Type: legacyBegin, Campaign: "fz", Digest: "d1", Slots: 2, Slot: -1},
-		{Type: entryPrepared, Slot: 0},
-		{Type: entryPrepared, Slot: 1},
-		{Type: entrySlice, Slot: 0, Applied: 2.5, Total: 5},
-		{Type: legacyCheckpoint, Slot: 0, Applied: 2.5, Image: "slot-0-ckpt.img", Rig: &st},
-		{Type: entrySlice, Slot: 1, Applied: 2.5, Total: 5},
-		{Type: entrySlice, Slot: 0, Applied: 5, Total: 5},
-		{Type: entrySlice, Slot: 1, Applied: 5, Total: 5},
-		// A resume rewinds each unfinished slot to its last checkpoint:
-		// slot 0 re-enters at 2.5h, slot 1 (never checkpointed) restarts
-		// from scratch and prepares again.
-		{Type: entryResume, Campaign: "fz", Digest: "d1", Slot: -1},
-		{Type: entrySlice, Slot: 0, Applied: 5, Total: 5},
-		{Type: entryPrepared, Slot: 1},
-		{Type: entrySlice, Slot: 1, Applied: 2.5, Total: 5},
-		{Type: entrySlice, Slot: 1, Applied: 5, Total: 5},
-		{Type: entryEncoded, Slot: 0, Applied: 5.2, Image: "slot-0-final.img", Record: rec, Rig: &st},
-		{Type: entryEncoded, Slot: 1, Applied: 5.2, Image: "slot-1-final.img", Record: rec, Rig: &st},
-		{Type: entryDone, Slot: -1},
-	}
-	return bytes.Join(journalLines(t, entries, false), nil)
 }
 
 // schedJournalEntries is a valid two-campaign scheduler journal: one
@@ -108,42 +73,17 @@ func schedJournalEntries() []Entry {
 	}
 }
 
-// corruptions derives a journal's crash signatures (a truncated prefix,
-// a torn tail) and the damage replay must reject (a duplicated record,
-// reordered records, a re-sequenced record). reseq is the re-sequenced
-// variant, which depends on the line format.
-func corruptions(lines [][]byte, reseq []byte) [][]byte {
-	all := bytes.Join(lines, nil)
-	return [][]byte{
-		all,
-		bytes.Join(lines[:4], nil),
-		append(bytes.Join(lines[:4], nil), lines[4][:len(lines[4])/2]...),
-		append(append([]byte(nil), all...), lines[3]...),
-		bytes.Join([][]byte{lines[0], lines[3], lines[1], lines[2]}, nil),
-		reseq,
-	}
-}
-
-// journalSeeds is the checked-in seed corpus. The first nine are
-// journals in the legacy standalone grammar, which the fuzz target runs
-// through MigrateLegacy: a valid journal, its crash signatures, the
-// corruptions replay must reject, mid-file garbage, and plain garbage.
-// The rest are a framed two-campaign scheduler journal and its
-// variants.
+// journalSeeds is the checked-in seed corpus: a framed two-campaign
+// scheduler journal, its crash signatures (a truncated prefix, a torn
+// tail) and the damage replay must reject (a duplicated record,
+// reordered records, a re-sequenced record), then mid-file garbage,
+// plain garbage and the two journal formats no build writes any more:
+// the same journal in bare JSON lines (WAL v1) and a framed journal in
+// the retired single-campaign grammar.
 func journalSeeds(t testing.TB) [][]byte {
-	legacy := legacyJournalBytes(t)
-	lines := bytes.SplitAfter(legacy, []byte("\n"))
-	badSeq := bytes.Replace(legacy, []byte(`{"seq":3`), []byte(`{"seq":9`), 1)
-	seeds := corruptions(lines, badSeq)
-	seeds = append(seeds,
-		bytes.Join([][]byte{lines[0], []byte("not json\n"), lines[1]}, nil),
-		[]byte("go home journal you are drunk"),
-		[]byte{},
-	)
-
 	entries := schedJournalEntries()
-	framed := journalLines(t, entries, true)
-	resequenced := journalLines(t, entries, true)
+	lines := journalLines(t, entries)
+	resequenced := journalLines(t, entries)
 	e := entries[3]
 	e.Seq = 9
 	b, err := json.Marshal(e)
@@ -151,19 +91,46 @@ func journalSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	resequenced[3] = wal.EncodeFrame(b)
-	return append(seeds, corruptions(framed, bytes.Join(resequenced, nil))...)
+	all := bytes.Join(lines, nil)
+	return [][]byte{
+		all,
+		bytes.Join(lines[:4], nil),
+		append(bytes.Join(lines[:4], nil), lines[4][:len(lines[4])/2]...),
+		append(append([]byte(nil), all...), lines[3]...),
+		bytes.Join([][]byte{lines[0], lines[3], lines[1], lines[2]}, nil),
+		bytes.Join(resequenced, nil),
+		bytes.Join([][]byte{lines[0], []byte("not json\n"), lines[1]}, nil),
+		[]byte("go home journal you are drunk"),
+		{},
+		unframedJournal(t, entries),
+		bytes.Join(journalLines(t, []Entry{
+			{Type: "begin", Campaign: "fz", Digest: "d1", Slots: 2, Slot: -1},
+			{Type: entryPrepared, Campaign: "fz", Slot: 0},
+			{Type: entrySlice, Campaign: "fz", Slot: 0, Applied: 2.5, Total: 5},
+			{Type: "checkpoint", Slot: 0, Applied: 2.5, Image: "slot-0-ckpt.img"},
+		}), nil),
+	}
 }
 
-// replayJournal runs journal bytes through the fail-closed pipeline: a
-// legacy journal is migrated first (tolerating only a torn tail, as
-// Parse does), then parsed and replayed.
-func replayJournal(data []byte) (*State, error) {
-	if out, cut, legacy := MigrateLegacy(data); legacy {
-		if cut.Truncated && !cut.TornTail {
-			return nil, fmt.Errorf("legacy journal cut: %s", cut.Reason)
+// unframedJournal marshals entries as bare JSON lines, the WAL v1 line
+// format, stamping each with its index as seq.
+func unframedJournal(t testing.TB, entries []Entry) []byte {
+	t.Helper()
+	var out []byte
+	for i, e := range entries {
+		e.Seq = i
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
 		}
-		data = out
+		out = append(append(out, b...), '\n')
 	}
+	return out
+}
+
+// replayJournal runs journal bytes through the fail-closed pipeline:
+// parse, then replay.
+func replayJournal(data []byte) (*State, error) {
 	entries, _, err := ParseJournal(data)
 	if err != nil {
 		return nil, err
@@ -171,30 +138,16 @@ func replayJournal(data []byte) (*State, error) {
 	return Replay(entries)
 }
 
-// FuzzJournalReplay hammers the migrate→parse→replay pipeline with
-// mutated journals. The contract is fail-closed, never-panic: whatever
-// the bytes claim, MigrateLegacy yields a journal that parses cleanly,
-// ParseJournal either rejects the bytes or returns a prefix that
-// round-trips, and Replay either rejects the entries or returns a
-// state consistent with them.
+// FuzzJournalReplay hammers the parse→replay pipeline with mutated
+// journals. The contract is fail-closed, never-panic: whatever the bytes
+// claim, ParseJournal either rejects them or returns a prefix that
+// round-trips, and Replay either rejects the entries or returns a state
+// consistent with them.
 func FuzzJournalReplay(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if out, cut, legacy := MigrateLegacy(data); legacy {
-			// The translation is always a clean scheduler journal.
-			if _, n, err := ParseJournal(out); err != nil || n != int64(len(out)) {
-				t.Fatalf("migrated journal does not parse cleanly: %v (%d of %d bytes)", err, n, len(out))
-			}
-			if cut.ValidLen < 0 || cut.ValidLen > int64(len(data)) || cut.ValidLen+cut.DroppedBytes != int64(len(data)) {
-				t.Fatalf("migration cut %+v outside the %d input bytes", cut, len(data))
-			}
-			if cut.Truncated && !cut.TornTail {
-				return
-			}
-			data = out
-		}
 		entries, validLen, err := ParseJournal(data)
 		if err != nil {
 			return
@@ -240,20 +193,12 @@ func FuzzJournalReplay(f *testing.F) {
 
 // TestJournalReplaySeeds pins the seed corpus semantics outside the
 // fuzzer: which damage is tolerated (crash signatures) and which is
-// rejected (corruption), for both grammars.
+// rejected (corruption).
 func TestJournalReplaySeeds(t *testing.T) {
 	seeds := journalSeeds(t)
-	legacy, sched := seeds[:6], seeds[9:]
-	midGarbage := seeds[6]
+	set, midGarbage := seeds[:6], seeds[6]
 
-	st, err := replayJournal(legacy[0])
-	if err != nil {
-		t.Fatalf("valid legacy journal rejected: %v", err)
-	}
-	if c := st.Campaigns["fz"]; c == nil || !c.Done || len(c.Slots) != 2 || c.Slots[0].Record == nil {
-		t.Fatalf("replayed legacy state wrong: %+v", st)
-	}
-	st, err = replayJournal(sched[0])
+	st, err := replayJournal(set[0])
 	if err != nil {
 		t.Fatalf("valid scheduler journal rejected: %v", err)
 	}
@@ -262,33 +207,42 @@ func TestJournalReplaySeeds(t *testing.T) {
 		t.Fatalf("replayed scheduler state wrong: %+v", st)
 	}
 
-	for grammar, set := range map[string][][]byte{"legacy": legacy, "scheduler": sched} {
-		for _, tc := range []struct {
-			name string
-			data []byte
-		}{
-			{"truncated prefix", set[1]},
-			{"torn tail", set[2]},
-		} {
-			if _, err := replayJournal(tc.data); err != nil {
-				t.Fatalf("%s %s: crash signature rejected: %v", grammar, tc.name, err)
-			}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated prefix", set[1]},
+		{"torn tail", set[2]},
+	} {
+		if _, err := replayJournal(tc.data); err != nil {
+			t.Fatalf("%s: crash signature rejected: %v", tc.name, err)
 		}
-		for _, tc := range []struct {
-			name string
-			data []byte
-		}{
-			{"duplicated record", set[3]},
-			{"reordered records", set[4]},
-			{"broken sequence", set[5]},
-		} {
-			if _, err := replayJournal(tc.data); err == nil {
-				t.Fatalf("%s %s: replay accepted corruption", grammar, tc.name)
-			}
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"duplicated record", set[3]},
+		{"reordered records", set[4]},
+		{"broken sequence", set[5]},
+	} {
+		if _, err := replayJournal(tc.data); err == nil {
+			t.Fatalf("%s: replay accepted corruption", tc.name)
 		}
 	}
 	if _, err := replayJournal(midGarbage); err == nil {
 		t.Fatal("mid-file garbage accepted")
+	}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"unframed lines", "record 0 is corrupt mid-file (line is not a v2 frame)", seeds[9]},
+		{"single-campaign grammar", `unknown record type "begin" at seq 0`, seeds[10]},
+	} {
+		if _, err := replayJournal(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: replay returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,15 +1,12 @@
 package sched
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/fleet"
-	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/stegocrypt"
 	"invisiblebits/internal/storage"
 	"invisiblebits/internal/wal"
@@ -93,35 +90,15 @@ func RunCampaign(ctx context.Context, dir string, spec Spec, opts CampaignOption
 // from the journal). It salvages storage damage the way a scheduler
 // resume does and reports it in the summary. A spec.json that is
 // missing, broken or no longer matches the journal fails the resume:
-// the spec holds the message itself. A journal in the legacy campaign
-// grammar is first rewritten in the scheduler grammar (MigrateLegacy).
+// the spec holds the message itself.
 func ResumeCampaign(ctx context.Context, dir string, opts CampaignOptions) (*Result, *ResumeSummary, error) {
-	fsys := storage.Default(opts.FS)
-	spec, err := LoadSpec(fsys, dir)
+	spec, err := LoadSpec(storage.Default(opts.FS), dir)
 	if err != nil {
 		return nil, nil, err
-	}
-	jpath := filepath.Join(dir, journalFile)
-	data, err := fsys.ReadFile(jpath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: read journal: %w", wal.ErrJournalIO, err)
-	}
-	migrated, cut, legacy := MigrateLegacy(data)
-	if legacy {
-		if err := ioatomic.WriteFileFS(fsys, jpath, migrated, 0o644); err != nil {
-			return nil, nil, fmt.Errorf("%w: migrate legacy journal: %w", wal.ErrJournalIO, err)
-		}
 	}
 	s, err := resume(dir, opts.config(spec), true)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cut.Truncated {
-		// Legacy bytes the migration could not verify are dropped, just
-		// as if the resume had cut them itself.
-		s.salvage.DroppedBytes += cut.DroppedBytes
-		s.salvage.TornTail = cut.TornTail
-		s.salvage.Reason = cut.Reason
 	}
 	res, err := s.runStandalone(ctx, spec)
 	return res, s.salvage, err
@@ -178,93 +155,4 @@ func (s *Scheduler) runStandalone(ctx context.Context, spec Spec) (*Result, erro
 		s.salvage.Reason = "result.json rebuilt from journal"
 	}
 	return res, nil
-}
-
-// Record kinds of the legacy standalone grammar that the scheduler
-// grammar names differently.
-const (
-	legacyBegin      = "begin"
-	legacyCheckpoint = "checkpoint"
-)
-
-// legacyKinds are the kinds a legacy journal may hold after its begin
-// record.
-var legacyKinds = map[string]bool{
-	entryResume: true, entryPrepared: true, entrySlice: true, legacyCheckpoint: true,
-	entryCkptBad: true, entryEncoded: true, entryDone: true,
-}
-
-// MigrateLegacy translates a standalone campaign journal written in the
-// legacy grammar — the record format of the retired single-campaign
-// engine — into the scheduler grammar. legacy is false, and nothing is
-// translated, when data does not open with a legacy begin record.
-//
-// The translation is record for record: begin becomes a tenant and a
-// submit record, checkpoint becomes ckpt, every other kind keeps its
-// name, and each record is stamped with the campaign ID and renumbered.
-// Legacy sequence numbers are checked before renumbering, so a gap, a
-// duplicate or a reordering still cuts the journal, as do a second
-// begin, a foreign resume record and an unknown kind. out is the
-// longest legacy prefix that verifies, framed; cut describes what was
-// left of data, in wal.ParseSalvage's terms. MigrateLegacy only
-// translates bytes: ResumeCampaign writes out in place of the legacy
-// journal, and fsck audits it without writing.
-func MigrateLegacy(data []byte) (out []byte, cut wal.Salvage, legacy bool) {
-	entries, sal := wal.ParseSalvage(data, entryOK)
-	if len(entries) == 0 || entries[0].Type != legacyBegin {
-		return nil, wal.Salvage{}, false
-	}
-	begin := entries[0]
-	cut = sal
-	for i, e := range entries {
-		reason := ""
-		switch {
-		case e.Seq != i:
-			reason = fmt.Sprintf("legacy journal sequence broken: record %d claims seq %d", i, e.Seq)
-		case i > 0 && !legacyKinds[e.Type]:
-			reason = fmt.Sprintf("legacy record %d has kind %q", i, e.Type)
-		case e.Type == entryResume && (e.Campaign != begin.Campaign || e.Digest != begin.Digest):
-			reason = fmt.Sprintf("legacy resume record %d carries a foreign schedule digest", i)
-		}
-		if reason != "" {
-			entries = entries[:i]
-			cut = wal.Salvage{Entries: i, ValidLen: offsetOf(sal, i), Truncated: true, Reason: "sched: " + reason}
-			cut.DroppedBytes = int64(len(data)) - cut.ValidLen
-			break
-		}
-	}
-	cut.Offsets = nil
-
-	var buf bytes.Buffer
-	seq := 0
-	emit := func(e Entry) {
-		e.Seq = seq
-		seq++
-		payload, err := json.Marshal(&e)
-		if err != nil {
-			// Entry holds only strings, numbers and plain structs.
-			panic(err)
-		}
-		buf.Write(wal.EncodeFrame(payload))
-	}
-	for _, e := range entries {
-		switch e.Type {
-		case legacyBegin:
-			emit(Entry{Type: entryTenant, Tenant: standaloneTenant, Quota: &Quota{}, Slot: -1})
-			emit(Entry{
-				Type: entrySubmit, Tenant: standaloneTenant, Campaign: e.Campaign,
-				Digest: e.Digest, Slots: e.Slots, Slot: -1,
-			})
-			continue
-		case entryResume:
-			e.Campaign, e.Digest = "", ""
-		case legacyCheckpoint:
-			e.Type = entryCkpt
-			fallthrough
-		default:
-			e.Campaign = begin.Campaign
-		}
-		emit(e)
-	}
-	return buf.Bytes(), cut, true
 }

@@ -38,23 +38,6 @@ import (
 	"invisiblebits/internal/rng"
 )
 
-// Noise-generation versions selectable via Spec.NoiseGen. The version is
-// part of a device's persisted identity: state snapshots and device
-// images record it, and restoring a snapshot adopts its version, so a
-// device image replays bit-identical captures forever regardless of
-// which engine generation wrote it.
-const (
-	// NoiseGenBoxMuller is the v1 thermal-noise plane: Box–Muller
-	// variates with unbounded support. Pre-versioning snapshots and
-	// images (which carry no NoiseGen field) load as v1.
-	NoiseGenBoxMuller = 1
-	// NoiseGenZiggurat is the v2 plane: ziggurat variates truncated at
-	// ±rng.NormZigguratBound (8σ, P ≈ 1e-15 — physically immaterial).
-	// The hard bound is what makes deterministic-cell pruning exact.
-	// New arrays default to v2.
-	NoiseGenZiggurat = 2
-)
-
 // Spec describes the physical and statistical properties of an array.
 type Spec struct {
 	// Rows and Cols give the physical layout; Rows*Cols is the bit count
@@ -94,12 +77,6 @@ type Spec struct {
 	// results: per-cell noise is counter-derived, so any sharding
 	// produces bit-identical captures.
 	Workers int
-	// NoiseGen selects the thermal-noise plane version
-	// (NoiseGenBoxMuller or NoiseGenZiggurat). 0 means "current
-	// default", which New normalizes to NoiseGenZiggurat; RestoreState
-	// overrides it with the snapshot's version so restored devices keep
-	// their original noise plane.
-	NoiseGen int
 }
 
 // DefaultSpec returns an MSP432-class 64 KB array specification.
@@ -145,11 +122,6 @@ func (s Spec) Validate() error {
 	if s.ExtremeFrac < 0 || s.ExtremeFrac >= 1 || (s.ExtremeFrac > 0 && s.ExtremeMaxMv < s.ExtremeMinMv) {
 		return errors.New("sram: defect-population parameters out of range")
 	}
-	switch s.NoiseGen {
-	case 0, NoiseGenBoxMuller, NoiseGenZiggurat:
-	default:
-		return fmt.Errorf("sram: unknown noise-generation version %d", s.NoiseGen)
-	}
 	return s.Aging.Validate()
 }
 
@@ -175,20 +147,21 @@ type Array struct {
 	remanent bool // charge left on nodes by a non-discharged power-off
 
 	// noise is the counter-based thermal-noise plane: power-on number k
-	// samples cell i's noise as noise.Norm(k, i) (v1) or noise.NormZig
-	// (v2); drawNorm is the selected sampler. powerOns counts the races
-	// run so far, so every power-on draws from a fresh counter
-	// regardless of which worker resolves which cell.
+	// samples cell i's noise as noise.NormZig(k, i), a ziggurat variate
+	// hard-truncated at ±rng.NormZigguratBound (8σ, P ≈ 1e-15 —
+	// physically immaterial), which is what makes deterministic-cell
+	// pruning exact. powerOns counts the races run so far, so every
+	// power-on draws from a fresh counter regardless of which worker
+	// resolves which cell.
 	noise    rng.Stream
-	drawNorm func(counter, index uint64) float64
 	powerOns uint64
 
 	// biasPlane caches each cell's decision variable as one flat,
 	// cache-friendly array so the race loops read one float32 instead
 	// of gathering the cell's mismatch and class. The engine's decision
 	// variable is float64(biasPlane[i]); Bias keeps the exact seven-term
-	// float64 sum for calibration and tests. New, Stress, decayPools,
-	// RestoreState and ReadState mark it stale, and ensureBiasPlane, its
+	// float64 sum for calibration and tests. New, Stress, decayPools
+	// and ReadState mark it stale, and ensureBiasPlane, its
 	// one writer, rebuilds it before the next race reads it, sharded
 	// over the pool.
 	biasPlane []float32
@@ -227,15 +200,11 @@ func New(spec Spec) (*Array, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.NoiseGen == 0 {
-		spec.NoiseGen = NoiseGenZiggurat
-	}
 	n := spec.Rows * spec.Cols
 	a := &Array{spec: spec, n: n, mismatch: make([]float32, n)}
 	seedSrc := rng.NewSource(spec.Seed)
 	mismatchSrc := seedSrc.Split()
 	a.noise = rng.NewStream(spec.Seed)
-	a.setNoiseGen(spec.NoiseGen)
 	if spec.Workers > 0 {
 		a.pool = parallel.New(spec.Workers)
 	} else {
@@ -254,21 +223,6 @@ func New(spec Spec) (*Array, error) {
 	a.biasPlane = make([]float32, n)
 	return a, nil
 }
-
-// setNoiseGen binds the sampler for the given (already validated,
-// non-zero) noise-plane version.
-func (a *Array) setNoiseGen(gen int) {
-	a.spec.NoiseGen = gen
-	if gen == NoiseGenZiggurat {
-		a.drawNorm = a.noise.NormZig
-	} else {
-		a.drawNorm = a.noise.Norm
-	}
-}
-
-// NoiseGen returns the array's effective noise-plane version
-// (NoiseGenBoxMuller or NoiseGenZiggurat — never 0).
-func (a *Array) NoiseGen() int { return a.spec.NoiseGen }
 
 // SetPool points the array's capture engine at pool (nil restores the
 // process-wide shared pool). A fleet hands every device the same pool
@@ -296,58 +250,19 @@ func (a *Array) PowerOnCount() uint64 { return a.powerOns }
 var synthKernels = rng.SynthKernels()
 
 // synthesizeMismatch draws the white local component and superimposes a
-// smooth low-frequency across-die field (random sinusoids + planar tilt).
+// smooth low-frequency across-die field (smoothField).
 //
-// The field is evaluated once per cell, rows in parallel on the worker
-// pool (pure per-cell math, so any sharding gives the same values). Its
-// mean is then summed serially in row-major order, and the white draws,
-// chunked over the pool, read the field back. Every cell draws from the
-// state the serial draw sequence reaches it at, and every float
-// operation is the one the two-pass synthesis made, in its order, so
-// the plane is the same bit for bit (TestMismatchFieldEquivalence,
-// TestWhiteDrawsRetryEquivalence), and src ends where the serial draws
-// leave it. Where synthKernels holds, both passes run eight cells per
-// instruction through kernels that replay the scalar code's operations
-// exactly, and the scalar code finishes each row's or chunk's tail.
+// The white draws, chunked over the worker pool, read the field back.
+// Every cell draws from the state the serial draw sequence reaches it
+// at, and every float operation is the one the two-pass synthesis made,
+// in its order, so the plane is the same bit for bit
+// (TestMismatchFieldEquivalence, TestWhiteDrawsRetryEquivalence), and
+// src ends where the serial draws leave it. Where synthKernels holds,
+// both passes run eight cells per instruction through kernels that
+// replay the scalar code's operations exactly, and the scalar code
+// finishes each row's or chunk's tail.
 func (a *Array) synthesizeMismatch(src *rng.Source) {
-	sigma := a.spec.MismatchSigmaMv
-	gAmp := sigma * a.spec.GradientFrac
-
-	var f rng.Field
-	for i := range f.Waves {
-		f.Waves[i] = rng.Wave{
-			KR:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Rows),
-			KC:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Cols),
-			Phase: src.Float64() * 2 * math.Pi,
-			Amp:   gAmp * (0.5 + src.Float64()),
-		}
-	}
-	f.TiltR = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
-	f.TiltC = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
-
-	// Background context: Run cannot fail.
-	field, cols := make([]float64, a.n), a.spec.Cols
-	_ = a.pool.Run(context.Background(), a.spec.Rows, 1, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := field[r*cols : (r+1)*cols]
-			c := 0
-			if synthKernels {
-				c = f.Row(r, row)
-			}
-			for ; c < cols; c++ {
-				row[c] = f.At(r, c)
-			}
-		}
-	})
-
-	// Center the field. An uncentered gradient would bias the whole
-	// device's power-on state away from 0.5, which real silicon does not
-	// show (Table 5's clean biases are 0.500–0.502).
-	var smoothMean float64
-	for _, s := range field {
-		smoothMean += s
-	}
-	smoothMean /= float64(a.n)
+	field, smoothMean := a.smoothField(src)
 
 	// The white draws run as chunks on the pool. A cell makes a fixed
 	// number of draws (the defect test, then the defect's magnitude and
@@ -358,7 +273,7 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	// drew more; the earliest such chunk started right, and every cell
 	// after it is redrawn serially from its end state.
 	white := rng.White{
-		Sigma:       sigma,
+		Sigma:       a.spec.MismatchSigmaMv,
 		ExtremeFrac: a.spec.ExtremeFrac,
 		ExtremeMin:  a.spec.ExtremeMinMv,
 		ExtremeSpan: a.spec.ExtremeMaxMv - a.spec.ExtremeMinMv,
@@ -394,6 +309,52 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	}
 	*src = retryEnd
 	a.whiteCells(src, field, smoothMean, retryHi, a.n)
+}
+
+// smoothField draws a smooth low-frequency across-die field (random
+// sinusoids + planar tilt) from src and returns it row-major, one value
+// per cell, with its mean. The field is evaluated rows in parallel on
+// the worker pool (pure per-cell math, so any sharding gives the same
+// values), through the field kernel where synthKernels holds, and its
+// mean is summed serially in row-major order. TestMismatchFieldPins
+// pins both bit for bit.
+func (a *Array) smoothField(src *rng.Source) (field []float64, mean float64) {
+	gAmp := a.spec.MismatchSigmaMv * a.spec.GradientFrac
+
+	var f rng.Field
+	for i := range f.Waves {
+		f.Waves[i] = rng.Wave{
+			KR:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Rows),
+			KC:    (src.Float64()*2 - 1) * 3 * math.Pi / float64(a.spec.Cols),
+			Phase: src.Float64() * 2 * math.Pi,
+			Amp:   gAmp * (0.5 + src.Float64()),
+		}
+	}
+	f.TiltR = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
+	f.TiltC = (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
+
+	// Background context: Run cannot fail.
+	field, cols := make([]float64, a.n), a.spec.Cols
+	_ = a.pool.Run(context.Background(), a.spec.Rows, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := field[r*cols : (r+1)*cols]
+			c := 0
+			if synthKernels {
+				c = f.Row(r, row)
+			}
+			for ; c < cols; c++ {
+				row[c] = f.At(r, c)
+			}
+		}
+	})
+
+	// Center the field. An uncentered gradient would bias the whole
+	// device's power-on state away from 0.5, which real silicon does not
+	// show (Table 5's clean biases are 0.500–0.502).
+	for _, s := range field {
+		mean += s
+	}
+	return field, mean / float64(a.n)
 }
 
 // whiteCells draws cells [lo, hi)'s white mismatch from src in cell
@@ -474,14 +435,11 @@ func biasCells(class []uint32, plane, mismatch []float32, hist []history) {
 }
 
 // pruneBound returns the decision threshold beyond which a cell's race
-// outcome is deterministic for every draw of the noise plane: v2 noise
+// outcome is deterministic for every draw of the noise plane: the noise
 // is hard-truncated at ±NormZigguratBound, so |bias| > bound ⇒ bias +
 // sigma·noise keeps bias's sign (float rounding is monotone, so
 // fl(sigma·|noise|) ≤ fl(sigma·8) — the skip is exact, not
-// approximate). v1 noise is unbounded: +Inf disables pruning.
-func (a *Array) pruneBound(sigma float64) float64 {
-	if a.spec.NoiseGen == NoiseGenZiggurat {
-		return rng.NormZigguratBound * sigma
-	}
-	return math.Inf(1)
+// approximate).
+func pruneBound(sigma float64) float64 {
+	return rng.NormZigguratBound * sigma
 }

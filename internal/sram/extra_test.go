@@ -1,6 +1,8 @@
 package sram
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"invisiblebits/internal/analog"
@@ -112,6 +114,11 @@ func TestStressWithPatternErrors(t *testing.T) {
 	}
 }
 
+// TestStateSnapshotRoundTripInPackage: the state section carries a
+// powered, written and stressed array whole — a fresh array of the same
+// spec that reads it has the same snapshot and biases, and ReadState
+// returns the bytes after the section — and the restored array does not
+// alias the section it was read from.
 func TestStateSnapshotRoundTripInPackage(t *testing.T) {
 	a := mustNew(t, testSpec(106))
 	if _, err := a.PowerOn(25); err != nil {
@@ -123,11 +130,18 @@ func TestStateSnapshotRoundTripInPackage(t *testing.T) {
 	if err := a.Stress(analog.Conditions{VoltageV: 3.3, TempC: 85}, 2); err != nil {
 		t.Fatal(err)
 	}
-	snap := a.StateSnapshot()
+	sec := a.AppendState(nil)
 
 	b := mustNew(t, testSpec(106))
-	if err := b.RestoreState(snap); err != nil {
+	rest, err := b.ReadState(append(append([]byte(nil), sec...), "tail"...))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if string(rest) != "tail" {
+		t.Fatalf("ReadState left %q after the section, want %q", rest, "tail")
+	}
+	if !reflect.DeepEqual(a.StateSnapshot(), b.StateSnapshot()) {
+		t.Fatal("snapshot differs after an AppendState/ReadState round trip")
 	}
 	if !b.Powered() {
 		t.Error("powered flag not restored")
@@ -145,18 +159,30 @@ func TestStateSnapshotRoundTripInPackage(t *testing.T) {
 			t.Fatalf("cell %d bias diverged: %v vs %v", i, a.Bias(i), b.Bias(i))
 		}
 	}
-	// Mutating the snapshot must not affect the restored array (deep copy).
-	snap.Data[0] = 0xFF
-	d2, _ := b.Read()
-	if d2[0] == 0xFF && data[0] != 0xFF {
-		t.Error("RestoreState aliased the snapshot buffers")
+	// Overwriting the section must not reach the restored array.
+	c := mustNew(t, testSpec(106))
+	if _, err := c.ReadState(sec); err != nil {
+		t.Fatal(err)
+	}
+	clear(sec)
+	if d, _ := c.Read(); d[0] != 0x5A {
+		t.Error("ReadState aliased the section's data plane")
+	}
+	if !reflect.DeepEqual(a.StateSnapshot(), c.StateSnapshot()) {
+		t.Error("ReadState aliased the section's class table")
 	}
 }
 
-func TestRestoreStateSeedMismatchInPackage(t *testing.T) {
+// TestReadStateSeedMismatchInPackage: a state section written by another
+// die is refused with ErrStateMismatch, and the array is left as it was.
+func TestReadStateSeedMismatchInPackage(t *testing.T) {
 	a := mustNew(t, testSpec(107))
 	b := mustNew(t, testSpec(108))
-	if err := b.RestoreState(a.StateSnapshot()); err == nil {
-		t.Fatal("foreign seed accepted")
+	before := b.StateSnapshot()
+	if _, err := b.ReadState(a.AppendState(nil)); !errors.Is(err, ErrStateMismatch) {
+		t.Fatalf("foreign seed: %v, want ErrStateMismatch", err)
+	}
+	if !reflect.DeepEqual(before, b.StateSnapshot()) {
+		t.Fatal("a refused section changed the array")
 	}
 }

@@ -15,9 +15,8 @@ import (
 	"invisiblebits/internal/sram"
 )
 
-// historySpec is a 16 KiB MSP432P401 array on the given noise plane and
-// worker budget.
-func historySpec(tb testing.TB, gen, workers int) sram.Spec {
+// historySpec is a 16 KiB MSP432P401 array on the given worker budget.
+func historySpec(tb testing.TB, workers int) sram.Spec {
 	tb.Helper()
 	m, err := device.ByName("MSP432P401")
 	if err != nil {
@@ -28,7 +27,6 @@ func historySpec(tb testing.TB, gen, workers int) sram.Spec {
 	spec.MismatchSigmaMv = m.MismatchSigmaMv
 	spec.Aging = m.AgingParams()
 	spec.Seed = 0x4157494e47 // "AGING"
-	spec.NoiseGen = gen
 	spec.Workers = workers
 	return spec
 }
@@ -44,8 +42,8 @@ func payload(a *sram.Array, seed uint64) []byte {
 // hashes a device's: the data plane, then each of the six pools
 // (s0Perm, s0Fast, s0Slow, s1Perm, s1Fast, s1Slow) over every cell as
 // float32 bits, each equivalent stress time (t0, then t1) over every
-// cell as float64 bits, and PowerOns and NoiseGen as uint64, all
-// little-endian.
+// cell as float64 bits, and PowerOns and the noise generation (2, the
+// ziggurat plane) as uint64, all little-endian.
 func agingStateSHA256(a *sram.Array) string {
 	h := sha256.New()
 	st := a.StateSnapshot()
@@ -68,7 +66,7 @@ func agingStateSHA256(a *sram.Array) string {
 		}
 	}
 	put(st.PowerOns)
-	put(uint64(st.NoiseGen))
+	put(2)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -90,7 +88,7 @@ func agingBiasSHA256(a *sram.Array) string {
 // (decay, stale equivalent times), then payload B stressed for one
 // more slice (a second history grown from the decayed state). It pins
 // the bias plane, the decoded state and a 5-capture vote plane at
-// 25 °C, for both noise planes, at one worker and at GOMAXPROCS, and
+// 25 °C, at one worker, at GOMAXPROCS and at a pool of four, and
 // requires the same state after an AppendState/ReadState round trip
 // taken between the shelf and the rewrite.
 //
@@ -101,93 +99,83 @@ func agingBiasSHA256(a *sram.Array) string {
 // moved to history classes; they may only be re-recorded on the parent
 // of a change that moves them, with the reason in CHANGES.md.
 func TestAgingHistoryPins(t *testing.T) {
-	pins := map[int]struct{ bias, state, votes string }{
-		sram.NoiseGenBoxMuller: {
-			"ecccb70a4a2118da90558f0e25d90a372fde2e6f44c4461f173a0ae7ff76ed25",
-			"75f2caf2346e6aa8f94b52b7497968562df4566d8139dd5aa9813fe34c8d6742",
-			"36f00080017c59e6cfd3a7adae392df64915e564cf250233cd4b4c2aba54cd9c",
-		},
-		sram.NoiseGenZiggurat: {
-			"ecccb70a4a2118da90558f0e25d90a372fde2e6f44c4461f173a0ae7ff76ed25",
-			"6bbc49d4a1bb25baecb1429ff406198c5a06c8c765544617af325dd4da687aa7",
-			"077ad6bec2c7dc9afd3394366acc752947ba115f060be7f9cd6718a4b46c154f",
-		},
+	want := struct{ bias, state, votes string }{
+		"ecccb70a4a2118da90558f0e25d90a372fde2e6f44c4461f173a0ae7ff76ed25",
+		"6bbc49d4a1bb25baecb1429ff406198c5a06c8c765544617af325dd4da687aa7",
+		"077ad6bec2c7dc9afd3394366acc752947ba115f060be7f9cd6718a4b46c154f",
 	}
 	m, err := device.ByName("MSP432P401")
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc := m.Accelerated()
-	for _, gen := range []int{sram.NoiseGenBoxMuller, sram.NoiseGenZiggurat} {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			for _, roundTrip := range []bool{false, true} {
-				t.Run(fmt.Sprintf("gen=%d/workers=%d/roundtrip=%v", gen, workers, roundTrip), func(t *testing.T) {
-					spec := historySpec(t, gen, workers)
-					a, err := sram.New(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := a.PowerOn(25); err != nil {
-						t.Fatal(err)
-					}
-					if err := a.Write(payload(a, 0xA)); err != nil {
-						t.Fatal(err)
-					}
-					for s := 0; s < 4; s++ {
-						if err := a.Stress(acc, 2.5); err != nil {
-							t.Fatal(err)
-						}
-					}
-					a.PowerOff(true)
-					if err := a.ShelveAt(48, 45); err != nil {
-						t.Fatal(err)
-					}
-					if roundTrip {
-						b, err := sram.New(spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rest, err := b.ReadState(a.AppendState(nil))
-						if err != nil || len(rest) != 0 {
-							t.Fatalf("ReadState: %v, %d bytes left", err, len(rest))
-						}
-						a = b
-					}
-					if _, err := a.PowerOn(25); err != nil {
-						t.Fatal(err)
-					}
-					if err := a.Write(payload(a, 0xB)); err != nil {
-						t.Fatal(err)
-					}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
+		for _, roundTrip := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d/roundtrip=%v", workers, roundTrip), func(t *testing.T) {
+				spec := historySpec(t, workers)
+				a, err := sram.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := a.PowerOn(25); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Write(payload(a, 0xA)); err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < 4; s++ {
 					if err := a.Stress(acc, 2.5); err != nil {
 						t.Fatal(err)
 					}
-
-					want := pins[gen]
-					if got := agingBiasSHA256(a); got != want.bias {
-						t.Errorf("bias plane sha256 %s, want %s", got, want.bias)
-					}
-					if got := agingStateSHA256(a); got != want.state {
-						t.Errorf("state sha256 %s, want %s", got, want.state)
-					}
-					a.PowerOff(true)
-					var p sram.VotePlane
-					if err := a.CaptureVotePlaneInto(context.Background(), 5, 25, &p); err != nil {
+				}
+				a.PowerOff(true)
+				if err := a.ShelveAt(48, 45); err != nil {
+					t.Fatal(err)
+				}
+				if roundTrip {
+					b, err := sram.New(spec)
+					if err != nil {
 						t.Fatal(err)
 					}
-					counts := make([]uint16, a.Cells())
-					p.CountsInto(counts)
-					h := sha256.New()
-					var b [2]byte
-					for _, c := range counts {
-						binary.LittleEndian.PutUint16(b[:], c)
-						h.Write(b[:])
+					rest, err := b.ReadState(a.AppendState(nil))
+					if err != nil || len(rest) != 0 {
+						t.Fatalf("ReadState: %v, %d bytes left", err, len(rest))
 					}
-					if got := hex.EncodeToString(h.Sum(nil)); got != want.votes {
-						t.Errorf("vote plane sha256 %s, want %s", got, want.votes)
-					}
-				})
-			}
+					a = b
+				}
+				if _, err := a.PowerOn(25); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Write(payload(a, 0xB)); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Stress(acc, 2.5); err != nil {
+					t.Fatal(err)
+				}
+
+				if got := agingBiasSHA256(a); got != want.bias {
+					t.Errorf("bias plane sha256 %s, want %s", got, want.bias)
+				}
+				if got := agingStateSHA256(a); got != want.state {
+					t.Errorf("state sha256 %s, want %s", got, want.state)
+				}
+				a.PowerOff(true)
+				var p sram.VotePlane
+				if err := a.CaptureVotePlaneInto(context.Background(), 5, 25, &p); err != nil {
+					t.Fatal(err)
+				}
+				counts := make([]uint16, a.Cells())
+				p.CountsInto(counts)
+				h := sha256.New()
+				var b [2]byte
+				for _, c := range counts {
+					binary.LittleEndian.PutUint16(b[:], c)
+					h.Write(b[:])
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want.votes {
+					t.Errorf("vote plane sha256 %s, want %s", got, want.votes)
+				}
+			})
 		}
 	}
 }
@@ -204,7 +192,7 @@ func BenchmarkStressHistories(b *testing.B) {
 		b.Fatal(err)
 	}
 	acc := m.Accelerated()
-	a, err := sram.New(historySpec(b, sram.NoiseGenZiggurat, 0))
+	a, err := sram.New(historySpec(b, 0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 //	seed      u64   must match the array's spec
 //	flags     u8    bit 0 powered, bit 1 remanent; no other bit, not both
 //	powerOns  u64   the noise-stream counter
-//	noiseGen  u8    NoiseGenBoxMuller or NoiseGenZiggurat
+//	noiseGen  u8    2, the ziggurat noise plane (stateNoiseGen)
 //	data      cells/8 bytes, the data plane
 //	classes   u32   K ≥ 1 distinct aging tuples
 //	table     K × 40 bytes: s0Perm s0Fast s0Slow s1Perm s1Fast s1Slow
@@ -36,6 +36,11 @@ const (
 
 	flagPowered  = 1 << 0
 	flagRemanent = 1 << 1
+
+	// stateNoiseGen names the noise plane every array draws from, the
+	// ziggurat. Generation 1, the Box–Muller plane, is refused: no build
+	// draws it any more, so its captures could not be replayed.
+	stateNoiseGen = 2
 )
 
 // ErrTruncatedState marks a state section that ends before its layout
@@ -91,7 +96,7 @@ func (a *Array) AppendState(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, a.spec.Seed)
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, a.powerOns)
-	dst = append(dst, byte(a.spec.NoiseGen))
+	dst = append(dst, stateNoiseGen)
 	dst = append(dst, a.data...)
 
 	// Number the classes in first-use order, one map lookup per live
@@ -200,9 +205,8 @@ func (a *Array) ReadState(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("sram: state section has flags %#02x", flags)
 	}
 	powerOns := binary.LittleEndian.Uint64(sec[9:])
-	gen := int(sec[17])
-	if gen != NoiseGenBoxMuller && gen != NoiseGenZiggurat {
-		return nil, fmt.Errorf("sram: state section uses unknown noise-generation version %d", gen)
+	if gen := sec[17]; gen != stateNoiseGen {
+		return nil, fmt.Errorf("sram: state section uses noise generation %d, want %d", gen, stateNoiseGen)
 	}
 	data := sec[stateHeadLen : stateHeadLen+a.n/8]
 	k := binary.LittleEndian.Uint32(sec[stateHeadLen+a.n/8:])
@@ -250,7 +254,6 @@ func (a *Array) ReadState(src []byte) ([]byte, error) {
 	a.powered = flags&flagPowered != 0
 	a.remanent = flags&flagRemanent != 0
 	a.powerOns = powerOns
-	a.setNoiseGen(gen)
 	a.biasFresh = false
 	return rest, nil
 }

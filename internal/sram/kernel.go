@@ -22,12 +22,11 @@ import (
 //     a packed residue of noisy cells with precomputed per-cell noise
 //     coordinates (rng.IdxMul) and draw-space vote thresholds
 //     (rng.VoteThreshold / rng.VoteBoundsF32).
-//   - Each race runs rng.PackedZigVotes (or rng.PackedBMVotes for v1
-//     arrays) over the packed residue, producing one vote bit per cell
-//     per word, and ripple-adds the vote words into bit-sliced
-//     counters: slice b of word w holds bit b of every cell's running
-//     count, so accumulating 64 cells costs a handful of word ops and
-//     counts up to MaxCaptures fit in 16 slices.
+//   - Each race runs rng.PackedZigVotes over the packed residue,
+//     producing one vote bit per cell per word, and ripple-adds the vote
+//     words into bit-sliced counters: slice b of word w holds bit b of
+//     every cell's running count, so accumulating 64 cells costs a
+//     handful of word ops and counts up to MaxCaptures fit in 16 slices.
 //   - Races iterate innermost over cache-sized chunks of the packed
 //     arrays (kernelChunkWords), so a burst streams the per-cell tables
 //     from memory once, not once per race.
@@ -74,14 +73,13 @@ func (e *CaptureCountError) Error() string {
 const kernelChunkWords = 256
 
 // capKernel caches the packed capture layout and owns the burst
-// scratch. The layout half is valid for one (bias epoch, sigma, noise
-// generation) key; the scratch half is reused by every burst, so
-// steady-state captures allocate nothing.
+// scratch. The layout half is valid for one (bias epoch, sigma) key;
+// the scratch half is reused by every burst, so steady-state captures
+// allocate nothing.
 type capKernel struct {
 	valid bool
 	epoch uint64
 	sigma float64
-	gen   int
 
 	// Global word domain (nw = ceil(n/64) words).
 	det1 []uint64 // cells deterministically 1 at this sigma
@@ -139,7 +137,7 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 		return err
 	}
 	k := &a.kern
-	if k.valid && k.epoch == a.biasEpoch && k.sigma == sigma && k.gen == a.spec.NoiseGen {
+	if k.valid && k.epoch == a.biasEpoch && k.sigma == sigma {
 		return nil
 	}
 	k.valid = false
@@ -155,7 +153,7 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.dataW = k.dataW[:nw]
 	k.offs = k.offs[:nw+1]
 
-	bound := a.pruneBound(sigma)
+	bound := pruneBound(sigma)
 	plane := a.biasPlane
 	if err := a.pool.Run(ctx, nw, 1, func(lo, hi int) {
 		splitWords(plane, bound, k.det1[lo:hi], k.det0[lo:hi], k.offs[lo:hi], lo)
@@ -169,27 +167,21 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	}
 	k.offs[nw] = nc
 
-	zig := a.spec.NoiseGen == NoiseGenZiggurat
 	refit := func(capacity int) bool { return capacity < int(nc) || int(nc) < capacity/4 }
 	if refit(cap(k.cellIdx)) {
 		k.cellIdx = make([]uint32, nc)
 		k.idxMul = make([]uint64, nc)
 		k.xt = make([]float64, nc)
+		k.xtLo = make([]float32, nc)
+		k.xtHi = make([]float32, nc)
 	}
 	k.cellIdx = k.cellIdx[:nc]
 	k.idxMul = k.idxMul[:nc]
 	k.xt = k.xt[:nc]
-	k.xtLo, k.xtHi = k.xtLo[:0], k.xtHi[:0]
-	if zig {
-		if refit(cap(k.xtLo)) {
-			k.xtLo = make([]float32, nc)
-			k.xtHi = make([]float32, nc)
-		}
-		k.xtLo = k.xtLo[:nc]
-		k.xtHi = k.xtHi[:nc]
-	}
+	k.xtLo = k.xtLo[:nc]
+	k.xtHi = k.xtHi[:nc]
 	if err := a.pool.Run(ctx, nw, 1, func(lo, hi int) {
-		k.packWords(plane, sigma, zig, lo, hi)
+		k.packWords(plane, sigma, lo, hi)
 	}); err != nil {
 		return err
 	}
@@ -211,7 +203,6 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.valid = true
 	k.epoch = a.biasEpoch
 	k.sigma = sigma
-	k.gen = a.spec.NoiseGen
 	k.detRaces = -1 // det planes changed: count template is stale
 	return nil
 }
@@ -247,7 +238,7 @@ func bit(b bool) uint64 {
 
 // packWords fills the packed noisy-cell arrays for words [lo, hi) of
 // the split layout, each word's cells from its prefix-sum offset on.
-func (k *capKernel) packWords(plane []float32, sigma float64, zig bool, lo, hi int) {
+func (k *capKernel) packWords(plane []float32, sigma float64, lo, hi int) {
 	cellIdx, idxMul, xts, xtLo, xtHi := k.cellIdx, k.idxMul, k.xt, k.xtLo, k.xtHi
 	n := len(plane)
 	for w := lo; w < hi; w++ {
@@ -263,9 +254,7 @@ func (k *capKernel) packWords(plane []float32, sigma float64, zig bool, lo, hi i
 			cellIdx[p] = uint32(i)
 			idxMul[p] = rng.IdxMul(uint64(i))
 			xts[p] = xt
-			if zig {
-				xtLo[p], xtHi[p] = rng.VoteBoundsF32(xt)
-			}
+			xtLo[p], xtHi[p] = rng.VoteBoundsF32(xt)
 			p++
 		}
 	}
@@ -531,7 +520,6 @@ func (a *Array) raceChunks(lo, hi int) {
 	nc := len(k.cellIdx)
 	races := k.burstRaces
 	nb := k.burstNB
-	zig := k.gen == NoiseGenZiggurat
 	for clo := lo; clo < hi; clo += kernelChunkWords {
 		chi := clo + kernelChunkWords
 		if chi > hi {
@@ -546,13 +534,9 @@ func (a *Array) raceChunks(lo, hi int) {
 		xts := k.xt[cellLo:cellHi]
 		votes := k.votes[clo:chi]
 		for r := 0; r < races; r++ {
-			if zig {
-				rng.PackedZigVotes(k.ctrs[r], im, xts,
-					k.xtLo[cellLo:cellHi], k.xtHi[cellLo:cellHi],
-					votes, k.slow[clo:chi], k.draws[cellLo:cellHi])
-			} else {
-				rng.PackedBMVotes(k.ctrs[r], im, xts, votes)
-			}
+			rng.PackedZigVotes(k.ctrs[r], im, xts,
+				k.xtLo[cellLo:cellHi], k.xtHi[cellLo:cellHi],
+				votes, k.slow[clo:chi], k.draws[cellLo:cellHi])
 			// Ripple-add this race's vote bits into the sliced
 			// counters. The carry-chain length is data-dependent and
 			// unpredictable, so the common depth (two levels) runs

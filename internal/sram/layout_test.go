@@ -74,19 +74,19 @@ func requireLayout(t *testing.T, a *Array, sigma float64, what string) {
 
 // TestKernelLayoutEquivalence holds the two-pass, pool-sharded layout
 // build to the serial build it replaced, array for array: cell counts
-// that end mid-word, both noise planes, one to four workers, fresh
-// silicon, an imprint (fewer noisy cells) and a hot read of it (more).
-// It also cancels builds at every cancellation check
+// that end mid-word, two dies of each (the die decides which cells are
+// noisy, so where the word and shard edges fall among them), one to
+// four workers, fresh silicon, an imprint (fewer noisy cells) and a hot
+// read of it (more). It also cancels builds at every cancellation check
 // (requireCancelledBuildRecovers). The packed arrays must hold between
-// one and four times the noisy count, so the 32768-cell imprint on v2
-// noise, which leaves under a quarter of the fresh noisy cells, must
-// shrink them.
+// one and four times the noisy count, so the 32768-cell imprint, which
+// leaves under a quarter of the fresh noisy cells, must shrink them.
 func TestKernelLayoutEquivalence(t *testing.T) {
 	for _, cells := range []int{8, 72, 1000, 4104, 32768} {
-		for _, gen := range []int{NoiseGenBoxMuller, NoiseGenZiggurat} {
+		for die := 1; die <= 2; die++ {
 			for workers := 1; workers <= 4; workers++ {
-				t.Run(fmt.Sprintf("cells=%d/gen=%d/workers=%d", cells, gen, workers), func(t *testing.T) {
-					spec := kernelTestSpec(cells, gen, uint64(cells*10+gen))
+				t.Run(fmt.Sprintf("cells=%d/die=%d/workers=%d", cells, die, workers), func(t *testing.T) {
+					spec := kernelTestSpec(cells, uint64(cells*10+die))
 					spec.Workers = workers
 					a, err := New(spec)
 					if err != nil {
@@ -96,7 +96,7 @@ func TestKernelLayoutEquivalence(t *testing.T) {
 					fresh := len(a.kern.cellIdx)
 					imprintSome(t, a, 10)
 					requireLayout(t, a, a.noiseSigmaAt(25), "imprinted")
-					if cells == 32768 && gen == NoiseGenZiggurat && 4*len(a.kern.cellIdx) >= fresh {
+					if cells == 32768 && 4*len(a.kern.cellIdx) >= fresh {
 						t.Fatalf("the imprint left %d of %d noisy cells: it does not exercise a shrink", len(a.kern.cellIdx), fresh)
 					}
 					requireLayout(t, a, a.noiseSigmaAt(125), "imprinted, read hot")
@@ -106,7 +106,7 @@ func TestKernelLayoutEquivalence(t *testing.T) {
 	}
 	for workers := 1; workers <= 4; workers++ {
 		t.Run(fmt.Sprintf("cancelled/workers=%d", workers), func(t *testing.T) {
-			spec := kernelTestSpec(4104, NoiseGenZiggurat, 29)
+			spec := kernelTestSpec(4104, 29)
 			spec.Workers = workers
 			requireCancelledBuildRecovers(t, spec)
 		})

@@ -1,6 +1,9 @@
 package sram
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -71,6 +74,46 @@ func testMismatchFieldEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMismatchFieldPins pins the smooth field's float64 values and its
+// row-major mean (smoothField) for three geometries: rows shorter than
+// one vector block, rows with a scalar tail, and an MSP432P401's. The
+// mismatch plane is float32, so a one-ulp error in a field term cannot
+// show there; these hashes can. The literals were recorded on the
+// scalar path, and the AVX-512 field kernel must reproduce them.
+func TestMismatchFieldPins(t *testing.T) {
+	synthPaths(t, testMismatchFieldPins)
+}
+
+func testMismatchFieldPins(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int
+		sha256     string
+	}{
+		{2, 12, "2a2fa6048b420a79694cce26edacc204c236520672a7807e00d078091465134c"},
+		{13, 40, "1e6712558f34c9a679b72c8ff791c5eebb5148432a9dcb15aca01a8c6cfb3651"},
+		{512, 1024, "1b42934ea936540a84869734af775e071213556d572a4f5357f69d6e60f644b5"},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.rows, tc.cols), func(t *testing.T) {
+			spec := DefaultSpec()
+			spec.Rows, spec.Cols = tc.rows, tc.cols
+			a, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			field, mean := a.smoothField(rng.NewSource(spec.Seed).Split())
+			h := sha256.New()
+			var b [8]byte
+			for _, v := range append(field, mean) {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.sha256 {
+				t.Errorf("field and mean sha256 %s, want %s", got, tc.sha256)
+			}
+		})
 	}
 }
 

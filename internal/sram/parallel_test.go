@@ -132,7 +132,7 @@ func TestChunkSplitEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sigma := a.noiseSigmaAt(25)
-		bound := a.pruneBound(sigma)
+		bound := pruneBound(sigma)
 		ctr := a.powerOns
 		a.powerOns++
 		pool := parallel.New(4)
@@ -153,8 +153,8 @@ func TestChunkSplitEquivalence(t *testing.T) {
 }
 
 // TestCaptureCounterAdvances: a burst consumes one counter per race so
-// consecutive bursts see fresh noise, and restoring a snapshot rewinds
-// the noise future deterministically.
+// consecutive bursts see fresh noise, and reading a saved state section
+// back rewinds the noise future deterministically.
 func TestCaptureCounterAdvances(t *testing.T) {
 	a, err := New(equivSpec(17))
 	if err != nil {
@@ -164,7 +164,7 @@ func TestCaptureCounterAdvances(t *testing.T) {
 	if got := a.PowerOnCount(); got != 1 { // ageArray powered on once
 		t.Fatalf("counter after one power-on = %d, want 1", got)
 	}
-	snap := a.StateSnapshot()
+	snap := a.AppendState(nil)
 	v1, err := a.CaptureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -186,12 +186,12 @@ func TestCaptureCounterAdvances(t *testing.T) {
 	if same {
 		t.Fatal("consecutive bursts returned identical votes — counter not advancing")
 	}
-	// Restore → replay the exact same noise future.
+	// Read the saved state back → replay the exact same noise future.
 	b, err := New(equivSpec(17))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreState(snap); err != nil {
+	if _, err := b.ReadState(snap); err != nil {
 		t.Fatal(err)
 	}
 	v1b, err := b.CaptureVotes(5, 25)

@@ -4,68 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"invisiblebits/internal/rng"
 )
-
-func TestNoiseGenDefaultsAndValidation(t *testing.T) {
-	a, err := New(equivSpec(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.NoiseGen(); got != NoiseGenZiggurat {
-		t.Fatalf("default NoiseGen = %d, want ziggurat (%d)", got, NoiseGenZiggurat)
-	}
-	if got := a.Spec().NoiseGen; got != NoiseGenZiggurat {
-		t.Fatalf("Spec() reports NoiseGen %d after normalization", got)
-	}
-	spec := equivSpec(31)
-	spec.NoiseGen = NoiseGenBoxMuller
-	b, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.NoiseGen(); got != NoiseGenBoxMuller {
-		t.Fatalf("explicit v1 spec built NoiseGen %d", got)
-	}
-	spec.NoiseGen = 7
-	if _, err := New(spec); err == nil {
-		t.Fatal("unknown NoiseGen version accepted")
-	}
-}
-
-// TestNoiseGenV1MatchesLegacyEngine: a v1 array's races must reproduce
-// the pre-versioning engine exactly — raw Box–Muller draws against the
-// exact float64 bias, modulo the float32 plane (checked to be
-// vote-identical here on a clean array whose borderline cells are far
-// from the sub-ulp rounding window).
-func TestNoiseGenV1MatchesLegacyEngine(t *testing.T) {
-	spec := equivSpec(37)
-	spec.NoiseGen = NoiseGenBoxMuller
-	a, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := a.PowerOn(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay the race the way the pre-overhaul engine did: exact
-	// float64 bias plus Norm(counter, cell).
-	stream := rng.NewStream(spec.Seed)
-	sigma := a.noiseSigmaAt(25)
-	mismatches := 0
-	for i := 0; i < a.Cells(); i++ {
-		want := a.Bias(i)+sigma*stream.Norm(0, uint64(i)) > 0
-		got := snap[i/8]&(1<<(i%8)) != 0
-		if got != want {
-			mismatches++
-		}
-	}
-	if mismatches != 0 {
-		t.Fatalf("%d/%d cells differ from the legacy v1 race", mismatches, a.Cells())
-	}
-}
 
 // TestPrunedCaptureEquivalence is the tentpole's exactness guarantee:
 // on a heavily-imprinted array (most cells deterministic) the pruned
@@ -202,87 +141,6 @@ func TestStressMatchesReference(t *testing.T) {
 	}
 	if worst > 1e-5 {
 		t.Fatalf("worst relative bias divergence vs reference engine: %v", worst)
-	}
-}
-
-// TestStateNoiseGenRoundTrip: snapshots record the noise plane version,
-// restores adopt it, and pre-versioning snapshots (NoiseGen zero) fall
-// back to Box–Muller with bit-identical replay.
-func TestStateNoiseGenRoundTrip(t *testing.T) {
-	a, err := New(equivSpec(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ageArray(t, a)
-	snap := a.StateSnapshot()
-	if snap.NoiseGen != NoiseGenZiggurat {
-		t.Fatalf("snapshot NoiseGen = %d, want %d", snap.NoiseGen, NoiseGenZiggurat)
-	}
-	wantVotes, err := a.CaptureVotes(5, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(equivSpec(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RestoreState(snap); err != nil {
-		t.Fatal(err)
-	}
-	gotVotes, err := b.CaptureVotes(5, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantVotes {
-		if wantVotes[i] != gotVotes[i] {
-			t.Fatalf("restored v2 array diverged at cell %d", i)
-		}
-	}
-
-	// A legacy snapshot: same state, NoiseGen field absent (zero).
-	legacy := snap
-	legacy.NoiseGen = 0
-	c, err := New(equivSpec(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreState(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.NoiseGen(); got != NoiseGenBoxMuller {
-		t.Fatalf("legacy snapshot restored as NoiseGen %d, want Box–Muller", got)
-	}
-	// It must replay what a v1 array with the same history would see.
-	spec := equivSpec(47)
-	spec.NoiseGen = NoiseGenBoxMuller
-	d, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RestoreState(legacy); err != nil {
-		t.Fatal(err)
-	}
-	cv, err := c.CaptureVotes(5, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv, err := d.CaptureVotes(5, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cv {
-		if cv[i] != dv[i] {
-			t.Fatalf("legacy restore diverged at cell %d", i)
-		}
-	}
-	// And re-snapshotting records the adopted version.
-	if got := c.StateSnapshot().NoiseGen; got != NoiseGenBoxMuller {
-		t.Fatalf("re-snapshot of legacy restore records NoiseGen %d", got)
-	}
-	bad := snap
-	bad.NoiseGen = 9
-	if err := c.RestoreState(bad); err == nil {
-		t.Fatal("snapshot with unknown NoiseGen accepted")
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //     one draw resolved at a time.
 //
 // The equivalence and fuzz suites require the kernel to match both bit
-// for bit — the oracles read the same bias plane and the same versioned
-// sampler, so pruning, packing and sharding are the only differences,
+// for bit — the oracles read the same bias plane and the same noise
+// plane, so pruning, packing and sharding are the only differences,
 // and all three are exact — and the aging pools to agree to float
 // rounding. Their timings are recorded in BENCH_4.json and
 // BENCH_6.json.
@@ -58,7 +58,7 @@ func (a *Array) PowerOnReference(tempC float64) ([]byte, error) {
 		return nil, err
 	}
 	sigma := a.noiseSigmaAt(tempC)
-	norm := a.drawNorm
+	norm := a.noise.NormZig
 	ctr := a.powerOns
 	a.powerOns++
 	for byteIdx := range a.data {
@@ -102,7 +102,7 @@ func (a *Array) CaptureVotesReference(captures int, tempC float64) ([]uint16, er
 			return nil, err
 		}
 		sigma := a.noiseSigmaAt(tempC)
-		norm := a.drawNorm
+		norm := a.noise.NormZig
 		base := a.powerOns
 		a.powerOns += uint64(races)
 		for byteIdx := range a.data {
@@ -136,7 +136,7 @@ func (a *Array) CaptureVotesReference(captures int, tempC float64) ([]uint16, er
 // analog.GrowShift per cell, which re-derives the equivalent time with
 // an inverse math.Pow (and re-evaluates Rate) on every cell. It runs on
 // a StateSnapshot's per-cell pools and writes them back through
-// RestoreState, whose stale equivalent times are what the loop leaves.
+// restorePools, whose stale equivalent times are what the loop leaves.
 // Results agree with Stress to floating-point rounding —
 // TestStressMatchesReference compares the biases to a relative
 // tolerance.
@@ -163,7 +163,35 @@ func (a *Array) StressReference(c analog.Conditions, hours float64) error {
 			st.S1Slow[i] *= float32(fSlow)
 		}
 	}
-	return a.RestoreState(st)
+	a.restorePools(st)
+	return nil
+}
+
+// restorePools rebuilds the array's aging classes from the per-cell
+// pools of s, by value: cells with equal pools share a class, and every
+// class's equivalent times are stale (−1), so they re-derive on the
+// class's next growth.
+func (a *Array) restorePools(s State) {
+	var hist []history
+	seen := make(map[agingClass]uint32)
+	for i := range a.class {
+		h := history{
+			s0Perm: s.S0Perm[i], s0Fast: s.S0Fast[i], s0Slow: s.S0Slow[i],
+			s1Perm: s.S1Perm[i], s1Fast: s.S1Fast[i], s1Slow: s.S1Slow[i],
+			t0Ref: -1, t1Ref: -1,
+		}
+		k := h.key()
+		id, ok := seen[k]
+		if !ok {
+			id = uint32(len(hist))
+			seen[k] = id
+			hist = append(hist, h)
+		}
+		a.class[i] = id
+	}
+	a.hist = hist
+	// The cached decision variables belong to the replaced classes.
+	a.biasFresh = false
 }
 
 // growPoolsLegacy is the pre-overhaul per-cell growth: state re-derived
@@ -182,7 +210,7 @@ func growPoolsLegacy(p analog.Params, c analog.Conditions, hours, permFrac float
 
 // CaptureVotesScalar runs a capture burst with the pre-kernel scalar
 // engine: deterministic-cell pruning and the per-cell bias hoisted, but
-// one noise draw resolved at a time through the versioned sampler.
+// one noise draw resolved at a time through NormZig.
 // Kept as a second differential witness (kernel vs scalar vs
 // reference) for the equivalence suites. Semantics match CaptureVotes
 // exactly.
@@ -216,8 +244,8 @@ func (a *Array) CaptureVotesScalarContext(ctx context.Context, captures int, tem
 			return nil, err
 		}
 		sigma := a.noiseSigmaAt(tempC)
-		bound := a.pruneBound(sigma)
-		norm := a.drawNorm
+		bound := pruneBound(sigma)
+		norm := a.noise.NormZig
 		base := a.powerOns
 		a.powerOns += uint64(races)
 		err := a.pool.Run(ctx, len(a.data), 1, func(lo, hi int) {
@@ -228,7 +256,7 @@ func (a *Array) CaptureVotesScalarContext(ctx context.Context, captures int, tem
 					i := cell + b
 					bias := float64(a.biasPlane[i])
 					// Deterministic cells resolve the same way on every
-					// race (v2 noise is hard-bounded): credit the whole
+					// race (the noise is hard-bounded): credit the whole
 					// burst at once, no draws.
 					if bias > bound {
 						counts[i] += uint32(races)
@@ -268,15 +296,15 @@ func (a *Array) CaptureVotesScalarContext(ctx context.Context, captures int, tem
 }
 
 // DeterministicFrac reports the fraction of cells whose power-on state
-// at tempC is already decided by their bias alone — the cells the v2
-// capture engine prunes (credits without drawing noise). Zero for v1
-// arrays. After a message imprint this is close to 1, which is where
-// the capture speedup comes from.
+// at tempC is already decided by their bias alone — the cells the
+// capture engine prunes (credits without drawing noise). After a
+// message imprint this is close to 1, which is where the capture
+// speedup comes from.
 func (a *Array) DeterministicFrac(tempC float64) (float64, error) {
 	if err := a.ensureBiasPlane(context.Background()); err != nil {
 		return 0, err
 	}
-	bound := a.pruneBound(a.noiseSigmaAt(tempC))
+	bound := pruneBound(a.noiseSigmaAt(tempC))
 	pruned := 0
 	for _, b := range a.biasPlane {
 		if v := float64(b); v > bound || v < -bound {
@@ -362,8 +390,7 @@ type kernelLayout struct {
 func (a *Array) kernelLayoutReference(sigma float64) kernelLayout {
 	nw := (a.n + 63) / 64
 	k := kernelLayout{det1: make([]uint64, nw), det0: make([]uint64, nw)}
-	bound := a.pruneBound(sigma)
-	zig := a.spec.NoiseGen == NoiseGenZiggurat
+	bound := pruneBound(sigma)
 	for w := 0; w < nw; w++ {
 		var d1, d0 uint64
 		base := w * 64
@@ -386,11 +413,9 @@ func (a *Array) kernelLayoutReference(sigma float64) kernelLayout {
 			k.cellIdx = append(k.cellIdx, uint32(i))
 			k.idxMul = append(k.idxMul, rng.IdxMul(uint64(i)))
 			k.xt = append(k.xt, xt)
-			if zig {
-				lo, hi := rng.VoteBoundsF32(xt)
-				k.xtLo = append(k.xtLo, lo)
-				k.xtHi = append(k.xtHi, hi)
-			}
+			lo, hi := rng.VoteBoundsF32(xt)
+			k.xtLo = append(k.xtLo, lo)
+			k.xtHi = append(k.xtHi, hi)
 		}
 		k.det1[w] = d1
 		k.det0[w] = d0
@@ -404,7 +429,7 @@ func (a *Array) kernelLayoutReference(sigma float64) kernelLayout {
 // cells beyond bound — their outcome is the sign of the bias for every
 // achievable draw. Safe to call concurrently on disjoint byte ranges.
 func (a *Array) resolveRace(ctr uint64, sigma, bound float64, lo, hi int) {
-	norm := a.drawNorm
+	norm := a.noise.NormZig
 	for byteIdx := lo; byteIdx < hi; byteIdx++ {
 		var out byte
 		base := byteIdx * 8

@@ -43,10 +43,11 @@ func requirePlaneMatches(t *testing.T, p *VotePlane, want []uint16, captures int
 
 // TestVotePlaneEquivalence: a VotePlane burst counts exactly what the
 // serial reference engine counts, and leaves the same data plane and
-// counter consumption, for 1..33 captures — both noise generations,
-// remanent first captures, a sub-word array and a tail word, at one
-// worker and at GOMAXPROCS. Add matches uint16 sums of two reference
-// bursts, and the sliced compare matches the scalar threshold.
+// counter consumption, for 1..33 captures — remanent first captures, a
+// sub-word array and a tail word, fresh and imprinted silicon, a hot
+// read, at one worker and at GOMAXPROCS. Add matches uint16 sums of two
+// reference bursts, and the sliced compare matches the scalar
+// threshold.
 func TestVotePlaneEquivalence(t *testing.T) {
 	workers := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -55,22 +56,25 @@ func TestVotePlaneEquivalence(t *testing.T) {
 	ctx := context.Background()
 	shapes := []struct {
 		cells    int
-		gen      int
 		hours    float64
 		remanent bool
+		tempC    float64
 	}{
-		{512, NoiseGenZiggurat, 5, false},
-		{512, NoiseGenZiggurat, 5, true},
-		{512, NoiseGenBoxMuller, 5, false},
-		{512, NoiseGenBoxMuller, 0, true},
-		{56, NoiseGenZiggurat, 0, true},   // one partial word
-		{200, NoiseGenZiggurat, 3, false}, // three words and a tail
+		{512, 5, false, 25},
+		{512, 5, true, 25},
+		{512, 0, true, 25},  // fresh: the widest noisy set at 25 °C
+		{512, 5, false, 85}, // read hot: a wider noisy band
+		{56, 0, true, 25},   // one partial word
+		{200, 3, false, 25}, // three words and a tail
 	}
 	for _, sh := range shapes {
-		name := fmt.Sprintf("%dcells/gen%d/imprint%vh/remanent=%v", sh.cells, sh.gen, sh.hours, sh.remanent)
+		name := fmt.Sprintf("%dcells/imprint%vh/remanent=%v", sh.cells, sh.hours, sh.remanent)
+		if sh.tempC != 25 {
+			name += fmt.Sprintf("/read%vC", sh.tempC)
+		}
 		t.Run(name, func(t *testing.T) {
 			mk := func(w int) *Array {
-				spec := kernelTestSpec(sh.cells, sh.gen, uint64(sh.cells)+uint64(sh.gen))
+				spec := kernelTestSpec(sh.cells, uint64(sh.cells)+2)
 				spec.Workers = w
 				a, err := New(spec)
 				if err != nil {
@@ -89,7 +93,7 @@ func TestVotePlaneEquivalence(t *testing.T) {
 			}
 			for captures := 1; captures <= 33; captures++ {
 				ar := mk(1)
-				vr, err := ar.CaptureVotesReference(captures, 25)
+				vr, err := ar.CaptureVotesReference(captures, sh.tempC)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +101,7 @@ func TestVotePlaneEquivalence(t *testing.T) {
 				for _, w := range workers {
 					ak := mk(w)
 					var p VotePlane
-					if err := ak.CaptureVotePlaneInto(ctx, captures, 25, &p); err != nil {
+					if err := ak.CaptureVotePlaneInto(ctx, captures, sh.tempC, &p); err != nil {
 						t.Fatal(err)
 					}
 					requirePlaneMatches(t, &p, vr, captures)
@@ -115,16 +119,16 @@ func TestVotePlaneEquivalence(t *testing.T) {
 				// Accumulate a second burst: Add must equal the uint16 sum
 				// of the reference's two bursts.
 				second := 34 - captures
-				vr2, err := ar.CaptureVotesReference(second, 25)
+				vr2, err := ar.CaptureVotesReference(second, sh.tempC)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ak := mk(workers[len(workers)-1])
 				var acc, burst VotePlane
-				if err := ak.CaptureVotePlaneInto(ctx, captures, 25, &acc); err != nil {
+				if err := ak.CaptureVotePlaneInto(ctx, captures, sh.tempC, &acc); err != nil {
 					t.Fatal(err)
 				}
-				if err := ak.CaptureVotePlaneInto(ctx, second, 25, &burst); err != nil {
+				if err := ak.CaptureVotePlaneInto(ctx, second, sh.tempC, &burst); err != nil {
 					t.Fatal(err)
 				}
 				if err := acc.Add(&burst); err != nil {
@@ -144,7 +148,7 @@ func TestVotePlaneEquivalence(t *testing.T) {
 // the reference, Add reaches exactly MaxCaptures and refuses to pass
 // it, and the sliced compare holds for arbitrary 16-bit counts.
 func TestVotePlaneEquivalenceAtCaptureCeiling(t *testing.T) {
-	spec := kernelTestSpec(16, NoiseGenZiggurat, 7)
+	spec := kernelTestSpec(16, 7)
 	ak, err := New(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,12 @@ package wal
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -54,75 +55,87 @@ func TestV2FramesAreCRCFramed(t *testing.T) {
 	}
 }
 
-// TestSalvageCutsAtCorruptFrame: a corrupt middle record drops it and
-// everything after; Offsets name the byte-exact cut; the strict Parse
-// surfaces a typed CorruptError with the record index.
+// TestSalvageCutsAtCorruptFrame: a corrupt middle record — a flipped
+// payload byte, a frame header damaged in any of its fields, or a line
+// without the v2 frame — drops it and everything after; Offsets name
+// the byte-exact cut; the strict Parse surfaces a typed CorruptError
+// with the record index.
 func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 	data := writeJournal(t, filepath.Join(t.TempDir(), "j.jsonl"), 5)
-	// Flip a byte inside record 2's JSON payload.
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	off := len(lines[0]) + len(lines[1])
-	corrupt := append([]byte(nil), data...)
-	corrupt[off+len(lines[2])-4] ^= 0x01
+	for _, tc := range []struct {
+		name, reason string
+		record       func(line []byte) []byte
+	}{
+		{"flipped payload byte", "CRC mismatch", func(line []byte) []byte {
+			line[len(line)-4] ^= 0x01
+			return line
+		}},
+		{"unframed record", "not a v2 frame", func(line []byte) []byte {
+			return line[bytes.IndexByte(line, '{'):]
+		}},
+		{"frame length not a number", "damaged frame length", func(line []byte) []byte {
+			f := bytes.SplitN(line, []byte(" "), 4)
+			f[1] = append([]byte("x"), f[1]...)
+			return bytes.Join(f, []byte(" "))
+		}},
+		{"frame length off by one", "frame length mismatch", func(line []byte) []byte {
+			f := bytes.SplitN(line, []byte(" "), 4)
+			n, err := strconv.Atoi(string(f[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f[1] = strconv.AppendInt(nil, int64(n+1), 10)
+			return bytes.Join(f, []byte(" "))
+		}},
+		{"checksum field not hex", "damaged frame checksum field", func(line []byte) []byte {
+			f := bytes.SplitN(line, []byte(" "), 4)
+			f[2] = []byte("zzzzzzzz")
+			return bytes.Join(f, []byte(" "))
+		}},
+		{"header cut before the checksum", "damaged frame header", func(line []byte) []byte {
+			f := bytes.SplitN(line, []byte(" "), 4)
+			return append(bytes.Join(f[:2], []byte(" ")), '\n')
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corrupt := append([]byte(nil), data[:off]...)
+			corrupt = append(corrupt, tc.record(append([]byte(nil), lines[2]...))...)
+			corrupt = append(corrupt, data[off+len(lines[2]):]...)
 
-	entries, sal := ParseSalvage(corrupt, recOK)
-	if len(entries) != 2 || sal.Entries != 2 {
-		t.Fatalf("salvaged %d records, want 2 (sal=%+v)", len(entries), sal)
-	}
-	if sal.ValidLen != int64(off) {
-		t.Fatalf("ValidLen %d, want %d", sal.ValidLen, off)
-	}
-	if !sal.Truncated || sal.TornTail {
-		t.Fatalf("corrupt interior must be Truncated && !TornTail: %+v", sal)
-	}
-	if sal.DroppedBytes != int64(len(corrupt)-off) {
-		t.Fatalf("DroppedBytes %d, want %d", sal.DroppedBytes, len(corrupt)-off)
-	}
-	if len(sal.Offsets) != 2 || sal.Offsets[1] != int64(off) {
-		t.Fatalf("Offsets %v, want cut at %d", sal.Offsets, off)
-	}
+			entries, sal := ParseSalvage(corrupt, recOK)
+			if len(entries) != 2 || sal.Entries != 2 {
+				t.Fatalf("salvaged %d records, want 2 (sal=%+v)", len(entries), sal)
+			}
+			if sal.ValidLen != int64(off) {
+				t.Fatalf("ValidLen %d, want %d", sal.ValidLen, off)
+			}
+			if !sal.Truncated || sal.TornTail {
+				t.Fatalf("corrupt interior must be Truncated && !TornTail: %+v", sal)
+			}
+			if !strings.Contains(sal.Reason, tc.reason) {
+				t.Fatalf("Reason %q, want it to name %q", sal.Reason, tc.reason)
+			}
+			if sal.DroppedBytes != int64(len(corrupt)-off) {
+				t.Fatalf("DroppedBytes %d, want %d", sal.DroppedBytes, len(corrupt)-off)
+			}
+			if len(sal.Offsets) != 2 || sal.Offsets[1] != int64(off) {
+				t.Fatalf("Offsets %v, want cut at %d", sal.Offsets, off)
+			}
 
-	_, _, err := Parse(corrupt, recOK)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Parse = %v, want ErrCorrupt", err)
-	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Parse error %T is not *CorruptError", err)
-	}
-	if ce.Index != 2 || ce.Offset != int64(off) {
-		t.Fatalf("CorruptError{Index: %d, Offset: %d}, want {2, %d}", ce.Index, ce.Offset, off)
-	}
-}
-
-// TestV1JournalsStillReplay: pre-CRC journals are plain JSON lines;
-// they must parse unchanged, and a mixed file (v1 prefix, v2 suffix —
-// an old journal appended to by a new process) must too.
-func TestV1JournalsStillReplay(t *testing.T) {
-	var v1 bytes.Buffer
-	for i := 0; i < 3; i++ {
-		b, _ := json.Marshal(&rec{Seq: i, Type: "step", Note: fmt.Sprintf("v1-%d", i)})
-		v1.Write(b)
-		v1.WriteByte('\n')
-	}
-	entries, validLen, err := Parse(v1.Bytes(), recOK)
-	if err != nil || len(entries) != 3 || validLen != int64(v1.Len()) {
-		t.Fatalf("v1 parse: %d entries, len %d, err %v", len(entries), validLen, err)
-	}
-
-	mixed := append([]byte(nil), v1.Bytes()...)
-	for i := 3; i < 5; i++ {
-		b, _ := json.Marshal(&rec{Seq: i, Type: "step", Note: fmt.Sprintf("v2-%d", i)})
-		mixed = append(mixed, EncodeFrame(b)...)
-	}
-	entries, validLen, err = Parse(mixed, recOK)
-	if err != nil || len(entries) != 5 || validLen != int64(len(mixed)) {
-		t.Fatalf("mixed parse: %d entries, len %d, err %v", len(entries), validLen, err)
-	}
-	for i, e := range entries {
-		if e.Seq != i {
-			t.Fatalf("entry %d has seq %d", i, e.Seq)
-		}
+			_, _, err := Parse(corrupt, recOK)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Parse = %v, want ErrCorrupt", err)
+			}
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Parse error %T is not *CorruptError", err)
+			}
+			if ce.Index != 2 || ce.Offset != int64(off) {
+				t.Fatalf("CorruptError{Index: %d, Offset: %d}, want {2, %d}", ce.Index, ce.Offset, off)
+			}
+		})
 	}
 }
 

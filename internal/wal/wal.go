@@ -11,9 +11,9 @@
 //
 // where len is the byte length of the JSON payload and the checksum is
 // CRC32-Castagnoli over it — so a flipped bit anywhere in a record is
-// detected, not replayed. Journals written before framing (bare JSON
-// lines) still parse: any line not starting with "w2 " is treated as a
-// v1 record, so mixed v1/v2 journals (old journal, new appends) work.
+// detected, not replayed. A line without the frame, such as a bare JSON
+// line of the unframed v1 journals no build writes any more, fails
+// verification like any damaged frame.
 //
 // The journal is kill-point instrumented: a faults.Hook is consulted
 // before every append and at named non-journal gates (image writes),
@@ -123,11 +123,10 @@ func EncodeFrame(payload []byte) []byte {
 	return append(line, '\n')
 }
 
-// decodeFrame returns the JSON payload of one journal line. A line not
-// starting with the v2 prefix is a v1 record: the line itself.
+// decodeFrame returns the JSON payload of one v2-framed journal line.
 func decodeFrame(line []byte) ([]byte, error) {
 	if !bytes.HasPrefix(line, []byte(framePrefix)) {
-		return line, nil
+		return nil, errors.New("line is not a v2 frame")
 	}
 	rest := line[len(framePrefix):]
 	sp := bytes.IndexByte(rest, ' ')

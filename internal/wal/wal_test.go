@@ -19,6 +19,15 @@ func (r *rec) Kind() string   { return r.Type }
 func (r *rec) SetSeq(seq int) { r.Seq = seq }
 func recOK(r *rec) bool       { return r.Type != "" }
 
+// frames concatenates the v2 frames of the given JSON payloads.
+func frames(payloads ...string) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out = append(out, EncodeFrame([]byte(p))...)
+	}
+	return out
+}
+
 func TestCreateAppendReopenRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j, err := Create(path, Options{})
@@ -86,10 +95,12 @@ func TestCreateRefusesExistingJournal(t *testing.T) {
 }
 
 func TestParseToleratesOnlyTornTail(t *testing.T) {
-	intact := []byte(`{"seq":0,"type":"begin"}` + "\n" + `{"seq":1,"type":"step"}` + "\n")
+	begin := `{"seq":0,"type":"begin"}`
+	intact := frames(begin, `{"seq":1,"type":"step"}`)
+	last := string(frames(`{"seq":2,"type":"step"}`))
 
 	// Torn final line: dropped, prefix survives.
-	for _, tail := range []string{`{"seq":2,"ty`, `{"seq":2,"type":"step"}`, "garbage"} {
+	for _, tail := range []string{last[:len(last)/2], last[:len(last)-1], "garbage"} {
 		data := append(append([]byte{}, intact...), tail...)
 		entries, validLen, err := Parse(data, recOK)
 		if err != nil {
@@ -101,19 +112,19 @@ func TestParseToleratesOnlyTornTail(t *testing.T) {
 	}
 
 	// Mid-file corruption: rejected outright.
-	bad := []byte(`{"seq":0,"type":"begin"}` + "\n" + "garbage\n" + `{"seq":2,"type":"step"}` + "\n")
+	bad := append(append(frames(begin), "garbage\n"...), last...)
 	if _, _, err := Parse(bad, recOK); err == nil {
 		t.Fatal("mid-file corruption accepted")
 	}
 
 	// A terminated line that unmarshals to a zero record counts as
 	// damage too (recOK gate).
-	zero := []byte(`{"seq":0,"type":"begin"}` + "\n" + `{"x":1}` + "\n")
+	zero := frames(begin, `{"x":1}`)
 	entries, validLen, err := Parse(zero, recOK)
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("zero-record tail: entries=%d err=%v", len(entries), err)
 	}
-	if validLen != int64(len(`{"seq":0,"type":"begin"}`)+1) {
+	if validLen != int64(len(frames(begin))) {
 		t.Fatalf("zero-record tail validLen = %d", validLen)
 	}
 }
@@ -170,8 +181,8 @@ func TestAppendIOFailureIsTypedAndPoisons(t *testing.T) {
 func TestOpenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.jsonl")
-	intact := `{"seq":0,"type":"begin"}` + "\n"
-	if err := os.WriteFile(path, []byte(intact+`{"seq":1,"ty`), 0o644); err != nil {
+	torn := frames(`{"seq":0,"type":"begin"}`, `{"seq":1,"type":"step"}`)
+	if err := os.WriteFile(path, torn[:len(torn)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	entries, validLen, err := ReadFile(path, recOK)

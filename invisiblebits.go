@@ -42,27 +42,8 @@ import (
 	"invisiblebits/internal/parallel"
 	"invisiblebits/internal/rig"
 	"invisiblebits/internal/sched"
-	"invisiblebits/internal/sram"
 	"invisiblebits/internal/stegocrypt"
 )
-
-// Noise-plane versions. Every array replays its power-on noise from a
-// counter-keyed sampler; the version selects which sampler. Devices
-// record their version in saved images, so a loaded device keeps
-// producing bit-identical captures forever — fresh devices use the
-// current (ziggurat) plane, images written before versioning restore as
-// Box–Muller.
-const (
-	// NoiseGenBoxMuller is the original polar Box–Muller sampler
-	// (unbounded tails).
-	NoiseGenBoxMuller = sram.NoiseGenBoxMuller
-	// NoiseGenZiggurat is the v2 ziggurat sampler, truncated at ±8σ,
-	// which unlocks deterministic-cell pruning on the capture path.
-	NoiseGenZiggurat = sram.NoiseGenZiggurat
-)
-
-// NoiseGen reports which noise-plane version the device's SRAM replays.
-func NoiseGen(dev *Device) int { return dev.SRAM.NoiseGen() }
 
 // Re-exported building blocks. The concrete types live in internal
 // packages; these aliases are the supported public surface.
