@@ -121,12 +121,6 @@ func (p Params) Rate(c Conditions) float64 {
 	return p.A0MvPerHourN * math.Exp(p.GammaPerVolt*dv) * math.Exp(arr)
 }
 
-// Accel returns Rate(c)/Rate(Ref), the dimensionless acceleration factor
-// relative to the calibration condition (Fig. 3d's knobs).
-func (p Params) Accel(c Conditions) float64 {
-	return p.Rate(c) / p.A0MvPerHourN
-}
-
 // ShiftAfter returns the total shift in mV after stressing a fresh
 // transistor for hours under c.
 func (p Params) ShiftAfter(c Conditions, hours float64) float64 {
@@ -197,39 +191,4 @@ func CalibrateA0(timeExponent, targetShiftMv, hours float64) float64 {
 		panic("analog: CalibrateA0 requires positive target and duration")
 	}
 	return targetShiftMv / math.Pow(hours, timeExponent)
-}
-
-// StressState is the three-pool decomposition of one transistor's (or one
-// stress direction's) accumulated threshold shift.
-type StressState struct {
-	Perm float64 // permanent component, mV
-	Fast float64 // fast-recoverable component, mV
-	Slow float64 // slow-recoverable component, mV
-}
-
-// Total returns the present effective shift in mV.
-func (s StressState) Total() float64 { return s.Perm + s.Fast + s.Slow }
-
-// Stress applies dt hours of stress under c, splitting the increment into
-// the permanent and recoverable pools per p.
-func (s *StressState) Stress(p Params, c Conditions, dtHours float64) {
-	if dtHours <= 0 {
-		return
-	}
-	total := s.Total()
-	grown := p.GrowShift(total, c, dtHours)
-	delta := grown - total
-	if delta <= 0 {
-		return
-	}
-	s.Perm += delta * p.PermanentFrac()
-	s.Fast += delta * p.RecFastFrac
-	s.Slow += delta * p.RecSlowFrac
-}
-
-// Recover lets the recoverable pools decay for dt unstressed hours.
-func (s *StressState) Recover(p Params, dtHours float64) {
-	f, sl := p.RecoveryFactors(dtHours)
-	s.Fast *= f
-	s.Slow *= sl
 }

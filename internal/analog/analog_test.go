@@ -75,7 +75,7 @@ func TestNominalAgingIsNegligible(t *testing.T) {
 	// §5.1.4 requires that a week at nominal conditions barely ages the
 	// device. Nominal rate must be ≲2% of the accelerated rate.
 	p := msp432ish()
-	accel := p.Accel(Conditions{VoltageV: 1.2, TempC: 25})
+	accel := p.Rate(Conditions{VoltageV: 1.2, TempC: 25}) / p.A0MvPerHourN
 	if accel > 0.02 {
 		t.Fatalf("nominal acceleration factor %v too high for message retention", accel)
 	}
@@ -228,4 +228,41 @@ func TestCalibrateA0Panics(t *testing.T) {
 		}
 	}()
 	CalibrateA0(0.66, 10, 0)
+}
+
+// StressState is the three-pool decomposition of one transistor's (or
+// one stress direction's) accumulated threshold shift — the model the
+// Fig. 7 calibration tests run; the SRAM aging engine keeps the same
+// pools per history class.
+type StressState struct {
+	Perm float64 // permanent component, mV
+	Fast float64 // fast-recoverable component, mV
+	Slow float64 // slow-recoverable component, mV
+}
+
+// Total returns the present effective shift in mV.
+func (s StressState) Total() float64 { return s.Perm + s.Fast + s.Slow }
+
+// Stress applies dt hours of stress under c, splitting the increment into
+// the permanent and recoverable pools per p.
+func (s *StressState) Stress(p Params, c Conditions, dtHours float64) {
+	if dtHours <= 0 {
+		return
+	}
+	total := s.Total()
+	grown := p.GrowShift(total, c, dtHours)
+	delta := grown - total
+	if delta <= 0 {
+		return
+	}
+	s.Perm += delta * p.PermanentFrac()
+	s.Fast += delta * p.RecFastFrac
+	s.Slow += delta * p.RecSlowFrac
+}
+
+// Recover lets the recoverable pools decay for dt unstressed hours.
+func (s *StressState) Recover(p Params, dtHours float64) {
+	f, sl := p.RecoveryFactors(dtHours)
+	s.Fast *= f
+	s.Slow *= sl
 }

@@ -25,8 +25,6 @@ type (
 	// Options configures a Run or Resume: key, breakers, kill-point
 	// hook, filesystem seam.
 	Options = sched.CampaignOptions
-	// SalvageSummary reports what a degraded resume had to give up on.
-	SalvageSummary = sched.ResumeSummary
 )
 
 // Run starts a fresh campaign in dir and drives it to completion. A
@@ -40,11 +38,6 @@ func Run(ctx context.Context, dir string, spec Spec, opts Options) (*Result, err
 func Resume(ctx context.Context, dir string, opts Options) (*Result, error) {
 	res, _, err := sched.ResumeCampaign(ctx, dir, opts)
 	return res, err
-}
-
-// ResumeSalvage is Resume with the degraded-resume report.
-func ResumeSalvage(ctx context.Context, dir string, opts Options) (*Result, *SalvageSummary, error) {
-	return sched.ResumeCampaign(ctx, dir, opts)
 }
 
 // DecodeResult reloads a finished campaign's final device images and

@@ -79,15 +79,28 @@ func readImages(t *testing.T, dir string, res *Result) map[int][]byte {
 	return out
 }
 
+// replayJournal reads and replays the journal at path strictly: only a
+// torn final line may be cut, and replay must use every record.
+func replayJournal(path string) (*sched.State, error) {
+	entries, sal, err := sched.ReadJournalSalvage(nil, path)
+	if err != nil {
+		return nil, err
+	}
+	if sal.Truncated && !sal.TornTail {
+		return nil, fmt.Errorf("journal cut after %d records: %s", sal.Entries, sal.Reason)
+	}
+	st, used, err := sched.ReplaySalvage(entries)
+	if used < len(entries) {
+		return nil, err
+	}
+	return st, nil
+}
+
 // doneBaselines returns the baselines of the done record in dir's
 // journal.
 func doneBaselines(t *testing.T, dir string) []float64 {
 	t.Helper()
-	entries, _, err := sched.ReadJournal(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sched.Replay(entries)
+	st, err := replayJournal(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,14 +375,13 @@ func TestResumeFailsClosed(t *testing.T) {
 	if err := os.WriteFile(jpath, dup, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dupEntries, _, err := sched.ReadJournal(jpath)
-	if err != nil {
-		t.Fatalf("duplicated record should pass frame verification: %v", err)
+	if _, sal, err := sched.ReadJournalSalvage(nil, jpath); err != nil || sal.Truncated {
+		t.Fatalf("duplicated record should pass frame verification: %v %+v", err, sal)
 	}
-	if _, err := sched.Replay(dupEntries); err == nil {
+	if _, err := replayJournal(jpath); err == nil {
 		t.Fatal("strict replay accepted a journal with a duplicated record")
 	}
-	res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+	res, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 	if err != nil {
 		t.Fatalf("salvage resume over a duplicated record: %v", err)
 	}

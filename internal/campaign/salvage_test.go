@@ -79,7 +79,7 @@ func TestResumeStrikesCorruptCheckpoint(t *testing.T) {
 	dir, ckpts := killWithCheckpoints(t, base, spec)
 	corruptFile(t, ckpts[len(ckpts)-1])
 
-	res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+	res, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 	if err != nil {
 		t.Fatalf("resume over a rotted checkpoint: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestResumeSurvivesAllCheckpointsRotten(t *testing.T) {
 		corruptFile(t, p)
 	}
 
-	res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+	res, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 	if err != nil {
 		t.Fatalf("resume with every checkpoint rotted: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestResumeSalvagesCorruptJournalInterior(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+	res, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 	if err != nil {
 		t.Fatalf("resume over corrupt journal interior: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestResumeSweepsTempLitter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+	_, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -243,7 +243,7 @@ func TestLegacyCampaignDirs(t *testing.T) {
 			if rep.JournalRecords != 0 || rep.ValidLen != 0 || rep.DroppedBytes != int64(len(journal)) || rep.Clean() {
 				t.Fatalf("audit of the legacy directory: %+v", rep)
 			}
-			res, sum, err := ResumeSalvage(ctx, dir, Options{Key: key})
+			res, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: key})
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -391,7 +391,7 @@ func TestResumeRebuildsLostResult(t *testing.T) {
 	if err := os.Remove(resultPath); err != nil {
 		t.Fatal(err)
 	}
-	again, sum, err := ResumeSalvage(ctx, dir, Options{Key: testKey()})
+	again, sum, err := sched.ResumeCampaign(ctx, dir, Options{Key: testKey()})
 	if err != nil {
 		t.Fatalf("resume without result.json: %v", err)
 	}

@@ -36,8 +36,8 @@ const (
 )
 
 // AdaptiveOptions configures DecodeAdaptive. The embedded Options carry
-// the codec/key/retry policy; Captures is ignored (the ladder sets its
-// own schedule from InitialCaptures/MaxCaptures).
+// the codec and key; Captures is ignored (the ladder sets its own
+// schedule from InitialCaptures/MaxCaptures).
 type AdaptiveOptions struct {
 	Options
 	// InitialCaptures is the first rung's capture count (rounded up to
@@ -48,10 +48,6 @@ type AdaptiveOptions struct {
 	// the accumulated counts could not represent, is rejected with
 	// *sram.CaptureCountError before any capture.
 	MaxCaptures int
-	// ErasureDeadZone is the confidence half-width around 0.5 that marks
-	// a coded bit as erased on the deepest rung; 0 means
-	// DefaultErasureDeadZone, values are clamped to (0, 0.5].
-	ErasureDeadZone float64
 }
 
 func (a AdaptiveOptions) initial() int {
@@ -74,17 +70,6 @@ func (a AdaptiveOptions) max() int {
 		m = a.initial()
 	}
 	return m
-}
-
-func (a AdaptiveOptions) deadZone() float64 {
-	dz := a.ErasureDeadZone
-	if dz <= 0 {
-		return DefaultErasureDeadZone
-	}
-	if dz > 0.5 {
-		return 0.5
-	}
-	return dz
 }
 
 // RungResult records one attempt of the escalation ladder.
@@ -210,7 +195,7 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 		if total > 0 {
 			burst = &a.burstPlane
 		}
-		if err := opts.retry(ctx, r, func() error {
+		if err := retry(ctx, r, func() error {
 			return r.SampleVotePlaneIntoContext(ctx, delta, burst)
 		}); err != nil {
 			return err
@@ -323,7 +308,7 @@ func decodeAdaptiveOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Reco
 			if err != nil {
 				return nil, report, err
 			}
-			erased := a.erasureMaskInto(counts(), total, rec.PayloadBytes*8, aopts.deadZone())
+			erased := a.erasureMaskInto(counts(), total, rec.PayloadBytes*8, DefaultErasureDeadZone)
 			var unresolved []bool
 			msg, unresolved, decErr = ed.DecodeErasure(plain[:codedLen], erased[:codedLen*8], rec.MessageBytes)
 			if decErr == nil {

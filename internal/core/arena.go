@@ -424,15 +424,3 @@ func (a *DecodeArena) DecodeVotes(rec *Record, votes []uint16, total int, opts O
 	}
 	return msg, nil
 }
-
-// DecodeVotes is the package-level convenience: it decodes accumulated
-// vote counts through Options.Arena when set, or a pooled arena
-// otherwise, and returns a message the caller owns either way (the
-// arena-owned scratch is copied out).
-func DecodeVotes(rec *Record, votes []uint16, total int, opts Options) ([]byte, error) {
-	l := leaseArena(opts.Arena)
-	msg, err := l.DecodeVotes(rec, votes, total, opts)
-	out := bytes.Clone(msg)
-	l.release(nil)
-	return out, err
-}

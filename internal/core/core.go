@@ -57,21 +57,12 @@ type Options struct {
 	// Captures is the majority-vote sample count for decode; 0 means
 	// DefaultCaptures.
 	Captures int
-	// SkipCamouflage leaves the payload writer in flash after encoding
-	// (useful for experiments; real deployments always camouflage).
-	SkipCamouflage bool
 	// Soft enables soft-decision decoding: instead of majority-voting
 	// captures into hard bits, the per-cell vote counts are combined
 	// across repetition copies as confidences (an extension beyond the
 	// paper's §4.3 scheme; requires the codec to implement
 	// ecc.SoftDecoder).
 	Soft bool
-	// MaxRetries bounds retries of transiently-faulting link operations:
-	// 0 means DefaultMaxRetries, negative disables retrying entirely.
-	MaxRetries int
-	// RetryBackoffHours is the simulated-clock backoff before the first
-	// retry (doubling per attempt); 0 means DefaultRetryBackoffHours.
-	RetryBackoffHours float64
 	// DecodeTempC overrides the chamber temperature during decode when
 	// non-zero. The paper reads at nominal temperature; setting this lets
 	// experiments measure read-out robustness at the wrong temperature
@@ -102,27 +93,11 @@ func (o Options) captures() int {
 	return o.Captures
 }
 
-func (o Options) maxRetries() int {
-	if o.MaxRetries < 0 {
-		return 0
-	}
-	if o.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	return o.MaxRetries
-}
-
-func (o Options) backoffHours() float64 {
-	if o.RetryBackoffHours <= 0 {
-		return DefaultRetryBackoffHours
-	}
-	return o.RetryBackoffHours
-}
-
-// retry wraps one link operation in the bounded-retry policy, charging
-// exponential backoff to the rig's simulated clock.
-func (o Options) retry(ctx context.Context, r *rig.Rig, op func() error) error {
-	return faults.Retry(ctx, r, o.maxRetries(), o.backoffHours(), op)
+// retry wraps one link operation in the bounded-retry policy
+// (DefaultMaxRetries, DefaultRetryBackoffHours), charging exponential
+// backoff to the rig's simulated clock.
+func retry(ctx context.Context, r *rig.Rig, op func() error) error {
+	return faults.Retry(ctx, r, DefaultMaxRetries, DefaultRetryBackoffHours, op)
 }
 
 // Record is the encode-side receipt. It carries exactly what the paper
@@ -216,14 +191,14 @@ func BuildPayload(message []byte, deviceID string, opts Options) ([]byte, error)
 
 // Encode hides message in the analog domain of the rig's device
 // (Algorithm 1). On return the device is powered off at nominal
-// conditions with camouflage firmware loaded (unless SkipCamouflage).
+// conditions, with camouflage firmware loaded if the device has flash.
 func Encode(r *rig.Rig, message []byte, opts Options) (*Record, error) {
 	return EncodeContext(context.Background(), r, message, opts)
 }
 
 // EncodeContext is Encode with cancellation and failure tolerance:
 // transient link faults (flash and capture bursts) are retried up to
-// Options.MaxRetries with backoff charged to the rig's simulated clock,
+// DefaultMaxRetries with backoff charged to the rig's simulated clock,
 // and ctx cancellation propagates into the hours-long stress soak.
 //
 // It is exactly the staged session run in one breath — prepare, a
@@ -244,22 +219,22 @@ func EncodeContext(ctx context.Context, r *rig.Rig, message []byte, opts Options
 
 // loadCamouflage flashes the innocuous cover firmware, retried across
 // transient link faults.
-func loadCamouflage(ctx context.Context, r *rig.Rig, opts Options) error {
+func loadCamouflage(ctx context.Context, r *rig.Rig) error {
 	camo, err := progen.Assemble(progen.CamouflageProgram())
 	if err != nil {
 		return fmt.Errorf("core: camouflage: %w", err)
 	}
-	return opts.retry(ctx, r, func() error { return r.LoadProgram(camo) })
+	return retry(ctx, r, func() error { return r.LoadProgram(camo) })
 }
 
 // writePayloadToSRAM initializes the SRAM state. MCUs run the generated
 // payload-writer firmware on their own CPU; cache-SRAM devices (no
 // on-chip flash) are written through the debug port, mirroring the
 // paper's co-processor access path for the BCM2837 (§5).
-func writePayloadToSRAM(ctx context.Context, r *rig.Rig, payload []byte, opts Options) error {
+func writePayloadToSRAM(ctx context.Context, r *rig.Rig, payload []byte) error {
 	dev := r.Device()
 	if dev.Flash == nil {
-		return opts.retry(ctx, r, func() error {
+		return retry(ctx, r, func() error {
 			if _, err := r.PowerOn(); err != nil {
 				return err
 			}
@@ -276,7 +251,7 @@ func writePayloadToSRAM(ctx context.Context, r *rig.Rig, payload []byte, opts Op
 	}
 	// The flash + run sequence retries as a unit: a link drop mid-flash
 	// leaves the image suspect, so the whole write is re-driven.
-	return opts.retry(ctx, r, func() error {
+	return retry(ctx, r, func() error {
 		if err := r.LoadProgram(prog); err != nil {
 			return err
 		}
@@ -303,7 +278,7 @@ func Decode(r *rig.Rig, rec *Record, opts Options) ([]byte, error) {
 
 // DecodeContext is Decode with cancellation and failure tolerance:
 // transient link faults during the retainer flash and the capture burst
-// are retried per Options.MaxRetries, with backoff charged to the rig's
+// are retried up to DefaultMaxRetries, with backoff charged to the rig's
 // simulated clock.
 func DecodeContext(ctx context.Context, r *rig.Rig, rec *Record, opts Options) ([]byte, error) {
 	l := leaseArena(opts.Arena)
@@ -338,7 +313,7 @@ func decodeOn(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, opts
 	}
 
 	var maj []byte
-	err = opts.retry(ctx, r, func() error {
+	err = retry(ctx, r, func() error {
 		var serr error
 		maj, serr = r.SampleMajorityContext(ctx, captures)
 		return serr
@@ -384,7 +359,7 @@ func prepareDecode(ctx context.Context, r *rig.Rig, opts Options) error {
 		if err != nil {
 			return fmt.Errorf("core: retainer: %w", err)
 		}
-		if err := opts.retry(ctx, r, func() error { return r.LoadProgram(ret) }); err != nil {
+		if err := retry(ctx, r, func() error { return r.LoadProgram(ret) }); err != nil {
 			return err
 		}
 	}
@@ -406,7 +381,7 @@ func decodeSoft(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, op
 		return nil, fmt.Errorf("core: codec %s does not support soft decoding", codec.Name())
 	}
 	votes := a.votesBuf(r.Device().SRAM.Cells())
-	if err := opts.retry(ctx, r, func() error {
+	if err := retry(ctx, r, func() error {
 		return r.SampleVotesIntoContext(ctx, captures, votes)
 	}); err != nil {
 		return nil, err
@@ -422,19 +397,15 @@ func decodeSoft(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, op
 	return msg, nil
 }
 
-// RawChannelError measures the single-copy channel error of an encoded
-// device against a known payload — the §5.1 error-profiling primitive.
-func RawChannelError(r *rig.Rig, payload []byte, captures int) (float64, error) {
-	return RawChannelErrorContext(context.Background(), r, payload, captures, Options{})
-}
-
-// RawChannelErrorContext is RawChannelError with the same cancellation
-// and bounded-retry treatment as the other capture paths: transient
-// link faults during the capture burst are retried per Options.MaxRetries
-// with backoff charged to the rig's simulated clock.
-func RawChannelErrorContext(ctx context.Context, r *rig.Rig, payload []byte, captures int, opts Options) (float64, error) {
+// RawChannelErrorContext measures the single-copy channel error of an
+// encoded device against a known payload — the §5.1 error-profiling
+// primitive. It has the same cancellation and bounded-retry treatment
+// as the other capture paths: transient link faults during the capture
+// burst are retried up to DefaultMaxRetries with backoff charged to the
+// rig's simulated clock.
+func RawChannelErrorContext(ctx context.Context, r *rig.Rig, payload []byte, captures int) (float64, error) {
 	var maj []byte
-	err := opts.retry(ctx, r, func() error {
+	err := retry(ctx, r, func() error {
 		var serr error
 		maj, serr = r.SampleMajorityContext(ctx, captures)
 		return serr

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -224,12 +225,10 @@ func TestRawChannelError(t *testing.T) {
 	r := newRig(t, "MSP432P401", "rce", 8<<10)
 	payload := make([]byte, r.Device().SRAM.Bytes())
 	rng.NewSource(4).Bytes(payload)
-	rec, err := Encode(r, payload, Options{SkipCamouflage: true})
-	if err != nil {
+	if _, err := Encode(r, payload, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	_ = rec
-	ber, err := RawChannelError(r, payload, 5)
+	ber, err := RawChannelErrorContext(context.Background(), r, payload, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,35 @@ func TestRetryBackoffChargesEncodingHours(t *testing.T) {
 	}
 }
 
-func TestRetriesDisabledFailsFast(t *testing.T) {
-	r := newFaultyCoreRig(t, "no-retry", faults.Profile{Seed: 2, LinkDropRate: 1})
-	opts := Options{MaxRetries: -1}
-	_, err := Encode(r, []byte("x"), opts)
-	if !faults.IsTransient(err) {
-		t.Fatalf("MaxRetries<0 did not surface the transient fault: %v", err)
+func TestDeadLinkExhaustsRetryBudget(t *testing.T) {
+	// A link that never comes back: the first flash is tried
+	// 1+DefaultMaxRetries times, each retry charging doubled backoff,
+	// and then the transient fault surfaces — the device is not written
+	// off, and nothing past the failed flash runs.
+	r := newFaultyCoreRig(t, "dead-link", faults.Profile{Seed: 2, LinkDropRate: 1})
+	_, err := Encode(r, []byte("x"), Options{})
+	if !faults.IsTransient(err) || faults.IsPermanent(err) {
+		t.Fatalf("dead link surfaced as %v, want a transient fault", err)
+	}
+	if !r.Device().Alive() {
+		t.Error("device written off after transient faults")
+	}
+	var attempts, idles int
+	for _, e := range r.Events() {
+		switch {
+		case strings.Contains(e, "FAULT load-program"):
+			attempts++
+		case strings.Contains(e, "idle"):
+			idles++
+		}
+	}
+	if attempts != 1+DefaultMaxRetries || idles != DefaultMaxRetries {
+		t.Errorf("%d attempts and %d backoffs, want %d and %d",
+			attempts, idles, 1+DefaultMaxRetries, DefaultMaxRetries)
+	}
+	want := DefaultRetryBackoffHours * float64(uint(1)<<DefaultMaxRetries-1)
+	if got := r.ClockHours(); got != want {
+		t.Errorf("clock %vh after the retry budget, want %vh of backoff", got, want)
 	}
 }
 

@@ -70,13 +70,6 @@ func TestPooledArenaMessageOwnership(t *testing.T) {
 			o.Soft = true
 			return DecodeContext(ctx, c.r, c.rec, o)
 		}},
-		{"DecodeVotes", func(c pooledCarrier) ([]byte, error) {
-			votes, err := c.r.SampleVotes(DefaultCaptures)
-			if err != nil {
-				return nil, err
-			}
-			return DecodeVotes(c.rec, votes, DefaultCaptures, c.opts)
-		}},
 	}
 	for _, d := range decoders {
 		t.Run(d.name, func(t *testing.T) {

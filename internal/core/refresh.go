@@ -24,20 +24,20 @@ type RefreshReport struct {
 
 // Refresh restores a decaying imprint: it recovers the message with the
 // full adaptive ladder (digest-verified — a refresh must never burn a
-// wrong message deeper into the silicon), rebuilds the payload, rewrites
-// it into SRAM, and re-stresses at accelerated conditions. The overdrive
-// step runs through the rig's safe-voltage interlock exactly like a
-// first encode: a model whose ceiling forbids VAccV fails here rather
-// than cooking the device. stressHours ≤ 0 uses the model's Table 4
-// encoding time.
+// wrong message deeper into the silicon), then runs the encode session
+// on it again: rewrite into SRAM, re-stress at accelerated conditions,
+// restore nominal conditions and camouflage. The overdrive step runs
+// through the rig's safe-voltage interlock exactly like a first encode:
+// a model whose ceiling forbids VAccV fails here rather than cooking the
+// device. stressHours ≤ 0 uses the model's Table 4 encoding time.
 //
 // On success the device's maintenance ledger gains a RefreshEvent and
 // the report carries margins before/after.
 func Refresh(ctx context.Context, r *rig.Rig, rec *Record, aopts AdaptiveOptions, stressHours float64) (*RefreshReport, error) {
 	opts := aopts.Options
-	dev := r.Device()
+	opts.StressHours = stressHours
 
-	before, err := probeMargin(ctx, r, opts)
+	before, err := probeMargin(ctx, r)
 	if err != nil {
 		return nil, fmt.Errorf("core: refresh pre-probe: %w", err)
 	}
@@ -48,73 +48,41 @@ func Refresh(ctx context.Context, r *rig.Rig, rec *Record, aopts AdaptiveOptions
 		return rep, fmt.Errorf("core: refresh decode: %w", err)
 	}
 
-	payload, err := BuildPayload(msg, rec.DeviceID, opts)
+	s, err := BeginEncode(ctx, r, msg, opts)
 	if err != nil {
 		return rep, err
 	}
-	if len(payload) != rec.PayloadBytes {
+	if s.payloadLen != rec.PayloadBytes {
 		return rep, fmt.Errorf("%w: rebuilt payload is %d bytes, record claims %d",
-			ErrRecordShape, len(payload), rec.PayloadBytes)
+			ErrRecordShape, s.payloadLen, rec.PayloadBytes)
+	}
+	rep.StressHours = s.TotalHours()
+	if err := s.StressSlice(ctx, s.TotalHours()); err != nil {
+		return rep, err
+	}
+	if _, err := s.Finish(ctx); err != nil {
+		return rep, err
 	}
 
-	// Rewrite and re-soak: the same conditions discipline as a first
-	// encode (nominal write, accelerated stress, nominal restore).
-	r.SetTemperature(dev.Model.TNomC)
-	if err := r.SetVoltage(dev.Model.VNomV); err != nil {
-		return rep, err
-	}
-	if err := writePayloadToSRAM(ctx, r, payload, opts); err != nil {
-		return rep, err
-	}
-	if dev.Model.RequiresRegulatorBypass {
-		if err := r.BypassRegulator(); err != nil {
-			return rep, err
-		}
-	}
-	if err := r.SetVoltage(dev.Model.VAccV); err != nil {
-		return rep, err
-	}
-	r.SetTemperature(dev.Model.TAccC)
-	hours := stressHours
-	if hours <= 0 {
-		hours = dev.Model.EncodingHours
-	}
-	rep.StressHours = hours
-	if err := r.StressForContext(ctx, hours); err != nil {
-		return rep, err
-	}
-	r.SetTemperature(dev.Model.TNomC)
-	if err := r.SetVoltage(dev.Model.VNomV); err != nil {
-		return rep, err
-	}
-	r.PowerOff()
-	if !opts.SkipCamouflage && dev.Flash != nil {
-		// Re-arm camouflage so a refreshed carrier looks no different
-		// from a freshly encoded one.
-		if err := loadCamouflage(ctx, r, opts); err != nil {
-			return rep, err
-		}
-	}
-
-	after, err := probeMargin(ctx, r, opts)
+	after, err := probeMargin(ctx, r)
 	if err != nil {
 		return rep, fmt.Errorf("core: refresh post-probe: %w", err)
 	}
 	rep.MarginAfter = after
-	dev.RecordRefresh(device.RefreshEvent{
+	r.Device().RecordRefresh(device.RefreshEvent{
 		ClockHours:   r.ClockHours(),
-		StressHours:  hours,
+		StressHours:  rep.StressHours,
 		MarginBefore: before,
 		MarginAfter:  after,
 	})
 	return rep, nil
 }
 
-// probeMargin runs a health probe under the options' retry policy and
-// returns the array mean margin.
-func probeMargin(ctx context.Context, r *rig.Rig, opts Options) (float64, error) {
+// probeMargin runs a health probe under the retry policy and returns
+// the array mean margin.
+func probeMargin(ctx context.Context, r *rig.Rig) (float64, error) {
 	var hr *rig.HealthReport
-	err := opts.retry(ctx, r, func() error {
+	err := retry(ctx, r, func() error {
 		var perr error
 		hr, perr = r.ProbeHealthContext(ctx, 0, 0)
 		return perr

@@ -32,22 +32,18 @@ type EncodeSession struct {
 // the device's stress point. On return the device is soak-ready and the
 // caller owns the stress schedule.
 func BeginEncode(ctx context.Context, r *rig.Rig, message []byte, opts Options) (*EncodeSession, error) {
-	dev := r.Device()
-	payload, err := BuildPayload(message, dev.DeviceID(), opts)
+	payload, hours, err := planEncode(r, message, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) > dev.SRAM.Bytes() {
-		return nil, fmt.Errorf("%w: payload %d bytes, SRAM %d bytes",
-			ErrPayloadTooLarge, len(payload), dev.SRAM.Bytes())
-	}
+	dev := r.Device()
 
 	// Lines 3–4: nominal conditions, load binaries, initialize SRAM.
 	r.SetTemperature(dev.Model.TNomC)
 	if err := r.SetVoltage(dev.Model.VNomV); err != nil {
 		return nil, err
 	}
-	if err := writePayloadToSRAM(ctx, r, payload, opts); err != nil {
+	if err := writePayloadToSRAM(ctx, r, payload); err != nil {
 		return nil, err
 	}
 
@@ -61,12 +57,27 @@ func BeginEncode(ctx context.Context, r *rig.Rig, message []byte, opts Options) 
 		return nil, err
 	}
 	r.SetTemperature(dev.Model.TAccC)
+	return &EncodeSession{r: r, message: message, opts: opts, payloadLen: len(payload), totalHours: hours}, nil
+}
 
+// planEncode builds the payload and the soak length of an encode: the
+// payload must fit the device's SRAM, and the soak is opts.StressHours,
+// or the model's Table 4 encoding time when that is not positive.
+func planEncode(r *rig.Rig, message []byte, opts Options) ([]byte, float64, error) {
+	dev := r.Device()
+	payload, err := BuildPayload(message, dev.DeviceID(), opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(payload) > dev.SRAM.Bytes() {
+		return nil, 0, fmt.Errorf("%w: payload %d bytes, SRAM %d bytes",
+			ErrPayloadTooLarge, len(payload), dev.SRAM.Bytes())
+	}
 	hours := opts.StressHours
 	if hours <= 0 {
 		hours = dev.Model.EncodingHours
 	}
-	return &EncodeSession{r: r, message: message, opts: opts, payloadLen: len(payload), totalHours: hours}, nil
+	return payload, hours, nil
 }
 
 // ResumeEncode reconstructs a session around a device restored from a
@@ -79,18 +90,9 @@ func ResumeEncode(ctx context.Context, r *rig.Rig, message []byte, opts Options,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dev := r.Device()
-	payload, err := BuildPayload(message, dev.DeviceID(), opts)
+	payload, hours, err := planEncode(r, message, opts)
 	if err != nil {
 		return nil, err
-	}
-	if len(payload) > dev.SRAM.Bytes() {
-		return nil, fmt.Errorf("%w: payload %d bytes, SRAM %d bytes",
-			ErrPayloadTooLarge, len(payload), dev.SRAM.Bytes())
-	}
-	hours := opts.StressHours
-	if hours <= 0 {
-		hours = dev.Model.EncodingHours
 	}
 	if appliedHours < 0 || appliedHours > hours {
 		return nil, fmt.Errorf("core: resumed session claims %.2fh of %.2fh applied", appliedHours, hours)
@@ -152,8 +154,8 @@ func (s *EncodeSession) Finish(ctx context.Context) (*Record, error) {
 		return nil, err
 	}
 	s.r.PowerOff()
-	if !s.opts.SkipCamouflage && dev.Flash != nil {
-		if err := loadCamouflage(ctx, s.r, s.opts); err != nil {
+	if dev.Flash != nil {
+		if err := loadCamouflage(ctx, s.r); err != nil {
 			return nil, err
 		}
 	}

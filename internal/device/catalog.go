@@ -56,11 +56,6 @@ type Model struct {
 
 // Conditions helpers.
 
-// Nominal returns the device's nominal operating conditions.
-func (m Model) Nominal() analog.Conditions {
-	return analog.Conditions{VoltageV: m.VNomV, TempC: m.TNomC}
-}
-
 // Accelerated returns the device's encoding (stress) conditions.
 func (m Model) Accelerated() analog.Conditions {
 	return analog.Conditions{VoltageV: m.VAccV, TempC: m.TAccC}

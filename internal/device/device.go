@@ -247,9 +247,6 @@ func (d *Device) Run(maxSteps uint64) (cpu.StopReason, error) {
 	return d.cpu.Run(maxSteps)
 }
 
-// CPU exposes the live CPU for inspection (nil when unpowered).
-func (d *Device) CPU() *cpu.CPU { return d.cpu }
-
 // Stress ages the device at conditions c for hours with its current SRAM
 // contents — the thermal-chamber step (Algorithm 1, lines 5–6).
 func (d *Device) Stress(c analog.Conditions, hours float64) error {

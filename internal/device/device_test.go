@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"invisiblebits/internal/analog"
 	"invisiblebits/internal/asm"
 	"invisiblebits/internal/cpu"
 	"invisiblebits/internal/stats"
@@ -295,7 +296,7 @@ func TestRegulatorBypassRequired(t *testing.T) {
 		t.Fatalf("bypassed stress failed: %v", err)
 	}
 	// Nominal-voltage stress does not need the bypass.
-	if err := d.Stress(d.Model.Nominal(), 1); err != nil {
+	if err := d.Stress(analog.Conditions{VoltageV: d.Model.VNomV, TempC: d.Model.TNomC}, 1); err != nil {
 		t.Fatalf("nominal stress refused: %v", err)
 	}
 }

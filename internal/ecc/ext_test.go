@@ -225,7 +225,7 @@ func TestSoftEqualsHardOnBinaryConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, err := rep.DecodeSoft(HardToConf(noisy), len(msg))
+	soft, err := rep.DecodeSoft(hardConf(noisy), len(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSoftCompositeAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := comp.DecodeSoft(HardToConf(enc), len(msg))
+	dec, err := comp.DecodeSoft(hardConf(enc), len(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +300,12 @@ func TestSoftCompositeAndIdentity(t *testing.T) {
 	}
 	// Composite with a non-soft inner must refuse.
 	bad := Composite{Outer: rep, Inner: Hamming74{}}
-	if _, err := bad.DecodeSoft(HardToConf(enc), len(msg)); err == nil {
+	if _, err := bad.DecodeSoft(hardConf(enc), len(msg)); err == nil {
 		t.Error("non-soft inner accepted")
 	}
 	// Identity soft.
 	id := Identity{}
-	got, err := id.DecodeSoft(HardToConf(msg), len(msg))
+	got, err := id.DecodeSoft(hardConf(msg), len(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,4 +439,15 @@ func TestGenericHammingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// hardConf converts a hard payload into binary confidences (0 or 1).
+func hardConf(payload []byte) []float64 {
+	conf := make([]float64, len(payload)*8)
+	for i := range conf {
+		if payload[i/8]&(1<<(i%8)) != 0 {
+			conf[i] = 1
+		}
+	}
+	return conf
 }

@@ -74,18 +74,6 @@ func (Identity) DecodeSoft(conf []float64, msgBytes int) ([]byte, error) {
 	return out, nil
 }
 
-// HardToConf converts a hard payload into binary confidences (0 or 1);
-// useful for testing and for decoders that only have one capture.
-func HardToConf(payload []byte) []float64 {
-	conf := make([]float64, len(payload)*8)
-	for i := range conf {
-		if payload[i/8]&(1<<(i%8)) != 0 {
-			conf[i] = 1
-		}
-	}
-	return conf
-}
-
 // Interface checks.
 var (
 	_ SoftDecoder = Repetition{}

@@ -117,9 +117,6 @@ func TestDeviceDeathIsPermanentAndSticky(t *testing.T) {
 	if !IsPermanent(err) {
 		t.Fatalf("death not permanent: %v", err)
 	}
-	if !inj.Dead() {
-		t.Error("Dead() false after death")
-	}
 	// Death is sticky even for queries with an earlier clock (the device
 	// does not resurrect).
 	if err := inj.OpError(OpCapture, 0.5); !IsPermanent(err) {

@@ -96,9 +96,6 @@ func NewHTTPChaos(p HTTPProfile) *HTTPChaos {
 	}
 }
 
-// Profile returns the engine's configuration.
-func (c *HTTPChaos) Profile() HTTPProfile { return c.profile }
-
 // KillListener refuses the next n requests (across all sites) with
 // ErrConnDropped before delivery — the window between a killed listener
 // and its resumed replacement, when connections bounce off a dead port.

@@ -113,20 +113,10 @@ func New(p Profile, serial string) *SeededInjector {
 	}
 }
 
-// Profile returns the injector's configuration.
-func (f *SeededInjector) Profile() Profile { return f.profile }
-
 // Inert reports whether the profile injects nothing at all. The rig uses
 // this to keep a zero-profile campaign on the exact single-shot stress
 // path, guaranteeing bit-identical outputs to a rig with no injector.
 func (f *SeededInjector) Inert() bool { return f.profile == (Profile{}) }
-
-// Dead reports whether the device has already died.
-func (f *SeededInjector) Dead() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead
-}
 
 // roll returns a uniform [0,1) variate for one decision site. The
 // per-site sequence counter distinguishes repeated decisions at the same

@@ -111,9 +111,6 @@ func NewStorageFaults(p StorageProfile) *StorageFaults {
 	}
 }
 
-// Profile returns the engine's configuration.
-func (s *StorageFaults) Profile() StorageProfile { return s.profile }
-
 // roll returns a uniform [0,1) variate for one decision site, advancing
 // the site's sequence counter.
 func (s *StorageFaults) roll(site string) float64 {

@@ -181,23 +181,9 @@ func (a *Array) Program(off int, data []byte) (totalTimeUs float64, err error) {
 	return totalTimeUs, nil
 }
 
-// CyclePage deliberately stresses a page with n program/erase cycles
-// without changing its final (erased) digital contents — the Wang et al.
-// encoding knob.
-func (a *Array) CyclePage(page, n int) error {
-	if err := a.checkPage(page); err != nil {
-		return err
-	}
-	if n < 0 {
-		return errors.New("flash: negative cycle count")
-	}
-	a.wearPage(page, n)
-	return nil
-}
-
 // CycleBits stresses an arbitrary set of bit indices with n extra P/E
-// cycles each (finer grain than CyclePage, used by the group-of-128
-// encoding of the Wang baseline).
+// cycles each without changing their digital contents — the Wang et al.
+// encoding knob, used by the group-of-128 encoding of the Wang baseline.
 func (a *Array) CycleBits(bits []int, n int) error {
 	if n < 0 {
 		return errors.New("flash: negative cycle count")
@@ -243,12 +229,4 @@ func (a *Array) MarginRead(bit int) (float64, error) {
 		return 0, fmt.Errorf("flash: bit %d out of range", bit)
 	}
 	return float64(a.vt[bit]) + a.noise.NormScaled(0, a.spec.MeasureNoiseV), nil
-}
-
-// PECycles reports a page's program/erase count.
-func (a *Array) PECycles(page int) (uint32, error) {
-	if err := a.checkPage(page); err != nil {
-		return 0, err
-	}
-	return a.peCycles[page], nil
 }

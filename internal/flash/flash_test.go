@@ -170,23 +170,6 @@ func TestVtLevelsSeparable(t *testing.T) {
 	}
 }
 
-func TestPECycleAccounting(t *testing.T) {
-	a := mustNew(t, small())
-	if err := a.ErasePage(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.CyclePage(2, 10); err != nil {
-		t.Fatal(err)
-	}
-	n, err := a.PECycles(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 11 {
-		t.Errorf("cycles = %d, want 11", n)
-	}
-}
-
 func TestBoundsChecking(t *testing.T) {
 	a := mustNew(t, small())
 	if _, err := a.Read(-1, 4); err == nil {
@@ -201,7 +184,7 @@ func TestBoundsChecking(t *testing.T) {
 	if err := a.ErasePage(99); err == nil {
 		t.Error("bad page erase accepted")
 	}
-	if err := a.CyclePage(0, -1); err == nil {
+	if err := a.CycleBits([]int{0}, -1); err == nil {
 		t.Error("negative cycles accepted")
 	}
 	if err := a.CycleBits([]int{1 << 30}, 1); err == nil {
@@ -212,9 +195,6 @@ func TestBoundsChecking(t *testing.T) {
 	}
 	if _, err := a.MarginRead(1 << 30); err == nil {
 		t.Error("bad margin read accepted")
-	}
-	if _, err := a.PECycles(-1); err == nil {
-		t.Error("bad page query accepted")
 	}
 }
 

@@ -69,7 +69,7 @@ func TestArrayAnalogPins(t *testing.T) {
 	// left at 1.
 	p.f(a.Program(10, pattern(150, 7, 3)))
 	p.f(a.Program(100, pattern(120, 5, 1)))
-	p.ok(a.CyclePage(1, 40))
+	a.wearPage(1, 40)
 	p.ok(a.CycleBits([]int{3, 64, 65, 700, 2047, 4095}, 25))
 	for bit := 0; bit < 1024; bit += 3 {
 		p.f(a.MeasureProgramTime(bit))
@@ -93,7 +93,7 @@ func TestArrayAnalogPins(t *testing.T) {
 		p.f(a.MeasureProgramTime(bit))
 	}
 	for page := 0; page < s.Pages; page++ {
-		p.u(a.PECycles(page))
+		p.u(a.peCycles[page], nil)
 	}
 	p.b(a.Read(0, a.Bytes()))
 

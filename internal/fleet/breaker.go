@@ -55,10 +55,9 @@ type BreakerConfig struct {
 	// closed breaker; 0 means DefaultFailureThreshold.
 	FailureThreshold int
 	// BaseBackoffHours is the simulated-clock backoff after the first
-	// trip, doubling per subsequent trip; 0 means DefaultBaseBackoffHours.
+	// trip, doubling per subsequent trip up to DefaultMaxBackoffHours;
+	// 0 means DefaultBaseBackoffHours.
 	BaseBackoffHours float64
-	// MaxBackoffHours caps the doubling; 0 means DefaultMaxBackoffHours.
-	MaxBackoffHours float64
 	// QuarantineAfterTrips writes the device off after this many trips;
 	// 0 means DefaultQuarantineAfterTrips.
 	QuarantineAfterTrips int
@@ -86,13 +85,6 @@ func (c BreakerConfig) baseBackoffHours() float64 {
 		return DefaultBaseBackoffHours
 	}
 	return c.BaseBackoffHours
-}
-
-func (c BreakerConfig) maxBackoffHours() float64 {
-	if c.MaxBackoffHours <= 0 {
-		return DefaultMaxBackoffHours
-	}
-	return c.MaxBackoffHours
 }
 
 func (c BreakerConfig) quarantineAfterTrips() int {
@@ -217,8 +209,8 @@ func (b *Breaker) trip(clockHours float64) {
 	for i := 1; i < b.trips; i++ {
 		backoff *= 2
 	}
-	if max := b.cfg.maxBackoffHours(); backoff > max {
-		backoff = max
+	if backoff > DefaultMaxBackoffHours {
+		backoff = DefaultMaxBackoffHours
 	}
 	b.backoffHours = backoff
 }

@@ -13,13 +13,12 @@ import (
 // TestBreakerStateMachine walks one breaker through every transition on
 // the simulated clock: closed → open (threshold), open → half-open
 // (backoff elapsed, single probe), probe failure → open with doubled
-// (and capped) backoff, probe success → closed with counters reset, and
-// repeated trips → quarantine.
+// backoff, capped at DefaultMaxBackoffHours, probe success → closed
+// with counters reset, and repeated trips → quarantine.
 func TestBreakerStateMachine(t *testing.T) {
 	cfg := BreakerConfig{
 		FailureThreshold:     2,
-		BaseBackoffHours:     4,
-		MaxBackoffHours:      6,
+		BaseBackoffHours:     12,
 		QuarantineAfterTrips: 3,
 	}
 	b := newBreaker(cfg)
@@ -35,11 +34,11 @@ func TestBreakerStateMachine(t *testing.T) {
 		{"first failure stays closed", 0, nil, faults.ErrLinkDropped, BreakerClosed},
 		{"second failure trips open", 0.5, nil, faults.ErrLinkDropped, BreakerOpen},
 		{"rejected during backoff", 2, ErrBreakerOpen, nil, BreakerOpen},
-		{"probe failure reopens with doubled backoff", 5, nil, faults.ErrLinkDropped, BreakerOpen},
-		// Backoff is now min(4*2, 6) = 6h from the trip at clock 5.
-		{"rejected inside capped backoff", 10, ErrBreakerOpen, nil, BreakerOpen},
-		{"probe success closes", 11.5, nil, nil, BreakerClosed},
-		{"post-recovery failure stays closed", 12, nil, faults.ErrLinkDropped, BreakerClosed},
+		{"probe failure reopens with doubled backoff", 13, nil, faults.ErrLinkDropped, BreakerOpen},
+		// Backoff is now min(12*2, 16) = 16h from the trip at clock 13.
+		{"rejected inside capped backoff", 28, ErrBreakerOpen, nil, BreakerOpen},
+		{"probe success closes", 29.5, nil, nil, BreakerClosed},
+		{"post-recovery failure stays closed", 30, nil, faults.ErrLinkDropped, BreakerClosed},
 	}
 	for _, s := range steps {
 		err := b.Allow(s.allowAt)
@@ -56,7 +55,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// The success above reset the trip counter: keep failing (waiting
 	// out each backoff) until the trip ladder lands in quarantine.
-	clock := 20.0
+	clock := 40.0
 	for i := 0; b.State() != BreakerQuarantined; i++ {
 		if i > 20 {
 			t.Fatalf("no quarantine after %d failures, state %s", i, b.State())
@@ -64,7 +63,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		if err := b.Allow(clock); err == nil {
 			b.Record(faults.ErrLinkDropped, clock)
 		}
-		clock += cfg.MaxBackoffHours + 1 // let any backoff elapse
+		clock += DefaultMaxBackoffHours + 1 // let any backoff elapse
 	}
 	if err := b.Allow(clock); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("quarantined Allow = %v, want ErrQuarantined", err)

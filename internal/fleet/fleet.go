@@ -132,7 +132,7 @@ func characterizeDevice(ctx context.Context, i int, r *rig.Rig, captures int) (C
 	if err := r.SetVoltage(dev.Model.VNomV); err != nil {
 		return Characterization{}, err
 	}
-	chErr, err := core.RawChannelErrorContext(ctx, r, payload, captures, core.Options{})
+	chErr, err := core.RawChannelErrorContext(ctx, r, payload, captures)
 	if err != nil {
 		return Characterization{}, err
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -121,11 +122,11 @@ func TestStripeShardsUseDistinctKeystreams(t *testing.T) {
 	if len(striped.Shards) != 2 {
 		t.Skip("message fit on one device; adjust sizes")
 	}
-	s0, err := rigs[0].SampleMajority(5)
+	s0, err := rigs[0].SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := rigs[1].SampleMajority(5)
+	s1, err := rigs[1].SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

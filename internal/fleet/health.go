@@ -21,8 +21,8 @@ import (
 // value still votes for it unanimously, so a fleet can rot well past
 // decodability while its mean margin sits comfortably above 0.6. The
 // fixed default therefore only catches catastrophic loss; calibrated
-// sweeps (HealthSweepOptions.BaselineMargin) compare against the
-// campaign's own fresh-capture baseline instead.
+// sweeps (HealthSweepOptions.BaselineMargins) compare each carrier
+// against its own fresh-capture baseline instead.
 const DefaultMarginThreshold = 0.6
 
 // DefaultBaselineDropFrac is the tolerated fractional margin drop below
@@ -82,24 +82,17 @@ type HealthSweepOptions struct {
 	Captures int
 	// MarginThreshold flags carriers probing below it. It is the
 	// explicit override and always wins when > 0; when zero the sweep
-	// calibrates from BaselineMargin, falling back to
-	// DefaultMarginThreshold only when no baseline is known either.
+	// calibrates from BaselineMargins, falling back to
+	// DefaultMarginThreshold for a carrier without a baseline.
 	MarginThreshold float64
 	// BaselineMargins are per-carrier fresh-capture margins, measured
-	// right after encoding (MeasureBaselineMargins) before any shelf
-	// decay, index-aligned with the sweep's rigs. When set (and
-	// MarginThreshold is not), each carrier is flagged once its margin
-	// drops more than BaselineDropFrac below its OWN baseline — the
-	// calibrated threshold that catches gradual decay the 0.6 default
-	// sails past.
+	// right after encoding before any shelf decay (the scheduler mints
+	// them at completion: CampaignStatus.Baselines), index-aligned with
+	// the sweep's rigs. When set (and MarginThreshold is not), each
+	// carrier is flagged once its margin drops more than
+	// DefaultBaselineDropFrac below its OWN baseline — the calibrated
+	// threshold that catches gradual decay the 0.6 default sails past.
 	BaselineMargins []float64
-	// BaselineMargin is the fleet-wide scalar fallback for carriers
-	// without an entry in BaselineMargins (coarser: fresh margins spread
-	// carrier-to-carrier about as far as decay moves them).
-	BaselineMargin float64
-	// BaselineDropFrac overrides the tolerated fractional drop below
-	// BaselineMargin; 0 means DefaultBaselineDropFrac.
-	BaselineDropFrac float64
 	// Refresh schedules a core.Refresh for every flagged carrier that
 	// has a record in Records.
 	Refresh bool
@@ -107,7 +100,7 @@ type HealthSweepOptions struct {
 	// ID, falling back to slice position). Only needed when Refresh is
 	// set — probing is plaintext-free.
 	Records []*core.Record
-	// Adaptive configures the refresh's decode ladder and retry policy.
+	// Adaptive configures the refresh's decode ladder, key and codec.
 	Adaptive core.AdaptiveOptions
 	// StressHours is the refresh re-soak; ≤ 0 uses the model default.
 	StressHours float64
@@ -119,43 +112,16 @@ type HealthSweepOptions struct {
 
 // thresholdFor resolves carrier i's flagging threshold: the explicit
 // override wins, then the carrier's own calibrated baseline, then the
-// fleet-wide baseline, then the catastrophic-loss default.
+// catastrophic-loss default.
 func (o HealthSweepOptions) thresholdFor(i int) float64 {
-	if o.MarginThreshold > 0 {
+	switch {
+	case o.MarginThreshold > 0:
 		return o.MarginThreshold
+	case i < len(o.BaselineMargins) && o.BaselineMargins[i] > 0:
+		return o.BaselineMargins[i] * (1 - DefaultBaselineDropFrac)
+	default:
+		return DefaultMarginThreshold
 	}
-	frac := o.BaselineDropFrac
-	if frac <= 0 {
-		frac = DefaultBaselineDropFrac
-	}
-	if i < len(o.BaselineMargins) && o.BaselineMargins[i] > 0 {
-		return o.BaselineMargins[i] * (1 - frac)
-	}
-	if o.BaselineMargin > 0 {
-		return o.BaselineMargin * (1 - frac)
-	}
-	return DefaultMarginThreshold
-}
-
-// MeasureBaselineMargins probes every carrier and returns its fresh
-// margin, index-aligned with rigs — run it right after an encode, while
-// the imprint is fresh, and feed the result to later sweeps as
-// BaselineMargins. Probing needs no plaintext or key. Any carrier
-// failure fails the measurement: a partial baseline would silently
-// leave some carriers on the loose catastrophic-loss default.
-func MeasureBaselineMargins(ctx context.Context, rigs []*rig.Rig, captures int) ([]float64, error) {
-	rep, err := HealthSweep(ctx, rigs, HealthSweepOptions{Captures: captures})
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(rep.Carriers))
-	for i, c := range rep.Carriers {
-		out[i] = c.Probe.MeanMargin
-	}
-	return out, nil
 }
 
 // recordFor matches a carrier to its encode record by device ID, then

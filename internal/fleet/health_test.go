@@ -14,6 +14,33 @@ import (
 	"invisiblebits/internal/stegocrypt"
 )
 
+// TestThresholdForResolution: the explicit threshold wins over any
+// baseline; a carrier with a positive baseline is flagged
+// DefaultBaselineDropFrac below it; a carrier past the end of the
+// baselines, or whose baseline is not positive, falls back to
+// DefaultMarginThreshold.
+func TestThresholdForResolution(t *testing.T) {
+	baselines := []float64{0.8, 0, -0.1}
+	cases := []struct {
+		opts HealthSweepOptions
+		i    int
+		want float64
+	}{
+		{HealthSweepOptions{MarginThreshold: 0.5, BaselineMargins: baselines}, 0, 0.5},
+		{HealthSweepOptions{BaselineMargins: baselines}, 0, 0.8 * (1 - DefaultBaselineDropFrac)},
+		{HealthSweepOptions{BaselineMargins: baselines}, 1, DefaultMarginThreshold},
+		{HealthSweepOptions{BaselineMargins: baselines}, 2, DefaultMarginThreshold},
+		{HealthSweepOptions{BaselineMargins: baselines}, 3, DefaultMarginThreshold},
+		{HealthSweepOptions{}, 0, DefaultMarginThreshold},
+	}
+	for _, c := range cases {
+		if got := c.opts.thresholdFor(c.i); got != c.want {
+			t.Errorf("thresholdFor(%d) with threshold %v, baselines %v = %v, want %v",
+				c.i, c.opts.MarginThreshold, c.opts.BaselineMargins, got, c.want)
+		}
+	}
+}
+
 // TestHealthSweepRefreshRestoresStripe is the fleet-maintenance
 // acceptance scenario: a message striped across three small carriers
 // decays through two simulated years of hot shelf storage until Gather
@@ -165,7 +192,7 @@ func TestHealthSweepToleratesDeadCarrier(t *testing.T) {
 // votes its wrong value unanimously), so a fleet can rot from fresh to
 // fully decayed while every margin stays far above the 0.6 default —
 // the default-threshold sweep sees nothing. Calibrating against each
-// carrier's own fresh-capture baseline (MeasureBaselineMargins) flags
+// carrier's own fresh-capture baseline (a sweep of the fresh fleet) flags
 // the same decayed fleet, while a re-probe of the fresh fleet stays
 // unflagged. The explicit MarginThreshold override still wins over the
 // baseline when both are set.
@@ -209,9 +236,16 @@ func TestHealthSweepBaselineCalibration(t *testing.T) {
 	if _, err := Stripe(rigs, msg, opts); err != nil {
 		t.Fatal(err)
 	}
-	baselines, err := MeasureBaselineMargins(ctx, rigs, captures)
+	probe, err := HealthSweep(ctx, rigs, HealthSweepOptions{Captures: captures})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := probe.Err(); err != nil {
+		t.Fatal(err)
+	}
+	baselines := make([]float64, len(probe.Carriers))
+	for i, c := range probe.Carriers {
+		baselines[i] = c.Probe.MeanMargin
 	}
 	for i, b := range baselines {
 		if b <= 0.8 || b >= 1 {

@@ -1,14 +1,11 @@
 // Package imaging provides the tiny bitmap support the visual
 // demonstrations need (Fig. 1's encoded image and Fig. 8's repetition-
-// code cleanup): a 1-bit image type, plain-PBM (P1) encode/decode for
-// interchange, ASCII rendering for terminals, and a built-in test glyph.
+// code cleanup): a 1-bit image type, bit packing for payloads, ASCII
+// rendering for terminals, and a built-in test glyph.
 package imaging
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -63,85 +60,6 @@ func Unpack(data []byte, w, h int) (*Bitmap, error) {
 	for i := 0; i < w*h; i++ {
 		if data[i/8]&(1<<(i%8)) != 0 {
 			bm.Pixels[i] = 1
-		}
-	}
-	return bm, nil
-}
-
-// WritePBM emits the plain (P1) PBM format.
-func (b *Bitmap) WritePBM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "P1\n%d %d\n", b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if x > 0 {
-				bw.WriteByte(' ')
-			}
-			if b.At(x, y) {
-				bw.WriteByte('1')
-			} else {
-				bw.WriteByte('0')
-			}
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// ReadPBM parses a plain (P1) PBM image.
-func ReadPBM(r io.Reader) (*Bitmap, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sc.Split(bufio.ScanWords)
-	next := func() (string, error) {
-		for sc.Scan() {
-			tok := sc.Text()
-			if strings.HasPrefix(tok, "#") {
-				// Comment: consume to end of line is not possible with
-				// word splitting; plain PBM comments are rare, reject.
-				return "", errors.New("imaging: comments unsupported in plain PBM")
-			}
-			return tok, nil
-		}
-		return "", io.ErrUnexpectedEOF
-	}
-	magic, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if magic != "P1" {
-		return nil, fmt.Errorf("imaging: not a plain PBM (magic %q)", magic)
-	}
-	var w, h int
-	tok, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmt.Sscan(tok, &w); err != nil {
-		return nil, fmt.Errorf("imaging: bad width %q", tok)
-	}
-	tok, err = next()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmt.Sscan(tok, &h); err != nil {
-		return nil, fmt.Errorf("imaging: bad height %q", tok)
-	}
-	bm, err := New(w, h)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < w*h; i++ {
-		tok, err := next()
-		if err != nil {
-			return nil, err
-		}
-		switch tok {
-		case "0":
-		case "1":
-			bm.Pixels[i] = 1
-		default:
-			return nil, fmt.Errorf("imaging: bad pixel token %q", tok)
 		}
 	}
 	return bm, nil

@@ -1,7 +1,6 @@
 package imaging
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -52,40 +51,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 func TestUnpackValidation(t *testing.T) {
 	if _, err := Unpack(make([]byte, 1), 32, 32); err == nil {
 		t.Error("short data accepted")
-	}
-}
-
-func TestPBMRoundTrip(t *testing.T) {
-	g := Glyph()
-	var buf bytes.Buffer
-	if err := g.WritePBM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "P1\n32 32\n") {
-		t.Fatalf("header = %q", buf.String()[:12])
-	}
-	back, err := ReadPBM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate, _ := ErrorRate(g, back)
-	if rate != 0 {
-		t.Fatalf("PBM round trip error = %v", rate)
-	}
-}
-
-func TestReadPBMErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad magic": "P2\n2 2\n0 0 0 0\n",
-		"bad pixel": "P1\n2 2\n0 0 0 7\n",
-		"truncated": "P1\n2 2\n0 0 0\n",
-		"bad width": "P1\nx 2\n0 0 0 0\n",
-		"empty":     "",
-	}
-	for name, src := range cases {
-		if _, err := ReadPBM(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 

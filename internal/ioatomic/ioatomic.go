@@ -73,14 +73,9 @@ func WriteFileFS(fsys storage.FS, path string, data []byte, perm os.FileMode) er
 	})
 }
 
-// WriteTo is WriteFile for streaming producers (gob encoders, JSON
-// encoders): write is handed the temp file and the result replaces path
-// atomically only if write and every fsync succeed.
-func WriteTo(path string, perm os.FileMode, write func(w io.Writer) error) error {
-	return WriteToFS(nil, path, perm, write)
-}
-
-// WriteToFS is WriteTo over an explicit filesystem seam.
+// WriteToFS is WriteFileFS for streaming producers: write is handed the
+// temp file, and the result replaces path atomically only if write and
+// every fsync succeed.
 func WriteToFS(fsys storage.FS, path string, perm os.FileMode, write func(w io.Writer) error) error {
 	fs := storage.Default(fsys)
 	dir, base := filepath.Split(path)
@@ -154,7 +149,7 @@ func WriteFileSealed(fsys storage.FS, path string, data []byte, perm os.FileMode
 	return WriteFileFS(fsys, path, Seal(data), perm)
 }
 
-// WriteToSealed is WriteTo with the integrity footer: write streams the
+// WriteToSealed is WriteToFS with the integrity footer: write streams the
 // payload, and the footer is computed and appended before the atomic
 // rename.
 func WriteToSealed(fsys storage.FS, path string, perm os.FileMode, write func(w io.Writer) error) error {

@@ -46,7 +46,7 @@ func TestWriteToFailureLeavesDestinationUntouched(t *testing.T) {
 	}
 
 	boom := errors.New("producer exploded")
-	err := WriteTo(path, 0o644, func(w io.Writer) error {
+	err := WriteToFS(nil, path, 0o644, func(w io.Writer) error {
 		w.Write([]byte("partial garbage"))
 		return boom
 	})

@@ -92,8 +92,8 @@ func TestInjectedLinkDropIsTransient(t *testing.T) {
 	if !faults.IsTransient(lerr) || !errors.Is(lerr, faults.ErrLinkDropped) {
 		t.Fatalf("LoadProgram under certain link drop returned %v", lerr)
 	}
-	if _, serr := r.SampleMajority(5); !faults.IsTransient(serr) {
-		t.Fatalf("SampleMajority under certain link drop returned %v", serr)
+	if _, serr := r.SampleMajorityContext(context.Background(), 5); !faults.IsTransient(serr) {
+		t.Fatalf("SampleMajorityContext under certain link drop returned %v", serr)
 	}
 	joined := strings.Join(r.Events(), "\n")
 	if !strings.Contains(joined, "FAULT") {
@@ -106,7 +106,7 @@ func TestMidSoakDeathKillsDevice(t *testing.T) {
 	if _, err := r.PowerOn(); err != nil {
 		t.Fatal(err)
 	}
-	err := r.StressFor(10)
+	err := r.StressForContext(context.Background(), 10)
 	if !faults.IsPermanent(err) {
 		t.Fatalf("mid-soak death returned %v", err)
 	}
@@ -150,7 +150,7 @@ func TestBrownoutPerturbsAppliedConditions(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.SetTemperature(85)
-		if err := r.StressFor(10); err != nil {
+		if err := r.StressForContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,11 +212,11 @@ func TestZeroFaultInjectorIsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.SetTemperature(85)
-		if err := r.StressFor(10); err != nil {
+		if err := r.StressForContext(context.Background(), 10); err != nil {
 			t.Fatal(err)
 		}
 		r.SetTemperature(25)
-		maj, err := r.SampleMajority(5)
+		maj, err := r.SampleMajorityContext(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestSampleVotePlaneMatchesVotes(t *testing.T) {
 		{"inert", func(string) faults.Injector { return &inertCounter{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func() *Rig {
+			mk := func() (*Rig, faults.Injector) {
 				m, err := device.ByName("MSP432P401")
 				if err != nil {
 					t.Fatal(err)
@@ -275,12 +275,14 @@ func TestSampleVotePlaneMatchesVotes(t *testing.T) {
 					t.Fatal(err)
 				}
 				var opts []Option
-				if inj := tc.inj(d.Serial); inj != nil {
+				inj := tc.inj(d.Serial)
+				if inj != nil {
 					opts = append(opts, WithInjector(inj))
 				}
-				return New(d, opts...)
+				return New(d, opts...), inj
 			}
-			rv, rp := mk(), mk()
+			rv, _ := mk()
+			rp, injp := mk()
 			votes := make([]uint16, rv.Device().SRAM.Cells())
 			var plane sram.VotePlane
 			for _, n := range []int{3, 6} {
@@ -296,7 +298,7 @@ func TestSampleVotePlaneMatchesVotes(t *testing.T) {
 					}
 				}
 			}
-			if c, ok := rp.Injector().(*inertCounter); ok && (c.calls != 2 || c.cells != 0) {
+			if c, ok := injp.(*inertCounter); ok && (c.calls != 2 || c.cells != 0) {
 				t.Fatalf("inert injector got %d CorruptVotes calls over %d cells, want 2 calls with empty views", c.calls, c.cells)
 			}
 		})

@@ -35,7 +35,7 @@ func TestProbeHealthMatchesPerCellReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	votes, err := healthRig(t, "health-eq").SampleVotes(captures)
+	votes, err := healthRig(t, "health-eq").SampleVotesContext(context.Background(), captures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestProbeHealthMatchesPerCellReference(t *testing.T) {
 // rigs, same serial ⇒ same noise sequence).
 func TestSampleVotesIntoMatchesSampleVotes(t *testing.T) {
 	const captures = 7
-	want, err := healthRig(t, "votes-into").SampleVotes(captures)
+	want, err := healthRig(t, "votes-into").SampleVotesContext(context.Background(), captures)
 	if err != nil {
 		t.Fatal(err)
 	}

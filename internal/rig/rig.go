@@ -154,10 +154,6 @@ func (r *Rig) AdvanceClock(hours float64) {
 	r.logf("idle %.2fh", hours)
 }
 
-// Injector returns the mounted fault injector (nil when fault injection
-// is disabled).
-func (r *Rig) Injector() faults.Injector { return r.injector }
-
 // faultsActive reports whether a non-inert injector is mounted. An
 // injector that provably injects nothing (faults.SeededInjector with a
 // zero profile) keeps the rig on its exact no-fault code paths.
@@ -320,18 +316,14 @@ func (r *Rig) RunFirmware(maxSteps uint64) (cpu.StopReason, error) {
 	return reason, nil
 }
 
-// StressFor soaks the powered device for hours at the present conditions,
-// aging its SRAM with whatever the firmware left there (Algorithm 1,
-// lines 5–6). Simulated time advances.
-func (r *Rig) StressFor(hours float64) error {
-	return r.StressForContext(context.Background(), hours)
-}
-
-// StressForContext is StressFor with cancellation. With a fault injector
-// mounted the soak is diced into slices: each slice consults the
-// injector for device death and runs under possibly-perturbed conditions
-// (supply brownout, chamber excursion) — the disturbances a multi-hour
-// lab soak actually experiences. A mid-soak death leaves the clock at
+// StressForContext soaks the powered device for hours at the present
+// conditions, aging its SRAM with whatever the firmware left there
+// (Algorithm 1, lines 5–6). Simulated time advances, and ctx can cancel
+// the soak. With a fault injector mounted the soak is diced into
+// slices: each slice consults the injector for device death and runs
+// under possibly-perturbed conditions (supply brownout, chamber
+// excursion) — the disturbances a multi-hour lab soak actually
+// experiences. A mid-soak death leaves the clock at
 // the moment of death, with the stress accumulated up to it.
 func (r *Rig) StressForContext(ctx context.Context, hours float64) error {
 	if hours <= 0 {
@@ -440,16 +432,12 @@ func (r *Rig) captureBurst(ctx context.Context, capture func() error) error {
 	return err
 }
 
-// SampleVotes captures n power-on states and returns the per-cell count
-// of 1 readings — the soft information that ecc.SoftDecoder consumes.
-// The device is left powered.
-func (r *Rig) SampleVotes(n int) ([]uint16, error) {
-	return r.SampleVotesContext(context.Background(), n)
-}
-
-// SampleVotesContext is SampleVotes with cancellation and fault
-// injection: the capture burst rides the debugger link (it may drop
-// transiently) and stuck/weak cells corrupt the vote counts.
+// SampleVotesContext captures n power-on states and returns the
+// per-cell count of 1 readings — the soft information that
+// ecc.SoftDecoder consumes. The device is left powered. The capture
+// burst honours cancellation and fault injection: it rides the debugger
+// link (it may drop transiently) and stuck/weak cells corrupt the vote
+// counts.
 func (r *Rig) SampleVotesContext(ctx context.Context, n int) ([]uint16, error) {
 	var votes []uint16
 	if err := r.captureBurst(ctx, func() (err error) {
@@ -515,16 +503,12 @@ func (r *Rig) SampleVotePlaneIntoContext(ctx context.Context, n int, p *sram.Vot
 	return nil
 }
 
-// SampleMajority captures n power-on states at the chamber temperature
-// and majority-votes them (Algorithm 2, lines 1–6). The device is left
-// powered. Sampling is non-destructive (copy tolerance): it does not
-// advance the aging clock measurably.
-func (r *Rig) SampleMajority(n int) ([]byte, error) {
-	return r.SampleMajorityContext(context.Background(), n)
-}
-
-// SampleMajorityContext is SampleMajority with cancellation and fault
-// injection (transient link drops, stuck/weak cell corruption).
+// SampleMajorityContext captures n power-on states at the chamber
+// temperature and majority-votes them (Algorithm 2, lines 1–6). The
+// device is left powered. Sampling is non-destructive (copy tolerance):
+// it does not advance the aging clock measurably. The capture burst
+// honours cancellation and fault injection (transient link drops,
+// stuck/weak cell corruption).
 func (r *Rig) SampleMajorityContext(ctx context.Context, n int) ([]byte, error) {
 	var maj []byte
 	if err := r.captureBurst(ctx, func() (err error) {

@@ -1,6 +1,7 @@
 package rig
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestFullEncodeDecodeWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetTemperature(d.Model.TAccC)
-	if err := r.StressFor(d.Model.EncodingHours); err != nil {
+	if err := r.StressForContext(context.Background(), d.Model.EncodingHours); err != nil {
 		t.Fatal(err)
 	}
 	// Back to nominal; load camouflage.
@@ -132,7 +133,7 @@ func TestFullEncodeDecodeWorkflow(t *testing.T) {
 	if err := r.LoadProgram(ret); err != nil {
 		t.Fatal(err)
 	}
-	maj, err := r.SampleMajority(5)
+	maj, err := r.SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestFullEncodeDecodeWorkflow(t *testing.T) {
 
 func TestStressForValidation(t *testing.T) {
 	r := newRig(t, "MSP432P401")
-	if err := r.StressFor(0); err == nil {
+	if err := r.StressForContext(context.Background(), 0); err == nil {
 		t.Error("zero-duration stress accepted")
 	}
 	// Unpowered stress must fail (SRAM holds nothing).
-	if err := r.StressFor(1); err == nil {
+	if err := r.StressForContext(context.Background(), 1); err == nil {
 		t.Error("stress on unpowered device accepted")
 	}
 }
@@ -175,11 +176,11 @@ func TestSampleMajorityFromPoweredState(t *testing.T) {
 	if _, err := r.PowerOn(); err != nil {
 		t.Fatal(err)
 	}
-	maj1, err := r.SampleMajority(5)
+	maj1, err := r.SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maj2, err := r.SampleMajority(5)
+	maj2, err := r.SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestSampleMajorityFromPoweredState(t *testing.T) {
 
 func TestSampleVotesConsistentWithMajority(t *testing.T) {
 	r := newRig(t, "MSP432P401")
-	maj, err := r.SampleMajority(5)
+	maj, err := r.SampleMajorityContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	votes, err := r.SampleVotes(5)
+	votes, err := r.SampleVotesContext(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,15 +300,6 @@ func voteThresholdSearch(bias, sigma float64) float64 {
 	return ordFloat(lo)
 }
 
-// zigSlowVote finishes a draw that left the ziggurat common path: it
-// replays the canonical NormZiggurat from the cell's Source state
-// (re-consuming the identical first Uint64 and continuing the identical
-// tape) and applies the threshold predicate to the exact variate.
-func zigSlowVote(state uint64, xt float64) bool {
-	src := Source{state: state}
-	return src.NormZiggurat() >= xt
-}
-
 // zigSlowVoteFromU resolves a lane the hot pass could not: it replays
 // the canonical NormZiggurat loop with the lane's first raw draw
 // already in hand (the hot pass saves every lane's u), resuming the

@@ -115,34 +115,3 @@ func (s Stream) NormZig(counter, index uint64) float64 {
 	src := Source{state: s.stateAt(counter, index)}
 	return src.NormZiggurat()
 }
-
-// NormZigFromCtr is NormZig with the counter half of the coordinate
-// derivation pre-hoisted (Stream.CtrState): the word-parallel capture
-// kernel computes the counter state once per race and pays only the
-// index mix plus the ziggurat common path per cell. The common path is
-// written out inline — two SplitMix64 finalizers, one layer lookup, one
-// multiply, one compare — and the rare non-accepting draws (layer edge,
-// base-layer tail; a few percent) fall back to the canonical
-// NormZiggurat on a Source rebuilt from the same state, which replays
-// the identical first Uint64 and continues the identical tape. The
-// returned variate is bit-identical to NormZig(counter, index) for
-// every coordinate.
-func NormZigFromCtr(ctrState, index uint64) float64 {
-	st := mix64(ctrState ^ index*idxPrime)
-	// First Uint64 of Source{state: st}, inline: Weyl step + finalizer.
-	z := st + weylGamma
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	u := z ^ (z >> 31)
-	i := u & (zigLayers - 1)
-	m := float64(u>>11) * (1.0 / (1 << 53))
-	x := m * zigX[i]
-	if x < zigX[i+1] {
-		if u&zigLayers != 0 {
-			return -x
-		}
-		return x
-	}
-	src := Source{state: st}
-	return src.NormZiggurat()
-}

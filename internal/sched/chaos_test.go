@@ -100,6 +100,69 @@ func TestSlotPanicQuarantinesOnlyItsCampaign(t *testing.T) {
 	}
 }
 
+// stressDropInjector drops the debugger link on every stress slice: the
+// carrier takes chamber passes and never makes durable progress.
+type stressDropInjector struct {
+	*faults.SeededInjector
+}
+
+func (stressDropInjector) OpError(op faults.Op, _ float64) error {
+	if op == faults.OpStress {
+		return faults.ErrLinkDropped
+	}
+	return nil
+}
+
+// Inert reports false so the rig consults OpError (see panicInjector).
+func (stressDropInjector) Inert() bool { return false }
+
+// TestBarrenCampaignFails pins the barren-pass cap: a campaign whose
+// carrier fails every stress slice transiently, with no breaker to write
+// it off, fails after DefaultMaxBarrenPasses consecutive passes without
+// durable progress instead of holding its queue position forever — and
+// a healthy tenant sharing those passes finishes and decodes.
+func TestBarrenCampaignFails(t *testing.T) {
+	dir := t.TempDir()
+	healthy := miniSub("alice", "bar-ok", []string{"bok-0"}, 7.5)
+	barren := miniSub("bob", "bar-stuck", []string{"barren-0"}, 7.5)
+	// Both are admitted before the loop starts, so every pass is counted.
+	s := newQueued(t, dir, Config{
+		KeyFor: testKeyFor,
+		InjectorFor: func(serial string) faults.Injector {
+			if strings.HasPrefix(serial, "barren") {
+				return stressDropInjector{faults.New(faults.Profile{}, serial)}
+			}
+			return nil
+		},
+	}, []Submission{healthy, barren})
+	drainOK(t, s)
+
+	if err := s.Err(); err != nil {
+		t.Fatalf("a barren campaign killed the scheduler: %v", err)
+	}
+	st := s.Status()
+	if st.Done != 1 || st.Failed != 1 {
+		t.Fatalf("done=%d failed=%d, want 1/1 (%+v)", st.Done, st.Failed, st)
+	}
+	// The first pass prepares both slots (durable progress); the
+	// barren one then fails every stress slice.
+	if st.Passes != DefaultMaxBarrenPasses+1 {
+		t.Fatalf("%d passes, want %d", st.Passes, DefaultMaxBarrenPasses+1)
+	}
+	ok, _ := s.Campaign("bar-ok")
+	if ok.State != "done" {
+		t.Fatalf("healthy campaign: %+v", ok)
+	}
+	if got := decodeCampaign(t, dir, "alice", "bar-ok"); !bytes.Equal(got, healthy.Spec.Message) {
+		t.Fatalf("healthy campaign decodes to %q", got)
+	}
+	stuck, _ := s.Campaign("bar-stuck")
+	want := fmt.Sprintf("no durable progress in %d consecutive passes", DefaultMaxBarrenPasses)
+	if stuck.State != "failed" || !strings.Contains(stuck.Error, want) {
+		t.Fatalf("barren campaign: state %q, error %q, want failed with %q", stuck.State, stuck.Error, want)
+	}
+}
+
 // TestGracefulStopResumesBitIdentically pins the SIGTERM contract: a
 // Stop mid-flight halts at a pass boundary with the journal closed
 // cleanly, and a Resume of the same directory finishes every campaign
@@ -343,10 +406,7 @@ func TestChaosStormDrill(t *testing.T) {
 
 	// Zero duplicate admissions: lost responses were retried, but the
 	// digest handshake kept every retry from double-submitting.
-	entries, _, err := ReadJournal(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatalf("read journal: %v", err)
-	}
+	entries := readJournal(t, filepath.Join(dir, journalFile))
 	admissions := map[string]int{}
 	for _, e := range entries {
 		if e.Type == entrySubmit {

@@ -323,30 +323,6 @@ func (c *Client) AwaitQuiescent(ctx context.Context, interval time.Duration) (St
 	}
 }
 
-// AwaitCampaign polls one campaign every interval (0 means 50ms) until
-// it leaves the "queued" state (which covers waiting and mid-soak) or
-// ctx expires.
-func (c *Client) AwaitCampaign(ctx context.Context, id string, interval time.Duration) (CampaignStatus, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	for {
-		cs, err := c.Campaign(ctx, id)
-		if err == nil && cs.State != "queued" {
-			return cs, nil
-		}
-		if err != nil {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) && !apiErr.retryable() {
-				return cs, err
-			}
-		}
-		if serr := c.sleep(ctx, interval); serr != nil {
-			return cs, serr
-		}
-	}
-}
-
 // classify sorts one attempt's outcome for the retry loop: done, retry,
 // or give up. Network-layer errors (no HTTP status at all) are always
 // worth retrying — for non-idempotent submits that is safe precisely

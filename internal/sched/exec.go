@@ -57,7 +57,7 @@ func countUnfinished(c *campState) int {
 
 // planPassLocked picks the next chamber pass, or nil when nothing is
 // runnable. The lead campaign is the oldest runnable one — unless some
-// campaign has been passed over StarveLimit times, in which case IT
+// campaign has been passed over DefaultStarveLimit times, in which case IT
 // leads (the starvation guard: batching must never indefinitely defer
 // a tenant whose operating point is unpopular). Leading is the whole
 // guarantee — the chamber runs at the lead's (V, T) point — so
@@ -77,7 +77,7 @@ func (s *Scheduler) planPassLocked() *passPlan {
 	}
 	var lead *campState
 	for _, c := range runnable {
-		if c.deferrals >= s.cfg.starveLimit() {
+		if c.deferrals >= DefaultStarveLimit {
 			lead = c
 			break
 		}
@@ -483,7 +483,7 @@ func (s *Scheduler) applyPassLocked(p *passPlan) {
 			continue
 		}
 		c.barren++
-		if c.barren >= s.cfg.maxBarrenPasses() {
+		if c.barren >= DefaultMaxBarrenPasses {
 			if firstErr == nil {
 				firstErr = errors.New("sched: no slot fault recorded")
 			}

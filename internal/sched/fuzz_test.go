@@ -128,27 +128,64 @@ func unframedJournal(t testing.TB, entries []Entry) []byte {
 	return out
 }
 
+// parseJournal parses journal bytes fail-closed: a torn final line is
+// cut (the signature of dying mid-append), any other damage rejects the
+// journal. validLen is the byte offset past the last record kept.
+func parseJournal(data []byte) (entries []Entry, validLen int64, err error) {
+	entries, sal := ParseJournalSalvage(data)
+	if sal.Truncated && !sal.TornTail {
+		return nil, 0, fmt.Errorf("journal cut after %d records: %s", sal.Entries, sal.Reason)
+	}
+	return entries, sal.ValidLen, nil
+}
+
+// replayAll replays entries fail-closed: any structural inconsistency —
+// a sequence gap, a record for an unknown campaign, non-monotonic slot
+// progress, a pass naming a terminal campaign — rejects the whole
+// journal.
+func replayAll(entries []Entry) (*State, error) {
+	st, used, err := ReplaySalvage(entries)
+	if used < len(entries) {
+		return nil, err
+	}
+	return st, nil
+}
+
+// readJournal reads the journal at path fail-closed.
+func readJournal(t *testing.T, path string) []Entry {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := parseJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
 // replayJournal runs journal bytes through the fail-closed pipeline:
 // parse, then replay.
 func replayJournal(data []byte) (*State, error) {
-	entries, _, err := ParseJournal(data)
+	entries, _, err := parseJournal(data)
 	if err != nil {
 		return nil, err
 	}
-	return Replay(entries)
+	return replayAll(entries)
 }
 
 // FuzzJournalReplay hammers the parse→replay pipeline with mutated
 // journals. The contract is fail-closed, never-panic: whatever the bytes
-// claim, ParseJournal either rejects them or returns a prefix that
-// round-trips, and Replay either rejects the entries or returns a state
-// consistent with them.
+// claim, parseJournal either rejects them or returns a prefix that
+// round-trips, and replayAll either rejects the entries or returns a
+// state consistent with them.
 func FuzzJournalReplay(f *testing.F) {
 	for _, seed := range journalSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, validLen, err := ParseJournal(data)
+		entries, validLen, err := parseJournal(data)
 		if err != nil {
 			return
 		}
@@ -157,13 +194,13 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// The accepted prefix must re-parse to the same entries — what a
 		// resuming scheduler truncates to must be self-consistent.
-		again, againLen, err := ParseJournal(data[:validLen])
+		again, againLen, err := parseJournal(data[:validLen])
 		if err != nil || againLen != validLen || len(again) != len(entries) {
 			t.Fatalf("accepted prefix does not round-trip: %v (%d vs %d entries)",
 				err, len(again), len(entries))
 		}
 
-		st, err := Replay(entries)
+		st, err := replayAll(entries)
 		if err != nil {
 			return // rejected: fail-closed is the expected path
 		}
@@ -237,7 +274,7 @@ func TestJournalReplaySeeds(t *testing.T) {
 		name, want string
 		data       []byte
 	}{
-		{"unframed lines", "record 0 is corrupt mid-file (line is not a v2 frame)", seeds[9]},
+		{"unframed lines", "cut after 0 records: line is not a v2 frame", seeds[9]},
 		{"single-campaign grammar", `unknown record type "begin" at seq 0`, seeds[10]},
 	} {
 		if _, err := replayJournal(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -237,19 +237,6 @@ func newState() *State {
 	}
 }
 
-// Replay validates the journal prefix and reconstructs the scheduler
-// state. It fails closed: any structural inconsistency — a sequence
-// gap, a record for an unknown campaign, non-monotonic slot progress, a
-// pass naming a terminal campaign — rejects the whole journal rather
-// than guessing.
-func Replay(entries []Entry) (*State, error) {
-	st, used, err := ReplaySalvage(entries)
-	if used < len(entries) {
-		return nil, err
-	}
-	return st, nil
-}
-
 // ReplaySalvage replays the longest prefix of entries that validates,
 // returning the reconstructed state, how many entries were used, and the
 // validation error that stopped it (nil when every entry was used). The
@@ -594,12 +581,6 @@ func (s *SlotReplay) apply(e *Entry) error {
 	return nil
 }
 
-// ReadJournal parses a scheduler journal file, tolerating only a torn
-// final line (wal semantics).
-func ReadJournal(path string) (entries []Entry, validLen int64, err error) {
-	return wal.ReadFile(path, entryOK)
-}
-
 // ReadJournalSalvage parses a scheduler journal leniently over the given
 // filesystem: CRC-failed or unparseable records cut the journal at the
 // last verifiable prefix, reported in the wal.Salvage summary rather
@@ -607,11 +588,6 @@ func ReadJournal(path string) (entries []Entry, validLen int64, err error) {
 // be read.
 func ReadJournalSalvage(fsys storage.FS, path string) (entries []Entry, sal wal.Salvage, err error) {
 	return wal.ReadFileSalvage(fsys, path, entryOK)
-}
-
-// ParseJournal is ReadJournal over in-memory bytes (the fuzz surface).
-func ParseJournal(data []byte) (entries []Entry, validLen int64, err error) {
-	return wal.Parse(data, entryOK)
 }
 
 // ParseJournalSalvage is ReadJournalSalvage over in-memory bytes.

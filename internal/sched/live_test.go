@@ -167,10 +167,7 @@ func TestLiveStateIsJournalReplay(t *testing.T) {
 		})
 		assertLiveIsReplay(t, s, "drained")
 
-		entries, _, err := ReadJournal(filepath.Join(dir, journalFile))
-		if err != nil {
-			t.Fatal(err)
-		}
+		entries := readJournal(t, filepath.Join(dir, journalFile))
 		kinds := map[string]int{}
 		for _, e := range entries {
 			kinds[e.Type]++
@@ -379,7 +376,7 @@ func TestOversizeSubmitLeavesNoTrace(t *testing.T) {
 	if err := s.Submit(big); err == nil {
 		t.Fatal("a message larger than its stripe was admitted")
 	}
-	if n := s.j.NextSeq(); n != 0 {
+	if n := len(readJournal(t, filepath.Join(s.dir, journalFile))); n != 0 {
 		t.Fatalf("the rejected submission journaled %d records", n)
 	}
 	if err := s.Submit(miniSub("alice", "big", []string{"bg-0"}, 7.5)); err != nil {

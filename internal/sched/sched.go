@@ -94,7 +94,10 @@ const (
 	DefaultChamberSlots = 16
 	DefaultSetupHours   = 0.5
 	DefaultMaxQueued    = 1024
-	DefaultStarveLimit  = 8
+	// DefaultStarveLimit is the number of passes a runnable campaign may
+	// be passed over before it is promoted to batch lead — the chamber
+	// adopts ITS operating point (alone if no compatible peer exists).
+	DefaultStarveLimit = 8
 	// DefaultMaxBarrenPasses terminates a campaign that keeps taking
 	// chamber passes without any slot making durable progress — a
 	// perpetually flaky fleet must not hold its queue position forever.
@@ -131,24 +134,13 @@ type Config struct {
 	// beyond it are rejected with ErrSaturated. 0 means
 	// DefaultMaxQueued.
 	MaxQueued int
-	// DefaultQuota applies to tenants without an entry in Quotas. Zero
-	// fields are unlimited.
-	DefaultQuota Quota
-	// Quotas are per-tenant overrides, fixed at the tenant's first
+	// DefaultQuota applies to every tenant, fixed at the tenant's first
 	// admission (journaled; a resumed scheduler keeps the journaled
-	// quota for known tenants).
-	Quotas map[string]Quota
+	// quota for known tenants). Zero fields are unlimited.
+	DefaultQuota Quota
 	// DisableBatching schedules one campaign per pass — the control arm
 	// of the batching benchmark.
 	DisableBatching bool
-	// StarveLimit is the number of passes a runnable campaign may be
-	// passed over before it is promoted to batch lead — the chamber
-	// adopts ITS operating point (alone if no compatible peer exists).
-	// 0 means DefaultStarveLimit.
-	StarveLimit int
-	// MaxBarrenPasses terminates a campaign after this many consecutive
-	// passes without durable progress; 0 means DefaultMaxBarrenPasses.
-	MaxBarrenPasses int
 	// KeyFor supplies the encryption key for a campaign (nil, or a nil
 	// return, encodes unencrypted). Keys live only in memory — a
 	// resumed scheduler must be handed the same function.
@@ -191,27 +183,6 @@ func (c Config) maxQueued() int {
 		return DefaultMaxQueued
 	}
 	return c.MaxQueued
-}
-
-func (c Config) starveLimit() int {
-	if c.StarveLimit <= 0 {
-		return DefaultStarveLimit
-	}
-	return c.StarveLimit
-}
-
-func (c Config) maxBarrenPasses() int {
-	if c.MaxBarrenPasses <= 0 {
-		return DefaultMaxBarrenPasses
-	}
-	return c.MaxBarrenPasses
-}
-
-func (c Config) quotaFor(tenant string) Quota {
-	if q, ok := c.Quotas[tenant]; ok {
-		return q
-	}
-	return c.DefaultQuota
 }
 
 func (c Config) keyFor(tenant, id string) *stegocrypt.Key {
@@ -754,7 +725,7 @@ func (s *Scheduler) Submit(sub Submission) error {
 	devs := len(spec.Serials) + len(sub.Spares)
 	t, known := s.st.Tenants[sub.Tenant]
 	if !known {
-		t = &TenantStatus{Quota: s.cfg.quotaFor(sub.Tenant)}
+		t = &TenantStatus{Quota: s.cfg.DefaultQuota}
 	}
 	quota := t.Quota
 	if quota.MaxCampaigns > 0 && t.Active+1 > quota.MaxCampaigns {

@@ -138,9 +138,6 @@ func TestAdmissionControlTypedRejections(t *testing.T) {
 		DefaultQuota: Quota{
 			MaxCampaigns: 2, MaxDevices: 3, MaxChamberHours: 100,
 		},
-		Quotas: map[string]Quota{
-			"big": {MaxCampaigns: 10, MaxDevices: 100, MaxChamberHours: 6},
-		},
 	})
 
 	if err := s.Submit(miniSub("alice", "a-1", []string{"al-0"}, 5)); err != nil {
@@ -165,15 +162,20 @@ func TestAdmissionControlTypedRejections(t *testing.T) {
 	if err := s.Submit(miniSub("alice", "a-3", []string{"al-5"}, 5)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("campaign quota: %v", err)
 	}
-	// Chamber-hour quota (per-tenant override): 5h fits in 6, 5 more do not.
-	if err := s.Submit(miniSub("big", "g-1", []string{"bg-0"}, 5)); err != nil {
+	// Chamber-hour quota, on a second scheduler: 5h fits in 6, 5 more
+	// do not.
+	hours := newIdleScheduler(t, Config{DefaultQuota: Quota{MaxChamberHours: 6}})
+	if err := hours.Submit(miniSub("big", "g-1", []string{"bg-0"}, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(miniSub("big", "g-2", []string{"bg-1"}, 5)); !errors.Is(err, ErrQuotaExceeded) {
+	if err := hours.Submit(miniSub("big", "g-2", []string{"bg-1"}, 5)); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("chamber-hour quota: %v", err)
 	}
-	// Queue saturation: fill the fourth slot, then the fifth submission
-	// bounces with backpressure.
+	// Queue saturation: fill the third and fourth slots, then the fifth
+	// submission bounces with backpressure.
+	if err := s.Submit(miniSub("frank", "f-1", []string{"fr-0"}, 5)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Submit(miniSub("dave", "d-1", []string{"dv-0"}, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestBatchingReducesChamberHours(t *testing.T) {
 
 // TestStarvationGuardGrantsSoloPass pins the fairness deadline: a
 // campaign whose operating point never matches the batch leader's must
-// still run once it has been passed over StarveLimit times — promoted
+// still run once it has been passed over DefaultStarveLimit times — promoted
 // to lead, the chamber re-targets to its (V, T); with no compatible
 // peers it runs alone — instead of waiting for every competing
 // campaign to finish.
@@ -257,10 +259,11 @@ func TestBatchingReducesChamberHours(t *testing.T) {
 // even queued, and the test would time its own submissions instead.
 func TestStarvationGuardGrantsSoloPass(t *testing.T) {
 	var subs []Submission
-	// Three long G2553 campaigns (3.6V) hog the chamber...
+	// Three long G2553 campaigns (3.6V) hog the chamber, each for more
+	// than DefaultStarveLimit slices...
 	for i := 0; i < 3; i++ {
 		subs = append(subs, miniSub(fmt.Sprintf("hog%d", i), fmt.Sprintf("hog-%d", i),
-			[]string{fmt.Sprintf("hg%d-0", i)}, 10))
+			[]string{fmt.Sprintf("hg%d-0", i)}, 25))
 	}
 	// ...while one MSP432P401 campaign (3.3V — never batchable with the
 	// hogs) needs a single 2.5h slice.
@@ -271,7 +274,7 @@ func TestStarvationGuardGrantsSoloPass(t *testing.T) {
 			Message: []byte("payload for starved-1"), StressHours: 2.5, SliceHours: 2.5,
 		},
 	})
-	s := newQueued(t, t.TempDir(), Config{KeyFor: testKeyFor, StarveLimit: 2}, subs)
+	s := newQueued(t, t.TempDir(), Config{KeyFor: testKeyFor}, subs)
 	drainOK(t, s)
 
 	st := s.Status()

@@ -235,9 +235,6 @@ func (a *Array) SetPool(pool *parallel.Pool) {
 	a.pool = pool
 }
 
-// Pool returns the worker pool the capture engine runs on.
-func (a *Array) Pool() *parallel.Pool { return a.pool }
-
 // PowerOnCount returns how many power-on races the array has resolved —
 // the noise-stream counter. It is part of the serialized state so a
 // restored array replays the same noise future it would have seen.
@@ -403,8 +400,8 @@ func (h *history) bias(mismatch float32) float64 {
 		float64(h.s1Perm) - float64(h.s1Fast) - float64(h.s1Slow)
 }
 
-// Bias exposes the decision variable for cell i (mV); used by tests,
-// calibration, and the PUF-cloning example.
+// Bias exposes the decision variable for cell i (mV): the bias plane
+// that the device and aging pins hash.
 func (a *Array) Bias(i int) float64 { return a.hist[a.class[i]].bias(a.mismatch[i]) }
 
 // ensureBiasPlane rebuilds the cached decision-variable plane if it is

@@ -23,7 +23,7 @@ func TestBakingAttackBoundedByPermanentDamage(t *testing.T) {
 		}
 		payload := make([]byte, a.Bytes())
 		rng.NewSource(0xBA4E).Bytes(payload)
-		if err := a.StressWithPattern(payload, cond, 10); err != nil {
+		if err := writeStress(a, payload, cond, 10); err != nil {
 			t.Fatal(err)
 		}
 		a.PowerOff(true)

@@ -53,7 +53,7 @@ func TestAppendStateMergesEqualClasses(t *testing.T) {
 		if _, err := a.PowerOn(25); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.StressWithPattern(pattern, a.Spec().Aging.Ref, 1.5); err != nil {
+		if err := writeStress(a, pattern, a.Spec().Aging.Ref, 1.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestStressKeepsOneClassPerHistory(t *testing.T) {
 		pattern[i] = byte(i*37 + 1)
 	}
 	for s := 0; s < 4; s++ {
-		if err := a.StressWithPattern(pattern, a.Spec().Aging.Ref, 2.5); err != nil {
+		if err := writeStress(a, pattern, a.Spec().Aging.Ref, 2.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestStressKeepsOneClassPerHistory(t *testing.T) {
 	for i := range pattern {
 		pattern[i] = byte(i*53 + 3)
 	}
-	if err := a.StressWithPattern(pattern, a.Spec().Aging.Ref, 2.5); err != nil {
+	if err := writeStress(a, pattern, a.Spec().Aging.Ref, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(a.hist); got != 4 {

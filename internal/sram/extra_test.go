@@ -100,20 +100,6 @@ func TestOperateRandomValidation(t *testing.T) {
 	}
 }
 
-func TestStressWithPatternErrors(t *testing.T) {
-	a := mustNew(t, testSpec(105))
-	cond := analog.Conditions{VoltageV: 3.3, TempC: 85}
-	if err := a.StressWithPattern(make([]byte, a.Bytes()), cond, 1); err != ErrUnpowered {
-		t.Errorf("unpowered: %v", err)
-	}
-	if _, err := a.PowerOn(25); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.StressWithPattern(make([]byte, 3), cond, 1); err == nil {
-		t.Error("short pattern accepted")
-	}
-}
-
 // TestStateSnapshotRoundTripInPackage: the state section carries a
 // powered, written and stressed array whole — a fresh array of the same
 // spec that reads it has the same snapshot and biases, and ReadState

@@ -56,7 +56,7 @@ func FuzzCaptureEquivalence(f *testing.F) {
 				for i := range pat {
 					pat[i] = byte(seed>>3) ^ 0x5A
 				}
-				if err := a.StressWithPattern(pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, hours); err != nil {
+				if err := writeStress(a, pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, hours); err != nil {
 					t.Fatal(err)
 				}
 				a.PowerOff(true)

@@ -32,7 +32,7 @@ func imprintSome(t testing.TB, a *Array, hours float64) {
 	for i := range pat {
 		pat[i] = 0xA5
 	}
-	if err := a.StressWithPattern(pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, hours); err != nil {
+	if err := writeStress(a, pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, hours); err != nil {
 		t.Fatal(err)
 	}
 	a.PowerOff(true)
@@ -211,7 +211,7 @@ func TestKernelEquivalence(t *testing.T) {
 							for i := range pat {
 								pat[i] = byte(i*37 + 11)
 							}
-							if err := a.StressWithPattern(pat, a.Spec().Aging.Ref, hours); err != nil {
+							if err := writeStress(a, pat, a.Spec().Aging.Ref, hours); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -414,7 +414,7 @@ func TestKernelLayoutInvalidation(t *testing.T) {
 		for i := range pat {
 			pat[i] = 0x0F
 		}
-		if err := a.StressWithPattern(pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, 8); err != nil {
+		if err := writeStress(a, pat, analog.Conditions{VoltageV: 3.6, TempC: 105}, 8); err != nil {
 			t.Fatal(err)
 		}
 		a.PowerOff(true)

@@ -29,7 +29,7 @@ func ageArray(t *testing.T, a *Array) {
 		pattern[i] = byte(i * 37)
 	}
 	cond := a.Spec().Aging.Ref
-	if err := a.StressWithPattern(pattern, cond, 4); err != nil {
+	if err := writeStress(a, pattern, cond, 4); err != nil {
 		t.Fatal(err)
 	}
 	a.PowerOff(true)

@@ -26,7 +26,7 @@ func TestPrunedCaptureEquivalence(t *testing.T) {
 		// A long imprint at the encoding condition: ~45 mV shift against
 		// 1.2 mV noise pushes nearly every message cell beyond the 8σ
 		// pruning bound.
-		if err := a.StressWithPattern(pattern, a.Spec().Aging.Ref, 10); err != nil {
+		if err := writeStress(a, pattern, a.Spec().Aging.Ref, 10); err != nil {
 			t.Fatal(err)
 		}
 		a.PowerOff(true)

@@ -178,12 +178,3 @@ func (a *Array) OperateRandom(w *rng.WorkloadWriter, c analog.Conditions, hours,
 	}
 	return nil
 }
-
-// StressWithPattern is a convenience for the encoding pipeline: write
-// pattern, stress, in one step.
-func (a *Array) StressWithPattern(pattern []byte, c analog.Conditions, hours float64) error {
-	if err := a.Write(pattern); err != nil {
-		return err
-	}
-	return a.Stress(c, hours)
-}

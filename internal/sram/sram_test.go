@@ -28,6 +28,15 @@ func mustNew(t *testing.T, spec Spec) *Array {
 	return a
 }
 
+// writeStress writes pattern and stresses it: the encoding pipeline's
+// two array steps.
+func writeStress(a *Array, pattern []byte, c analog.Conditions, hours float64) error {
+	if err := a.Write(pattern); err != nil {
+		return err
+	}
+	return a.Stress(c, hours)
+}
+
 func invert(p []byte) []byte {
 	out := make([]byte, len(p))
 	for i, b := range p {
@@ -248,7 +257,7 @@ func encodeAndMeasure(t *testing.T, a *Array, payload []byte, c analog.Condition
 			t.Fatal(err)
 		}
 	}
-	if err := a.StressWithPattern(payload, c, hours); err != nil {
+	if err := writeStress(a, payload, c, hours); err != nil {
 		t.Fatal(err)
 	}
 	maj, err := a.CaptureMajority(5, 25)
@@ -306,7 +315,7 @@ func TestStressComposition(t *testing.T) {
 	if _, err := b.PowerOn(25); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.StressWithPattern(payload, cond, 6); err != nil {
+	if err := writeStress(b, payload, cond, 6); err != nil {
 		t.Fatal(err)
 	}
 	majB, _ := b.CaptureMajority(5, 25)
@@ -324,7 +333,7 @@ func TestMajorityVotingFiltersNoise(t *testing.T) {
 	if _, err := a.PowerOn(25); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.StressWithPattern(payload, cond, 10); err != nil {
+	if err := writeStress(a, payload, cond, 10); err != nil {
 		t.Fatal(err)
 	}
 	single, err := a.PowerCycle(25)

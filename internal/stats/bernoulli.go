@@ -26,14 +26,6 @@ func RepetitionErrorRate(p float64, n int) float64 {
 	return e
 }
 
-// MajorityNoiseFloor gives the probability that majority voting over n
-// power-on captures still misreads a cell whose single-capture flip
-// probability is q. It is the same Bernoulli sum viewed from the sampling
-// side (§4.3's "taking five captures is sufficient to filter noise").
-func MajorityNoiseFloor(q float64, n int) float64 {
-	return RepetitionErrorRate(1-q, n)
-}
-
 // HammingResidual74 returns the post-correction bit error rate of a
 // Hamming(7,4) code over a binary symmetric channel with bit error rate p.
 // Hamming(7,4) corrects any single-bit error per 7-bit codeword; two or

@@ -293,17 +293,6 @@ func TestRepetitionPanics(t *testing.T) {
 	}
 }
 
-func TestMajorityNoiseFloor(t *testing.T) {
-	// A 5% flaky-capture rate with 5 captures: residual well under 1%.
-	if e := MajorityNoiseFloor(0.05, 5); e > 0.002 {
-		t.Errorf("5-capture majority floor = %v", e)
-	}
-	// More captures always help.
-	if MajorityNoiseFloor(0.05, 7) > MajorityNoiseFloor(0.05, 5) {
-		t.Error("7 captures worse than 5")
-	}
-}
-
 func TestHammingResidual74(t *testing.T) {
 	if HammingResidual74(0) != 0 || HammingResidual74(1) != 1 {
 		t.Error("edge cases wrong")

@@ -142,8 +142,3 @@ func padToBlock(data []byte) []byte {
 	copy(out, data)
 	return out
 }
-
-// PaddedLenCBC returns the CBC ciphertext length for a plaintext of n bytes.
-func PaddedLenCBC(n int) int {
-	return n + (aes.BlockSize-n%aes.BlockSize)%aes.BlockSize
-}

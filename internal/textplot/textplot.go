@@ -165,6 +165,3 @@ func max(a, b int) int {
 
 // Percent formats a fraction as a percentage string.
 func Percent(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
-
-// F formats a float compactly for table cells.
-func F(v float64) string { return fmt.Sprintf("%.4g", v) }

@@ -82,7 +82,4 @@ func TestFormatters(t *testing.T) {
 	if Percent(0.065) != "6.50%" {
 		t.Errorf("Percent = %q", Percent(0.065))
 	}
-	if F(1.23456) != "1.235" {
-		t.Errorf("F = %q", F(1.23456))
-	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,8 +57,7 @@ func TestV2FramesAreCRCFramed(t *testing.T) {
 // TestSalvageCutsAtCorruptFrame: a corrupt middle record — a flipped
 // payload byte, a frame header damaged in any of its fields, or a line
 // without the v2 frame — drops it and everything after; Offsets name
-// the byte-exact cut; the strict Parse surfaces a typed CorruptError
-// with the record index.
+// the byte-exact cut.
 func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 	data := writeJournal(t, filepath.Join(t.TempDir(), "j.jsonl"), 5)
 	lines := bytes.SplitAfter(data, []byte("\n"))
@@ -123,39 +121,23 @@ func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 			if len(sal.Offsets) != 2 || sal.Offsets[1] != int64(off) {
 				t.Fatalf("Offsets %v, want cut at %d", sal.Offsets, off)
 			}
-
-			_, _, err := Parse(corrupt, recOK)
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("Parse = %v, want ErrCorrupt", err)
-			}
-			var ce *CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("Parse error %T is not *CorruptError", err)
-			}
-			if ce.Index != 2 || ce.Offset != int64(off) {
-				t.Fatalf("CorruptError{Index: %d, Offset: %d}, want {2, %d}", ce.Index, ce.Offset, off)
-			}
 		})
 	}
 }
 
 // TestTornTailIsNotCorruption: an unterminated final record is the
-// expected signature of a crash mid-append — strict Parse tolerates it
-// (no ErrCorrupt) and salvage flags TornTail.
+// expected signature of a crash mid-append — salvage keeps the prefix
+// and flags TornTail.
 func TestTornTailIsNotCorruption(t *testing.T) {
 	data := writeJournal(t, filepath.Join(t.TempDir(), "j.jsonl"), 3)
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	keep := len(lines[0]) + len(lines[1])
 	torn := data[:keep+7] // record 2 torn mid-frame, no newline
 
-	entries, validLen, err := Parse(torn, recOK)
-	if err != nil {
-		t.Fatalf("torn tail must not be a strict-parse error: %v", err)
+	entries, sal := ParseSalvage(torn, recOK)
+	if len(entries) != 2 || sal.ValidLen != int64(keep) {
+		t.Fatalf("torn parse: %d entries, len %d, want 2, %d", len(entries), sal.ValidLen, keep)
 	}
-	if len(entries) != 2 || validLen != int64(keep) {
-		t.Fatalf("torn parse: %d entries, len %d, want 2, %d", len(entries), validLen, keep)
-	}
-	_, sal := ParseSalvage(torn, recOK)
 	if !sal.TornTail || !sal.Truncated {
 		t.Fatalf("salvage of torn tail = %+v, want TornTail && Truncated", sal)
 	}
@@ -185,10 +167,7 @@ func TestOpenAfterCorruptionContinuesJournal(t *testing.T) {
 	}
 	j.Close()
 
-	final, _, err := ReadFile(path, recOK)
-	if err != nil {
-		t.Fatalf("journal does not parse cleanly after salvage+append: %v", err)
-	}
+	final, _ := readJournal(t, path)
 	if len(final) != 3 || final[2].Note != "after salvage" || final[2].Seq != 2 {
 		t.Fatalf("unexpected continuation: %+v", final)
 	}

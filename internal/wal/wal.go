@@ -22,14 +22,12 @@
 // tests use this to prove that dying at every single append still
 // resumes to a bit-identical outcome.
 //
-// Parsing comes in two strengths. Parse fails closed: the only
-// tolerated damage is a torn final line (the signature of dying
-// mid-append), which is dropped; anything else returns a typed
-// *CorruptError (errors.Is(err, ErrCorrupt)). ParseSalvage never
-// fails: it recovers the longest verifiable prefix and reports exactly
-// what was cut in a Salvage summary — the input to salvage-based
-// resume, where losing a journal suffix is safe because every slice of
-// work is deterministically redone.
+// ParseSalvage never fails: it recovers the longest verifiable prefix
+// and reports exactly what was cut in a Salvage summary, telling a torn
+// final line (the signature of dying mid-append) from mid-file
+// corruption — the input to salvage-based resume, where losing a
+// journal suffix is safe because every slice of work is
+// deterministically redone.
 package wal
 
 import (
@@ -54,34 +52,6 @@ import (
 // errors.Is.
 var ErrJournalIO = errors.New("wal: journal I/O failure")
 
-// ErrCorrupt marks journal data that failed verification mid-file — a
-// bad CRC frame, an unparseable record, a gap before intact records.
-// Test with errors.Is; errors.As against *CorruptError recovers the
-// record index and the salvage point.
-var ErrCorrupt = errors.New("wal: journal corrupt")
-
-// CorruptError is the typed mid-file corruption failure from Parse: the
-// index of the first unverifiable record, the byte offset of the
-// longest verifiable prefix (the salvage point a lenient caller could
-// cut to), and why verification failed. Matches ErrCorrupt under
-// errors.Is.
-type CorruptError struct {
-	// Index is the record index (0-based) of the first bad record.
-	Index int
-	// Offset is the byte offset just past the last verifiable record —
-	// where ParseSalvage would cut.
-	Offset int64
-	// Reason says what failed (CRC mismatch, frame damage, JSON error).
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("wal: journal record %d is corrupt mid-file (%s); verifiable prefix ends at byte %d", e.Index, e.Reason, e.Offset)
-}
-
-// Is matches ErrCorrupt so errors.Is(err, wal.ErrCorrupt) works.
-func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
-
 // Salvage summarizes what lenient parsing recovered and what it gave
 // up on — the typed outcome a degraded resume reports to operators.
 type Salvage struct {
@@ -96,7 +66,7 @@ type Salvage struct {
 	Truncated bool
 	// TornTail reports that the cut looks like an ordinary mid-append
 	// crash (a damaged or unterminated final line) rather than mid-file
-	// corruption. Parse tolerates exactly this case.
+	// corruption. A resume may cut exactly this case silently.
 	TornTail bool
 	// Reason says why the cut happened ("" when nothing was cut).
 	Reason string
@@ -217,13 +187,6 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// NextSeq returns the sequence number the next append will carry.
-func (j *Journal) NextSeq() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq
-}
-
 // Gate consults the kill hook at a named non-journal point (image
 // writes, result persistence). Once the hook fires, the journal is
 // poisoned for good.
@@ -339,34 +302,6 @@ func ParseSalvage[T any](data []byte, ok func(*T) bool) (entries []T, sal Salvag
 		return entries, sal
 	}
 	return entries, Salvage{Entries: len(entries), ValidLen: off, Offsets: offsets}
-}
-
-// Parse splits journal data into records of type T, tolerating only a
-// torn final line (dropped — that record's effects were by construction
-// not yet acted on). Mid-file corruption returns a *CorruptError
-// matching ErrCorrupt. validLen is the byte offset just past the last
-// intact record: what a resuming supervisor truncates to before
-// appending.
-func Parse[T any](data []byte, ok func(*T) bool) (entries []T, validLen int64, err error) {
-	entries, sal := ParseSalvage(data, ok)
-	if sal.Truncated && !sal.TornTail {
-		return nil, 0, &CorruptError{Index: sal.Entries, Offset: sal.ValidLen, Reason: sal.Reason}
-	}
-	return entries, sal.ValidLen, nil
-}
-
-// ReadFile parses the journal file at path with Parse (fail-closed).
-func ReadFile[T any](path string, ok func(*T) bool) (entries []T, validLen int64, err error) {
-	return ReadFileFS[T](nil, path, ok)
-}
-
-// ReadFileFS is ReadFile over an explicit filesystem seam.
-func ReadFileFS[T any](fsys storage.FS, path string, ok func(*T) bool) (entries []T, validLen int64, err error) {
-	data, err := storage.Default(fsys).ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: read journal: %w", ErrJournalIO, err)
-	}
-	return Parse(data, ok)
 }
 
 // ReadFileSalvage parses the journal file at path with ParseSalvage

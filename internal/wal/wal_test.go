@@ -19,6 +19,21 @@ func (r *rec) Kind() string   { return r.Type }
 func (r *rec) SetSeq(seq int) { r.Seq = seq }
 func recOK(r *rec) bool       { return r.Type != "" }
 
+// readJournal reads the journal at path, requiring every record to
+// verify but a torn final line, and returns the records and the byte
+// offset past the last one.
+func readJournal(t *testing.T, path string) ([]rec, int64) {
+	t.Helper()
+	entries, sal, err := ReadFileSalvage(nil, path, recOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sal.Truncated && !sal.TornTail {
+		t.Fatalf("journal cut after %d records: %s", sal.Entries, sal.Reason)
+	}
+	return entries, sal.ValidLen
+}
+
 // frames concatenates the v2 frames of the given JSON payloads.
 func frames(payloads ...string) []byte {
 	var out []byte
@@ -39,17 +54,11 @@ func TestCreateAppendReopenRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if got := j.NextSeq(); got != 3 {
-		t.Fatalf("NextSeq = %d, want 3", got)
-	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	entries, validLen, err := ReadFile(path, recOK)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, validLen := readJournal(t, path)
 	if len(entries) != 3 {
 		t.Fatalf("read %d entries, want 3", len(entries))
 	}
@@ -75,10 +84,7 @@ func TestCreateAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	entries, _, err = ReadFile(path, recOK)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, _ = readJournal(t, path)
 	if len(entries) != 4 || entries[3].Seq != 3 || entries[3].Type != "done" {
 		t.Fatalf("continuation broken: %+v", entries)
 	}
@@ -94,7 +100,7 @@ func TestCreateRefusesExistingJournal(t *testing.T) {
 	}
 }
 
-func TestParseToleratesOnlyTornTail(t *testing.T) {
+func TestSalvageTellsTornTailFromCorruption(t *testing.T) {
 	begin := `{"seq":0,"type":"begin"}`
 	intact := frames(begin, `{"seq":1,"type":"step"}`)
 	last := string(frames(`{"seq":2,"type":"step"}`))
@@ -102,30 +108,30 @@ func TestParseToleratesOnlyTornTail(t *testing.T) {
 	// Torn final line: dropped, prefix survives.
 	for _, tail := range []string{last[:len(last)/2], last[:len(last)-1], "garbage"} {
 		data := append(append([]byte{}, intact...), tail...)
-		entries, validLen, err := Parse(data, recOK)
-		if err != nil {
-			t.Fatalf("torn tail %q rejected: %v", tail, err)
+		entries, sal := ParseSalvage(data, recOK)
+		if !sal.TornTail {
+			t.Fatalf("torn tail %q taken for corruption: %+v", tail, sal)
 		}
-		if len(entries) != 2 || validLen != int64(len(intact)) {
-			t.Fatalf("torn tail %q: %d entries, validLen %d", tail, len(entries), validLen)
+		if len(entries) != 2 || sal.ValidLen != int64(len(intact)) {
+			t.Fatalf("torn tail %q: %d entries, validLen %d", tail, len(entries), sal.ValidLen)
 		}
 	}
 
-	// Mid-file corruption: rejected outright.
+	// Mid-file corruption: not a torn tail.
 	bad := append(append(frames(begin), "garbage\n"...), last...)
-	if _, _, err := Parse(bad, recOK); err == nil {
-		t.Fatal("mid-file corruption accepted")
+	if _, sal := ParseSalvage(bad, recOK); !sal.Truncated || sal.TornTail {
+		t.Fatalf("mid-file corruption taken for a torn tail: %+v", sal)
 	}
 
 	// A terminated line that unmarshals to a zero record counts as
 	// damage too (recOK gate).
 	zero := frames(begin, `{"x":1}`)
-	entries, validLen, err := Parse(zero, recOK)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("zero-record tail: entries=%d err=%v", len(entries), err)
+	entries, sal := ParseSalvage(zero, recOK)
+	if !sal.TornTail || len(entries) != 1 {
+		t.Fatalf("zero-record tail: entries=%d sal=%+v", len(entries), sal)
 	}
-	if validLen != int64(len(frames(begin))) {
-		t.Fatalf("zero-record tail validLen = %d", validLen)
+	if sal.ValidLen != int64(len(frames(begin))) {
+		t.Fatalf("zero-record tail validLen = %d", sal.ValidLen)
 	}
 }
 
@@ -151,9 +157,8 @@ func TestKillHookPoisonsJournal(t *testing.T) {
 		t.Fatalf("post-kill gate: err = %v, want ErrKilled", err)
 	}
 	// Only the surviving append reached disk.
-	entries, _, err := ReadFile(path, recOK)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("disk holds %d entries (err %v), want 1", len(entries), err)
+	if entries, _ := readJournal(t, path); len(entries) != 1 {
+		t.Fatalf("disk holds %d entries, want 1", len(entries))
 	}
 }
 
@@ -185,9 +190,9 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn[:len(torn)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, validLen, err := ReadFile(path, recOK)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("read: entries=%d err=%v", len(entries), err)
+	entries, validLen := readJournal(t, path)
+	if len(entries) != 1 {
+		t.Fatalf("read: entries=%d", len(entries))
 	}
 	j, err := Open(path, Options{}, 1, validLen)
 	if err != nil {
@@ -197,10 +202,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	entries, _, err = ReadFile(path, recOK)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries, _ = readJournal(t, path)
 	if len(entries) != 2 || entries[1].Seq != 1 {
 		t.Fatalf("after trim+append: %+v", entries)
 	}
