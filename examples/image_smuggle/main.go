@@ -74,7 +74,14 @@ func main() {
 		if n > copies {
 			n = copies
 		}
-		voted := voteAcross(inv, len(packed), n)
+		rep, err := ib.Repetition(n)
+		if err != nil {
+			log.Fatal(err)
+		}
+		voted, err := rep.Decode(inv[:n*len(packed)], len(packed))
+		if err != nil {
+			log.Fatal(err)
+		}
 		img, err := imaging.Unpack(voted, glyph.W, glyph.H)
 		if err != nil {
 			log.Fatal(err)
@@ -90,21 +97,4 @@ func main() {
 
 	single := stats.BitErrorRate(inv[:len(packed)], packed)
 	fmt.Printf("single-copy channel error after a 4h soak: %.1f%% — the repetition code absorbs it\n", 100*single)
-}
-
-func voteAcross(recovered []byte, unitBytes, n int) []byte {
-	out := make([]byte, unitBytes)
-	for bit := 0; bit < unitBytes*8; bit++ {
-		votes := 0
-		for c := 0; c < n; c++ {
-			idx := c*unitBytes*8 + bit
-			if recovered[idx/8]&(1<<(idx%8)) != 0 {
-				votes++
-			}
-		}
-		if votes >= n/2+1 {
-			out[bit/8] |= 1 << (bit % 8)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 
 	"invisiblebits/internal/core"
 	"invisiblebits/internal/ecc"
+	"invisiblebits/internal/rig"
 	"invisiblebits/internal/rng"
 	"invisiblebits/internal/stats"
 	"invisiblebits/internal/stegocrypt"
@@ -48,28 +49,23 @@ func (r *AblCapturesResult) Render() string {
 func runAblCaptures(cfg Config) (Result, error) {
 	res := &AblCapturesResult{Captures: []int{1, 3, 5, 7, 9}}
 	// One encode; re-sample with different capture counts.
-	r, err := cfg.newRig("MSP432P401", "abl-cap")
+	dev, err := cfg.newDevice("MSP432P401", "abl-cap")
 	if err != nil {
-		return nil, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(0xAB1).Bytes(payload)
-	if err := dev.SRAM.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
+	if err := imprint(dev, payload, dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
 	for _, n := range res.Captures {
-		maj, err := dev.SRAM.CaptureMajority(n, 25)
+		c := cfg
+		c.Captures = n
+		e, err := c.rawError(dev, payload)
 		if err != nil {
 			return nil, err
 		}
-		res.Errors = append(res.Errors, stats.BitErrorRate(invert(maj), payload))
+		res.Errors = append(res.Errors, e)
 		dev.PowerOff(true)
 	}
 	return res, nil
@@ -231,10 +227,11 @@ func (r *AblSoftResult) Render() string {
 }
 
 func runAblSoft(cfg Config) (Result, error) {
-	r, err := cfg.newRig("MSP432P401", "abl-soft")
+	dev, err := cfg.newDevice("MSP432P401", "abl-soft")
 	if err != nil {
 		return nil, err
 	}
+	r := rig.New(dev)
 	rep, err := ecc.NewRepetition(3)
 	if err != nil {
 		return nil, err

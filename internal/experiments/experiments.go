@@ -11,7 +11,7 @@ import (
 	"sort"
 
 	"invisiblebits/internal/device"
-	"invisiblebits/internal/rig"
+	"invisiblebits/internal/stats"
 )
 
 // Config controls experiment scale. The defaults trade a little
@@ -45,8 +45,8 @@ func (c Config) captures() int {
 	return c.Captures
 }
 
-// newRig instantiates a model with a config-scoped serial.
-func (c Config) newRig(modelName, serial string) (*rig.Rig, error) {
+// newDevice instantiates a model with a config-scoped serial.
+func (c Config) newDevice(modelName, serial string) (*device.Device, error) {
 	m, err := device.ByName(modelName)
 	if err != nil {
 		return nil, err
@@ -55,11 +55,47 @@ func (c Config) newRig(modelName, serial string) (*rig.Rig, error) {
 	if c.SRAMLimitBytes > 0 {
 		opts = append(opts, device.WithSRAMLimit(c.SRAMLimitBytes))
 	}
-	d, err := device.New(m, c.FleetSeed+"/"+serial, opts...)
+	return device.New(m, c.FleetSeed+"/"+serial, opts...)
+}
+
+// imprint is the encoding half of the §5 raw-channel measurement: it
+// writes payload into dev's SRAM, powering the device on at 25 °C first
+// when it is off, and soaks it for hours at the model's accelerated
+// point, through the regulator bypass on models that have one.
+func imprint(dev *device.Device, payload []byte, hours float64) error {
+	if !dev.SRAM.Powered() {
+		if _, err := dev.PowerOn(25); err != nil {
+			return err
+		}
+	}
+	if err := dev.SRAM.Write(payload); err != nil {
+		return err
+	}
+	if dev.Model.RequiresRegulatorBypass {
+		return dev.StressBypassed(dev.Model.Accelerated(), hours)
+	}
+	return dev.Stress(dev.Model.Accelerated(), hours)
+}
+
+// recovered is the receiving half: the majority of the configured
+// number of power-on captures at 25 °C, inverted back into the payload
+// domain. The device is left powered.
+func (c Config) recovered(dev *device.Device) ([]byte, error) {
+	maj, err := dev.SRAM.CaptureMajority(c.captures(), 25)
 	if err != nil {
 		return nil, err
 	}
-	return rig.New(d), nil
+	return invert(maj), nil
+}
+
+// rawError is the single-copy channel error of §5: the bit error of
+// what the receiver recovers from dev against the imprinted payload.
+func (c Config) rawError(dev *device.Device, payload []byte) (float64, error) {
+	got, err := c.recovered(dev)
+	if err != nil {
+		return 0, err
+	}
+	return stats.BitErrorRate(got, payload), nil
 }
 
 // Result is what every experiment returns.

@@ -20,58 +20,28 @@ func init() {
 	register("fig15", "Error–capacity trade-off across device classes", "Fig. 15", runFig15)
 }
 
-// encodeCopies writes `copies` tiled copies of unit into a device, soaks
-// it for stressHours at accelerated conditions, and returns the majority
-// power-on capture (inverted, i.e. payload-domain).
-func (c Config) encodeCopies(serial string, unit []byte, copies int, stressHours float64) ([]byte, error) {
-	r, err := c.newRig("MSP432P401", serial)
-	if err != nil {
-		return nil, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
-		return nil, err
-	}
-	if len(unit)*copies > dev.SRAM.Bytes() {
+// encodeCopies writes `copies` tiled copies of unit into dev, fills the
+// rest of the array with random cover seeded by the cover name so the
+// whole array is driven, soaks it for stressHours at accelerated
+// conditions, and returns the recovered copies.
+func (c Config) encodeCopies(dev *device.Device, cover string, unit []byte, copies int, stressHours float64) ([]byte, error) {
+	n := len(unit) * copies
+	if n > dev.SRAM.Bytes() {
 		return nil, fmt.Errorf("experiments: %d copies of %d bytes exceed SRAM", copies, len(unit))
 	}
-	payload := make([]byte, 0, len(unit)*copies)
-	for i := 0; i < copies; i++ {
-		payload = append(payload, unit...)
-	}
-	// Fill the remainder with random cover so the whole array is driven.
 	full := make([]byte, dev.SRAM.Bytes())
-	rng.NewSource(rng.HashString(serial)).Bytes(full)
-	copy(full, payload)
-	if err := dev.SRAM.Write(full); err != nil {
+	rng.NewSource(rng.HashString(cover)).Bytes(full)
+	for i := 0; i < copies; i++ {
+		copy(full[i*len(unit):], unit)
+	}
+	if err := imprint(dev, full, stressHours); err != nil {
 		return nil, err
 	}
-	if err := dev.Stress(dev.Model.Accelerated(), stressHours); err != nil {
-		return nil, err
-	}
-	maj, err := dev.SRAM.CaptureMajority(c.captures(), 25)
+	got, err := c.recovered(dev)
 	if err != nil {
 		return nil, err
 	}
-	return invert(maj)[:len(payload)], nil
-}
-
-// majorityAcrossCopies votes bit-wise across the first n copies.
-func majorityAcrossCopies(recovered []byte, unitBytes, n int) []byte {
-	out := make([]byte, unitBytes)
-	for bit := 0; bit < unitBytes*8; bit++ {
-		votes := 0
-		for c := 0; c < n; c++ {
-			idx := c*unitBytes*8 + bit
-			if recovered[idx/8]&(1<<(idx%8)) != 0 {
-				votes++
-			}
-		}
-		if votes >= n/2+1 {
-			out[bit/8] |= 1 << (bit % 8)
-		}
-	}
-	return out
+	return got[:n], nil
 }
 
 // --- Fig. 8 -------------------------------------------------------------------
@@ -114,13 +84,20 @@ func runFig8(cfg Config) (Result, error) {
 	glyph := imaging.Glyph()
 	unit := glyph.Pack()
 	const maxCopies = 7
-	recovered, err := cfg.encodeCopies("fig8", unit, maxCopies, 6) // short soak → visible single-copy noise
+	dev, err := cfg.newDevice("MSP432P401", "fig8")
+	if err != nil {
+		return nil, err
+	}
+	recovered, err := cfg.encodeCopies(dev, "fig8", unit, maxCopies, 6) // short soak → visible single-copy noise
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig8Result{}
 	for _, n := range []int{1, 3, 5, 7} {
-		voted := majorityAcrossCopies(recovered, len(unit), n)
+		voted, err := ecc.Repetition{N: n}.Decode(recovered[:n*len(unit)], len(unit))
+		if err != nil {
+			return nil, err
+		}
 		img, err := imaging.Unpack(voted, 32, 32)
 		if err != nil {
 			return nil, err
@@ -191,23 +168,26 @@ func runFig9(cfg Config) (Result, error) {
 	}
 	for _, h := range res.Hours {
 		// One device per stress time, 19 copies of a unit message.
-		r, err := cfg.newRig("MSP432P401", fmt.Sprintf("fig9-%gh", h))
+		serial := fmt.Sprintf("fig9-%gh", h)
+		dev, err := cfg.newDevice("MSP432P401", serial)
 		if err != nil {
 			return nil, err
 		}
-		sramBytes := r.Device().SRAM.Bytes()
-		unitBytes := sramBytes / 19
+		unitBytes := dev.SRAM.Bytes() / 19
 		unitBytes -= unitBytes % 4
 		unit := make([]byte, unitBytes)
 		rng.NewSource(9).Bytes(unit)
 
-		recovered, err := cfg.encodeCopies(fmt.Sprintf("fig9-%gh", h), unit, 19, h)
+		recovered, err := cfg.encodeCopies(dev, serial, unit, 19, h)
 		if err != nil {
 			return nil, err
 		}
 		errs := make([]float64, len(res.Copies))
 		for ci, n := range res.Copies {
-			voted := majorityAcrossCopies(recovered, unitBytes, n)
+			voted, err := ecc.Repetition{N: n}.Decode(recovered[:n*unitBytes], unitBytes)
+			if err != nil {
+				return nil, err
+			}
 			errs[ci] = stats.BitErrorRate(voted, unit)
 		}
 		res.Errors = append(res.Errors, errs)
@@ -266,19 +246,18 @@ func runFig10(cfg Config) (Result, error) {
 	res := &Fig10Result{Copies: []int{1, 3, 5, 7, 9, 11, 13, 15, 17}}
 	const maxCopies = 17
 
-	r0, err := cfg.newRig("MSP432P401", "fig10")
+	dev, err := cfg.newDevice("MSP432P401", "fig10")
 	if err != nil {
 		return nil, err
 	}
-	sramBytes := r0.Device().SRAM.Bytes()
-	unitBytes := sramBytes / maxCopies
+	unitBytes := dev.SRAM.Bytes() / maxCopies
 	unitBytes -= unitBytes % 4
 
 	// Plain message unit and its Hamming(7,4)-expanded counterpart share
 	// the channel; encode both interleaved on two devices for fairness.
 	msg := make([]byte, unitBytes)
 	rng.NewSource(10).Bytes(msg)
-	recovered, err := cfg.encodeCopies("fig10", msg, maxCopies, 10)
+	recovered, err := cfg.encodeCopies(dev, "fig10", msg, maxCopies, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +274,11 @@ func runFig10(cfg Config) (Result, error) {
 	if pad := (4 - len(hamUnit)%4) % 4; pad > 0 {
 		hamUnit = append(hamUnit, make([]byte, pad)...)
 	}
-	recoveredHam, err := cfg.encodeCopies("fig10-ham", hamUnit, maxCopies, 10)
+	devHam, err := cfg.newDevice("MSP432P401", "fig10-ham")
+	if err != nil {
+		return nil, err
+	}
+	recoveredHam, err := cfg.encodeCopies(devHam, "fig10-ham", hamUnit, maxCopies, 10)
 	if err != nil {
 		return nil, err
 	}
@@ -317,14 +300,20 @@ func runFig10(cfg Config) (Result, error) {
 	for _, n := range res.Copies {
 		res.Theory = append(res.Theory, stats.RepetitionErrorRate(1-mean, n))
 
-		voted := majorityAcrossCopies(recovered, unitBytes, n)
+		voted, err := ecc.Repetition{N: n}.Decode(recovered[:n*unitBytes], unitBytes)
+		if err != nil {
+			return nil, err
+		}
 		repErr := stats.BitErrorRate(voted, msg)
 		res.Repetition = append(res.Repetition, repErr)
 		if repErr == 0 && res.ZeroErrorAt < 0 {
 			res.ZeroErrorAt = n
 		}
 
-		votedHam := majorityAcrossCopies(recoveredHam, len(hamUnit), n)
+		votedHam, err := ecc.Repetition{N: n}.Decode(recoveredHam[:n*len(hamUnit)], len(hamUnit))
+		if err != nil {
+			return nil, err
+		}
 		dec, err := ham.Decode(votedHam[:ham.EncodedLen(hamMsgBytes)], hamMsgBytes)
 		if err != nil {
 			return nil, err
@@ -399,27 +388,19 @@ func runFig15(cfg Config) (Result, error) {
 	res := &Fig15Result{}
 	for _, m := range device.Table4Models() {
 		// Measure the single-copy error at the device's own operating point.
-		r, err := cfg.newRig(m.Name, "fig15")
+		dev, err := cfg.newDevice(m.Name, "fig15")
 		if err != nil {
-			return nil, err
-		}
-		dev := r.Device()
-		if _, err := dev.PowerOn(25); err != nil {
 			return nil, err
 		}
 		payload := make([]byte, dev.SRAM.Bytes())
 		rng.NewSource(15).Bytes(payload)
-		if err := dev.SRAM.Write(payload); err != nil {
+		if err := imprint(dev, payload, m.EncodingHours); err != nil {
 			return nil, err
 		}
-		if err := dev.StressBypassed(m.Accelerated(), m.EncodingHours); err != nil {
-			return nil, err
-		}
-		maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
+		p, err := cfg.rawError(dev, payload)
 		if err != nil {
 			return nil, err
 		}
-		p := stats.BitErrorRate(invert(maj), payload)
 
 		// Bernoulli-trial frontier (the paper "simulate[s] Bernoulli trials
 		// for different payload copies and Hamming(7,4)").

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -20,27 +21,17 @@ func init() {
 // encodeAndError encodes a random payload for stressHours and returns
 // (payload, measured error).
 func (c Config) encodeAndError(modelName, serial string, stressHours float64) ([]byte, float64, error) {
-	r, err := c.newRig(modelName, serial)
+	dev, err := c.newDevice(modelName, serial)
 	if err != nil {
-		return nil, 0, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
 		return nil, 0, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(rng.HashString(serial)).Bytes(payload)
-	if err := dev.SRAM.Write(payload); err != nil {
+	if err := imprint(dev, payload, stressHours); err != nil {
 		return nil, 0, err
 	}
-	if err := dev.StressBypassed(dev.Model.Accelerated(), stressHours); err != nil {
-		return nil, 0, err
-	}
-	maj, err := dev.SRAM.CaptureMajority(c.captures(), 25)
-	if err != nil {
-		return nil, 0, err
-	}
-	return payload, stats.BitErrorRate(invert(maj), payload), nil
+	e, err := c.rawError(dev, payload)
+	return payload, e, err
 }
 
 // --- Fig. 6 -------------------------------------------------------------------
@@ -96,35 +87,24 @@ func runFig6(cfg Config) (Result, error) {
 	}
 
 	for d := 0; d < devices; d++ {
-		r, err := cfg.newRig("MSP432P401", fmt.Sprintf("fig6-%d", d))
+		dev, err := cfg.newDevice("MSP432P401", fmt.Sprintf("fig6-%d", d))
 		if err != nil {
-			return nil, err
-		}
-		dev := r.Device()
-		if _, err := dev.PowerOn(25); err != nil {
 			return nil, err
 		}
 		payload := make([]byte, dev.SRAM.Bytes())
 		rng.NewSource(uint64(1000 + d)).Bytes(payload)
-		if err := dev.SRAM.Write(payload); err != nil {
-			return nil, err
-		}
 		prev := 0.0
 		for hi, h := range hours {
 			// Incremental soak: stress composes (see analog tests), so one
 			// device sweeps the whole time axis like the paper's.
-			if err := dev.SRAM.Write(payload); err != nil {
-				return nil, err
-			}
-			if err := dev.Stress(dev.Model.Accelerated(), h-prev); err != nil {
+			if err := imprint(dev, payload, h-prev); err != nil {
 				return nil, err
 			}
 			prev = h
-			maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
+			e, err := cfg.rawError(dev, payload)
 			if err != nil {
 				return nil, err
 			}
-			e := stats.BitErrorRate(invert(maj), payload)
 			res.Mean[hi] += e / devices
 			if e < res.Min[hi] {
 				res.Min[hi] = e
@@ -185,11 +165,10 @@ func runTable2(cfg Config) (Result, error) {
 
 	// Unstressed devices: Moran's I of the raw power-on state.
 	for i := 1; i <= 2; i++ {
-		r, err := cfg.newRig("MSP432P401", fmt.Sprintf("tab2-clean%d", i))
+		dev, err := cfg.newDevice("MSP432P401", fmt.Sprintf("tab2-clean%d", i))
 		if err != nil {
 			return nil, err
 		}
-		dev := r.Device()
 		snap, err := dev.PowerOn(25)
 		if err != nil {
 			return nil, err
@@ -205,33 +184,22 @@ func runTable2(cfg Config) (Result, error) {
 
 	// Stressed with a single logic value: Moran's I of the *error* map.
 	for i, fill := range []byte{0xFF, 0x00} {
-		r, err := cfg.newRig("MSP432P401", fmt.Sprintf("tab2-stress%d", i))
+		dev, err := cfg.newDevice("MSP432P401", fmt.Sprintf("tab2-stress%d", i))
 		if err != nil {
 			return nil, err
 		}
-		dev := r.Device()
-		if _, err := dev.PowerOn(25); err != nil {
+		if err := imprint(dev, bytes.Repeat([]byte{fill}, dev.SRAM.Bytes()), dev.Model.EncodingHours); err != nil {
 			return nil, err
 		}
-		if err := dev.SRAM.Fill(fill); err != nil {
-			return nil, err
-		}
-		if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
-			return nil, err
-		}
-		maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
+		got, err := cfg.recovered(dev)
 		if err != nil {
 			return nil, err
 		}
-		// Expected power-on state is the complement of the stressed value;
-		// an error cell powered on to the stressed value itself.
+		// An error cell is one whose recovered bit differs from the
+		// stressed value.
 		errBits := make([]byte, dev.SRAM.Cells())
-		for b := 0; b < dev.SRAM.Cells(); b++ {
-			got := maj[b/8]&(1<<(b%8)) != 0
-			want := fill == 0x00 // all-0 stress → expect 1s
-			if got != want {
-				errBits[b] = 1
-			}
+		for b := range errBits {
+			errBits[b] = (got[b/8] ^ fill) >> (b % 8) & 1
 		}
 		m, err := stats.MoranIBits(errBits, dev.SRAM.Rows(), dev.SRAM.Cols())
 		if err != nil {
@@ -295,31 +263,21 @@ func (r *Fig7Result) Render() string {
 }
 
 func runFig7(cfg Config) (Result, error) {
-	r, err := cfg.newRig("MSP432P401", "fig7")
+	dev, err := cfg.newDevice("MSP432P401", "fig7")
 	if err != nil {
-		return nil, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(77).Bytes(payload)
-	if err := dev.SRAM.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
+	if err := imprint(dev, payload, dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
 
 	res := &Fig7Result{}
 	measure := func() (float64, error) {
-		maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
-		if err != nil {
-			return 0, err
-		}
+		e, err := cfg.rawError(dev, payload)
 		dev.PowerOff(true)
-		return stats.BitErrorRate(invert(maj), payload), nil
+		return e, err
 	}
 	base, err := measure()
 	if err != nil {
@@ -376,68 +334,50 @@ func (r *Sec514Result) Render() string {
 
 func runSec514(cfg Config) (Result, error) {
 	// Operation device.
-	rOp, err := cfg.newRig("MSP432P401", "sec514-op")
+	devOp, err := cfg.newDevice("MSP432P401", "sec514-op")
 	if err != nil {
-		return nil, err
-	}
-	devOp := rOp.Device()
-	if _, err := devOp.PowerOn(25); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, devOp.SRAM.Bytes())
 	rng.NewSource(514).Bytes(payload)
-	if err := devOp.SRAM.Write(payload); err != nil {
+	if err := imprint(devOp, payload, devOp.Model.EncodingHours); err != nil {
 		return nil, err
 	}
-	if err := devOp.Stress(devOp.Model.Accelerated(), devOp.Model.EncodingHours); err != nil {
-		return nil, err
-	}
-	maj, err := devOp.SRAM.CaptureMajority(cfg.captures(), 25)
+	base, err := cfg.rawError(devOp, payload)
 	if err != nil {
 		return nil, err
 	}
-	base := stats.BitErrorRate(invert(maj), payload)
 
 	w := rng.NewWorkloadWriter(0x514, 0)
 	nominal := analog.Conditions{VoltageV: devOp.Model.VNomV, TempC: devOp.Model.TNomC}
 	if err := devOp.SRAM.OperateRandom(w, nominal, 7*24, 4); err != nil {
 		return nil, err
 	}
-	maj, err = devOp.SRAM.CaptureMajority(cfg.captures(), 25)
+	opErr, err := cfg.rawError(devOp, payload)
 	if err != nil {
 		return nil, err
 	}
-	opErr := stats.BitErrorRate(invert(maj), payload)
 
 	// Shelf device (same silicon, same payload, same encode).
-	rSh, err := cfg.newRig("MSP432P401", "sec514-op")
+	devSh, err := cfg.newDevice("MSP432P401", "sec514-op")
 	if err != nil {
 		return nil, err
 	}
-	devSh := rSh.Device()
-	if _, err := devSh.PowerOn(25); err != nil {
+	if err := imprint(devSh, payload, devSh.Model.EncodingHours); err != nil {
 		return nil, err
 	}
-	if err := devSh.SRAM.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := devSh.Stress(devSh.Model.Accelerated(), devSh.Model.EncodingHours); err != nil {
-		return nil, err
-	}
-	majB, err := devSh.SRAM.CaptureMajority(cfg.captures(), 25)
+	baseSh, err := cfg.rawError(devSh, payload)
 	if err != nil {
 		return nil, err
 	}
-	baseSh := stats.BitErrorRate(invert(majB), payload)
 	devSh.PowerOff(true)
 	if err := devSh.Shelve(7 * 24); err != nil {
 		return nil, err
 	}
-	majB, err = devSh.SRAM.CaptureMajority(cfg.captures(), 25)
+	shErr, err := cfg.rawError(devSh, payload)
 	if err != nil {
 		return nil, err
 	}
-	shErr := stats.BitErrorRate(invert(majB), payload)
 
 	return &Sec514Result{
 		BaseError:       base,

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
 	"invisiblebits/internal/analog"
+	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/imaging"
 	"invisiblebits/internal/spice"
 	"invisiblebits/internal/stats"
@@ -64,11 +66,10 @@ func runFig1(cfg Config) (Result, error) {
 	packed := glyph.Pack() // 128 bytes
 
 	// Raw encoding.
-	r, err := cfg.newRig("MSP432P401", "fig1-raw")
+	dev, err := cfg.newDevice("MSP432P401", "fig1-raw")
 	if err != nil {
 		return nil, err
 	}
-	dev := r.Device()
 	pre, err := dev.PowerOn(25)
 	if err != nil {
 		return nil, err
@@ -77,11 +78,7 @@ func runFig1(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := tile(packed, dev.SRAM.Bytes())
-	if err := dev.SRAM.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
+	if err := imprint(dev, tile(packed, dev.SRAM.Bytes()), dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
 	single, err := dev.SRAM.PowerCycle(25)
@@ -92,7 +89,7 @@ func runFig1(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
+	got, err := cfg.recovered(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -102,19 +99,18 @@ func runFig1(cfg Config) (Result, error) {
 	if copies%2 == 0 {
 		copies--
 	}
-	voted := majorityAcrossCopies(invert(maj), len(packed), copies)
+	voted, err := ecc.Repetition{N: copies}.Decode(got[:copies*len(packed)], len(packed))
+	if err != nil {
+		return nil, err
+	}
 	received, err := imaging.Unpack(voted, 32, 32)
 	if err != nil {
 		return nil, err
 	}
 
 	// Encrypted encoding on a second device.
-	r2, err := cfg.newRig("MSP432P401", "fig1-enc")
+	dev2, err := cfg.newDevice("MSP432P401", "fig1-enc")
 	if err != nil {
-		return nil, err
-	}
-	dev2 := r2.Device()
-	if _, err := dev2.PowerOn(25); err != nil {
 		return nil, err
 	}
 	key := stegocrypt.KeyFromPassphrase("fig1")
@@ -122,10 +118,7 @@ func runFig1(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dev2.SRAM.Write(ct); err != nil {
-		return nil, err
-	}
-	if err := dev2.Stress(dev2.Model.Accelerated(), dev2.Model.EncodingHours); err != nil {
+	if err := imprint(dev2, ct, dev2.Model.EncodingHours); err != nil {
 		return nil, err
 	}
 	encSnap, err := dev2.SRAM.PowerCycle(25)
@@ -282,21 +275,17 @@ func (r *Fig3Result) Render() string {
 func runFig3(cfg Config) (Result, error) {
 	const bins = 10
 	histOf := func(serial string, fill byte, stressHours float64) ([]float64, []float64, error) {
-		r, err := cfg.newRig("MSP432P401", serial)
+		dev, err := cfg.newDevice("MSP432P401", serial)
 		if err != nil {
 			return nil, nil, err
 		}
-		dev := r.Device()
-		if _, err := dev.PowerOn(25); err != nil {
-			return nil, nil, err
-		}
 		if stressHours > 0 {
-			if err := dev.SRAM.Fill(fill); err != nil {
-				return nil, nil, err
-			}
-			if err := dev.Stress(dev.Model.Accelerated(), stressHours); err != nil {
-				return nil, nil, err
-			}
+			err = imprint(dev, bytes.Repeat([]byte{fill}, dev.SRAM.Bytes()), stressHours)
+		} else {
+			_, err = dev.PowerOn(25)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		dev.PowerOff(true)
 		bm, err := dev.SRAM.BiasMap(20, 25)
@@ -330,11 +319,10 @@ func runFig3(cfg Config) (Result, error) {
 	pct := make([][]float64, len(conds))
 	for ci, cond := range conds {
 		pct[ci] = make([]float64, len(times))
-		r, err := cfg.newRig("MSP432P401", fmt.Sprintf("fig3-d%d", ci))
+		dev, err := cfg.newDevice("MSP432P401", fmt.Sprintf("fig3-d%d", ci))
 		if err != nil {
 			return nil, err
 		}
-		dev := r.Device()
 		if _, err := dev.PowerOn(25); err != nil {
 			return nil, err
 		}

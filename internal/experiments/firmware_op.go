@@ -5,10 +5,9 @@ import (
 
 	"invisiblebits/internal/analog"
 	"invisiblebits/internal/cpu"
+	"invisiblebits/internal/device"
 	"invisiblebits/internal/progen"
-	"invisiblebits/internal/rig"
 	"invisiblebits/internal/rng"
-	"invisiblebits/internal/stats"
 	"invisiblebits/internal/textplot"
 )
 
@@ -52,47 +51,30 @@ func runFirmwareOp(cfg Config) (Result, error) {
 	nominal := analog.Conditions{VoltageV: 1.2, TempC: 25}
 
 	// Shared encoding on two identical devices.
-	encode := func(serial string) (payloadErr func() (float64, error), dev deviceHandle, err error) {
-		r, err := cfg.newRig("MSP432P401", serial)
+	encode := func() (*device.Device, []byte, error) {
+		d, err := cfg.newDevice("MSP432P401", "fwop-model")
 		if err != nil {
-			return nil, deviceHandle{}, err
-		}
-		d := r.Device()
-		if _, err := d.PowerOn(25); err != nil {
-			return nil, deviceHandle{}, err
+			return nil, nil, err
 		}
 		payload := make([]byte, d.SRAM.Bytes())
 		rng.NewSource(0xF40).Bytes(payload)
-		if err := d.SRAM.Write(payload); err != nil {
-			return nil, deviceHandle{}, err
-		}
-		if err := d.Stress(d.Model.Accelerated(), d.Model.EncodingHours); err != nil {
-			return nil, deviceHandle{}, err
-		}
-		measure := func() (float64, error) {
-			maj, err := d.SRAM.CaptureMajority(cfg.captures(), 25)
-			if err != nil {
-				return 0, err
-			}
-			return stats.BitErrorRate(invert(maj), payload), nil
-		}
-		return measure, deviceHandle{rig: r}, nil
+		return d, payload, imprint(d, payload, d.Model.EncodingHours)
 	}
 
 	// Path A: epoch model.
-	measureA, hA, err := encode("fwop-model")
+	devA, payload, err := encode()
 	if err != nil {
 		return nil, err
 	}
-	base, err := measureA()
+	base, err := cfg.rawError(devA, payload)
 	if err != nil {
 		return nil, err
 	}
 	w := rng.NewWorkloadWriter(0xF40, 0)
-	if err := hA.rig.Device().SRAM.OperateRandom(w, nominal, opHours, epochHours); err != nil {
+	if err := devA.SRAM.OperateRandom(w, nominal, opHours, epochHours); err != nil {
 		return nil, err
 	}
-	errA, err := measureA()
+	errA, err := cfg.rawError(devA, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +82,14 @@ func runFirmwareOp(cfg Config) (Result, error) {
 	// Path B: executed firmware. Load the LFSR workload program; per
 	// epoch, run enough instructions for at least one full SRAM sweep
 	// (fresh pseudo-random contents), then age the held data.
-	measureB, hB, err := encode("fwop-model") // same silicon, same payload
+	dev, _, err := encode() // same silicon, same payload
 	if err != nil {
 		return nil, err
 	}
-	baseB, err := measureB()
+	baseB, err := cfg.rawError(dev, payload)
 	if err != nil {
 		return nil, err
 	}
-	dev := hB.rig.Device()
 	src, err := progen.WorkloadProgram(dev.SRAM.Bytes())
 	if err != nil {
 		return nil, err
@@ -139,7 +120,7 @@ func runFirmwareOp(cfg Config) (Result, error) {
 			return nil, err
 		}
 	}
-	errB, err := measureB()
+	errB, err := cfg.rawError(dev, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -151,6 +132,3 @@ func runFirmwareOp(cfg Config) (Result, error) {
 		Instructions:   retired,
 	}, nil
 }
-
-// deviceHandle keeps the rig alive for the helper's lifetime.
-type deviceHandle struct{ rig *rig.Rig }

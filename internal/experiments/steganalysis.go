@@ -43,15 +43,13 @@ func plaintextUnit(rowBytes int) []byte {
 // structured ASCII payload (see plaintextUnit); encrypted devices hide
 // the same payload behind AES-CTR.
 func (c Config) prepareDevice(serial string, kind stegoPayloadKind) ([]byte, int, int, error) {
-	r, err := c.newRig("MSP432P401", serial)
+	dev, err := c.newDevice("MSP432P401", serial)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
-		return nil, 0, 0, err
-	}
-	if kind != kindClean {
+	if kind == kindClean {
+		_, err = dev.PowerOn(25)
+	} else {
 		payload := tile(plaintextUnit(dev.SRAM.Cols()/8), dev.SRAM.Bytes())
 		if kind == kindEncrypted {
 			key := stegocrypt.KeyFromPassphrase("tab5")
@@ -60,12 +58,10 @@ func (c Config) prepareDevice(serial string, kind stegoPayloadKind) ([]byte, int
 				return nil, 0, 0, err
 			}
 		}
-		if err := dev.SRAM.Write(payload); err != nil {
-			return nil, 0, 0, err
-		}
-		if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
-			return nil, 0, 0, err
-		}
+		err = imprint(dev, payload, dev.Model.EncodingHours)
+	}
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	snap, err := dev.SRAM.PowerCycle(25)
 	if err != nil {
@@ -403,11 +399,10 @@ func (r *Fig14Result) Render() string {
 }
 
 func runFig14(cfg Config) (Result, error) {
-	r, err := cfg.newRig("MSP432P401", "fig14")
+	dev, err := cfg.newDevice("MSP432P401", "fig14")
 	if err != nil {
 		return nil, err
 	}
-	dev := r.Device()
 	if _, err := dev.PowerOn(25); err != nil {
 		return nil, err
 	}
@@ -460,13 +455,7 @@ func runFig14(cfg Config) (Result, error) {
 	}
 
 	// Encode.
-	if _, err := dev.PowerOn(25); err != nil {
-		return nil, err
-	}
-	if err := dev.SRAM.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
+	if err := imprint(dev, payload, dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
 	dev.PowerOff(true)

@@ -118,38 +118,27 @@ func runTable3(cfg Config) (Result, error) {
 	// Invisible Bits: the adversary "can inspect, copy, overwrite, and
 	// erase its digital contents" (§3) — model as overwriting the whole
 	// SRAM repeatedly for an hour at nominal, then decode.
-	r, err := cfg.newRig("MSP432P401", "tab3")
+	dev, err := cfg.newDevice("MSP432P401", "tab3")
 	if err != nil {
-		return nil, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(6).Bytes(payload)
-	if err := dev.SRAM.Write(payload); err != nil {
+	if err := imprint(dev, payload, dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
+	if res.IBBaseErr, err = cfg.rawError(dev, payload); err != nil {
 		return nil, err
 	}
-	maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
-	if err != nil {
-		return nil, err
-	}
-	res.IBBaseErr = stats.BitErrorRate(invert(maj), payload)
 
 	w := rng.NewWorkloadWriter(0x7ab3, 0)
 	nominal := analog.Conditions{VoltageV: dev.Model.VNomV, TempC: dev.Model.TNomC}
 	if err := dev.SRAM.OperateRandom(w, nominal, 1, 0.25); err != nil {
 		return nil, err
 	}
-	maj, err = dev.SRAM.CaptureMajority(cfg.captures(), 25)
-	if err != nil {
+	if res.IBErrAfterRewrite, err = cfg.rawError(dev, payload); err != nil {
 		return nil, err
 	}
-	res.IBErrAfterRewrite = stats.BitErrorRate(invert(maj), payload)
 	return res, nil
 }
 
@@ -208,23 +197,16 @@ func (r *Table4Result) Render() string {
 func runTable4(cfg Config) (Result, error) {
 	res := &Table4Result{}
 	for _, m := range device.Table4Models() {
-		r, err := cfg.newRig(m.Name, "tab4")
+		dev, err := cfg.newDevice(m.Name, "tab4")
 		if err != nil {
-			return nil, err
-		}
-		dev := r.Device()
-		if _, err := dev.PowerOn(25); err != nil {
 			return nil, err
 		}
 		payload := make([]byte, dev.SRAM.Bytes())
 		rng.NewSource(rng.HashString(m.Name)).Bytes(payload)
-		if err := dev.SRAM.Write(payload); err != nil {
+		if err := imprint(dev, payload, m.EncodingHours); err != nil {
 			return nil, err
 		}
-		if err := dev.StressBypassed(m.Accelerated(), m.EncodingHours); err != nil {
-			return nil, err
-		}
-		maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
+		e, err := cfg.rawError(dev, payload)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +215,7 @@ func runTable4(cfg Config) (Result, error) {
 			SRAMUsage:     string(m.SRAMRole),
 			VAcc:          m.VAccV,
 			TAcc:          m.TAccC,
-			BitRate:       1 - stats.BitErrorRate(invert(maj), payload),
+			BitRate:       1 - e,
 			PaperBitRate:  m.TargetBitRate,
 			EncodingHours: m.EncodingHours,
 		})
@@ -377,30 +359,16 @@ noise by aging it in a similar way").
 }
 
 func runSec74(cfg Config) (Result, error) {
-	r, err := cfg.newRig("MSP432P401", "sec74")
+	dev, err := cfg.newDevice("MSP432P401", "sec74")
 	if err != nil {
-		return nil, err
-	}
-	dev := r.Device()
-	if _, err := dev.PowerOn(25); err != nil {
 		return nil, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(74).Bytes(payload)
-	if err := dev.SRAM.Write(payload); err != nil {
+	if err := imprint(dev, payload, dev.Model.EncodingHours); err != nil {
 		return nil, err
 	}
-	if err := dev.Stress(dev.Model.Accelerated(), dev.Model.EncodingHours); err != nil {
-		return nil, err
-	}
-	measure := func() (float64, error) {
-		maj, err := dev.SRAM.CaptureMajority(cfg.captures(), 25)
-		if err != nil {
-			return 0, err
-		}
-		return stats.BitErrorRate(invert(maj), payload), nil
-	}
-	base, err := measure()
+	base, err := cfg.rawError(dev, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +386,7 @@ func runSec74(cfg Config) (Result, error) {
 	if err := dev.Stress(attack, 1); err != nil {
 		return nil, err
 	}
-	afterAttack, err := measure()
+	afterAttack, err := cfg.rawError(dev, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -433,14 +401,10 @@ func runSec74(cfg Config) (Result, error) {
 	// margin. (Blind re-aging with the observed power-on state cannot
 	// restore under our calibrated week-scale recovery physics — see
 	// EXPERIMENTS.md for the deviation note.)
-	repair := dev.Model.Accelerated()
-	if err := dev.SRAM.Write(payload); err != nil {
+	if err := imprint(dev, payload, 1.5); err != nil {
 		return nil, err
 	}
-	if err := dev.Stress(repair, 1.5); err != nil {
-		return nil, err
-	}
-	afterRepair, err := measure()
+	afterRepair, err := cfg.rawError(dev, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -452,6 +416,6 @@ func runSec74(cfg Config) (Result, error) {
 		AfterRepair:      afterRepair,
 		RepairFactor:     afterRepair / base,
 		AttackConditions: attack,
-		RepairConditions: repair,
+		RepairConditions: dev.Model.Accelerated(),
 	}, nil
 }
