@@ -321,9 +321,9 @@ var (
 	digestZeroSep     = []byte{0}
 )
 
-// verifyMessage is the arena twin of Record.VerifyMessage: identical
-// accept/reject behavior, no per-call allocation. The CRC path formats
-// the checksum into scratch and compares; the HMAC path reuses one
+// verifyMessage is the digest check behind Record.VerifyMessage and the
+// decode tails, with no per-call allocation. The CRC path compares the
+// checksum against the digest's hex digits; the HMAC path reuses one
 // keyed MAC across calls and compares hex in constant time.
 func (a *DecodeArena) verifyMessage(rec *Record, msg []byte, key *stegocrypt.Key) error {
 	if rec.Digest == "" {

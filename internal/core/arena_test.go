@@ -194,10 +194,11 @@ func TestArenaDecodeVotesErrors(t *testing.T) {
 	}
 }
 
-// TestArenaVerifyMessageMatchesRecord: the alloc-free verifier and
-// Record.VerifyMessage accept and reject the same inputs for both
-// digest algorithms, including malformed digests.
-func TestArenaVerifyMessageMatchesRecord(t *testing.T) {
+// TestVerifyMessageMatchesOracle: the alloc-free verifier, on an arena
+// and through Record.VerifyMessage, accepts and rejects the same inputs
+// as recomputing the digest with computeDigest, for both digest
+// algorithms, including malformed digests.
+func TestVerifyMessageMatchesOracle(t *testing.T) {
 	key := stegocrypt.KeyFromPassphrase("verify-twin")
 	otherKey := stegocrypt.KeyFromPassphrase("wrong")
 	msg := []byte("the digest twin must agree")
@@ -265,10 +266,11 @@ func TestArenaVerifyMessageMatchesRecord(t *testing.T) {
 		}{"unknown-algo", msg, algo.key, &unknown})
 
 		for _, tc := range cases {
-			want := tc.rec.VerifyMessage(tc.msg, tc.key)
-			got := a.verifyMessage(tc.rec, tc.msg, tc.key)
-			if (got == nil) != (want == nil) || (got != nil && want != nil && got.Error() != want.Error()) {
-				t.Errorf("%s/%s: arena err %v, record err %v", algo.name, tc.name, got, want)
+			want := verifyMessageOracle(tc.rec, tc.msg, tc.key)
+			for _, got := range []error{a.verifyMessage(tc.rec, tc.msg, tc.key), tc.rec.VerifyMessage(tc.msg, tc.key)} {
+				if (got == nil) != (want == nil) || (got != nil && want != nil && got.Error() != want.Error()) {
+					t.Errorf("%s/%s: err %v, oracle err %v", algo.name, tc.name, got, want)
+				}
 			}
 		}
 	}

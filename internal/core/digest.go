@@ -60,29 +60,12 @@ func computeDigest(msg []byte, deviceID string, key *stegocrypt.Key) (algo, dige
 // integrity digest. It returns nil when the digest matches,
 // ErrDigestMismatch when it does not, ErrNoDigest for pre-digest
 // records, and ErrDigestNeedsKey when a keyed digest is checked
-// without its key.
+// without its key. It runs the decode tail's own check on a pooled
+// arena.
 func (rec *Record) VerifyMessage(msg []byte, key *stegocrypt.Key) error {
-	if rec.Digest == "" {
-		return ErrNoDigest
-	}
-	switch rec.DigestAlgo {
-	case DigestCRC32:
-		_, want := computeDigest(msg, rec.DeviceID, nil)
-		if want != rec.Digest {
-			return ErrDigestMismatch
-		}
-	case DigestHMACSHA256:
-		if key == nil {
-			return ErrDigestNeedsKey
-		}
-		_, want := computeDigest(msg, rec.DeviceID, key)
-		if !hmac.Equal([]byte(want), []byte(rec.Digest)) {
-			return ErrDigestMismatch
-		}
-	default:
-		return fmt.Errorf("core: unknown digest algorithm %q", rec.DigestAlgo)
-	}
-	return nil
+	a := arenaPool.Get().(*DecodeArena)
+	defer arenaPool.Put(a)
+	return a.verifyMessage(rec, msg, key)
 }
 
 // HasDigest reports whether the record can self-verify a decode.

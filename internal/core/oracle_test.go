@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/hmac"
 	"errors"
 	"fmt"
 
@@ -86,4 +87,30 @@ func payloadConfidences(votes []uint16, total int, rec *Record, opts Options) ([
 		}
 	}
 	return conf, nil
+}
+
+// verifyMessageOracle checks msg against rec's digest by recomputing it
+// with computeDigest, the encode side, and comparing the strings.
+func verifyMessageOracle(rec *Record, msg []byte, key *stegocrypt.Key) error {
+	if rec.Digest == "" {
+		return ErrNoDigest
+	}
+	switch rec.DigestAlgo {
+	case DigestCRC32:
+		_, want := computeDigest(msg, rec.DeviceID, nil)
+		if want != rec.Digest {
+			return ErrDigestMismatch
+		}
+	case DigestHMACSHA256:
+		if key == nil {
+			return ErrDigestNeedsKey
+		}
+		_, want := computeDigest(msg, rec.DeviceID, key)
+		if !hmac.Equal([]byte(want), []byte(rec.Digest)) {
+			return ErrDigestMismatch
+		}
+	default:
+		return fmt.Errorf("core: unknown digest algorithm %q", rec.DigestAlgo)
+	}
+	return nil
 }

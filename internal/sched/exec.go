@@ -496,7 +496,7 @@ func (s *Scheduler) applyPassLocked(p *passPlan) {
 // rewindSlot discards a slot's in-memory state so the next pass
 // rebuilds it from the last durable checkpoint.
 func (s *Scheduler) rewindSlot(sl *slotState) {
-	*sl = slotState{rep: sl.rep, seg: sl.seg, applied: sl.rep.CkptApplied}
+	*sl = slotState{rep: sl.rep, seg: sl.seg, applied: sl.rep.newest().Applied}
 }
 
 // rerouteSlotLocked moves a slot whose carrier died onto a spare,

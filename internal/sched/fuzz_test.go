@@ -214,11 +214,16 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("replay accepted campaign %q without identity: %+v", id, c)
 			}
 			for i, s := range c.Slots {
-				if s.Applied < 0 || s.CkptApplied < 0 {
+				if s.Applied < 0 {
 					t.Fatalf("campaign %q slot %d replayed negative hours: %+v", id, i, s)
 				}
-				if s.CkptImage != "" && s.CkptRig == nil {
-					t.Fatalf("campaign %q slot %d checkpoint without rig state", id, i)
+				for _, ck := range s.Ckpts {
+					if ck.Applied < 0 {
+						t.Fatalf("campaign %q slot %d replayed negative hours: %+v", id, i, s)
+					}
+					if ck.Rig == nil {
+						t.Fatalf("campaign %q slot %d checkpoint without rig state", id, i)
+					}
 				}
 				if s.Record != nil && s.FinalImage == "" {
 					t.Fatalf("campaign %q slot %d record without final image", id, i)

@@ -157,25 +157,19 @@ type SlotReplay struct {
 	// record. Images are uniquely named per applied-hours, so an older
 	// generation can step in when the newest fails verification.
 	Ckpts []SlotCheckpoint
-	// CkptImage / CkptApplied / CkptRig are the newest surviving
-	// checkpoint — the position a resume actually restarts from.
-	CkptImage   string
-	CkptApplied float64
-	CkptRig     *rig.State
 
 	Record     *core.Record
 	FinalImage string
 	FinalClock float64
 }
 
-// syncNewest re-derives the newest-checkpoint fields from the history.
-func (s *SlotReplay) syncNewest() {
+// newest is the newest surviving checkpoint — the position a resume
+// restarts from — or the zero checkpoint when none survives.
+func (s *SlotReplay) newest() SlotCheckpoint {
 	if n := len(s.Ckpts); n > 0 {
-		c := s.Ckpts[n-1]
-		s.CkptImage, s.CkptApplied, s.CkptRig = c.Image, c.Applied, c.Rig
-	} else {
-		s.CkptImage, s.CkptApplied, s.CkptRig = "", 0, nil
+		return s.Ckpts[n-1]
 	}
+	return SlotCheckpoint{}
 }
 
 // CampaignReplay is one campaign's reconstructed state.
@@ -351,8 +345,9 @@ func (st *State) apply(e *Entry) error {
 				if s.Record != nil {
 					continue
 				}
-				s.Prepared = s.CkptImage != ""
-				s.Applied = s.CkptApplied
+				ck := s.newest()
+				s.Prepared = ck.Image != ""
+				s.Applied = ck.Applied
 			}
 		}
 
@@ -533,7 +528,6 @@ func (s *SlotReplay) apply(e *Entry) error {
 			return fmt.Errorf("sched: checkpoint %d claims %.4fh, campaign %q slot %d is at %.4fh", e.Seq, e.Applied, e.Campaign, e.Slot, s.Applied)
 		}
 		s.Ckpts = append(s.Ckpts, SlotCheckpoint{Image: e.Image, Applied: e.Applied, Rig: e.Rig})
-		s.syncNewest()
 
 	case entryCkptBad:
 		if s.Record != nil {
@@ -553,17 +547,16 @@ func (s *SlotReplay) apply(e *Entry) error {
 			return fmt.Errorf("sched: ckptbad at seq %d strikes unknown checkpoint %q for campaign %q slot %d", e.Seq, e.Image, e.Campaign, e.Slot)
 		}
 		s.Ckpts = append(s.Ckpts[:found], s.Ckpts[found+1:]...)
-		s.syncNewest()
 		// Rewind the live position onto the surviving generation. A
 		// runtime strike (bootstrap fallback) has no resume record after
 		// it, so the stream itself must agree with the fallback: the slot
 		// re-runs — and re-appends — from the older generation (or from
 		// scratch when none survives).
-		if s.CkptImage == "" {
+		if ck := s.newest(); ck.Image == "" {
 			s.Prepared = false
 			s.Applied = 0
-		} else if s.Applied > s.CkptApplied {
-			s.Applied = s.CkptApplied
+		} else if s.Applied > ck.Applied {
+			s.Applied = ck.Applied
 		}
 
 	case entryEncoded:

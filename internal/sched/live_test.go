@@ -151,8 +151,8 @@ func TestLiveStateIsJournalReplay(t *testing.T) {
 				s.mu.Lock()
 				rep := *s.camps["lv-flaky"].slots[0].rep
 				s.mu.Unlock()
-				if rep.Applied != 12.5 || rep.CkptApplied != 10 {
-					t.Fatalf("transient struck at cursor %.1f h, checkpoint %.1f h; want 12.5 and 10", rep.Applied, rep.CkptApplied)
+				if ck := rep.newest(); rep.Applied != 12.5 || ck.Applied != 10 {
+					t.Fatalf("transient struck at cursor %.1f h, checkpoint %.1f h; want 12.5 and 10", rep.Applied, ck.Applied)
 				}
 				img := filepath.Join(dir, campaignsDir, "lv-flaky", "slot-0-ckpt-10.0000h.img")
 				b, err := os.ReadFile(img)
