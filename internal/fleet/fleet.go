@@ -427,9 +427,8 @@ func (g *GatherReport) Err() error {
 }
 
 // Gather decodes every shard and reassembles the message. The rigs slice
-// must contain every carrier device (shards are matched by the record's
-// device ID, falling back to the shard's planned slot index for results
-// produced before re-routing existed).
+// must contain every carrier device: shards are matched by the device ID
+// their records name.
 func Gather(rigs []*rig.Rig, striped *StripeResult, opts core.Options) ([]byte, error) {
 	rep, err := GatherContext(context.Background(), rigs, striped, opts)
 	if err != nil {
@@ -446,8 +445,9 @@ func Gather(rigs []*rig.Rig, striped *StripeResult, opts core.Options) ([]byte, 
 // stripe carries a parity shard, a single lost segment is reconstructed
 // from the survivors — the fleet-layer erasure channel absorbing what
 // the per-device ECC cannot. The error return covers only structural
-// problems (nil result, unresolvable layout); per-shard trouble lives in
-// the report.
+// problems: a nil result, a stripe without its segment sizes, a shard
+// that addresses no planned segment or names a carrier missing from
+// rigs. Per-shard trouble lives in the report.
 func GatherContext(ctx context.Context, rigs []*rig.Rig, striped *StripeResult, opts core.Options) (*GatherReport, error) {
 	return GatherWithOptions(ctx, rigs, striped, opts, GatherOptions{})
 }
@@ -460,18 +460,9 @@ func GatherWithOptions(ctx context.Context, rigs []*rig.Rig, striped *StripeResu
 	if striped == nil {
 		return nil, errors.New("fleet: nil stripe result")
 	}
-	findRig := func(s Shard) (*rig.Rig, error) {
-		if s.Record != nil && s.Record.DeviceID != "" {
-			for _, r := range rigs {
-				if r.Device().DeviceID() == s.Record.DeviceID {
-					return r, nil
-				}
-			}
-		}
-		if s.Index < 0 || s.Index >= len(rigs) {
-			return nil, fmt.Errorf("fleet: shard names device %d of %d", s.Index, len(rigs))
-		}
-		return rigs[s.Index], nil
+	sizes := striped.SegmentSizes
+	if len(sizes) == 0 {
+		return nil, errors.New("fleet: stripe carries no segment sizes")
 	}
 
 	// Decode the data shards. Records carrying a digest are verified:
@@ -482,9 +473,12 @@ func GatherWithOptions(ctx context.Context, rigs []*rig.Rig, striped *StripeResu
 	segments := map[int][]byte{}
 	rep := &GatherReport{}
 	for _, shard := range striped.Shards {
-		r, err := findRig(shard)
+		if shard.Index < 0 || shard.Index >= len(sizes) || sizes[shard.Index] == 0 {
+			return nil, fmt.Errorf("fleet: shard %d addresses no planned segment of %d", shard.Index, len(sizes))
+		}
+		r, err := carrierOf(rigs, shard)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: shard %d: %w", shard.Index, err)
 		}
 		t0, p0 := r.FaultCounts()
 		var part []byte
@@ -515,22 +509,6 @@ func GatherWithOptions(ctx context.Context, rigs []*rig.Rig, striped *StripeResu
 		})
 	}
 
-	// Planned layout: explicit sizes when recorded, else derived from the
-	// shards themselves (pre-fault results).
-	sizes := striped.SegmentSizes
-	if sizes == nil {
-		maxIdx := -1
-		for _, s := range striped.Shards {
-			if s.Index > maxIdx {
-				maxIdx = s.Index
-			}
-		}
-		sizes = make([]int, maxIdx+1)
-		for _, s := range striped.Shards {
-			sizes[s.Index] = s.Record.MessageBytes
-		}
-	}
-
 	// One missing segment + a parity carrier → reconstruct.
 	var missing []int
 	for idx, n := range sizes {
@@ -539,7 +517,7 @@ func GatherWithOptions(ctx context.Context, rigs []*rig.Rig, striped *StripeResu
 		}
 	}
 	if len(missing) == 1 && striped.Parity != nil {
-		if seg, err := reconstructFromParity(ctx, rigs, striped, opts, sizes, missing[0], segments, findRig); err == nil {
+		if seg, err := reconstructFromParity(ctx, rigs, striped, opts, missing[0], segments); err == nil {
 			segments[missing[0]] = seg
 			for k := range rep.Shards {
 				if rep.Shards[k].Index == missing[0] {
@@ -569,11 +547,26 @@ func GatherWithOptions(ctx context.Context, rigs []*rig.Rig, striped *StripeResu
 	return rep, nil
 }
 
+// carrierOf returns the rig carrying the device the shard's record
+// names.
+func carrierOf(rigs []*rig.Rig, s Shard) (*rig.Rig, error) {
+	if s.Record == nil || s.Record.DeviceID == "" {
+		return nil, errors.New("fleet: record names no carrier")
+	}
+	for _, r := range rigs {
+		if r.Device().DeviceID() == s.Record.DeviceID {
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("fleet: carrier %s is not among the %d rigs", s.Record.DeviceID, len(rigs))
+}
+
 // reconstructFromParity decodes the parity carrier and XORs it with the
 // surviving segments to rebuild the one that was lost.
 func reconstructFromParity(ctx context.Context, rigs []*rig.Rig, striped *StripeResult, opts core.Options,
-	sizes []int, lostIdx int, segments map[int][]byte, findRig func(Shard) (*rig.Rig, error)) ([]byte, error) {
-	pr, err := findRig(*striped.Parity)
+	lostIdx int, segments map[int][]byte) ([]byte, error) {
+	sizes := striped.SegmentSizes
+	pr, err := carrierOf(rigs, *striped.Parity)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: parity carrier unavailable: %w", err)
 	}

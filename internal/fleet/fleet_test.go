@@ -162,11 +162,66 @@ func TestStripeValidation(t *testing.T) {
 	}
 }
 
+// twoShardStripe stripes an unkeyed message over two 4 KiB carriers
+// under Hamming(7,4) over 7-copy repetition and checks that it gathers
+// whole.
+func twoShardStripe(t *testing.T) ([]*rig.Rig, *StripeResult, core.Options) {
+	t.Helper()
+	rep, err := ecc.NewRepetition(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Codec: ecc.Composite{Outer: ecc.Hamming74{}, Inner: rep}}
+	rigs := newFleet(t, 2, 4<<10)
+	msg := make([]byte, core.MaxMessageBytes(4<<10, opts.Codec)+7)
+	rng.NewSource(3).Bytes(msg)
+	striped, err := Stripe(rigs, msg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := GatherContext(context.Background(), rigs, striped, opts)
+	if err != nil || !gr.Complete || !bytes.Equal(gr.Message, msg) {
+		t.Fatalf("intact stripe: complete=%v, err %v", gr != nil && gr.Complete, err)
+	}
+	return rigs, striped, opts
+}
+
+// TestGatherShardIndexOutOfRange: a shard whose index addresses no
+// planned segment is refused before anything is decoded.
 func TestGatherShardIndexOutOfRange(t *testing.T) {
-	rigs := newFleet(t, 1, 4<<10)
-	bad := &StripeResult{MessageBytes: 1, Shards: []Shard{{Index: 5, Record: &core.Record{}}}}
-	if _, err := Gather(rigs, bad, core.Options{}); err == nil {
+	rigs, striped, opts := twoShardStripe(t)
+	striped.Shards[1].Index = 5
+	if _, err := GatherContext(context.Background(), rigs, striped, opts); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+}
+
+// TestGatherRefusesStripeWithoutSegmentSizes: the layout comes from the
+// stripe's SegmentSizes, never from the shards' own records.
+func TestGatherRefusesStripeWithoutSegmentSizes(t *testing.T) {
+	rigs, striped, opts := twoShardStripe(t)
+	striped.SegmentSizes = nil
+	if _, err := GatherContext(context.Background(), rigs, striped, opts); err == nil {
+		t.Fatal("stripe without segment sizes accepted")
+	}
+}
+
+// TestGatherRefusesUnknownCarrier: a shard is decoded on the carrier its
+// record names, never on the rig at its slot index; a record naming no
+// carrier, or one missing from rigs, is refused.
+func TestGatherRefusesUnknownCarrier(t *testing.T) {
+	rigs, striped, opts := twoShardStripe(t)
+	unnamed := *striped.Shards[1].Record
+	unnamed.DeviceID = ""
+	striped.Shards[1].Record = &unnamed
+	if _, err := GatherContext(context.Background(), rigs, striped, opts); err == nil {
+		t.Fatal("shard naming no carrier accepted")
+	}
+
+	rigs, striped, opts = twoShardStripe(t)
+	other := newFleet(t, 3, 4<<10)[2]
+	if _, err := GatherContext(context.Background(), []*rig.Rig{rigs[0], other}, striped, opts); err == nil {
+		t.Fatal("shard whose carrier is missing from rigs accepted")
 	}
 }
 
