@@ -295,7 +295,10 @@ func TestJournalBudgetMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget := sched.EstimateJournalBudget(spec, m)
+		budget, err := sched.EstimateJournalBudget(spec, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		appends := 0
 		hook := func(point string) error {
 			if strings.HasPrefix(point, "journal/") {

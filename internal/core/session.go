@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"invisiblebits/internal/device"
 	"invisiblebits/internal/rig"
 )
 
@@ -61,8 +62,7 @@ func BeginEncode(ctx context.Context, r *rig.Rig, message []byte, opts Options) 
 }
 
 // planEncode builds the payload and the soak length of an encode: the
-// payload must fit the device's SRAM, and the soak is opts.StressHours,
-// or the model's Table 4 encoding time when that is not positive.
+// payload must fit the device's SRAM, and the soak is SoakHours.
 func planEncode(r *rig.Rig, message []byte, opts Options) ([]byte, float64, error) {
 	dev := r.Device()
 	payload, err := BuildPayload(message, dev.DeviceID(), opts)
@@ -73,11 +73,16 @@ func planEncode(r *rig.Rig, message []byte, opts Options) ([]byte, float64, erro
 		return nil, 0, fmt.Errorf("%w: payload %d bytes, SRAM %d bytes",
 			ErrPayloadTooLarge, len(payload), dev.SRAM.Bytes())
 	}
-	hours := opts.StressHours
-	if hours <= 0 {
-		hours = dev.Model.EncodingHours
+	return payload, SoakHours(opts.StressHours, dev.Model), nil
+}
+
+// SoakHours is the soak length of an encode on model m: stressHours
+// when it is positive, otherwise the model's Table 4 encoding time.
+func SoakHours(stressHours float64, m device.Model) float64 {
+	if stressHours > 0 {
+		return stressHours
 	}
-	return payload, hours, nil
+	return m.EncodingHours
 }
 
 // ResumeEncode reconstructs a session around a device restored from a

@@ -9,13 +9,28 @@ import (
 	"invisiblebits/internal/rig"
 )
 
-// Budget is a planning-time estimate of what one campaign costs the
-// scheduler journal: fsynced appends and their encoded bytes. The
-// estimate is built by marshaling representative journal entries with
-// the campaign's real identifiers, so it tracks the record grammar
-// automatically — if a record kind grows a field, the budget grows
-// with it.
+// Budget is a campaign's plan as the scheduler will run it — the
+// stripe layout, the soak and its slice/checkpoint cadence — and a
+// planning-time estimate of what it costs the scheduler journal:
+// fsynced appends and their encoded bytes. The estimate is built by
+// marshaling representative journal entries with the campaign's real
+// identifiers, so it tracks the record grammar automatically — if a
+// record kind grows a field, the budget grows with it.
 type Budget struct {
+	// Segments[i] is the message bytes slot i carries, as the stripe
+	// planner lays them out on the model's SRAM. A zero-width slot
+	// carries nothing, so it never soaks and journals nothing.
+	Segments []int
+	// SlotBytes is one carrier's message capacity under the spec's
+	// codec.
+	SlotBytes int
+	// SoakHours is every live slot's soak length (core.SoakHours).
+	SoakHours float64
+	// Slices counts a live slot's stress slices, and Checkpoints its
+	// mid-run checkpoints: the final slice mints the encoded record
+	// (with the terminal rig state) instead of a checkpoint.
+	Slices, Checkpoints int
+
 	// Records counts the journal appends an uninterrupted run of this
 	// campaign costs: submit, one pass per slice round (worst case —
 	// solo, unbatched; batching amortizes pass records across members),
@@ -42,22 +57,30 @@ func entrySize(e *Entry) int {
 	return len(b) + 1
 }
 
-// EstimateJournalBudget sizes the scheduler journal for one campaign
-// before running it, using the same slice/checkpoint cadence the
-// scheduler will journal. Estimates are slightly conservative: sequence
-// numbers and chamber clocks are given realistic widths, and pass
-// records assume the campaign runs solo (a batch shares each pass
-// record across its members).
-func EstimateJournalBudget(spec Spec, m device.Model) Budget {
+// EstimateJournalBudget plans one campaign on model m before running
+// it and sizes its scheduler journal, using the same stripe layout and
+// slice/checkpoint cadence the scheduler will journal. It fails on a
+// spec whose codec is unknown or whose message exceeds the fleet.
+// Estimates are slightly conservative: sequence numbers and chamber
+// clocks are given realistic widths, and pass records assume the
+// campaign runs solo (a batch shares each pass record across its
+// members).
+func EstimateJournalBudget(spec Spec, m device.Model) (Budget, error) {
 	spec = spec.withDefaults()
-	soak := estChamberHours(spec, m)
+	codec, err := spec.codec()
+	if err != nil {
+		return Budget{}, err
+	}
+	segs, err := spec.segments(m)
+	if err != nil {
+		return Budget{}, err
+	}
+	soak := core.SoakHours(spec.StressHours, m)
 	sliceHours, every := spec.SliceHours, spec.CheckpointEvery
 	slices := int(soak / sliceHours)
 	if float64(slices)*sliceHours < soak {
 		slices++
 	}
-	// Mid-run checkpoints only: the final slice mints the encoded
-	// record (with the terminal rig state) instead of a checkpoint.
 	ckpts := 0
 	if slices > 0 {
 		ckpts = (slices - 1) / every
@@ -88,6 +111,11 @@ func EstimateJournalBudget(spec Spec, m device.Model) Budget {
 	}
 
 	b := Budget{
+		Segments:    segs,
+		SlotBytes:   core.MaxMessageBytes(m.SRAMBytes, codec),
+		SoakHours:   soak,
+		Slices:      slices,
+		Checkpoints: ckpts,
 		TenantBytes: entrySize(&Entry{
 			Seq: seq, Type: entryTenant, Tenant: "tenant-00000",
 			Quota: &Quota{MaxCampaigns: 16, MaxDevices: 256, MaxChamberHours: 100000},
@@ -110,13 +138,10 @@ func EstimateJournalBudget(spec Spec, m device.Model) Budget {
 		VAccV: m.VAccV, TAccC: m.TAccC, Quantum: sliceHours,
 		Setup: DefaultSetupHours, AtHours: clock, Slot: -1,
 	})
-	// A spec the stripe planner rejects (nil segs) would never be
-	// admitted; it is budgeted as if every slot were live.
-	segs, _ := spec.segments(m)
 	live := 0
 	perSlotCkptImage := fmt.Sprintf("slot-%d-ckpt-%.4fh.img", len(spec.Serials)-1, clock)
 	for i := range spec.Serials {
-		if segs != nil && segs[i] == 0 {
+		if segs[i] == 0 {
 			continue
 		}
 		live++
@@ -143,5 +168,5 @@ func EstimateJournalBudget(spec Spec, m device.Model) Budget {
 		Type: entryDone, Campaign: spec.ID,
 		AtHours: clock, Baselines: baselines, Slot: -1,
 	})
-	return b
+	return b, nil
 }

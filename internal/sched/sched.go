@@ -254,7 +254,7 @@ func (c *campState) serial(i int) string {
 // it with s.mu held while no pass is running: the loop owns the slots
 // then.
 func (c *campState) publishProgress() {
-	total := estChamberHours(c.spec, c.model)
+	total := core.SoakHours(c.spec.StressHours, c.model)
 	c.applied = 0
 	for _, sl := range c.slots {
 		switch {
@@ -657,16 +657,6 @@ func (c *campState) bind(cr *CampaignReplay) {
 	}
 }
 
-// estChamberHours is the admission-time chamber budget estimate: the
-// campaign occupies the chamber for its soak length regardless of how
-// many boards ride each pass.
-func estChamberHours(spec Spec, model device.Model) float64 {
-	if spec.StressHours > 0 {
-		return spec.StressHours
-	}
-	return model.EncodingHours
-}
-
 // Submit admits a campaign or rejects it with a typed error:
 // ErrDraining, ErrSaturated (queue backpressure), ErrQuotaExceeded,
 // ErrDuplicateCampaign, ErrSerialInUse, or a spec validation error.
@@ -721,7 +711,9 @@ func (s *Scheduler) Submit(sub Submission) error {
 		}
 	}
 
-	est := estChamberHours(spec, model)
+	// The campaign occupies the chamber for its soak length regardless
+	// of how many boards ride each pass.
+	est := core.SoakHours(spec.StressHours, model)
 	devs := len(spec.Serials) + len(sub.Spares)
 	t, known := s.st.Tenants[sub.Tenant]
 	if !known {
@@ -1161,7 +1153,7 @@ func (s *Scheduler) Campaign(id string) (CampaignStatus, bool) {
 	}
 	cs.Slots = len(c.slots)
 	cs.Baselines = cr.Baselines
-	total := estChamberHours(c.spec, c.model)
+	total := core.SoakHours(c.spec.StressHours, c.model)
 	for _, n := range c.segs {
 		if n > 0 { // a live slot
 			cs.TotalHours += total
