@@ -77,42 +77,19 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("sched client: %d: %s", e.StatusCode, e.Message)
 }
 
-// Is maps the wire code back onto the scheduler's error sentinels, so
-// client-side and in-process callers share one errors.Is vocabulary.
+// Is maps the wire code back onto the scheduler's error sentinels
+// (wireClasses), so client-side and in-process callers share one
+// errors.Is vocabulary.
 func (e *APIError) Is(target error) bool {
-	switch e.Code {
-	case codeQuota:
-		return target == ErrQuotaExceeded
-	case codeSaturated:
-		return target == ErrSaturated
-	case codeRateLimited:
-		return target == ErrRateLimited
-	case codeDraining:
-		return target == ErrDraining
-	case codeStopped:
-		return target == ErrStopped
-	case codeDead:
-		return target == ErrSchedulerDown
-	case codeDuplicate:
-		return target == ErrDuplicateCampaign
-	case codeSerialInUse:
-		return target == ErrSerialInUse
-	}
-	return false
+	c, ok := wireClassOf(e.Code)
+	return ok && target == c.sentinels[0]
 }
 
-// retryable reports whether a later attempt could succeed: rate limits
-// and saturation clear as passes complete, and a stopped or dead
-// scheduler is restarted by its supervisor. Draining is a deliberate
-// operator decision, not a blip — retrying into it only delays the
-// drain — and 4xx rejections (validation, quota, oversize, conflicts)
-// will fail identically every time.
+// retryable reports whether a later attempt could succeed: the wire
+// table decides for a typed code, and any other 5xx is worth retrying.
 func (e *APIError) retryable() bool {
-	switch e.Code {
-	case codeRateLimited, codeSaturated, codeStopped, codeDead:
-		return true
-	case codeDraining:
-		return false // deliberate, durable, and retrying delays the drain
+	if c, ok := wireClassOf(e.Code); ok {
+		return c.retry
 	}
 	return e.StatusCode >= 500
 }

@@ -187,7 +187,8 @@ func (srv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	srv.mux.ServeHTTP(sw, r)
 }
 
-// Machine-readable rejection codes, mirrored by Client's typed errors.
+// Machine-readable rejection codes. The typed ones are rows of
+// wireClasses.
 const (
 	codeQuota       = "quota_exceeded"
 	codeSaturated   = "saturated"
@@ -239,32 +240,59 @@ func (srv *Server) methodNotAllowed(w http.ResponseWriter, r *http.Request, allo
 	srv.writeJSON(w, r, http.StatusMethodNotAllowed, errorBody{Error: allow + " only", Code: codeMethod})
 }
 
-// submitStatus maps a Submit rejection to its HTTP status and
-// machine-readable code.
-func submitStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrQuotaExceeded):
-		return http.StatusForbidden, codeQuota
-	case errors.Is(err, ErrSaturated):
-		return http.StatusTooManyRequests, codeSaturated
-	case errors.Is(err, ErrStopped):
-		return http.StatusServiceUnavailable, codeStopped
-	case errors.Is(err, ErrSchedulerDown):
-		return http.StatusServiceUnavailable, codeDead
-	case errors.Is(err, wal.ErrJournalIO), errors.Is(err, faults.ErrKilled):
-		// The durability failure that is killing the scheduler right
-		// now: the admission did NOT land. Retryable — the supervisor
-		// restarts and resumes.
-		return http.StatusServiceUnavailable, codeDead
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, codeDraining
-	case errors.Is(err, ErrDuplicateCampaign):
-		return http.StatusConflict, codeDuplicate
-	case errors.Is(err, ErrSerialInUse):
-		return http.StatusConflict, codeSerialInUse
-	default:
-		return http.StatusBadRequest, codeValidation
+// wireClass is one row of the wire error table: a rejection class, the
+// sentinels errors.Is selects it by (the first is the one a client's
+// APIError maps the code back to), its machine-readable code, its HTTP
+// status, and whether a client may retry it.
+type wireClass struct {
+	sentinels []error
+	code      string
+	status    int
+	retry     bool
+}
+
+// wireClasses is the one table of typed rejections on the wire: the
+// server's submitStatus and the client's APIError.Is and retryable all
+// read it. Rate limits and saturation clear as passes complete, and a
+// stopped or dead scheduler is restarted by its supervisor, so those
+// are retried. Draining is a deliberate operator decision — retrying
+// into it only delays the drain — and the 4xx rejections fail
+// identically every time.
+var wireClasses = []wireClass{
+	{[]error{ErrQuotaExceeded}, codeQuota, http.StatusForbidden, false},
+	{[]error{ErrSaturated}, codeSaturated, http.StatusTooManyRequests, true},
+	{[]error{ErrRateLimited}, codeRateLimited, http.StatusTooManyRequests, true},
+	{[]error{ErrStopped}, codeStopped, http.StatusServiceUnavailable, true},
+	// A journal failure is what is killing the scheduler right now: the
+	// admission did NOT land, and the supervisor restarts and resumes.
+	{[]error{ErrSchedulerDown, wal.ErrJournalIO, faults.ErrKilled}, codeDead, http.StatusServiceUnavailable, true},
+	{[]error{ErrDraining}, codeDraining, http.StatusServiceUnavailable, false},
+	{[]error{ErrDuplicateCampaign}, codeDuplicate, http.StatusConflict, false},
+	{[]error{ErrSerialInUse}, codeSerialInUse, http.StatusConflict, false},
+}
+
+// wireClassOf returns the table row of a wire code.
+func wireClassOf(code string) (wireClass, bool) {
+	for _, c := range wireClasses {
+		if c.code == code {
+			return c, true
+		}
 	}
+	return wireClass{}, false
+}
+
+// submitStatus maps a submission's rejection to its HTTP status and
+// machine-readable code: the first class whose sentinel it wraps, or a
+// validation failure.
+func submitStatus(err error) (int, string) {
+	for _, c := range wireClasses {
+		for _, sentinel := range c.sentinels {
+			if errors.Is(err, sentinel) {
+				return c.status, c.code
+			}
+		}
+	}
+	return http.StatusBadRequest, codeValidation
 }
 
 // retryAfterSeconds renders a duration for the Retry-After header
@@ -302,10 +330,9 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sub.Tenant != "" {
 		if ok, wait := srv.limiter.allow(sub.Tenant); !ok {
 			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			srv.writeJSON(w, r, http.StatusTooManyRequests, errorBody{
-				Error: fmt.Sprintf("%v: tenant %q", ErrRateLimited, sub.Tenant),
-				Code:  codeRateLimited,
-			})
+			err := fmt.Errorf("%w: tenant %q", ErrRateLimited, sub.Tenant)
+			code, kind := submitStatus(err)
+			srv.writeJSON(w, r, code, errorBody{Error: err.Error(), Code: kind})
 			return
 		}
 	}

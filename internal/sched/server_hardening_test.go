@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"invisiblebits/internal/faults"
+	"invisiblebits/internal/wal"
 )
 
 func decodeErrorBody(t *testing.T, w *httptest.ResponseRecorder) errorBody {
@@ -282,6 +285,9 @@ func TestSubmitStatusMapping(t *testing.T) {
 		{ErrSaturated, http.StatusTooManyRequests, codeSaturated},
 		{ErrStopped, http.StatusServiceUnavailable, codeStopped},
 		{ErrSchedulerDown, http.StatusServiceUnavailable, codeDead},
+		{wal.ErrJournalIO, http.StatusServiceUnavailable, codeDead},
+		{faults.ErrKilled, http.StatusServiceUnavailable, codeDead},
+		{ErrRateLimited, http.StatusTooManyRequests, codeRateLimited},
 		{ErrDraining, http.StatusServiceUnavailable, codeDraining},
 		{ErrDuplicateCampaign, http.StatusConflict, codeDuplicate},
 		{ErrSerialInUse, http.StatusConflict, codeSerialInUse},
