@@ -113,7 +113,7 @@ func runSchedDrill() error {
 	for _, sb := range subs[:3] {
 		id := sb.Spec.ID
 		got, err := campaign.DecodeResult(context.Background(),
-			filepath.Join(dir, "campaigns", id), keyFor(sb.Tenant, id))
+			filepath.Join(dir, sched.CampaignsDir, id), keyFor(sb.Tenant, id))
 		if err != nil {
 			return fmt.Errorf("decode %s: %w", id, err)
 		}

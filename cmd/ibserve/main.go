@@ -188,7 +188,7 @@ func main() {
 // (or a graceful stop) picks up every in-flight campaign from its last
 // durable checkpoint.
 func openScheduler(dir string, cfg sched.Config) (*sched.Scheduler, bool, error) {
-	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, sched.JournalFile)); err == nil {
 		s, rerr := sched.Resume(dir, cfg)
 		return s, true, rerr
 	}

@@ -86,7 +86,7 @@ func replayJournal(path string) (*sched.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sal.Truncated && !sal.TornTail {
+	if sal.DroppedBytes > 0 && !sal.TornTail {
 		return nil, fmt.Errorf("journal cut after %d records: %s", sal.Entries, sal.Reason)
 	}
 	st, used, err := sched.ReplaySalvage(entries)
@@ -375,7 +375,7 @@ func TestResumeFailsClosed(t *testing.T) {
 	if err := os.WriteFile(jpath, dup, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, sal, err := sched.ReadJournalSalvage(nil, jpath); err != nil || sal.Truncated {
+	if _, sal, err := sched.ReadJournalSalvage(nil, jpath); err != nil || sal.DroppedBytes > 0 {
 		t.Fatalf("duplicated record should pass frame verification: %v %+v", err, sal)
 	}
 	if _, err := replayJournal(jpath); err == nil {

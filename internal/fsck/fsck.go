@@ -1,8 +1,12 @@
 // Package fsck audits and repairs campaign and scheduler state
-// directories offline — the disk-side mirror of the salvage logic that
-// sched.ResumeCampaign and sched.Resume run at startup. A standalone
-// campaign directory is a one-tenant scheduler with a flat layout, so
-// both kinds go through one audit.
+// directories offline, reporting what sched.ResumeCampaign and
+// sched.Resume would salvage at startup. A standalone campaign
+// directory is a one-tenant scheduler with a flat layout, so both kinds
+// go through one audit. fsck decides none of it itself: the directory
+// layout and its stale temp files are sched's (JournalFile,
+// CampaignsDir, SpecFile, ResultFile, StaleTemps), the journal parse,
+// replay and spec check are the ones resume runs, and the byte offset a
+// cut truncates to is wal.Salvage.Cut.
 //
 // An audit never writes: it reads the journal with the same
 // frame-verification and structural-replay rules the resume paths use,
@@ -29,14 +33,11 @@ package fsck
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"invisiblebits/internal/device"
 	"invisiblebits/internal/ioatomic"
 	"invisiblebits/internal/sched"
 	"invisiblebits/internal/storage"
-	"invisiblebits/internal/wal"
 )
 
 // Directory kinds Audit can recognise.
@@ -68,6 +69,9 @@ type Finding struct {
 	// resume) will do about it.
 	Problem string `json:"problem"`
 	Action  string `json:"action"`
+	// Unrecoverable marks damage neither repair nor resume can undo: a
+	// lost or mismatched spec, which holds the message itself.
+	Unrecoverable bool `json:"unrecoverable,omitempty"`
 }
 
 // Report is the outcome of an audit or repair pass.
@@ -103,7 +107,7 @@ func (r *Report) Clean() bool {
 // repair nor resume can undo (a lost or mismatched spec.json).
 func (r *Report) Unrecoverable() bool {
 	for _, f := range r.Findings {
-		if strings.Contains(f.Action, "quarantine") || strings.Contains(f.Action, "cannot resume") {
+		if f.Unrecoverable {
 			return true
 		}
 	}
@@ -131,25 +135,28 @@ func Repair(fsys storage.FS, dir string) (*Report, error) {
 }
 
 func inspect(fsys storage.FS, dir string, repair bool) (*Report, error) {
-	jpath := filepath.Join(dir, "journal.jsonl")
+	jpath := filepath.Join(dir, sched.JournalFile)
 	if _, err := fsys.Stat(jpath); err != nil {
-		return nil, fmt.Errorf("fsck: %s: no journal.jsonl — not a state directory: %w", dir, err)
+		return nil, fmt.Errorf("fsck: %s: no %s — not a state directory: %w", dir, sched.JournalFile, err)
 	}
 	rep := &Report{Dir: dir}
-	if _, err := fsys.Stat(filepath.Join(dir, "campaigns")); err == nil {
+	if _, err := fsys.Stat(filepath.Join(dir, sched.CampaignsDir)); err == nil {
 		rep.Kind = KindScheduler
-	} else if _, err := fsys.Stat(filepath.Join(dir, "spec.json")); err == nil {
+	} else if _, err := fsys.Stat(filepath.Join(dir, sched.SpecFile)); err == nil {
 		rep.Kind = KindCampaign
 	} else {
-		return nil, fmt.Errorf("fsck: %s: neither campaigns/ nor spec.json — cannot tell scheduler from campaign state", dir)
+		return nil, fmt.Errorf("fsck: %s: neither %s/ nor %s — cannot tell scheduler from campaign state", dir, sched.CampaignsDir, sched.SpecFile)
 	}
 	data, err := fsys.ReadFile(jpath)
 	if err != nil {
 		return rep, fmt.Errorf("fsck: read journal: %w", err)
 	}
+	if rep.TempFiles, err = sched.StaleTemps(fsys, dir); err != nil {
+		return rep, fmt.Errorf("fsck: %w", err)
+	}
 	entries := audit(fsys, dir, data, rep)
 	if rep.DroppedBytes > 0 {
-		rep.add(SevError, "journal.jsonl",
+		rep.add(SevError, sched.JournalFile,
 			fmt.Sprintf("only %d of %d records verify (%d bytes beyond the consistent prefix)", rep.JournalRecords, entries, rep.DroppedBytes),
 			fmt.Sprintf("repair truncates to %d bytes; resume salvages the same prefix", rep.ValidLen))
 	}
@@ -160,40 +167,6 @@ func inspect(fsys storage.FS, dir string, repair bool) (*Report, error) {
 		rep.Repaired = true
 	}
 	return rep, nil
-}
-
-// cutAt maps a structural record cut to the byte offset a truncation
-// uses: everything past record index `used` is dropped.
-func cutAt(sal wal.Salvage, used int) int64 {
-	if used >= sal.Entries {
-		return sal.ValidLen
-	}
-	if used <= 0 {
-		return 0
-	}
-	return sal.Offsets[used-1]
-}
-
-// sweepList returns the stale temp files under dir (names containing
-// ".tmp", the ioatomic scratch suffix), relative to root.
-func sweepList(fsys storage.FS, root, dir string) []string {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.Contains(e.Name(), ".tmp") {
-			continue
-		}
-		rel, err := filepath.Rel(root, filepath.Join(dir, e.Name()))
-		if err != nil {
-			rel = e.Name()
-		}
-		out = append(out, rel)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // audit checks a state directory against its scheduler-grammar
@@ -209,7 +182,7 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 		if flat {
 			return name
 		}
-		return filepath.Join("campaigns", id, name)
+		return filepath.Join(sched.CampaignsDir, id, name)
 	}
 	specAction := "resume will quarantine this campaign; other tenants are unaffected"
 	resultAction := "report only: decode needs campaign.DecodeResult against surviving images"
@@ -217,16 +190,14 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 		specAction = "campaign cannot resume: spec is unrecoverable"
 		resultAction = "resume rebuilds it from the journal"
 	}
-
-	rep.TempFiles = sweepList(fsys, dir, dir)
-	croot := filepath.Join(dir, "campaigns")
-	if ents, err := fsys.ReadDir(croot); err == nil {
-		for _, e := range ents {
-			if e.IsDir() {
-				rep.TempFiles = append(rep.TempFiles, sweepList(fsys, dir, filepath.Join(croot, e.Name()))...)
-			}
-		}
+	// specLost reports the one unrecoverable finding: the spec holds the
+	// message itself.
+	specLost := func(path string, err error) {
+		rep.Findings = append(rep.Findings, Finding{
+			Severity: SevError, Path: path, Problem: err.Error(), Action: specAction, Unrecoverable: true,
+		})
 	}
+
 	for _, t := range rep.TempFiles {
 		rep.add(SevWarn, t, "stale temp file from an interrupted atomic write", "repair removes it; resume sweeps it")
 	}
@@ -240,7 +211,7 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 	// been submitted yet.
 	if flat && len(st.Order) == 0 {
 		if _, err := sched.LoadSpec(fsys, dir); err != nil {
-			rep.add(SevError, "spec.json", err.Error(), specAction)
+			specLost(sched.SpecFile, err)
 		}
 	}
 	for _, id := range st.Order {
@@ -253,7 +224,7 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 		// A spec resume would reject means the next resume quarantines
 		// this campaign (only it), or fails outright in a standalone run.
 		if _, err := sched.AcceptSpec(fsys, cdir, id, cr); err != nil {
-			rep.add(SevError, rel(id, "spec.json"), err.Error(), specAction)
+			specLost(rel(id, sched.SpecFile), err)
 		}
 		// A corrupt checkpoint is survivable (resume strikes it and an
 		// older generation or a scratch rebuild steps in); a corrupt
@@ -269,9 +240,7 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 			}
 			if sl.FinalImage != "" {
 				if _, err := device.LoadFileFS(fsys, filepath.Join(cdir, sl.FinalImage)); err != nil {
-					if k := earliestBadEncoded(entries[:used], id, sl.FinalImage); k >= 0 && k < cut {
-						cut = k
-					}
+					cut = min(cut, sl.FinalSeq)
 					rep.add(SevError, rel(id, sl.FinalImage),
 						fmt.Sprintf("slot %d final image fails verification: %v", si, err),
 						"repair cuts the journal before the encoded record so resume re-runs the slot")
@@ -279,13 +248,13 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 			}
 		}
 		if cr.Done {
-			if _, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(cdir, "result.json")); err != nil {
-				rep.add(SevWarn, rel(id, "result.json"), fmt.Sprintf("fails verification: %v", err), resultAction)
+			if _, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(cdir, sched.ResultFile)); err != nil {
+				rep.add(SevWarn, rel(id, sched.ResultFile), fmt.Sprintf("fails verification: %v", err), resultAction)
 			}
 		}
 	}
 
-	rep.ValidLen = cutAt(sal, cut)
+	rep.ValidLen = sal.Cut(cut)
 	rep.JournalRecords = cut
 	rep.DroppedRecords = sal.Entries - cut
 	rep.DroppedBytes = sal.ValidLen - rep.ValidLen + sal.DroppedBytes
@@ -299,18 +268,6 @@ func audit(fsys storage.FS, dir string, data []byte, rep *Report) int {
 	return sal.Entries
 }
 
-// earliestBadEncoded finds the first "encoded" record of campaign id
-// naming image, the cut point that un-journals a final image that no
-// longer verifies.
-func earliestBadEncoded(entries []sched.Entry, id, image string) int {
-	for i := range entries {
-		if entries[i].Type == "encoded" && entries[i].Campaign == id && entries[i].Image == image {
-			return i
-		}
-	}
-	return -1
-}
-
 // applyRepair performs the offline-safe fixes an audit planned: sweep
 // temps, truncate the journal. Device images are never removed.
 func applyRepair(fsys storage.FS, dir string, rep *Report) error {
@@ -320,7 +277,7 @@ func applyRepair(fsys storage.FS, dir string, rep *Report) error {
 		}
 	}
 	if rep.DroppedBytes > 0 {
-		jpath := filepath.Join(dir, "journal.jsonl")
+		jpath := filepath.Join(dir, sched.JournalFile)
 		if err := fsys.Truncate(jpath, rep.ValidLen); err != nil {
 			return fmt.Errorf("fsck: truncate journal: %w", err)
 		}

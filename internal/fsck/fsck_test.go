@@ -15,6 +15,7 @@ import (
 	"invisiblebits/internal/faults"
 	"invisiblebits/internal/sched"
 	"invisiblebits/internal/stegocrypt"
+	"invisiblebits/internal/storage"
 	"invisiblebits/internal/wal"
 )
 
@@ -197,21 +198,10 @@ func TestAuditFlagsShortJournaledDigest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(cdir, "spec.json"), spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var journal []byte
-	for i, e := range []sched.Entry{
+	writeJournal(t, dir, []sched.Entry{
 		{Type: "tenant", Tenant: "alice", Quota: &sched.Quota{}, Slot: -1},
 		{Type: "submit", Tenant: "alice", Campaign: "sd", Digest: "abc", Slots: 1, Slot: -1},
-	} {
-		e.Seq = i
-		payload, err := json.Marshal(&e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		journal = append(journal, wal.EncodeFrame(payload)...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	rep, err := Audit(nil, dir)
 	if err != nil {
@@ -227,6 +217,51 @@ func TestAuditFlagsShortJournaledDigest(t *testing.T) {
 		}
 	}
 	t.Fatalf("audit did not report %s at %s: %+v", want, SevError, rep.Findings)
+}
+
+// writeJournal writes entries, sequenced in order, as dir's journal.
+func writeJournal(t *testing.T, dir string, entries []sched.Entry) {
+	t.Helper()
+	var journal []byte
+	for i, e := range entries {
+		e.Seq = i
+		payload, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, wal.EncodeFrame(payload)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sched.JournalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAuditQuarantinedCampaignIsHandled: a campaign an earlier resume
+// already quarantined is an info finding — fully handled, not
+// unrecoverable — both in an audit and after a repair, so ibfsck
+// -repair exits 0 on the directory.
+func TestAuditQuarantinedCampaignIsHandled(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, sched.CampaignsDir, "qc"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir, []sched.Entry{
+		{Type: "tenant", Tenant: "alice", Quota: &sched.Quota{}, Slot: -1},
+		{Type: "submit", Tenant: "alice", Campaign: "qc", Digest: "abc", Slots: 1, Slot: -1},
+		{Type: "quarantined", Campaign: "qc", Error: "sched: campaign \"qc\": spec lost", Slot: -1},
+	})
+	for name, check := range map[string]func(storage.FS, string) (*Report, error){"audit": Audit, "repair": Repair} {
+		rep, err := check(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Findings) != 1 || rep.Findings[0].Severity != SevInfo {
+			t.Fatalf("%s findings %+v, want the one info finding", name, rep.Findings)
+		}
+		if rep.Unrecoverable() {
+			t.Fatalf("%s counts the quarantined campaign unrecoverable: %+v", name, rep.Findings)
+		}
+	}
 }
 
 // TestSchedulerRepairDrill: the same drill against a multi-tenant

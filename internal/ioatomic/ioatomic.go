@@ -50,6 +50,9 @@ import (
 // its footer — the disk changed the bytes. Test with errors.Is.
 var ErrSealMismatch = errors.New("ioatomic: seal digest mismatch (file corrupted at rest)")
 
+// tempMarker is in the name of every safe-save temp file.
+const tempMarker = ".tmp"
+
 // sealMagic terminates every sealed file. The footer layout is
 // [payload][sha256(payload), 32 bytes][magic, 8 bytes]; putting the
 // magic last lets a reader classify a file from its tail alone.
@@ -82,7 +85,7 @@ func WriteToFS(fsys storage.FS, path string, perm os.FileMode, write func(w io.W
 	if dir == "" {
 		dir = "."
 	}
-	tmp, err := fs.CreateTemp(dir, base+".tmp*")
+	tmp, err := fs.CreateTemp(dir, base+tempMarker+"*")
 	if err != nil {
 		return fmt.Errorf("ioatomic: %w", err)
 	}
@@ -180,25 +183,19 @@ func ReadFileSealed(fsys storage.FS, path string) (payload []byte, sealed bool, 
 	return payload, sealed, nil
 }
 
-// SweepTemps removes stale safe-save temp files (base name containing
-// ".tmp") from dir — the litter a process leaves when it dies between
-// CreateTemp and rename. It returns the paths removed. Call it on
-// resume, before any new safe-saves run in dir.
-func SweepTemps(fsys storage.FS, dir string) (removed []string, err error) {
-	fs := storage.Default(fsys)
-	ents, err := fs.ReadDir(dir)
+// Temps lists the safe-save temp files in dir (base names containing
+// ".tmp"): the litter a process leaves when it dies between CreateTemp
+// and rename. Directories are never listed.
+func Temps(fsys storage.FS, dir string) ([]string, error) {
+	ents, err := storage.Default(fsys).ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("ioatomic: sweep %s: %w", dir, err)
+		return nil, fmt.Errorf("ioatomic: list temps in %s: %w", dir, err)
 	}
+	var names []string
 	for _, ent := range ents {
-		if ent.IsDir() || !strings.Contains(ent.Name(), ".tmp") {
-			continue
+		if !ent.IsDir() && strings.Contains(ent.Name(), tempMarker) {
+			names = append(names, ent.Name())
 		}
-		path := filepath.Join(dir, ent.Name())
-		if rerr := fs.Remove(path); rerr != nil {
-			return removed, fmt.Errorf("ioatomic: sweep %s: %w", path, rerr)
-		}
-		removed = append(removed, path)
 	}
-	return removed, nil
+	return names, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestWriteReadFileSealed(t *testing.T) {
 	}
 }
 
-func TestSweepTemps(t *testing.T) {
+func TestTempsListsOnlyTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	keep := []string{"result.json", "journal.jsonl", "slot-0.img"}
 	litter := []string{"result.json.tmp123", "spec.json.tmp9", "x.tmp"}
@@ -83,30 +84,20 @@ func TestSweepTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Directories are never listed, even with .tmp in the name.
 	if err := os.Mkdir(filepath.Join(dir, "sub.tmpdir"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
-	removed, err := SweepTemps(nil, dir)
+	got, err := Temps(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != len(litter) {
-		t.Fatalf("swept %v, want the %d temp files", removed, len(litter))
+	if !reflect.DeepEqual(got, litter) {
+		t.Fatalf("listed %v, want the temp files %v", got, litter)
 	}
-	for _, n := range keep {
-		if _, err := os.Stat(filepath.Join(dir, n)); err != nil {
-			t.Fatalf("sweep removed real file %s: %v", n, err)
-		}
-	}
-	for _, n := range litter {
-		if _, err := os.Stat(filepath.Join(dir, n)); !os.IsNotExist(err) {
-			t.Fatalf("temp file %s survived the sweep", n)
-		}
-	}
-	// Directories are never swept, even with .tmp in the name.
-	if _, err := os.Stat(filepath.Join(dir, "sub.tmpdir")); err != nil {
-		t.Fatalf("sweep removed a directory: %v", err)
+	if _, err := Temps(nil, filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("listing a missing directory succeeded")
 	}
 }
 

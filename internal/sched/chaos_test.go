@@ -406,7 +406,7 @@ func TestChaosStormDrill(t *testing.T) {
 
 	// Zero duplicate admissions: lost responses were retried, but the
 	// digest handshake kept every retry from double-submitting.
-	entries := readJournal(t, filepath.Join(dir, journalFile))
+	entries := readJournal(t, filepath.Join(dir, JournalFile))
 	admissions := map[string]int{}
 	for _, e := range entries {
 		if e.Type == entrySubmit {

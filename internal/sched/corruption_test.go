@@ -67,10 +67,10 @@ func newQueued(tb testing.TB, dir string, cfg Config, subs []Submission) *Schedu
 // started.
 func newAdmitted(tb testing.TB, dir string, cfg Config, subs []Submission) *Scheduler {
 	tb.Helper()
-	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, CampaignsDir), 0o755); err != nil {
 		tb.Fatal(err)
 	}
-	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
+	j, err := wal.Create(filepath.Join(dir, JournalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func collectDone(t *testing.T, s *Scheduler, dir string, subs []Submission) map[
 		if !ok || cs.State != "done" {
 			continue
 		}
-		cdir := filepath.Join(dir, campaignsDir, id)
+		cdir := filepath.Join(dir, CampaignsDir, id)
 		res, err := os.ReadFile(filepath.Join(cdir, "result.json"))
 		if err != nil {
 			t.Fatalf("campaign %s result: %v", id, err)
@@ -140,7 +140,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries, sal := ParseJournalSalvage(journal)
-	if sal.Truncated {
+	if sal.DroppedBytes > 0 {
 		t.Fatalf("reference journal: %d of %d bytes valid: %s", sal.ValidLen, len(journal), sal.Reason)
 	}
 	lines := bytes.SplitAfter(journal, []byte("\n"))
@@ -259,7 +259,7 @@ func TestCorruptSpecQuarantinesOnlyThatCampaign(t *testing.T) {
 		t.Run(damage, func(t *testing.T) {
 			dir := filepath.Join(base, damage)
 			copyTree(t, refDir, dir)
-			spec := filepath.Join(dir, campaignsDir, "q-a", "spec.json")
+			spec := filepath.Join(dir, CampaignsDir, "q-a", "spec.json")
 			switch damage {
 			case "flip":
 				b, err := os.ReadFile(spec)
@@ -370,7 +370,7 @@ func TestKillCorruptStorm(t *testing.T) {
 				}
 			}
 			if seed%2 == 1 {
-				imgs, _ := filepath.Glob(filepath.Join(dir, campaignsDir, subs[0].Spec.ID, "slot-*-ckpt-*.img"))
+				imgs, _ := filepath.Glob(filepath.Join(dir, CampaignsDir, subs[0].Spec.ID, "slot-*-ckpt-*.img"))
 				for _, p := range imgs {
 					b, err := os.ReadFile(p)
 					if err != nil {
@@ -415,7 +415,7 @@ func TestKillCorruptStorm(t *testing.T) {
 func writeJournal(t *testing.T, dir string, entries []Entry) {
 	t.Helper()
 	data := bytes.Join(journalLines(t, entries), nil)
-	if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, JournalFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -433,7 +433,7 @@ func TestShortJournaledDigestQuarantines(t *testing.T) {
 		}
 		var entries []Entry
 		for _, sub := range subs {
-			cdir := filepath.Join(dir, campaignsDir, sub.Spec.ID)
+			cdir := filepath.Join(dir, CampaignsDir, sub.Spec.ID)
 			if err := os.MkdirAll(cdir, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -501,7 +501,7 @@ func TestResumeAcceptsSpecWithoutDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, campaignsDir, "nd-a", specFile), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, CampaignsDir, "nd-a", SpecFile), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

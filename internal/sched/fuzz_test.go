@@ -133,7 +133,7 @@ func unframedJournal(t testing.TB, entries []Entry) []byte {
 // journal. validLen is the byte offset past the last record kept.
 func parseJournal(data []byte) (entries []Entry, validLen int64, err error) {
 	entries, sal := ParseJournalSalvage(data)
-	if sal.Truncated && !sal.TornTail {
+	if sal.DroppedBytes > 0 && !sal.TornTail {
 		return nil, 0, fmt.Errorf("journal cut after %d records: %s", sal.Entries, sal.Reason)
 	}
 	return entries, sal.ValidLen, nil

@@ -161,6 +161,10 @@ type SlotReplay struct {
 	Record     *core.Record
 	FinalImage string
 	FinalClock float64
+	// FinalSeq is the sequence number of the encoded record that minted
+	// Record and FinalImage: cutting the journal there un-journals the
+	// final image, and a resume re-runs the slot.
+	FinalSeq int
 }
 
 // newest is the newest surviving checkpoint — the position a resume
@@ -566,7 +570,7 @@ func (s *SlotReplay) apply(e *Entry) error {
 		if e.Record == nil || e.Image == "" {
 			return fmt.Errorf("sched: encoded record %d lacks record or image", e.Seq)
 		}
-		s.Record, s.FinalImage, s.FinalClock = e.Record, e.Image, e.Applied
+		s.Record, s.FinalImage, s.FinalClock, s.FinalSeq = e.Record, e.Image, e.Applied, e.Seq
 
 	default:
 		return fmt.Errorf("sched: record %d (%s) is not a slot record", e.Seq, e.Type)

@@ -23,12 +23,12 @@ import (
 // pass runs and no Submit is in flight.
 func assertLiveIsReplay(t *testing.T, s *Scheduler, label string) {
 	t.Helper()
-	entries, sal, err := ReadJournalSalvage(s.cfg.FS, filepath.Join(s.dir, journalFile))
+	entries, sal, err := ReadJournalSalvage(s.cfg.FS, filepath.Join(s.dir, JournalFile))
 	if err != nil {
 		t.Fatalf("%s: read journal: %v", label, err)
 	}
 	want, used, rerr := ReplaySalvage(entries)
-	if sal.Truncated || used != len(entries) {
+	if sal.DroppedBytes > 0 || used != len(entries) {
 		t.Fatalf("%s: journal replays %d of %d records: %v %s", label, used, len(entries), rerr, sal.Reason)
 	}
 	s.mu.Lock()
@@ -154,7 +154,7 @@ func TestLiveStateIsJournalReplay(t *testing.T) {
 				if ck := rep.newest(); rep.Applied != 12.5 || ck.Applied != 10 {
 					t.Fatalf("transient struck at cursor %.1f h, checkpoint %.1f h; want 12.5 and 10", rep.Applied, ck.Applied)
 				}
-				img := filepath.Join(dir, campaignsDir, "lv-flaky", "slot-0-ckpt-10.0000h.img")
+				img := filepath.Join(dir, CampaignsDir, "lv-flaky", "slot-0-ckpt-10.0000h.img")
 				b, err := os.ReadFile(img)
 				if err != nil {
 					t.Fatal(err)
@@ -167,7 +167,7 @@ func TestLiveStateIsJournalReplay(t *testing.T) {
 		})
 		assertLiveIsReplay(t, s, "drained")
 
-		entries := readJournal(t, filepath.Join(dir, journalFile))
+		entries := readJournal(t, filepath.Join(dir, JournalFile))
 		kinds := map[string]int{}
 		for _, e := range entries {
 			kinds[e.Type]++
@@ -376,7 +376,7 @@ func TestOversizeSubmitLeavesNoTrace(t *testing.T) {
 	if err := s.Submit(big); err == nil {
 		t.Fatal("a message larger than its stripe was admitted")
 	}
-	if n := len(readJournal(t, filepath.Join(s.dir, journalFile))); n != 0 {
+	if n := len(readJournal(t, filepath.Join(s.dir, JournalFile))); n != 0 {
 		t.Fatalf("the rejected submission journaled %d records", n)
 	}
 	if err := s.Submit(miniSub("alice", "big", []string{"bg-0"}, 7.5)); err != nil {

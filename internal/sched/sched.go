@@ -104,10 +104,44 @@ const (
 	DefaultMaxBarrenPasses = 25
 )
 
+// The state-directory layout. A scheduler directory holds the journal
+// and one directory per campaign under CampaignsDir; a standalone
+// campaign directory holds the journal and the one campaign's files
+// (SpecFile, ResultFile, device images) itself.
 const (
-	journalFile  = "journal.jsonl"
-	campaignsDir = "campaigns"
+	JournalFile  = "journal.jsonl"
+	CampaignsDir = "campaigns"
 )
+
+// StaleTemps lists the safe-save temp files (ioatomic.Temps) that
+// interrupted writes left in state directory dir — in dir itself and in
+// every campaign directory under CampaignsDir — relative to dir. Resume
+// removes them; ibfsck reports them, and its repair removes them.
+func StaleTemps(fsys storage.FS, dir string) ([]string, error) {
+	fsys = storage.Default(fsys)
+	temps, err := ioatomic.Temps(fsys, dir)
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	ents, err := fsys.ReadDir(filepath.Join(dir, CampaignsDir))
+	if err != nil {
+		return temps, nil // a standalone campaign has no campaign directories
+	}
+	for _, ent := range ents {
+		if !ent.IsDir() {
+			continue
+		}
+		cdir := filepath.Join(CampaignsDir, ent.Name())
+		names, err := ioatomic.Temps(fsys, filepath.Join(dir, cdir))
+		if err != nil {
+			return nil, fmt.Errorf("sched: %w", err)
+		}
+		for _, n := range names {
+			temps = append(temps, filepath.Join(cdir, n))
+		}
+	}
+	return temps, nil
+}
 
 // Submission is one tenant's campaign request.
 type Submission struct {
@@ -333,10 +367,10 @@ type Scheduler struct {
 // journal is refused — that scheduler's truth is on disk, and Resume is
 // the only safe way back in.
 func New(dir string, cfg Config) (*Scheduler, error) {
-	if err := storage.Default(cfg.FS).MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
+	if err := storage.Default(cfg.FS).MkdirAll(filepath.Join(dir, CampaignsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
+	j, err := wal.Create(filepath.Join(dir, JournalFile), wal.Options{Hook: cfg.Hook, FS: cfg.FS})
 	if err != nil {
 		if errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("sched: %s already holds a journal; use Resume: %w", dir, err)
@@ -432,26 +466,19 @@ func Resume(dir string, cfg Config) (*Scheduler, error) {
 func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	fsys := storage.Default(cfg.FS)
 	sum := &ResumeSummary{}
-	swept, err := ioatomic.SweepTemps(fsys, dir)
+	temps, err := StaleTemps(fsys, dir)
 	if err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
+		return nil, err
 	}
-	sum.TempFilesSwept = swept
-	croot := filepath.Join(dir, campaignsDir)
-	if ents, derr := fsys.ReadDir(croot); derr == nil {
-		for _, ent := range ents {
-			if !ent.IsDir() {
-				continue
-			}
-			swept, err := ioatomic.SweepTemps(fsys, filepath.Join(croot, ent.Name()))
-			if err != nil {
-				return nil, fmt.Errorf("sched: %w", err)
-			}
-			sum.TempFilesSwept = append(sum.TempFilesSwept, swept...)
+	for _, rel := range temps {
+		path := filepath.Join(dir, rel)
+		if err := fsys.Remove(path); err != nil {
+			return nil, fmt.Errorf("sched: sweep %s: %w", path, err)
 		}
+		sum.TempFilesSwept = append(sum.TempFilesSwept, path)
 	}
 
-	path := filepath.Join(dir, journalFile)
+	path := filepath.Join(dir, JournalFile)
 	entries, sal, err := ReadJournalSalvage(cfg.FS, path)
 	if err != nil {
 		return nil, err
@@ -460,21 +487,19 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	sum.TornTail = sal.TornTail
 	sum.Reason = sal.Reason
 	st, used, replayErr := ReplaySalvage(entries)
-	validLen := sal.ValidLen
 	if used < len(entries) {
 		// Structural corruption past the CRC layer: cut at the last
 		// record replay accepted.
 		sum.DroppedRecords = len(entries) - used
-		sum.DroppedBytes += sal.ValidLen - offsetOf(sal, used)
+		sum.DroppedBytes += sal.ValidLen - sal.Cut(used)
 		sum.TornTail = false
 		if replayErr != nil {
 			sum.Reason = replayErr.Error()
 		}
-		validLen = offsetOf(sal, used)
 	}
 	sum.JournalRecords = used
 
-	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, FS: cfg.FS}, used, validLen)
+	j, err := wal.Open(path, wal.Options{Hook: cfg.Hook, FS: cfg.FS}, used, sal.Cut(used))
 	if err != nil {
 		return nil, err
 	}
@@ -570,18 +595,6 @@ func resume(dir string, cfg Config, standalone bool) (*Scheduler, error) {
 	return s, nil
 }
 
-// offsetOf returns the byte offset just past record used-1 (0 when
-// nothing was used).
-func offsetOf(sal wal.Salvage, used int) int64 {
-	if used == 0 {
-		return 0
-	}
-	if used-1 < len(sal.Offsets) {
-		return sal.Offsets[used-1]
-	}
-	return sal.ValidLen
-}
-
 // campaignDir is where campaign id keeps its spec, images and result:
 // campaigns/<id> under a scheduler, the state directory itself in a
 // standalone run.
@@ -589,7 +602,7 @@ func (s *Scheduler) campaignDir(id string) string {
 	if s.standalone {
 		return s.dir
 	}
-	return filepath.Join(s.dir, campaignsDir, id)
+	return filepath.Join(s.dir, CampaignsDir, id)
 }
 
 // rebuildCampaign rebuilds the in-memory side of a replayed campaign

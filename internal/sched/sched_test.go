@@ -58,7 +58,7 @@ func drainOK(t *testing.T, s *Scheduler) {
 func decodeCampaign(t *testing.T, root, tenant, id string) []byte {
 	t.Helper()
 	got, err := DecodeResult(context.Background(),
-		filepath.Join(root, campaignsDir, id), testKeyFor(tenant, id))
+		filepath.Join(root, CampaignsDir, id), testKeyFor(tenant, id))
 	if err != nil {
 		t.Fatalf("decode campaign %s: %v", id, err)
 	}
@@ -121,10 +121,10 @@ func TestSchedulerRunsCampaignsAndDecodes(t *testing.T) {
 func newIdleScheduler(t *testing.T, cfg Config) *Scheduler {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, CampaignsDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	j, err := wal.Create(filepath.Join(dir, journalFile), wal.Options{})
+	j, err := wal.Create(filepath.Join(dir, JournalFile), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSchedulerCrashMatrix(t *testing.T) {
 		out := map[string]outcomeCmp{}
 		for _, sub := range subs {
 			id := sub.Spec.ID
-			cdir := filepath.Join(dir, campaignsDir, id)
+			cdir := filepath.Join(dir, CampaignsDir, id)
 			res, err := os.ReadFile(filepath.Join(cdir, "result.json"))
 			if err != nil {
 				t.Fatalf("campaign %s result: %v", id, err)

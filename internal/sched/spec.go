@@ -21,9 +21,10 @@ import (
 	"invisiblebits/internal/storage"
 )
 
+// A campaign directory's spec and sealed result (see CampaignsDir).
 const (
-	specFile   = "spec.json"
-	resultFile = "result.json"
+	SpecFile   = "spec.json"
+	ResultFile = "result.json"
 )
 
 // Spec is the durable description of a campaign — everything needed to
@@ -179,7 +180,7 @@ func writeSpec(fsys storage.FS, dir string, spec Spec) error {
 	if err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
-	return ioatomic.WriteFileFS(fsys, filepath.Join(dir, specFile), b, 0o644)
+	return ioatomic.WriteFileFS(fsys, filepath.Join(dir, SpecFile), b, 0o644)
 }
 
 // LoadSpec reads and validates dir's spec.json exactly the way a
@@ -187,12 +188,12 @@ func writeSpec(fsys storage.FS, dir string, spec Spec) error {
 // offline tools like ibfsck reproduce its accept/reject decision.
 func LoadSpec(fsys storage.FS, dir string) (Spec, error) {
 	var spec Spec
-	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, specFile))
+	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, SpecFile))
 	if err != nil {
 		return spec, fmt.Errorf("campaign: %w", err)
 	}
 	if err := json.Unmarshal(b, &spec); err != nil {
-		return spec, fmt.Errorf("campaign: parse %s: %w", specFile, err)
+		return spec, fmt.Errorf("campaign: parse %s: %w", SpecFile, err)
 	}
 	spec = spec.withDefaults()
 	return spec, spec.Validate()
@@ -205,7 +206,7 @@ func LoadSpec(fsys storage.FS, dir string) (Spec, error) {
 // unrecoverable, since the message itself is in it.
 func AcceptSpec(fsys storage.FS, dir, id string, cr *CampaignReplay) (Spec, error) {
 	var spec Spec
-	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, specFile))
+	b, err := storage.Default(fsys).ReadFile(filepath.Join(dir, SpecFile))
 	if err != nil {
 		return Spec{}, fmt.Errorf("sched: campaign %q: %w", id, err)
 	}
@@ -224,13 +225,13 @@ func AcceptSpec(fsys storage.FS, dir, id string, cr *CampaignReplay) (Spec, erro
 }
 
 func readResult(fsys storage.FS, dir string) (*Result, error) {
-	b, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(dir, resultFile))
+	b, _, err := ioatomic.ReadFileSealed(fsys, filepath.Join(dir, ResultFile))
 	if err != nil {
 		return nil, fmt.Errorf("campaign: finished campaign without a result: %w", err)
 	}
 	var res Result
 	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, fmt.Errorf("campaign: parse %s: %w", resultFile, err)
+		return nil, fmt.Errorf("campaign: parse %s: %w", ResultFile, err)
 	}
 	return &res, nil
 }
@@ -288,5 +289,5 @@ func writeResult(fsys storage.FS, dir string, res *Result) error {
 	if err != nil {
 		return err
 	}
-	return ioatomic.WriteFileSealed(fsys, filepath.Join(dir, resultFile), b, 0o644)
+	return ioatomic.WriteFileSealed(fsys, filepath.Join(dir, ResultFile), b, 0o644)
 }

@@ -66,7 +66,7 @@ func RunCampaign(ctx context.Context, dir string, spec Spec, opts CampaignOption
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	jpath := filepath.Join(dir, journalFile)
+	jpath := filepath.Join(dir, JournalFile)
 	if _, err := fsys.Stat(jpath); err == nil {
 		return nil, fmt.Errorf("campaign: %s already holds a journal; use Resume", dir)
 	}

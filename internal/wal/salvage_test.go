@@ -109,8 +109,8 @@ func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 			if sal.ValidLen != int64(off) {
 				t.Fatalf("ValidLen %d, want %d", sal.ValidLen, off)
 			}
-			if !sal.Truncated || sal.TornTail {
-				t.Fatalf("corrupt interior must be Truncated && !TornTail: %+v", sal)
+			if sal.DroppedBytes == 0 || sal.TornTail {
+				t.Fatalf("corrupt interior must be cut, not a torn tail: %+v", sal)
 			}
 			if !strings.Contains(sal.Reason, tc.reason) {
 				t.Fatalf("Reason %q, want it to name %q", sal.Reason, tc.reason)
@@ -118,8 +118,8 @@ func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 			if sal.DroppedBytes != int64(len(corrupt)-off) {
 				t.Fatalf("DroppedBytes %d, want %d", sal.DroppedBytes, len(corrupt)-off)
 			}
-			if len(sal.Offsets) != 2 || sal.Offsets[1] != int64(off) {
-				t.Fatalf("Offsets %v, want cut at %d", sal.Offsets, off)
+			if sal.Cut(0) != 0 || sal.Cut(1) != int64(len(lines[0])) || sal.Cut(2) != int64(off) {
+				t.Fatalf("cuts %d, %d, %d; want 0, %d, %d", sal.Cut(0), sal.Cut(1), sal.Cut(2), len(lines[0]), off)
 			}
 		})
 	}
@@ -138,8 +138,8 @@ func TestTornTailIsNotCorruption(t *testing.T) {
 	if len(entries) != 2 || sal.ValidLen != int64(keep) {
 		t.Fatalf("torn parse: %d entries, len %d, want 2, %d", len(entries), sal.ValidLen, keep)
 	}
-	if !sal.TornTail || !sal.Truncated {
-		t.Fatalf("salvage of torn tail = %+v, want TornTail && Truncated", sal)
+	if !sal.TornTail || sal.DroppedBytes == 0 {
+		t.Fatalf("salvage of torn tail = %+v, want a cut torn tail", sal)
 	}
 }
 

@@ -62,18 +62,28 @@ type Salvage struct {
 	ValidLen int64
 	// DroppedBytes is how many trailing bytes were cut.
 	DroppedBytes int64
-	// Truncated reports whether anything was cut at all.
-	Truncated bool
 	// TornTail reports that the cut looks like an ordinary mid-append
 	// crash (a damaged or unterminated final line) rather than mid-file
 	// corruption. A resume may cut exactly this case silently.
 	TornTail bool
 	// Reason says why the cut happened ("" when nothing was cut).
 	Reason string
-	// Offsets[i] is the byte offset just past record i — the cut point
-	// a caller uses when structural replay rejects record i even though
-	// its frame verified (Offsets[i-1] is where to truncate).
-	Offsets []int64
+	// offsets[i] is the byte offset just past record i.
+	offsets []int64
+}
+
+// Cut is the byte offset just past the first n recovered records: where
+// a caller truncates the journal to keep only them — when structural
+// replay rejects record n even though its frame verified. Cut(Entries)
+// is ValidLen.
+func (s Salvage) Cut(n int) int64 {
+	switch {
+	case n <= 0:
+		return 0
+	case n >= len(s.offsets):
+		return s.ValidLen
+	}
+	return s.offsets[n-1]
 }
 
 // castagnoli is the CRC32C table (hardware-accelerated on most CPUs).
@@ -294,14 +304,13 @@ func ParseSalvage[T any](data []byte, ok func(*T) bool) (entries []T, sal Salvag
 			Entries:      len(entries),
 			ValidLen:     off,
 			DroppedBytes: total - off,
-			Truncated:    true,
 			TornTail:     tornTail,
 			Reason:       reason,
-			Offsets:      offsets,
+			offsets:      offsets,
 		}
 		return entries, sal
 	}
-	return entries, Salvage{Entries: len(entries), ValidLen: off, Offsets: offsets}
+	return entries, Salvage{Entries: len(entries), ValidLen: off, offsets: offsets}
 }
 
 // ReadFileSalvage parses the journal file at path with ParseSalvage

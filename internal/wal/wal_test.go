@@ -28,7 +28,7 @@ func readJournal(t *testing.T, path string) ([]rec, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sal.Truncated && !sal.TornTail {
+	if sal.DroppedBytes > 0 && !sal.TornTail {
 		t.Fatalf("journal cut after %d records: %s", sal.Entries, sal.Reason)
 	}
 	return entries, sal.ValidLen
@@ -119,7 +119,7 @@ func TestSalvageTellsTornTailFromCorruption(t *testing.T) {
 
 	// Mid-file corruption: not a torn tail.
 	bad := append(append(frames(begin), "garbage\n"...), last...)
-	if _, sal := ParseSalvage(bad, recOK); !sal.Truncated || sal.TornTail {
+	if _, sal := ParseSalvage(bad, recOK); sal.DroppedBytes == 0 || sal.TornTail {
 		t.Fatalf("mid-file corruption taken for a torn tail: %+v", sal)
 	}
 
