@@ -46,13 +46,6 @@ import (
 // NormZig/Norm per cell, which the sram package's differential fuzz and
 // property suites enforce against the retained scalar reference engine.
 
-// ZigLockBound is the open bound of the ziggurat common path: every
-// accepted fast-path draw lies strictly inside (-ZigLockBound,
-// +ZigLockBound). A vote threshold at or beyond it can only be crossed
-// by a slow-path draw (layer edge or tail), so such cells vote by bias
-// sign on every accepted draw.
-const ZigLockBound = zigR
-
 // voteBandAbs is the absolute half-width of the float32 classifier's
 // ambiguity band. The float32 approximation of a common-path variate is
 // within ~7e-7 of the exact float64 value (three round-to-nearest-24-bit

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// zigLockBound is the open bound of the ziggurat common path: every
+// accepted fast-path draw lies strictly inside (-zigLockBound,
+// +zigLockBound). A vote threshold at or beyond it can only be crossed
+// by a slow-path draw (layer edge or tail), so such cells vote by bias
+// sign on every accepted draw.
+const zigLockBound = zigR
+
 // voteRef evaluates the canonical per-cell predicate the capture
 // engines use: bias + sigma*NormZig(counter, index) > 0.
 func voteRefZig(s Stream, ctr, idx uint64, bias, sigma float64) bool {
@@ -90,9 +97,9 @@ func packedFixture(t testing.TB, n int, sigma float64) (idxMul []uint64, xt []fl
 		xt[j] = VoteThreshold(bias[j], sigma)
 		xtLo[j], xtHi[j] = VoteBoundsF32(xt[j])
 		switch {
-		case xt[j] <= -ZigLockBound:
+		case xt[j] <= -zigLockBound:
 			lockPos++
-		case xt[j] >= ZigLockBound:
+		case xt[j] >= zigLockBound:
 			lockNeg++
 		default:
 			mid++

@@ -159,22 +159,47 @@ func scanSurface(t *testing.T) ([]surfaceDecl, map[surfaceUse]bool) {
 			}
 			imports[name] = strings.TrimPrefix(p, "invisiblebits/")
 		}
+		declare := func(recv string, name *ast.Ident) {
+			if strings.HasPrefix(dir, "internal/") && name.Name != "_" {
+				decls = append(decls, surfaceDecl{dir, recv, name.Name, fset.Position(name.Pos())})
+			}
+		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
-				ast.Inspect(decl, useVisitor(dir, "", imports, called))
+				// A type, constant or variable: its declared names are
+				// no use of themselves.
+				use := useVisitor(dir, "", imports, called)
+				for _, spec := range decl.(*ast.GenDecl).Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declare("", spec.Name)
+						if spec.TypeParams != nil {
+							ast.Inspect(spec.TypeParams, use)
+						}
+						ast.Inspect(spec.Type, use)
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							declare("", name)
+						}
+						if spec.Type != nil {
+							ast.Inspect(spec.Type, use)
+						}
+						for _, v := range spec.Values {
+							ast.Inspect(v, use)
+						}
+					}
+				}
 				continue
 			}
-			if strings.HasPrefix(dir, "internal/") && fn.Name.Name != "init" && fn.Name.Name != "main" {
-				decls = append(decls, surfaceDecl{dir, recvName(fn), fn.Name.Name, fset.Position(fn.Pos())})
+			if fn.Name.Name != "init" && fn.Name.Name != "main" {
+				declare(recvName(fn), fn.Name)
 			}
 			// The declared name is no use of itself, and neither is a
-			// function's recursive call.
+			// function's recursive call or a method's receiver type.
 			self := ""
 			if fn.Recv == nil {
 				self = fn.Name.Name
-			} else {
-				ast.Inspect(fn.Recv, useVisitor(dir, self, imports, called))
 			}
 			ast.Inspect(fn.Type, useVisitor(dir, self, imports, called))
 			if fn.Body != nil {
