@@ -12,10 +12,11 @@ import (
 	"testing"
 )
 
-// surfaceKept lists the internal functions and methods that no non-test
-// file calls and that stay on purpose, keyed internal/<pkg>.<Recv>.<Name>
-// (internal/<pkg>.<Name> for a function), each with its reason. DESIGN
-// §5h, "What the code exports", groups them into the same five classes.
+// surfaceKept lists the internal declarations that no non-test file
+// uses and that stay on purpose, keyed internal/<pkg>.<Recv>.<Name> for
+// a method and internal/<pkg>.<Name> for a function, type, constant or
+// variable, each with its reason. DESIGN §5h, "What the code exports",
+// groups them into the same five classes.
 var surfaceKept = map[string]string{
 	// Interface methods: the standard library calls them.
 	"internal/sched.discardHandler.Enabled":   "slog.Handler",
@@ -56,28 +57,31 @@ var surfaceKept = map[string]string{
 	"internal/sram.Array.EquivalentTimes": "equivalent stress times that the aging pins hash",
 }
 
-// surfaceDecl is one function or method declared in a non-test file of
-// internal/.
+// surfaceDecl is one package-level function, method, type, constant or
+// variable declared in a non-test file of internal/.
 type surfaceDecl struct {
 	dir, recv, name string
 	pos             token.Position
 }
 
-// surfaceUse is a name that some non-test file calls: a function of the
-// package in dir, or a method selected in dir. An exported method is
-// also recorded under dir "", since any package may select it.
+// surfaceUse is a name that some non-test file uses: a function, type,
+// constant or variable of the package in dir, or a method selected in
+// dir. An exported method is also recorded under dir "", since any
+// package may select it.
 type surfaceUse struct {
 	dir, name string
 	method    bool
 }
 
 // TestInternalSurfaceHasCallers is the dead-code gate of internal/: every
-// function and method that a non-test file declares there must be named
-// by some non-test file, or be kept in surfaceKept with a reason. The
-// rule is by name, so it runs offline with the standard library only:
+// package-level function, method, type, constant and variable that a
+// non-test file declares there must be named by some non-test file, or
+// be kept in surfaceKept with a reason. The rule is by name, so it runs
+// offline with the standard library only:
 //
-//   - a function counts as called when a non-test file names it (pkg.F
-//     or F) outside its own declaration;
+//   - a function, type, constant or variable counts as used when a
+//     non-test file names it (pkg.F or F) outside its own declaration;
+//     a method's receiver does not count as a use of its type;
 //   - a method counts as called when a non-test file selects it (x.M,
 //     where x is not an imported package name);
 //   - an exported name may be called from anywhere in the tree (root,
@@ -112,7 +116,7 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, k := range dead {
-		t.Errorf("%s: no non-test file calls it; delete it, or keep it in surfaceKept with a reason", k)
+		t.Errorf("%s: no non-test file uses it; delete it, or keep it in surfaceKept with a reason", k)
 	}
 	for k, why := range surfaceKept {
 		if !declared[k] {
@@ -125,8 +129,7 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 }
 
 // scanSurface parses every non-test Go file of the tree (bench/ too) and
-// returns the functions and methods declared under internal/ and the
-// names that are called.
+// returns the declarations under internal/ and the names that are used.
 func scanSurface(t *testing.T) ([]surfaceDecl, map[surfaceUse]bool) {
 	t.Helper()
 	var decls []surfaceDecl
