@@ -8,7 +8,7 @@
 // file under the final name — the reader then fails (best case) or
 // decodes garbage (worst case).
 //
-// WriteFile and WriteTo follow the classic safe-save protocol:
+// WriteFile and WriteToFS follow the classic safe-save protocol:
 //
 //  1. write the full contents to a temp file in the destination
 //     directory (same filesystem, so the rename below is atomic),

@@ -56,7 +56,7 @@ func TestV2FramesAreCRCFramed(t *testing.T) {
 
 // TestSalvageCutsAtCorruptFrame: a corrupt middle record — a flipped
 // payload byte, a frame header damaged in any of its fields, or a line
-// without the v2 frame — drops it and everything after; Offsets name
+// without the v2 frame — drops it and everything after; Cut names
 // the byte-exact cut.
 func TestSalvageCutsAtCorruptFrame(t *testing.T) {
 	data := writeJournal(t, filepath.Join(t.TempDir(), "j.jsonl"), 5)
