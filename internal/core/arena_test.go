@@ -194,11 +194,11 @@ func TestArenaDecodeVotesErrors(t *testing.T) {
 	}
 }
 
-// TestVerifyMessageMatchesOracle: the alloc-free verifier, on an arena
+// TestArenaVerifyMessageMatchesOracle: the alloc-free verifier, on an arena
 // and through Record.VerifyMessage, accepts and rejects the same inputs
 // as recomputing the digest with computeDigest, for both digest
 // algorithms, including malformed digests.
-func TestVerifyMessageMatchesOracle(t *testing.T) {
+func TestArenaVerifyMessageMatchesOracle(t *testing.T) {
 	key := stegocrypt.KeyFromPassphrase("verify-twin")
 	otherKey := stegocrypt.KeyFromPassphrase("wrong")
 	msg := []byte("the digest twin must agree")
