@@ -18,20 +18,19 @@ func init() {
 	register("sec514", "Message retention under a week of random writes", "§5.1.4", runSec514)
 }
 
-// encodeAndError encodes a random payload for stressHours and returns
-// (payload, measured error).
-func (c Config) encodeAndError(modelName, serial string, stressHours float64) ([]byte, float64, error) {
+// encodeAndError imprints a random payload for stressHours and returns
+// the measured raw error.
+func (c Config) encodeAndError(modelName, serial string, stressHours float64) (float64, error) {
 	dev, err := c.newDevice(modelName, serial)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	payload := make([]byte, dev.SRAM.Bytes())
 	rng.NewSource(rng.HashString(serial)).Bytes(payload)
 	if err := imprint(dev, payload, stressHours); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	e, err := c.rawError(dev, payload)
-	return payload, e, err
+	return c.rawError(dev, payload)
 }
 
 // --- Fig. 6 -------------------------------------------------------------------

@@ -294,7 +294,7 @@ func runSec53(cfg Config) (Result, error) {
 	var meanErr float64
 	const fleet = 5
 	for i := 0; i < fleet; i++ {
-		_, e, err := cfg.encodeAndError("MSP432P401", fmt.Sprintf("sec53-%d", i), msp.EncodingHours)
+		e, err := cfg.encodeAndError("MSP432P401", fmt.Sprintf("sec53-%d", i), msp.EncodingHours)
 		if err != nil {
 			return nil, err
 		}
