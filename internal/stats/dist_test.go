@@ -25,7 +25,7 @@ func TestNormalCDFKnownValues(t *testing.T) {
 
 func TestNormalQuantileRoundTrip(t *testing.T) {
 	f := func(raw uint16) bool {
-		p := (float64(raw) + 1) / (1 << 16) // p in (0, 1)
+		p := (float64(raw) + 1) / (1<<16 + 1) // p in (0, 1): raw 65535 gives 65536/65537
 		x := NormalQuantile(p)
 		return approxEqual(NormalCDF(x), p, 1e-9)
 	}
