@@ -26,7 +26,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"invisiblebits/internal/fsck"
 )
@@ -67,7 +69,7 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		printReport(rep)
+		printReport(os.Stdout, rep)
 	}
 
 	switch {
@@ -82,26 +84,38 @@ func main() {
 	}
 }
 
-func printReport(rep *fsck.Report) {
-	fmt.Printf("ibfsck: %s state directory %s\n", rep.Kind, rep.Dir)
-	fmt.Printf("  journal: %d records verify (%d bytes)", rep.JournalRecords, rep.ValidLen)
+func printReport(w io.Writer, rep *fsck.Report) {
+	fmt.Fprintf(w, "ibfsck: %s state directory %s\n", rep.Kind, rep.Dir)
+	fmt.Fprintf(w, "  journal: %d records verify (%d bytes)", rep.JournalRecords, rep.ValidLen)
 	if rep.DroppedBytes > 0 {
-		fmt.Printf("; %d records / %d bytes beyond the consistent prefix", rep.DroppedRecords, rep.DroppedBytes)
+		fmt.Fprintf(w, "; %d records / %d bytes beyond the consistent prefix", rep.DroppedRecords, rep.DroppedBytes)
 		if rep.Reason != "" {
-			fmt.Printf(" (%s)", rep.Reason)
+			fmt.Fprintf(w, " (%s)", rep.Reason)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, f := range rep.Findings {
-		fmt.Printf("  [%s] %s: %s\n          -> %s\n", f.Severity, f.Path, f.Problem, f.Action)
+		fmt.Fprintf(w, "  [%s] %s: %s\n          -> %s\n", f.Severity, f.Path, f.Problem, f.Action)
 	}
 	switch {
 	case rep.Repaired:
-		fmt.Printf("ibfsck: repaired: %d temp files swept, journal truncated to %d bytes\n",
-			len(rep.TempFiles), rep.ValidLen)
+		// The report describes the directory as it was found, so its
+		// temps are what the repair swept and its dropped bytes what it
+		// truncated.
+		var done []string
+		if n := len(rep.TempFiles); n > 0 {
+			done = append(done, fmt.Sprintf("%d temp files swept", n))
+		}
+		if rep.DroppedBytes > 0 {
+			done = append(done, fmt.Sprintf("journal truncated to %d bytes", rep.ValidLen))
+		}
+		if len(done) == 0 {
+			done = append(done, "nothing to sweep or truncate")
+		}
+		fmt.Fprintf(w, "ibfsck: repaired: %s\n", strings.Join(done, ", "))
 	case rep.Clean():
-		fmt.Println("ibfsck: clean")
+		fmt.Fprintln(w, "ibfsck: clean")
 	default:
-		fmt.Println("ibfsck: problems found (run with -repair to fix the repairable ones)")
+		fmt.Fprintln(w, "ibfsck: problems found (run with -repair to fix the repairable ones)")
 	}
 }

@@ -49,9 +49,9 @@ func planCampaign(w io.Writer, spec sched.Spec) error {
 		spec.ID, len(spec.Message), len(spec.Serials), m.Name, m.SRAMBytes)
 	fmt.Fprintln(w, textplot.Table(
 		[]string{"slot", "serial", "segment", "fill", "soak", "slices", "ckpts"}, rows))
-	fmt.Fprintf(w, "slice granularity:  %.2f h  (journal record per slice)\n", spec.SliceHours)
+	fmt.Fprintf(w, "slice granularity:  %.2f h  (journal record per slice)\n", plan.SliceHours)
 	fmt.Fprintf(w, "checkpoint cadence: every %d slices before the last (atomic image per checkpoint)\n",
-		spec.CheckpointEvery)
+		plan.CheckpointEvery)
 	fmt.Fprintf(w, "journal budget:     ~%d fsynced records, ~%d B for an uninterrupted run\n",
 		plan.Records, plan.Bytes)
 	fmt.Fprintf(w, "                    (+%d B one-time per-tenant scheduler overhead under ibserve)\n",

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"invisiblebits/internal/campaign"
+	"invisiblebits/internal/sched"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -60,5 +62,32 @@ func TestPlanCampaignGolden(t *testing.T) {
 	}
 	if strings.Contains(text, "~0 B") || strings.Contains(text, "+0 B") {
 		t.Fatalf("journal budget collapsed to zero bytes:\n%s", text)
+	}
+}
+
+// TestPlanCampaignPrintsDefaultedCadence: a spec without a slice length
+// or checkpoint cadence is planned on the scheduler's defaults, and the
+// cadence lines must name the defaults the table was planned with, not
+// the zeros the spec gave.
+func TestPlanCampaignPrintsDefaultedCadence(t *testing.T) {
+	spec := campaign.Spec{
+		ID:      "x",
+		Model:   "ATSAML11E16A",
+		Serials: []string{"x-0", "x-1", "x-2"},
+		Message: bytes.Repeat([]byte{0x5A}, 700),
+		Codec:   "paper",
+	}
+	var out bytes.Buffer
+	if err := planCampaign(&out, spec); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{
+		fmt.Sprintf("slice granularity:  %.2f h ", sched.DefaultSliceHours),
+		fmt.Sprintf("checkpoint cadence: every %d slices ", sched.DefaultCheckpointEvery),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("plan output lacks %q:\n%s", want, text)
+		}
 	}
 }

@@ -98,9 +98,15 @@ type Report struct {
 }
 
 // Clean reports whether the directory needs no repair and resume will
-// not degrade: no findings, no stale temps, no journal bytes to drop.
+// not degrade: no stale temps, no journal bytes to drop, and no finding
+// but info ones, which note state that is already fully handled.
 func (r *Report) Clean() bool {
-	return len(r.Findings) == 0 && len(r.TempFiles) == 0 && r.DroppedBytes == 0
+	for _, f := range r.Findings {
+		if f.Severity != SevInfo {
+			return false
+		}
+	}
+	return len(r.TempFiles) == 0 && r.DroppedBytes == 0
 }
 
 // Unrecoverable reports whether any finding describes damage neither

@@ -237,9 +237,9 @@ func writeJournal(t *testing.T, dir string, entries []sched.Entry) {
 }
 
 // TestAuditQuarantinedCampaignIsHandled: a campaign an earlier resume
-// already quarantined is an info finding — fully handled, not
-// unrecoverable — both in an audit and after a repair, so ibfsck
-// -repair exits 0 on the directory.
+// already quarantined is an info finding — fully handled, neither
+// unrecoverable nor unclean — both in an audit and after a repair, so
+// ibfsck and ibfsck -repair both exit 0 on the directory.
 func TestAuditQuarantinedCampaignIsHandled(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, sched.CampaignsDir, "qc"), 0o755); err != nil {
@@ -260,6 +260,9 @@ func TestAuditQuarantinedCampaignIsHandled(t *testing.T) {
 		}
 		if rep.Unrecoverable() {
 			t.Fatalf("%s counts the quarantined campaign unrecoverable: %+v", name, rep.Findings)
+		}
+		if !rep.Clean() {
+			t.Fatalf("%s counts the quarantined campaign as a problem: %+v", name, rep.Findings)
 		}
 	}
 }

@@ -26,6 +26,10 @@ type Budget struct {
 	SlotBytes int
 	// SoakHours is every live slot's soak length (core.SoakHours).
 	SoakHours float64
+	// SliceHours and CheckpointEvery are the cadence the plan uses:
+	// the spec's, or the scheduler's defaults where it sets none.
+	SliceHours      float64
+	CheckpointEvery int
 	// Slices counts a live slot's stress slices, and Checkpoints its
 	// mid-run checkpoints: the final slice mints the encoded record
 	// (with the terminal rig state) instead of a checkpoint.
@@ -111,11 +115,13 @@ func EstimateJournalBudget(spec Spec, m device.Model) (Budget, error) {
 	}
 
 	b := Budget{
-		Segments:    segs,
-		SlotBytes:   core.MaxMessageBytes(m.SRAMBytes, codec),
-		SoakHours:   soak,
-		Slices:      slices,
-		Checkpoints: ckpts,
+		Segments:        segs,
+		SlotBytes:       core.MaxMessageBytes(m.SRAMBytes, codec),
+		SoakHours:       soak,
+		SliceHours:      sliceHours,
+		CheckpointEvery: every,
+		Slices:          slices,
+		Checkpoints:     ckpts,
 		TenantBytes: entrySize(&Entry{
 			Seq: seq, Type: entryTenant, Tenant: "tenant-00000",
 			Quota: &Quota{MaxCampaigns: 16, MaxDevices: 256, MaxChamberHours: 100000},

@@ -142,6 +142,16 @@ type Array struct {
 	class []uint32
 	hist  []history
 
+	// The steady-Stress record (see Stress): the data plane the last
+	// Stress left, and heldPairs[k] = 2k + the bit class k's cells held
+	// through it. nil heldPairs means no record.
+	heldData  []byte
+	heldPairs []uint32
+	// The class index AppendState last wrote, and the renumbering it
+	// was packed under; nil packedRenum means none.
+	packed      []byte
+	packedRenum []uint32
+
 	data     []byte // current digital contents, bit-packed row-major
 	powered  bool
 	remanent bool // charge left on nodes by a non-discharged power-off
@@ -222,6 +232,14 @@ func New(spec Spec) (*Array, error) {
 	a.data = make([]byte, n/8)
 	a.biasPlane = make([]float32, n)
 	return a, nil
+}
+
+// classesChanged drops what was derived from the class array: the
+// steady-Stress record and AppendState's packed index. Every write of
+// the class array calls it; New starts without either.
+func (a *Array) classesChanged() {
+	a.heldPairs = nil
+	a.packedRenum = nil
 }
 
 // SetPool points the array's capture engine at pool (nil restores the

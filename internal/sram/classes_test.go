@@ -32,6 +32,7 @@ func TestAppendStateMergesEqualClasses(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no cell moved to the copy")
 	}
+	split.classesChanged()
 	same := func(stage string) {
 		t.Helper()
 		if !bytes.Equal(split.AppendState(nil), twin.AppendState(nil)) {

@@ -180,12 +180,15 @@ func TestAgingHistoryPins(t *testing.T) {
 	}
 }
 
-// BenchmarkStressHistories times Stress on a 16 KiB array in the two
+// BenchmarkStressHistories times Stress on a 16 KiB array in the
 // shapes a carrier's aging history takes: soak, one payload over four
 // 2.5 h slices (two histories, the encoding case every bench workload
-// runs), and rewrites, 42 random 4 h rewrites, after which nearly every
-// cell has a history of its own (a week of ordinary use, the worst
-// case for sharing aging state between cells).
+// runs); steady, the crash-safe campaign's shape, one payload over 16
+// one-hour slices with a state section appended after every second
+// slice (a checkpoint image's array part); and rewrites, 42 random 4 h
+// rewrites, after which nearly every cell has a history of its own (a
+// week of ordinary use, the worst case for sharing aging state between
+// cells).
 func BenchmarkStressHistories(b *testing.B) {
 	m, err := device.ByName("MSP432P401")
 	if err != nil {
@@ -200,14 +203,17 @@ func BenchmarkStressHistories(b *testing.B) {
 		b.Fatal(err)
 	}
 	fresh := a.AppendState(nil)
+	var img []byte
 	for _, bc := range []struct {
-		name     string
-		payloads int
-		slices   int
-		hours    float64
+		name      string
+		payloads  int
+		slices    int
+		hours     float64
+		ckptEvery int // slices between state sections; 0 for none
 	}{
-		{"soak", 1, 4, 2.5},
-		{"rewrites", 42, 1, 4},
+		{"soak", 1, 4, 2.5, 0},
+		{"steady", 1, 16, 1, 2},
+		{"rewrites", 42, 1, 4, 0},
 	} {
 		plans := make([][]byte, bc.payloads)
 		for k := range plans {
@@ -225,9 +231,12 @@ func BenchmarkStressHistories(b *testing.B) {
 					if err := a.Write(p); err != nil {
 						b.Fatal(err)
 					}
-					for s := 0; s < bc.slices; s++ {
+					for s := 1; s <= bc.slices; s++ {
 						if err := a.Stress(acc, bc.hours); err != nil {
 							b.Fatal(err)
+						}
+						if bc.ckptEvery > 0 && s%bc.ckptEvery == 0 {
+							img = a.AppendState(img[:0])
 						}
 					}
 				}

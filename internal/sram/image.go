@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The state section of a version-4 device image: everything an array
@@ -84,7 +85,10 @@ func (c *agingClass) history() history {
 // the classes in first-use order by cell, merging classes whose values
 // are equal (two histories can reach the same floats), so the section
 // is canonical. The equivalent stress times travel with the pools, so a
-// restored array continues exactly where this one stands.
+// restored array continues exactly where this one stands. The array
+// keeps the class index it packed last and reuses it while the class
+// array and the renumbering are unchanged, so AppendState is not safe
+// to call concurrently on one array.
 func (a *Array) AppendState(dst []byte) []byte {
 	var flags byte
 	if a.powered {
@@ -127,6 +131,14 @@ func (a *Array) AppendState(dst []byte) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 	}
+	// The index is a function of the class array and renum, so the one
+	// this array last packed serves again while neither has changed:
+	// after table-only Stress slices (see Stress), checkpoints differ
+	// in the table alone.
+	if a.packedRenum != nil && slices.Equal(renum, a.packedRenum) {
+		return append(dst, a.packed...)
+	}
+	start := len(dst)
 	w := uint(bits.Len32(uint32(len(table) - 1)))
 	var acc uint64
 	var nb uint
@@ -137,6 +149,8 @@ func (a *Array) AppendState(dst []byte) []byte {
 			acc >>= 8
 		}
 	}
+	a.packed = append(a.packed[:0], dst[start:]...)
+	a.packedRenum = renum
 	return dst
 }
 
@@ -250,6 +264,7 @@ func (a *Array) ReadState(src []byte) ([]byte, error) {
 		a.class[i] = x.next()
 	}
 	a.hist = hist
+	a.classesChanged()
 	copy(a.data, data)
 	a.powered = flags&flagPowered != 0
 	a.remanent = flags&flagRemanent != 0

@@ -190,6 +190,7 @@ func (a *Array) restorePools(s State) {
 		a.class[i] = id
 	}
 	a.hist = hist
+	a.classesChanged()
 	// The cached decision variables belong to the replaced classes.
 	a.biasFresh = false
 }
