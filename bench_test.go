@@ -9,6 +9,7 @@ package invisiblebits
 // bench to the paper's numbers.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -237,30 +238,42 @@ func newCaptureArray(b *testing.B, bytes, workers int) *sram.Array {
 
 // BenchmarkCapturePath measures the raw capture engine: a full
 // power-cycle burst with per-cell counter-derived noise, across array
-// size × burst length × worker count. BENCH_3.json records the same
-// grid, taken by the since-retired cmd/ibbench; bash bench/run.sh times
-// captures end to end.
+// size × burst length × worker count. The CaptureVotePlaneInto arm is
+// the burst alone, which counts into a bit-sliced plane; the
+// CaptureVotesInto arm adds the unpack to per-cell uint16 counts.
+// BENCH_3.json records the same grid for per-cell counts, taken by the
+// since-retired cmd/ibbench; bash bench/run.sh times captures end to
+// end.
 func BenchmarkCapturePath(b *testing.B) {
 	workerGrid := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		workerGrid = append(workerGrid, n)
 	}
+	ctx := context.Background()
 	for _, size := range []struct {
 		name  string
 		bytes int
 	}{{"4KiB", 4 << 10}, {"64KiB", 64 << 10}} {
 		for _, captures := range []int{5, 25} {
 			for _, workers := range workerGrid {
-				b.Run(fmt.Sprintf("%s/%dcap/%dw", size.name, captures, workers), func(b *testing.B) {
-					a := newCaptureArray(b, size.bytes, workers)
-					b.SetBytes(int64(size.bytes * captures))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := a.CaptureVotes(captures, 25); err != nil {
-							b.Fatal(err)
+				for _, arm := range []string{"CaptureVotePlaneInto", "CaptureVotesInto"} {
+					b.Run(fmt.Sprintf("%s/%dcap/%dw/%s", size.name, captures, workers, arm), func(b *testing.B) {
+						a := newCaptureArray(b, size.bytes, workers)
+						var plane sram.VotePlane
+						burst := func() error { return a.CaptureVotePlaneInto(ctx, captures, 25, &plane) }
+						if arm == "CaptureVotesInto" {
+							votes := make([]uint16, a.Cells())
+							burst = func() error { return a.CaptureVotesInto(ctx, captures, 25, votes) }
 						}
-					}
-				})
+						b.SetBytes(int64(size.bytes * captures))
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := burst(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

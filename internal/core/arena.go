@@ -272,12 +272,10 @@ func (a *DecodeArena) erasureMaskInto(votes []uint16, total, payloadBits int, de
 // 1 − votes/total expression becomes a per-vote-value table lookup
 // (bit-identical floats — the table entries are computed with the very
 // same expression), and the keystream flip reuses the cached stream.
+// votes holds at least the payload's cells; callers check that against
+// the array when they sample.
 func (a *DecodeArena) confidences(votes []uint16, total int, rec *Record, opts Options) ([]float64, error) {
 	payloadBits := rec.PayloadBytes * 8
-	if payloadBits > len(votes) {
-		return nil, fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
-			payloadBits, len(votes))
-	}
 	if a.confTabTotal != total || a.confTab == nil {
 		if cap(a.confTab) < total+1 {
 			a.confTab = make([]float64, total+1)

@@ -88,8 +88,8 @@ func arenaRecord(t *testing.T, serial string, key *stegocrypt.Key) (*Record, []u
 	if err != nil {
 		t.Fatal(err)
 	}
-	votes, err := r.SampleVotesContext(context.Background(), DefaultCaptures)
-	if err != nil {
+	votes := make([]uint16, r.Device().SRAM.Cells())
+	if err := r.SampleVotesIntoContext(context.Background(), DefaultCaptures, votes); err != nil {
 		t.Fatal(err)
 	}
 	return rec, votes, opts, msg

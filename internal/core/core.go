@@ -371,21 +371,28 @@ func prepareDecode(ctx context.Context, r *rig.Rig, opts Options) error {
 	return r.SetVoltage(dev.Model.VNomV)
 }
 
-// decodeSoft is the soft-decision path: per-cell vote counts become
-// per-payload-bit confidences, decryption flips confidences where the
-// keystream is 1 (XOR in probability space), and the codec's SoftDecoder
-// combines them.
+// decodeSoft is the soft-decision path: the payload cells' vote counts,
+// unpacked from the arena's vote plane as the ladder's soft rung does,
+// become per-payload-bit confidences, decryption flips confidences where
+// the keystream is 1 (XOR in probability space), and the codec's
+// SoftDecoder combines them.
 func decodeSoft(ctx context.Context, a *DecodeArena, r *rig.Rig, rec *Record, opts Options, codec ecc.Codec, captures, codedLen int) ([]byte, error) {
 	soft, ok := codec.(ecc.SoftDecoder)
 	if !ok {
 		return nil, fmt.Errorf("core: codec %s does not support soft decoding", codec.Name())
 	}
-	votes := a.votesBuf(r.Device().SRAM.Cells())
 	if err := retry(ctx, r, func() error {
-		return r.SampleVotesIntoContext(ctx, captures, votes)
+		return r.SampleVotePlaneIntoContext(ctx, captures, &a.acc)
 	}); err != nil {
 		return nil, err
 	}
+	payloadBits := rec.PayloadBytes * 8
+	if payloadBits > a.acc.Cells() {
+		return nil, fmt.Errorf("core: record claims %d payload bits but SRAM has %d cells",
+			payloadBits, a.acc.Cells())
+	}
+	votes := a.votesBuf(payloadBits)
+	a.acc.CountsInto(votes)
 	conf, err := a.confidences(votes, captures, rec, opts)
 	if err != nil {
 		return nil, err

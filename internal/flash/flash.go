@@ -97,7 +97,6 @@ type Array struct {
 	spec       Spec
 	progTimeUs []float32 // per-bit intrinsic program time
 	vt         []float32 // per-bit current threshold voltage
-	peCycles   []uint32  // per-page program/erase count
 
 	noise *rng.Source
 }
@@ -117,7 +116,6 @@ func New(spec Spec) (*Array, error) {
 		spec:       spec,
 		progTimeUs: make([]float32, bits),
 		vt:         make([]float32, bits),
-		peCycles:   make([]uint32, spec.Pages),
 	}
 	seedSrc := rng.NewSource(spec.Seed)
 	vary := seedSrc.Split()
@@ -151,7 +149,6 @@ func (a *Array) ErasePage(page int) error {
 // wearPage applies n P/E cycles of program-time slowdown to every cell of
 // the page.
 func (a *Array) wearPage(page, n int) {
-	a.peCycles[page] += uint32(n)
 	slow := float32(a.spec.WearSlowdownUsPerCycle * float64(n))
 	bitBase := page * a.spec.PageBytes * 8
 	for b := 0; b < a.spec.PageBytes*8; b++ {

@@ -250,10 +250,11 @@ func (c *inertCounter) PerturbConditions(cond analog.Conditions, _ float64) (ana
 }
 
 // TestSampleVotePlaneMatchesVotes: on twin rigs (same serial, same
-// injector profile) the vote-plane burst counts exactly what the
-// uint16 burst counts — with no injector, with an active one whose
+// injector profile) the vote-plane sampler counts exactly what the
+// uint16 sampler counts — with no injector, with an active one whose
 // corrupted cells are written back into the plane, and with an inert
-// one, which is still called, with an empty view.
+// one, which is still called, with an empty view. The uint16 sampler
+// refuses a buffer of the wrong size instead of truncating.
 func TestSampleVotePlaneMatchesVotes(t *testing.T) {
 	active := faults.Profile{Seed: 3, StuckFrac: 0.05, WeakFrac: 0.1}
 	for _, tc := range []struct {
@@ -300,6 +301,9 @@ func TestSampleVotePlaneMatchesVotes(t *testing.T) {
 			}
 			if c, ok := injp.(*inertCounter); ok && (c.calls != 2 || c.cells != 0) {
 				t.Fatalf("inert injector got %d CorruptVotes calls over %d cells, want 2 calls with empty views", c.calls, c.cells)
+			}
+			if err := rv.SampleVotesIntoContext(context.Background(), 3, votes[:len(votes)-1]); err == nil {
+				t.Fatal("accepted short destination buffer")
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"invisiblebits/internal/sram"
 	"invisiblebits/internal/stats"
 )
 
@@ -64,11 +65,11 @@ func (r *Rig) ProbeHealthContext(ctx context.Context, captures, regionBytes int)
 	if captures <= 0 {
 		captures = DefaultHealthCaptures
 	}
-	votes, err := r.SampleVotesContext(ctx, captures)
-	if err != nil {
+	var votes sram.VotePlane
+	if err := r.SampleVotePlaneIntoContext(ctx, captures, &votes); err != nil {
 		return nil, err
 	}
-	nBytes := len(votes) / 8
+	nBytes := votes.Cells() / 8
 	if nBytes == 0 {
 		return nil, fmt.Errorf("rig: device has no SRAM cells to probe")
 	}
@@ -77,11 +78,12 @@ func (r *Rig) ProbeHealthContext(ctx context.Context, captures, regionBytes int)
 	}
 	rep := &HealthReport{Captures: captures}
 	// Vote counts take only captures+1 values, so per-region sums
-	// reduce to a histogram dotted with per-value margin/entropy tables
-	// — no per-cell division or log. The table entries evaluate the
-	// exact per-cell expressions, so the weak-cell classification is
-	// unchanged; the dot-product groups float additions differently, so
-	// region means agree with the per-cell loop to rounding.
+	// reduce to a histogram, taken on the plane's slices, dotted with
+	// per-value margin/entropy tables — no per-cell unpack, division or
+	// log. The table entries evaluate the exact per-cell expressions, so
+	// the weak-cell classification is unchanged; the dot-product groups
+	// float additions differently, so region means agree with the
+	// per-cell loop to rounding.
 	tab := stats.NewVoteTable(captures)
 	hist := make([]int, captures+1)
 	var totM, totH float64
@@ -91,7 +93,7 @@ func (r *Rig) ProbeHealthContext(ctx context.Context, captures, regionBytes int)
 		if end > nBytes {
 			end = nBytes
 		}
-		tab.Histogram(votes[off*8:end*8], hist)
+		votes.HistogramInto(hist, off*8, end*8)
 		var sumM, sumH float64
 		weak := 0
 		for v, c := range hist {

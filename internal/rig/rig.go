@@ -432,32 +432,11 @@ func (r *Rig) captureBurst(ctx context.Context, capture func() error) error {
 	return err
 }
 
-// SampleVotesContext captures n power-on states and returns the
-// per-cell count of 1 readings — the soft information that
-// ecc.SoftDecoder consumes. The device is left powered. The capture
-// burst honours cancellation and fault injection: it rides the debugger
-// link (it may drop transiently) and stuck/weak cells corrupt the vote
-// counts.
-func (r *Rig) SampleVotesContext(ctx context.Context, n int) ([]uint16, error) {
-	var votes []uint16
-	if err := r.captureBurst(ctx, func() (err error) {
-		votes, err = r.dev.SRAM.CaptureVotesContext(ctx, n, r.chamberC)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if r.injector != nil {
-		r.injector.CorruptVotes(votes, n, r.clockHours)
-	}
-	r.logf("sampled %d power-on states (per-cell votes)", n)
-	return votes, nil
-}
-
-// SampleVotesIntoContext is SampleVotesContext writing into a
-// caller-provided buffer of Device().SRAM.Cells() counters: a batch
-// decoder reuses one buffer across bursts and the sampling path
-// allocates nothing in steady state. The buffer is overwritten, not
-// accumulated into.
+// SampleVotesIntoContext is SampleVotePlaneIntoContext unpacked into a
+// caller-provided buffer of Device().SRAM.Cells() uint16 counters,
+// which is overwritten, not accumulated into; the sampling path
+// allocates nothing in steady state. An injector corrupts the buffer
+// itself.
 func (r *Rig) SampleVotesIntoContext(ctx context.Context, n int, out []uint16) error {
 	if err := r.captureBurst(ctx, func() error {
 		return r.dev.SRAM.CaptureVotesInto(ctx, n, r.chamberC, out)
@@ -471,12 +450,14 @@ func (r *Rig) SampleVotesIntoContext(ctx context.Context, n int, out []uint16) e
 	return nil
 }
 
-// SampleVotePlaneIntoContext is SampleVotesIntoContext writing
-// bit-sliced counts into p (see sram.VotePlane), so the receiver
-// decides and accumulates on a few bits per cell. p is overwritten,
-// not accumulated into. An active injector corrupts a per-cell count
-// view of the plane, and only the cells it changed are written back;
-// an inert one still gets its CorruptVotes call, with an empty view.
+// SampleVotePlaneIntoContext captures n power-on states and writes each
+// cell's count of 1 readings into p, bit-sliced (see sram.VotePlane):
+// the soft information the receiver decides, accumulates and takes
+// statistics on. p is overwritten, not accumulated into, and the device
+// is left powered. The burst rides the debugger link, which an injector
+// may drop. An active injector corrupts a per-cell count view of the
+// plane, and only the cells it changed are written back; an inert one
+// still gets its CorruptVotes call, with an empty view.
 func (r *Rig) SampleVotePlaneIntoContext(ctx context.Context, n int, p *sram.VotePlane) error {
 	if err := r.captureBurst(ctx, func() error {
 		return r.dev.SRAM.CaptureVotePlaneInto(ctx, n, r.chamberC, p)

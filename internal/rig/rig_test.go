@@ -201,8 +201,8 @@ func TestSampleVotesConsistentWithMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	votes, err := r.SampleVotesContext(context.Background(), 5)
-	if err != nil {
+	votes := make([]uint16, r.Device().SRAM.Cells())
+	if err := r.SampleVotesIntoContext(context.Background(), 5, votes); err != nil {
 		t.Fatal(err)
 	}
 	if len(votes) != len(maj)*8 {

@@ -51,7 +51,7 @@ func TestSpecAccessor(t *testing.T) {
 
 func TestCaptureVotesConsistentWithMajority(t *testing.T) {
 	a := mustNew(t, testSpec(103))
-	votes, err := a.CaptureVotes(5, 25)
+	votes, err := a.captureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCaptureVotesConsistentWithMajority(t *testing.T) {
 			t.Fatalf("cell %d: bias %v but %d/5 votes", i, a.Bias(i), votes[i])
 		}
 	}
-	if _, err := a.CaptureVotes(0, 25); err == nil {
+	if _, err := a.captureVotes(0, 25); err == nil {
 		t.Error("zero captures accepted")
 	}
 }

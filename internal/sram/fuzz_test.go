@@ -71,7 +71,7 @@ func FuzzCaptureEquivalence(f *testing.F) {
 		}
 		ak := mk(w)
 		ar := mk(1)
-		vk, err := ak.CaptureVotesContext(context.Background(), caps, temp)
+		vk, err := ak.captureVotes(caps, temp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,13 +30,12 @@ import (
 //   - Races iterate innermost over cache-sized chunks of the packed
 //     arrays (kernelChunkWords), so a burst streams the per-cell tables
 //     from memory once, not once per race.
-//   - After the last race the kernel builds only the output its caller
-//     reads (burstOut). Every burst scatters the final race's votes
+//   - After the last race every burst scatters the final race's votes
 //     into the data plane next to the deterministic words, and a
-//     power-on stops there. A VotePlane burst scatters the sliced
-//     counters into the global word domain, which the majority decides
-//     from with a sliced compare. Only CaptureVotesInto and BiasMap
-//     transpose the counters back to per-cell uint16 counts.
+//     power-on stops there. Every other burst also scatters the sliced
+//     counters into a VotePlane in the global word domain, its one count
+//     output: the majority decides from it with a sliced compare, and
+//     per-cell uint16 counts are an unpacked view of it (CountsInto).
 //
 // The kernel consumes exactly the counter-derived noise tape
 // (norm(base+k, i) for race k, cell i) the serial engines consume, so
@@ -103,14 +102,8 @@ type capKernel struct {
 	slices [16][]uint64
 	ctrs   []uint64
 	dataW  []uint64  // assembled data plane, global word domain
-	counts []uint16  // per-cell counts for callers that discard them
-	plane  VotePlane // sliced counts CaptureMajorityInto decides from
+	plane  VotePlane // counts of the bursts whose callers keep no plane
 	remB   []byte    // retained-contents snapshot for remanent first captures
-	// detCounts is the deterministic-cell count plane for detRaces races
-	// (0 at noisy and deterministic-zero cells): counts assembly starts
-	// as one memcpy instead of a per-cell walk.
-	detCounts []uint16
-	detRaces  int
 
 	// raceFn is the worker-pool body, created once so steady-state
 	// bursts pass an existing closure to pool.Run instead of allocating
@@ -203,7 +196,6 @@ func (a *Array) ensureKernel(ctx context.Context, sigma float64) error {
 	k.valid = true
 	k.epoch = a.biasEpoch
 	k.sigma = sigma
-	k.detRaces = -1 // det planes changed: count template is stale
 	return nil
 }
 
@@ -282,32 +274,14 @@ func (k *capKernel) ensureSlices(nb int) {
 	}
 }
 
-// scratchCounts returns the kernel-owned per-cell counts buffer for
-// callers that derive an output from the counts rather than returning
-// them. Valid until the next burst.
-func (a *Array) scratchCounts() []uint16 {
-	if cap(a.kern.counts) < a.n {
-		a.kern.counts = make([]uint16, a.n)
-	}
-	a.kern.counts = a.kern.counts[:a.n]
-	return a.kern.counts
-}
-
-// burstOut names the count output a capture burst builds besides the
-// data plane, which every burst writes. At most one field is set; a
-// burst with neither is a power-on, which reads only the data plane.
-type burstOut struct {
-	counts []uint16   // per-cell counts, len Cells()
-	plane  *VotePlane // bit-sliced counts, sized by the burst
-}
-
 // captureBurstInto runs `captures` power-on races at tempC, writing
-// each cell's count of 1 readings into out and the final capture into
-// the data plane, leaving the array powered. It is the engine behind
-// every capture entry point; steady-state calls allocate nothing.
-// Counter consumption, remanence handling and the noise tape match
+// each cell's count of 1 readings into p and the final capture into
+// the data plane, leaving the array powered. p is nil for a power-on,
+// which reads only the data plane. It is the engine behind every
+// capture entry point; steady-state calls allocate nothing. Counter
+// consumption, remanence handling and the noise tape match
 // CaptureVotesReference bit for bit.
-func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float64, out burstOut) error {
+func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float64, p *VotePlane) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -320,33 +294,21 @@ func (a *Array) captureBurstInto(ctx context.Context, captures int, tempC float6
 		races--
 	}
 	var remBytes []byte
-	if remFirst {
-		// Snapshot the retained contents before the races overwrite them.
-		remBytes = a.kern.remSnapshot(a.data)
-	}
-	if out.plane != nil {
-		out.plane.reset(a.n, captures)
+	if p != nil {
+		p.reset(a.n, captures)
+		if remFirst {
+			// Snapshot the retained contents before the races overwrite them.
+			remBytes = a.kern.remSnapshot(a.data)
+		}
 	}
 	if races > 0 {
-		if err := a.runRaces(ctx, races, tempC, out); err != nil {
+		if err := a.runRaces(ctx, races, tempC, p); err != nil {
 			a.powered = false
 			return err
 		}
-	} else {
-		clear(out.counts)
 	}
-	if remFirst {
-		switch {
-		case out.plane != nil:
-			out.plane.addBits(remBytes)
-		case out.counts != nil:
-			for byteIdx, bv := range remBytes {
-				base := byteIdx * 8
-				for ; bv != 0; bv &= bv - 1 {
-					out.counts[base+bits.TrailingZeros8(bv)]++
-				}
-			}
-		}
+	if remBytes != nil {
+		p.addBits(remBytes)
 	}
 	a.powered = true
 	return nil
@@ -362,10 +324,10 @@ func (k *capKernel) remSnapshot(data []byte) []byte {
 	return k.remB
 }
 
-// runRaces executes `races` fresh power-on races and builds out from
-// the sliced counters; the last race becomes the data plane. A plane
-// in out must already be reset to zero for this burst.
-func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out burstOut) error {
+// runRaces executes `races` fresh power-on races and, unless p is nil,
+// scatters the sliced counters into p, which must already be reset to
+// zero for this burst; the last race becomes the data plane.
+func (a *Array) runRaces(ctx context.Context, races int, tempC float64, p *VotePlane) error {
 	sigma := a.noiseSigmaAt(tempC)
 	if err := a.ensureKernel(ctx, sigma); err != nil {
 		return err
@@ -397,15 +359,10 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out burs
 	}
 
 	copy(k.dataW, k.det1)
-	if out.counts != nil {
-		// The transpose scatters the data plane as it goes.
-		k.emitCounts(races, out.counts)
-	} else {
-		if out.plane != nil {
-			k.emitPlane(races, out.plane)
-		}
-		k.emitData()
+	if p != nil {
+		k.emitPlane(races, p)
 	}
+	k.emitData()
 	packWordsToBytes(k.dataW, a.data)
 	return nil
 }
@@ -439,74 +396,6 @@ func (k *capKernel) emitPlane(races int, p *VotePlane) {
 				ci := idx[bits.TrailingZeros64(sw)]
 				dst[ci>>6] |= 1 << (ci & 63)
 			}
-		}
-	}
-}
-
-// emitCounts fills out with the per-cell counts and the data plane.
-// Deterministic cells resolve identically on every race, so their count
-// plane is a pure function of (layout, races): build it once per races
-// value and memcpy it per burst — steady-state decode loops reuse one
-// races count, so the per-cell walk amortizes to a copy. Noisy cells
-// then transpose out of the sliced counters and scatter over the
-// template.
-func (k *capKernel) emitCounts(races int, out []uint16) {
-	nc := len(k.cellIdx)
-	nwN := len(k.last)
-	nb := bits.Len(uint(races))
-	if k.detRaces != races {
-		if cap(k.detCounts) < len(out) {
-			k.detCounts = make([]uint16, len(out))
-		}
-		k.detCounts = k.detCounts[:len(out)]
-		for i := range k.detCounts {
-			k.detCounts[i] = 0
-		}
-		rc := uint16(races)
-		for w, d1 := range k.det1 {
-			wbase := w * 64
-			for m := d1; m != 0; m &= m - 1 {
-				k.detCounts[wbase+bits.TrailingZeros64(m)] = rc
-			}
-		}
-		k.detRaces = races
-	}
-	copy(out, k.detCounts)
-	for pw := 0; pw < nwN; pw++ {
-		lv := k.last[pw]
-		cbase := pw * 64
-		lim := nc - cbase
-		if lim > 64 {
-			lim = 64
-		}
-		var sl [16]uint64
-		for b := 0; b < nb; b++ {
-			sl[b] = k.slices[b][pw]
-		}
-		idx := k.cellIdx[cbase : cbase+lim]
-		if nb <= 5 {
-			// Straight-line transpose for every realistic burst
-			// (≤ 31 captures): unfilled slice words are zero, so
-			// reading all five is safe and branch-free.
-			s0, s1, s2, s3, s4 := sl[0], sl[1], sl[2], sl[3], sl[4]
-			for j := 0; j < lim; j++ {
-				jj := uint(j)
-				cnt := s0>>jj&1 | (s1>>jj&1)<<1 | (s2>>jj&1)<<2 |
-					(s3>>jj&1)<<3 | (s4>>jj&1)<<4
-				ci := idx[j]
-				out[ci] = uint16(cnt)
-				k.dataW[ci>>6] |= (lv >> jj & 1) << (ci & 63)
-			}
-			continue
-		}
-		for j := 0; j < lim; j++ {
-			var cnt uint64
-			for b := nb - 1; b >= 0; b-- {
-				cnt = cnt<<1 | sl[b]>>uint(j)&1
-			}
-			ci := idx[j]
-			out[ci] = uint16(cnt)
-			k.dataW[ci>>6] |= (lv >> uint(j) & 1) << (ci & 63)
 		}
 	}
 }

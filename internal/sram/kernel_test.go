@@ -20,6 +20,16 @@ func kernelTestSpec(cells int, seed uint64) Spec {
 	return spec
 }
 
+// captureVotes is the allocating form of CaptureVotesInto, shaped like
+// the reference engines the tests hold it to.
+func (a *Array) captureVotes(captures int, tempC float64) ([]uint16, error) {
+	votes := make([]uint16, a.n)
+	if err := a.CaptureVotesInto(context.Background(), captures, tempC, votes); err != nil {
+		return nil, err
+	}
+	return votes, nil
+}
+
 // imprintSome stresses a checkerboard pattern so part of the array goes
 // deterministic: the kernel then exercises the det-plane fill, the
 // packed residue and the scatter paths together.
@@ -47,9 +57,9 @@ func TestCaptureCountBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	votes, err := a.CaptureVotes(MaxCaptures, 25)
+	votes, err := a.captureVotes(MaxCaptures, 25)
 	if err != nil {
-		t.Fatalf("CaptureVotes(%d): %v", MaxCaptures, err)
+		t.Fatalf("CaptureVotesInto(%d): %v", MaxCaptures, err)
 	}
 	if got := a.PowerOnCount(); got != MaxCaptures {
 		t.Fatalf("PowerOnCount = %d, want %d", got, MaxCaptures)
@@ -68,10 +78,10 @@ func TestCaptureCountBoundary(t *testing.T) {
 	}
 
 	before := a.PowerOnCount()
-	_, err = a.CaptureVotes(MaxCaptures+1, 25)
+	_, err = a.captureVotes(MaxCaptures+1, 25)
 	var cce *CaptureCountError
 	if !errors.As(err, &cce) {
-		t.Fatalf("CaptureVotes(%d) error = %v, want *CaptureCountError", MaxCaptures+1, err)
+		t.Fatalf("CaptureVotesInto(%d) error = %v, want *CaptureCountError", MaxCaptures+1, err)
 	}
 	if cce.Captures != MaxCaptures+1 {
 		t.Fatalf("CaptureCountError.Captures = %d, want %d", cce.Captures, MaxCaptures+1)
@@ -257,7 +267,7 @@ func requireThreeWay(t *testing.T, mk func(workers int) *Array, workers []int, c
 	}
 	for _, w := range workers {
 		ak := mk(w)
-		vk, err := ak.CaptureVotes(captures, tempC)
+		vk, err := ak.captureVotes(captures, tempC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +368,7 @@ func TestMidBurstCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the burst dispatches any chunk
-	if _, err := a.CaptureVotesContext(ctx, 5, 25); err == nil {
+	if err := a.CaptureVotesInto(ctx, 5, 25, make([]uint16, a.Cells())); err == nil {
 		t.Fatal("cancelled burst reported success")
 	}
 	if a.Powered() {
@@ -400,7 +410,7 @@ func TestKernelLayoutInvalidation(t *testing.T) {
 	run := func(a *Array, warm bool) []uint16 {
 		if warm {
 			// Warm the kernel cache before aging.
-			if _, err := a.CaptureVotes(3, 25); err != nil {
+			if _, err := a.captureVotes(3, 25); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -418,7 +428,7 @@ func TestKernelLayoutInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.PowerOff(true)
-		v, err := a.CaptureVotes(7, 25)
+		v, err := a.captureVotes(7, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,12 +452,12 @@ func TestKernelLayoutInvalidation(t *testing.T) {
 	}
 }
 
-// BenchmarkCaptureVotesInto64KB is the receiver's steady-state decode
-// loop: one array, one reused vote buffer, burst after burst. The
-// 0 B/op, 0 allocs/op this reports is part of the kernel's contract —
-// layout, scratch and slice planes are cached on the array after the
-// first burst (see TestCaptureIntoNoAllocSteadyState for the hard
-// assertion).
+// BenchmarkCaptureVotesInto64KB is a steady-state loop of per-cell
+// counts: one array, one reused vote buffer, burst after burst, each a
+// plane burst and its unpack. The 0 B/op, 0 allocs/op this reports is
+// part of the kernel's contract — layout, scratch and slice planes are
+// cached on the array after the first burst (see
+// TestCaptureIntoNoAllocSteadyState for the hard assertion).
 func BenchmarkCaptureVotesInto64KB(b *testing.B) {
 	s := DefaultSpec()
 	a, err := New(s)

@@ -129,7 +129,7 @@ func requireCancelledBuildRecovers(t *testing.T, spec Spec) {
 		imprintSome(t, a, 10)
 		return a
 	}
-	want, err := imprinted().CaptureVotes(5, 25)
+	want, err := imprinted().captureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func requireCancelledBuildRecovers(t *testing.T, spec Spec) {
 	for n := 0; ; n++ {
 		a := imprinted()
 		before := a.PowerOnCount()
-		if _, err := a.CaptureVotesContext(newCancelAfter(n), 5, 25); err == nil {
+		if err := a.CaptureVotesInto(newCancelAfter(n), 5, 25, make([]uint16, a.Cells())); err == nil {
 			break
 		}
 		if a.Powered() {
@@ -150,7 +150,7 @@ func requireCancelledBuildRecovers(t *testing.T, spec Spec) {
 		if a.kern.valid && a.kern.epoch == a.biasEpoch && a.biasFresh {
 			t.Fatalf("cancel at check %d left a layout marked current", n)
 		}
-		got, err := a.CaptureVotes(5, 25)
+		got, err := a.captureVotes(5, 25)
 		if err != nil {
 			t.Fatal(err)
 		}

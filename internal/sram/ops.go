@@ -63,7 +63,7 @@ func (a *Array) PowerOnContext(ctx context.Context, tempC float64) ([]byte, erro
 	// race, consuming exactly one counter. It builds only the data
 	// plane. Identical for any worker count or chunk size
 	// (counter-derived noise).
-	if err := a.captureBurstInto(ctx, 1, tempC, burstOut{}); err != nil {
+	if err := a.captureBurstInto(ctx, 1, tempC, nil); err != nil {
 		return nil, err
 	}
 	out := make([]byte, len(a.data))

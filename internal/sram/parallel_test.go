@@ -62,7 +62,7 @@ func TestPowerOnEquivalence(t *testing.T) {
 	}
 }
 
-// TestCaptureEquivalence: CaptureMajority and CaptureVotes must be
+// TestCaptureEquivalence: CaptureMajority and CaptureVotesInto must be
 // bit-identical across worker counts, and successive bursts must stay in
 // lockstep (the power-on counter advances identically).
 func TestCaptureEquivalence(t *testing.T) {
@@ -83,7 +83,7 @@ func TestCaptureEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		votes, err := a.CaptureVotes(7, 30)
+		votes, err := a.captureVotes(7, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,14 +165,14 @@ func TestCaptureCounterAdvances(t *testing.T) {
 		t.Fatalf("counter after one power-on = %d, want 1", got)
 	}
 	snap := a.AppendState(nil)
-	v1, err := a.CaptureVotes(5, 25)
+	v1, err := a.captureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := a.PowerOnCount(); got != 6 {
 		t.Fatalf("counter after 5-capture burst = %d, want 6", got)
 	}
-	v2, err := a.CaptureVotes(5, 25)
+	v2, err := a.captureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCaptureCounterAdvances(t *testing.T) {
 	if _, err := b.ReadState(snap); err != nil {
 		t.Fatal(err)
 	}
-	v1b, err := b.CaptureVotes(5, 25)
+	v1b, err := b.captureVotes(5, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCaptureRemanence(t *testing.T) {
 	}
 	a.PowerOff(false) // rapid cycle: remanence
 	before := a.PowerOnCount()
-	votes, err := a.CaptureVotes(1, 25)
+	votes, err := a.captureVotes(1, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCaptureCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.CaptureVotesContext(ctx, 5, 25); err == nil {
+	if err := a.CaptureVotesInto(ctx, 5, 25, make([]uint16, a.Cells())); err == nil {
 		t.Fatal("cancelled burst returned nil error")
 	}
 	if a.Powered() {

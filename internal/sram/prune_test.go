@@ -41,7 +41,7 @@ func TestPrunedCaptureEquivalence(t *testing.T) {
 	if frac < 0.5 {
 		t.Fatalf("imprinted array only %.2f deterministic — pruning not exercised", frac)
 	}
-	votes, err := fast.CaptureVotes(9, 25)
+	votes, err := fast.captureVotes(9, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

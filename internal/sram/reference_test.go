@@ -80,7 +80,7 @@ func (a *Array) PowerOnReference(tempC float64) ([]byte, error) {
 
 // CaptureVotesReference runs a capture burst with the serial, unpruned
 // engine: every cell draws noise for every race. It must return votes
-// bit-identical to CaptureVotes from the same array state — the
+// bit-identical to CaptureVotesInto from the same array state — the
 // equivalence gate behind BENCH_4's capture speedups.
 func (a *Array) CaptureVotesReference(captures int, tempC float64) ([]uint16, error) {
 	if captures < 1 {
@@ -213,8 +213,8 @@ func growPoolsLegacy(p analog.Params, c analog.Conditions, hours, permFrac float
 // engine: deterministic-cell pruning and the per-cell bias hoisted, but
 // one noise draw resolved at a time through NormZig.
 // Kept as a second differential witness (kernel vs scalar vs
-// reference) for the equivalence suites. Semantics match CaptureVotes
-// exactly.
+// reference) for the equivalence suites. Semantics match
+// CaptureVotesInto exactly.
 func (a *Array) CaptureVotesScalar(captures int, tempC float64) ([]uint16, error) {
 	return a.CaptureVotesScalarContext(context.Background(), captures, tempC)
 }

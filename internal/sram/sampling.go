@@ -9,11 +9,11 @@ import (
 )
 
 // Capture entry points. All of them run the word-parallel kernel burst
-// (kernel.go) and build only the output they return: per-cell uint16
-// counts, a bit-sliced VotePlane, or a majority decided from one; the
-// array is left powered with the final capture as its digital
-// contents (as real hardware does after the last power cycle of a
-// sampling burst). Because each race's noise is counter-derived
+// (kernel.go), which counts into a bit-sliced VotePlane, and return the
+// plane, a majority decided from it, or per-cell uint16 counts unpacked
+// from it; the array is left powered with the final capture as its
+// digital contents (as real hardware does after the last power cycle of
+// a sampling burst). Because each race's noise is counter-derived
 // (norm(k, i) for power-on k, cell i), results are bit-identical to
 // running the races one by one, for any worker count and chunk size.
 //
@@ -70,45 +70,18 @@ func (a *Array) CaptureMajorityInto(ctx context.Context, captures int, tempC flo
 	}
 	// Decide straight from the sliced counters, 64 cells per compare.
 	plane := &a.kern.plane
-	if err := a.captureBurstInto(ctx, captures, tempC, burstOut{plane: plane}); err != nil {
+	if err := a.captureBurstInto(ctx, captures, tempC, plane); err != nil {
 		return err
 	}
 	plane.AtLeastInto(out, captures/2+1)
 	return nil
 }
 
-// CaptureVotes performs captures power cycles at tempC and returns, for
-// each cell, how many captures read 1. This is the soft information
-// behind majority voting: a cell reading 5/5 ones is far more trustworthy
-// than one reading 3/5, and the soft-decision decoder (ecc.SoftDecoder)
-// exploits exactly that. The array is left powered.
-func (a *Array) CaptureVotes(captures int, tempC float64) ([]uint16, error) {
-	return a.CaptureVotesContext(context.Background(), captures, tempC)
-}
-
-// CaptureVotesContext is CaptureVotes with cancellation.
-func (a *Array) CaptureVotesContext(ctx context.Context, captures int, tempC float64) ([]uint16, error) {
-	votes := make([]uint16, a.n)
-	if err := a.CaptureVotesInto(ctx, captures, tempC, votes); err != nil {
-		return nil, err
-	}
-	return votes, nil
-}
-
-// CaptureVotesInto is CaptureVotesContext writing into a caller-provided
-// buffer of Cells() counters. A receiver decoding a stream of devices
-// reuses one buffer and the burst allocates nothing in steady state.
-func (a *Array) CaptureVotesInto(ctx context.Context, captures int, tempC float64, out []uint16) error {
-	if err := validCaptures(captures); err != nil {
-		return err
-	}
-	if len(out) != a.n {
-		return fmt.Errorf("sram: votes into %d counters, need %d", len(out), a.n)
-	}
-	return a.captureBurstInto(ctx, captures, tempC, burstOut{counts: out})
-}
-
-// CaptureVotePlaneInto is CaptureVotesInto writing bit-sliced counts:
+// CaptureVotePlaneInto performs captures power cycles at tempC and
+// writes, for each cell, how many captures read 1. This is the soft
+// information behind majority voting: a cell reading 5/5 ones is far
+// more trustworthy than one reading 3/5, and the soft-decision decoder
+// (ecc.SoftDecoder) exploits exactly that. The counts are bit-sliced:
 // p is resized to this array and ⌈log2(captures+1)⌉ slices, reusing
 // its buffers, so a receiver that decides, or accumulates bursts, on
 // the plane touches a few bits per cell instead of a uint16 and
@@ -117,30 +90,42 @@ func (a *Array) CaptureVotePlaneInto(ctx context.Context, captures int, tempC fl
 	if err := validCaptures(captures); err != nil {
 		return err
 	}
-	return a.captureBurstInto(ctx, captures, tempC, burstOut{plane: p})
+	return a.captureBurstInto(ctx, captures, tempC, p)
+}
+
+// CaptureVotesInto is CaptureVotePlaneInto unpacked into a
+// caller-provided buffer of Cells() uint16 counters: a burst into the
+// kernel's own plane, then CountsInto. It allocates nothing in steady
+// state.
+func (a *Array) CaptureVotesInto(ctx context.Context, captures int, tempC float64, out []uint16) error {
+	if err := validCaptures(captures); err != nil {
+		return err
+	}
+	if len(out) != a.n {
+		return fmt.Errorf("sram: votes into %d counters, need %d", len(out), a.n)
+	}
+	plane := &a.kern.plane
+	if err := a.captureBurstInto(ctx, captures, tempC, plane); err != nil {
+		return err
+	}
+	plane.CountsInto(out)
+	return nil
 }
 
 // BiasMap estimates each cell's power-on bias (fraction of 1s) over the
 // given number of captures — the quantity Fig. 3a–c histograms.
 func (a *Array) BiasMap(captures int, tempC float64) ([]float64, error) {
-	return a.BiasMapContext(context.Background(), captures, tempC)
-}
-
-// BiasMapContext is BiasMap with cancellation, matching the
-// CaptureMajorityContext / CaptureVotesContext surface: the burst checks
-// ctx between dispatched chunks.
-func (a *Array) BiasMapContext(ctx context.Context, captures int, tempC float64) ([]float64, error) {
 	if err := validCaptures(captures); err != nil {
 		return nil, err
 	}
-	counts := a.scratchCounts()
-	if err := a.captureBurstInto(ctx, captures, tempC, burstOut{counts: counts}); err != nil {
+	plane := &a.kern.plane
+	if err := a.captureBurstInto(context.TODO(), captures, tempC, plane); err != nil {
 		return nil, err
 	}
 	out := make([]float64, a.n)
 	inv := 1 / float64(captures)
-	for i, c := range counts {
-		out[i] = float64(c) * inv
+	for i := range out {
+		out[i] = float64(plane.Count(i)) * inv
 	}
 	return out, nil
 }

@@ -92,6 +92,44 @@ func (p *VotePlane) CountsInto(dst []uint16) {
 	}
 }
 
+// HistogramInto fills hist with the number of cells in [lo, hi) at each
+// count value: hist[v] cells count v. hist needs a bin for every count
+// the range holds, so one per value from 0 to the plane's capture count
+// always suffices. For each 64-cell word it splits the mask of cells in
+// range by each slice from the top bit down, dropping empty masks, so
+// each count value present ends as one mask, which a popcount
+// measures: a per-value statistic over the counts needs no per-cell
+// unpack.
+func (p *VotePlane) HistogramInto(hist []int, lo, hi int) {
+	clear(hist)
+	for w := lo / 64; w*64 < hi; w++ {
+		m := ^uint64(0)
+		if w*64 < lo {
+			m <<= uint(lo - w*64)
+		}
+		if hi < w*64+64 {
+			m &= 1<<uint(hi-w*64) - 1
+		}
+		p.split(hist, w, p.nb-1, 0, m)
+	}
+}
+
+// split adds the cells of mask m in word w, whose count bits above b
+// read v, to their count values' bins.
+func (p *VotePlane) split(hist []int, w, b, v int, m uint64) {
+	if b < 0 {
+		hist[v] += bits.OnesCount64(m)
+		return
+	}
+	s := p.slices[b][w]
+	if one := m & s; one != 0 {
+		p.split(hist, w, b-1, v<<1|1, one)
+	}
+	if zero := m &^ s; zero != 0 {
+		p.split(hist, w, b-1, v<<1, zero)
+	}
+}
+
 // Add accumulates q's counts into p with a bit-sliced ripple-add, 64
 // cells per word operation: afterwards each count of p is the sum of
 // the two, out of the summed captures. The planes must count the same

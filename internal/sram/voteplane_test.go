@@ -11,8 +11,9 @@ import (
 )
 
 // requirePlaneMatches fails unless p counts exactly the votes want,
-// through Count and CountsInto, and the sliced compare agrees with the
-// scalar threshold rule at every threshold around the majority.
+// through Count, CountsInto and HistogramInto, and the sliced compare
+// agrees with the scalar threshold rule at every threshold around the
+// majority.
 func requirePlaneMatches(t *testing.T, p *VotePlane, want []uint16, captures int) {
 	t.Helper()
 	if p.Cells() != len(want) || p.captures != captures {
@@ -23,6 +24,23 @@ func requirePlaneMatches(t *testing.T, p *VotePlane, want []uint16, captures int
 	for i, v := range want {
 		if c := p.Count(i); c != v || got[i] != v {
 			t.Fatalf("cell %d: Count %d, CountsInto %d, want %d", i, c, got[i], v)
+		}
+	}
+	// HistogramInto over the whole plane and over ranges that start and
+	// end inside a word, against a histogram of want.
+	n := len(want)
+	hist := make([]int, captures+1)
+	for _, r := range [][2]int{{0, n}, {3, n - 5}, {n / 3, 2*n/3 + 1}, {n - 1, n}, {n / 2, n / 2}} {
+		lo, hi := r[0], r[1]
+		wantHist := make([]int, captures+1)
+		for _, v := range want[lo:hi] {
+			wantHist[v]++
+		}
+		p.HistogramInto(hist, lo, hi)
+		for v := range hist {
+			if hist[v] != wantHist[v] {
+				t.Fatalf("HistogramInto over cells [%d, %d): %d cells count %d, want %d", lo, hi, hist[v], v, wantHist[v])
+			}
 		}
 	}
 	ge := make([]byte, len(want)/8)

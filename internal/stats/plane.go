@@ -146,12 +146,11 @@ func MoranIPacked(snap []byte, rows, cols int) (MoranResult, error) {
 // of a given depth: a cell that read 1 in v of the captures has vote
 // fraction p = v/captures, margin |2p−1| and Bernoulli entropy H(p).
 // Since v takes only captures+1 values, any per-cell statistic over a
-// vote plane reduces to a histogram dotted with these tables — no
-// per-cell division or log.
+// vote plane reduces to a histogram (sram.VotePlane.HistogramInto)
+// dotted with these tables — no per-cell division or log.
 type VoteTable struct {
-	Captures int
-	Margin   []float64 // Margin[v] = |2·(v/captures) − 1|
-	Entropy  []float64 // Entropy[v] = H(v/captures) in bits
+	Margin  []float64 // Margin[v] = |2·(v/captures) − 1|
+	Entropy []float64 // Entropy[v] = H(v/captures) in bits
 }
 
 // NewVoteTable builds the tables for a burst of the given depth. Each
@@ -159,9 +158,8 @@ type VoteTable struct {
 // table lookups are bit-identical to computing from the count.
 func NewVoteTable(captures int) *VoteTable {
 	t := &VoteTable{
-		Captures: captures,
-		Margin:   make([]float64, captures+1),
-		Entropy:  make([]float64, captures+1),
+		Margin:  make([]float64, captures+1),
+		Entropy: make([]float64, captures+1),
 	}
 	for v := 0; v <= captures; v++ {
 		p := float64(v) / float64(captures)
@@ -173,22 +171,4 @@ func NewVoteTable(captures int) *VoteTable {
 		t.Entropy[v] = BitEntropy(p)
 	}
 	return t
-}
-
-// Histogram fills hist (length Captures+1) with the count of cells at
-// each vote value and returns it. Counts above the table's range are
-// clamped into the top bin so a mismatched burst cannot panic.
-func (t *VoteTable) Histogram(votes []uint16, hist []int) []int {
-	for i := range hist {
-		hist[i] = 0
-	}
-	top := len(hist) - 1
-	for _, v := range votes {
-		b := int(v)
-		if b > top {
-			b = top
-		}
-		hist[b]++
-	}
-	return hist
 }

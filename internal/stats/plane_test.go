@@ -188,7 +188,7 @@ func TestHammingChunkedMatchesPerByte(t *testing.T) {
 }
 
 // TestVoteTableExact: table entries equal the per-cell expressions
-// bit-for-bit, and the histogram counts every cell with clamping.
+// bit-for-bit.
 func TestVoteTableExact(t *testing.T) {
 	for _, captures := range []int{1, 5, 15, 100} {
 		tab := NewVoteTable(captures)
@@ -205,22 +205,5 @@ func TestVoteTableExact(t *testing.T) {
 				t.Fatalf("captures=%d v=%d: entropy %v, want %v", captures, v, tab.Entropy[v], BitEntropy(p))
 			}
 		}
-	}
-	tab := NewVoteTable(5)
-	hist := make([]int, 6)
-	votes := []uint16{0, 5, 5, 3, 99} // 99 clamps to the top bin
-	tab.Histogram(votes, hist)
-	want := []int{1, 0, 0, 1, 0, 3}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", hist, want)
-		}
-	}
-	total := 0
-	for _, c := range hist {
-		total += c
-	}
-	if total != len(votes) {
-		t.Fatalf("histogram dropped cells: %d of %d", total, len(votes))
 	}
 }

@@ -22,6 +22,7 @@
 package trng
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -51,8 +52,8 @@ func Calibrate(dev *device.Device, captures int, lowFrac, highFrac float64) (*So
 	if dev.SRAM.Powered() {
 		dev.PowerOff(true)
 	}
-	votes, err := dev.SRAM.CaptureVotes(captures, 25)
-	if err != nil {
+	votes := make([]uint16, dev.SRAM.Cells())
+	if err := dev.SRAM.CaptureVotesInto(context.TODO(), captures, 25, votes); err != nil {
 		return nil, err
 	}
 	var cells []int
