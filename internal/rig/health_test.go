@@ -82,6 +82,34 @@ func TestProbeHealthMatchesPerCellReference(t *testing.T) {
 	}
 }
 
+// TestSampleVotesIntoMatchesSampleVotes: the allocation-free vote
+// sampler observes the same capture stream whether each burst gets a
+// fresh buffer or one buffer is reused (twin rigs, same serial ⇒ same
+// noise sequence). The reused buffer starts dirty and the bursts shrink
+// from 7 captures to 3, so a count accumulated into, or left over from
+// the wider plane, shows as a differing vote.
+func TestSampleVotesIntoMatchesSampleVotes(t *testing.T) {
+	fresh, reused := healthRig(t, "votes-into"), healthRig(t, "votes-into")
+	got := make([]uint16, reused.Device().SRAM.Cells())
+	for i := range got {
+		got[i] = 0xffff
+	}
+	for _, captures := range []int{7, 3} {
+		want := make([]uint16, fresh.Device().SRAM.Cells())
+		if err := fresh.SampleVotesIntoContext(context.Background(), captures, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.SampleVotesIntoContext(context.Background(), captures, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%d captures: vote %d differs: %d vs %d", captures, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestProbeHealthFreshVsDecayed: sanity on the statistic itself — a
 // fresh (never-stressed) array reads near-perfect margin, and shelving
 // after an encode can only lower it.
